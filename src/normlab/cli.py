@@ -23,14 +23,14 @@ from .experiments import (
     run_norm_table,
     run_weak_holder_suite,
 )
-from .grid import make_grid, parse_function, sample
+from .grid import make_grid, parse_function, sample, split_params
 from .reports import RatioTable, emit_report
 from .spaces import parse_space
 from .weights import hl_maximal
 
 
 def _parse_grid(text: str):
-    kv = dict(item.split("=", 1) for item in text.split(","))
+    kv = split_params(text, text)
     n = int(kv.get("n", "1"))
     if "L" in kv:
         L = float(kv["L"])
@@ -126,7 +126,11 @@ def main(argv=None) -> int:
         print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
         return 1 if failed else 0
 
-    cfg = _base_config(args)
+    try:
+        cfg = _base_config(args)
+    except ValueError as exc:
+        print(f"normlab: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "norm":
         return _emit(run_norm_table(cfg), cfg, "norms", args.plot_script)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DomainMask, Grid, SampledField
+from .grid import DomainMask, Grid, split_params
+from .spaces import zero_extend as zero_extend_field
 
 __all__ = [
     "DomainSpec",
@@ -308,14 +309,9 @@ def parse_domain(text: str, box=None) -> DomainSpec:
     """Parse ``kind:key=value,...``; vectors use ``;`` separators."""
     kind, _, body = text.strip().partition(":")
     params: dict = {}
-    if body:
-        for item in body.split(","):
-            k, sep, v = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad parameter {item!r} in {text!r}")
-            k = k.strip()
-            params[k] = tuple(float(x) for x in v.split(";")) if ";" in v else (
-                int(v) if k == "axis" else float(v))
+    for k, v in split_params(body, text).items():
+        params[k] = tuple(float(x) for x in v.split(";")) if ";" in v else (
+            int(v) if k == "axis" else float(v))
     return DomainSpec(kind.strip(), box=box, **params)
 
 
@@ -328,13 +324,6 @@ def mask(domain: DomainSpec, grid: Grid) -> DomainMask:
     if not cells.any():
         raise ValueError("domain mask is empty on this grid")
     return DomainMask(grid, cells)
-
-
-def zero_extend_field(values_on_omega: np.ndarray, omega: DomainMask) -> SampledField:
-    """Zero extension of domain-cell values (canonical C order) to the full grid."""
-    from .spaces import zero_extend
-
-    return zero_extend(values_on_omega, omega)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ so evaluators can be matched bitwise against naive double-loop oracles.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -155,37 +154,48 @@ class GagliardoParams:
 
 
 # ---------------------------------------------------------------------------
-# offset iteration helpers
+# pair walk and near-field helpers
 # ---------------------------------------------------------------------------
 
 
-def _half_offsets(shape: tuple[int, ...]):
-    """Integer offsets whose first nonzero component is positive.
+def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLUDE_POLICY):
+    """Walk the integer offsets whose first nonzero component is positive.
 
-    Each unordered cell pair {x, x+o} appears exactly once; contributions are
-    accumulated at both ends.
+    Each unordered cell pair {x, x+o} appears exactly once; callers accumulate
+    contributions at both ends.  Offsets inside the policy's analytic near
+    field (none under "exclude") are only counted.  Returns ``(removed,
+    kept)`` where ``kept`` yields ``(offset, distance, sa, sb, pair_mask)``
+    per remaining offset: the slices ``sa``/``sb`` pick the cells x and x+o,
+    and ``pair_mask`` is ``mask[sa] & mask[sb]`` (None without a mask).
     """
-    ranges = [range(-(n - 1), n) for n in shape]
-    for off in itertools.product(*ranges):
-        lead = 0
-        for o in off:
-            if o != 0:
-                lead = 1 if o > 0 else -1
-                break
-        if lead == 1:
-            yield off
+    shape = grid.shape
+    # in C order over the box [-(n-1), n-1]^dim of offsets the zero offset sits
+    # in the middle, and the offsets after it are exactly the positive ones
+    dims = [2 * n - 1 for n in shape]
+    total = math.prod(dims)
+    offs = np.stack(np.unravel_index(np.arange(total // 2 + 1, total), dims), axis=1)
+    offs -= np.asarray(shape) - 1
+    dists = np.linalg.norm(offs * np.asarray(grid.cell_size), axis=1)
+    eq_ball = policy.diagonal == "equivalent-ball"
+    keep = dists > (policy.near_window * min(grid.cell_size) if eq_ball else 0.0)
+    cols = offs[keep].T.tolist()
+    kept_dists = dists[keep]
+    # per-axis (sa, sb) slice pairs indexed by the offset itself: entries for
+    # o >= 0 come first, so a negative o indexes from the end of the list
+    tables = [[(slice(0, n - o), slice(o, n)) for o in range(n)]
+              + [(slice(-o, n), slice(0, n + o)) for o in range(-(n - 1), 0)]
+              for n in shape]
 
+    def kept():
+        # callers do scalar arithmetic on dist, which is faster on Python
+        # floats than on numpy scalars; per-axis columns and a lazy map keep
+        # the walk's own memory small
+        for dist, *off in zip(map(float, kept_dists), *cols):
+            sa, sb = zip(*[tab[o] for tab, o in zip(tables, off)])
+            pm = None if mask is None else mask[sa] & mask[sb]
+            yield off, dist, sa, sb, pm
 
-def _offset_slices(off, shape):
-    a, b = [], []
-    for o, n in zip(off, shape):
-        if o >= 0:
-            a.append(slice(0, n - o))
-            b.append(slice(o, n))
-        else:
-            a.append(slice(-o, n))
-            b.append(slice(0, n + o))
-    return tuple(a), tuple(b)
+    return int(np.count_nonzero(~keep)), kept()
 
 
 def _mask_array(omega: DomainMask | None, grid: Grid):
@@ -238,6 +248,12 @@ def _directional_extent_1d(grid: Grid, mask: np.ndarray | None):
 # ---------------------------------------------------------------------------
 
 
+def _frozen_gradient_term(gradp, s: float, p: float, n: int, r_eq: float):
+    """Analytic near-field integral over the removed ball of radius r_eq for a
+    frozen gradient: |grad f|^p * moment * r_eq^(p(1-s)) / (p(1-s))."""
+    return gradp * sphere_moment(p, n) * r_eq ** (p * (1.0 - s)) / (p * (1.0 - s))
+
+
 def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
                              omega: DomainMask | None = None,
                              policy: KernelPolicy = DEFAULT_POLICY) -> list[float]:
@@ -251,22 +267,15 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
         GagliardoParams(s, p)
     grid = f.grid
     n = grid.dim
-    h = np.asarray(grid.cell_size)
     mask = _mask_array(omega, grid)
     v = f.values
     eq_ball = policy.diagonal == "equivalent-ball"
-    W = policy.near_window * min(grid.cell_size) if eq_ball else 0.0
+    removed, walk = _pair_walk(grid, mask, policy)
     dists, sums = [], []
-    removed = 0
-    for off in _half_offsets(grid.shape):
-        dist = float(np.linalg.norm(np.asarray(off) * h))
-        if eq_ball and dist <= W:
-            removed += 1
-            continue
-        sa, sb = _offset_slices(off, grid.shape)
+    for _, dist, sa, sb, pm in walk:
         d = np.abs(v[sa] - v[sb]) ** p
-        if mask is not None:
-            d = d * (mask[sa] & mask[sb])
+        if pm is not None:
+            d = d * pm
         dists.append(dist)
         sums.append(float(np.sum(d)))
     dists = np.asarray(dists)
@@ -278,12 +287,11 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
             g = np.where(mask, g, 0.0)
         gradp = float(np.sum(g ** p)) * vol
         r_eq = _equivalent_radius(removed, grid)
-        moment = sphere_moment(p, n)
     out = []
     for s in s_values:
         total = 2.0 * vol * vol * float(np.sum(sums * dists ** (-(s * p + n))))
         if eq_ball:
-            total += gradp * moment * r_eq ** (p * (1.0 - s)) / (p * (1.0 - s))
+            total += _frozen_gradient_term(gradp, s, p, n, r_eq)
         out.append(total ** (1.0 / p))
     return out
 
@@ -301,30 +309,21 @@ def fractional_inner_field(f: SampledField, s: float, p: float,
     GagliardoParams(s, p)
     grid = f.grid
     n = grid.dim
-    h = np.asarray(grid.cell_size)
     mask = _mask_array(omega, grid)
     v = f.values
-    eq_ball = policy.diagonal == "equivalent-ball"
-    W = policy.near_window * min(grid.cell_size) if eq_ball else 0.0
     vol = grid.cell_volume
     inner = np.zeros(grid.shape)
-    removed = 0
-    for off in _half_offsets(grid.shape):
-        dist = float(np.linalg.norm(np.asarray(off) * h))
-        if eq_ball and dist <= W:
-            removed += 1
-            continue
-        sa, sb = _offset_slices(off, grid.shape)
+    removed, walk = _pair_walk(grid, mask, policy)
+    for _, dist, sa, sb, pm in walk:
         d = np.abs(v[sa] - v[sb]) ** p
-        if mask is not None:
-            d = d * (mask[sa] & mask[sb])
+        if pm is not None:
+            d = d * pm
         ker = dist ** (-(s * p + n)) * vol
         inner[sa] += d * ker
         inner[sb] += d * ker
-    if eq_ball:
+    if policy.diagonal == "equivalent-ball":
         g = gradient_magnitude(f)
-        r_eq = _equivalent_radius(removed, grid)
-        diag = g ** p * sphere_moment(p, n) * r_eq ** (p * (1.0 - s)) / (p * (1.0 - s))
+        diag = _frozen_gradient_term(g ** p, s, p, n, _equivalent_radius(removed, grid))
         if mask is not None:
             diag = np.where(mask, diag, 0.0)
         inner += diag
@@ -383,7 +382,6 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     vol = grid.cell_volume
     expo = 1.0 + gamma / p
     model_on = policy.diagonal == "equivalent-ball"
-    W = policy.near_window * hmin if model_on else 0.0
     # near cells outside the analytic window are subsampled: they sit at the
     # membership handoff where whole-cell granularity is worst; oracle mode
     # stays purely discrete
@@ -398,19 +396,11 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     lam_shape = (lams.size,) + (1,) * n
     lam_col = lams.reshape(lam_shape)
     inner = np.zeros((lams.size,) + grid.shape)
-    removed = 0
-    for off in _half_offsets(grid.shape):
-        vec = np.asarray(off) * h
-        dist = float(np.linalg.norm(vec))
-        if model_on and dist <= W:
-            removed += 1
-            continue
-        sa, sb = _offset_slices(off, grid.shape)
+    removed, walk = _pair_walk(grid, mask, policy)
+    for off, dist, sa, sb, pm in walk:
         delta = np.abs(v[sa] - v[sb])
-        if mask is not None:
-            pm = mask[sa] & mask[sb]
         if sub_w > 0 and dist <= sub_w:
-            dsub = np.linalg.norm(vec + sub_shifts, axis=1)
+            dsub = np.linalg.norm(np.asarray(off) * h + sub_shifts, axis=1)
             kersub = dsub ** (gamma - n) * vol / k ** n
             thr = dsub ** expo
             order = np.argsort(thr)
@@ -421,14 +411,14 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
             ratio = delta[None] / lam_col
             counts = np.searchsorted(thr, ratio.ravel(), side="left").reshape(ratio.shape)
             contrib = cumker[counts]
-            if mask is not None:
+            if pm is not None:
                 contrib = contrib * pm[None]
             inner[(slice(None),) + sa] += contrib
             inner[(slice(None),) + sb] += contrib
         else:
             ker = dist ** (gamma - n) * vol
             memb = delta[None] > lam_col * dist ** expo
-            if mask is not None:
+            if pm is not None:
                 memb = memb & pm[None]
             inner[(slice(None),) + sa] += memb * ker
             inner[(slice(None),) + sb] += memb * ker
@@ -608,18 +598,14 @@ def weak_product_quasinorm(f: SampledField, params: BsvyParams,
     gamma, p = params.gamma, params.p
     grid = f.grid
     n = grid.dim
-    h = np.asarray(grid.cell_size)
-    mask = _mask_array(omega, grid)
     v = f.values
     vol = grid.cell_volume
     expo = 1.0 + gamma / p
     measures = np.zeros(lam.size)
-    for off in _half_offsets(grid.shape):
-        dist = float(np.linalg.norm(np.asarray(off) * h))
-        sa, sb = _offset_slices(off, grid.shape)
+    for _, dist, sa, sb, pm in _pair_walk(grid, _mask_array(omega, grid))[1]:
         delta = np.abs(v[sa] - v[sb])
-        if mask is not None:
-            delta = np.where(mask[sa] & mask[sb], delta, 0.0)
+        if pm is not None:
+            delta = np.where(pm, delta, 0.0)
         thresh = lam * dist ** expo
         ordered = np.sort(delta.ravel())
         counts = ordered.size - np.searchsorted(ordered, thresh, side="right")
@@ -638,25 +624,18 @@ def weighted_mu_measure(predicate, gamma: float, weight: np.ndarray,
     w = np.asarray(weight, dtype=float)
     if w.shape != grid.shape:
         raise ValueError("weight must match the grid shape")
-    mask = _mask_array(omega, grid)
     mesh = grid.meshgrid()
-    h = np.asarray(grid.cell_size)
     vol = grid.cell_volume
     n = grid.dim
     total = 0.0
-    for off in _half_offsets(grid.shape):
-        dist = float(np.linalg.norm(np.asarray(off) * h))
-        sa, sb = _offset_slices(off, grid.shape)
+    for _, dist, sa, sb, pm in _pair_walk(grid, _mask_array(omega, grid))[1]:
         xa = np.column_stack([m[sa].ravel() for m in mesh])
         xb = np.column_stack([m[sb].ravel() for m in mesh])
-        pm = None
-        if mask is not None:
-            pm = (mask[sa] & mask[sb]).ravel()
         ker = dist ** (gamma - n) * vol * vol
         for first, second, wslice in ((xa, xb, w[sa]), (xb, xa, w[sb])):
             memb = np.asarray(predicate(first, second), dtype=bool)
             if pm is not None:
-                memb = memb & pm
+                memb = memb & pm.ravel()
             total += ker * float(np.sum(wslice.ravel()[memb]))
     return total
 

@@ -26,6 +26,7 @@ __all__ = [
     "gradient_magnitude",
     "auto_box",
     "parse_function",
+    "split_params",
     "restrict_values",
 ]
 
@@ -326,20 +327,31 @@ class TestFunctionSpec:
         raise AssertionError(self.kind)
 
 
+def split_params(body: str, text: str) -> dict[str, str]:
+    """Split ``key=value,...`` into a dict of whitespace-stripped strings.
+
+    ``text`` is the whole spec, quoted in the error for an item with no ``=``.
+    """
+    kv: dict[str, str] = {}
+    if body.strip():
+        for item in body.split(","):
+            k, sep, v = item.partition("=")
+            if not sep:
+                raise ValueError(f"bad parameter {item!r} in {text!r}")
+            kv[k.strip()] = v.strip()
+    return kv
+
+
 def parse_function(text: str) -> TestFunctionSpec:
     """Parse the canonical textual form ``kind:key=value,...``."""
     kind, _, body = text.strip().partition(":")
     params: dict = {}
-    if body:
-        for item in body.split(","):
-            k, _, v = item.partition("=")
-            if not _:
-                raise ValueError(f"bad parameter {item!r} in {text!r}")
-            if ";" in v:
-                params[k.strip()] = tuple(float(x) for x in v.split(";"))
-            else:
-                fv = float(v)
-                params[k.strip()] = int(fv) if k.strip() in ("axis", "degree") else fv
+    for k, v in split_params(body, text).items():
+        if ";" in v:
+            params[k] = tuple(float(x) for x in v.split(";"))
+        else:
+            fv = float(v)
+            params[k] = int(fv) if k in ("axis", "degree") else fv
     return TestFunctionSpec(kind.strip(), **params)
 
 

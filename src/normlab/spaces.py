@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .grid import DomainMask, Grid, SampledField, restrict_values
+from .grid import DomainMask, Grid, SampledField, restrict_values, split_params
 
 __all__ = [
     "SpaceSpec",
@@ -42,6 +43,7 @@ __all__ = [
     "orlicz_slice_norm",
     "morrey_norm",
     "default_ball_family",
+    "default_radii",
     "dyadic_cubes",
     "dyadic_cover",
     "bbm_morrey_norm",
@@ -188,11 +190,7 @@ class WeightedLebesgue(SpaceSpec):
             if self.samples.shape != grid.shape:
                 raise ValueError("explicit weight samples do not match the grid")
             return self.samples
-        c = np.asarray(self.center if not np.isscalar(self.center) else [self.center] * grid.dim)
-        d = np.linalg.norm(grid.coords() - c, axis=1)
-        if self.a < 0 and np.any(d == 0):
-            raise ValueError("singular power weight hits a cell center exactly")
-        return (d ** self.a).reshape(grid.shape)
+        return _power_samples(grid, self.a, self.center)[1]
 
     def canonical(self) -> str:
         if self.samples is not None:
@@ -200,6 +198,15 @@ class WeightedLebesgue(SpaceSpec):
         c = self.center
         ctxt = ";".join(repr(float(x)) for x in c) if not np.isscalar(c) else repr(float(c))
         return f"weighted:a={self.a!r},center={ctxt},r={self.r!r}"
+
+
+def _power_samples(grid: Grid, a: float, center) -> tuple[np.ndarray, np.ndarray]:
+    """The center as a point of the grid's dimension and |x - c|^a at the cell centers."""
+    c = np.asarray(center if not np.isscalar(center) else [center] * grid.dim, dtype=float)
+    d = np.linalg.norm(grid.coords() - c, axis=1)
+    if a < 0 and np.any(d == 0):
+        raise ValueError("singular power weight hits a cell center exactly")
+    return c, (d ** a).reshape(grid.shape)
 
 
 class Lorentz(SpaceSpec):
@@ -358,13 +365,7 @@ class VariableLebesgue(SpaceSpec):
 def parse_space(text: str) -> SpaceSpec:
     """Parse the canonical textual form ``tag:key=value,...``."""
     tag, _, body = text.strip().partition(":")
-    kv: dict[str, str] = {}
-    if body:
-        for item in body.split(","):
-            k, sep, v = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad parameter {item!r} in {text!r}")
-            kv[k.strip()] = v.strip()
+    kv = split_params(body, text)
 
     def num(key, default=None):
         if key not in kv:
@@ -505,34 +506,7 @@ def variable_lebesgue_norm(f: SampledField, exponent: np.ndarray,
         raise ValueError("variable exponent must satisfy 1 < min <= max < inf")
     v = np.abs(restrict_values(f, omega)).ravel()
     exf = ex.ravel()
-    vol = f.grid.cell_volume
-
-    absvals = v
-    if not np.any(absvals > 0):
-        return 0.0
-    vmax = float(np.max(absvals))
-
-    def modular(lam):
-        return float(np.sum((absvals / lam) ** exf) * vol)
-
-    lam_lo = lam_hi = vmax
-    while modular(lam_hi) > 1.0:
-        lam_hi *= 2.0
-        if not math.isfinite(lam_hi):
-            raise FloatingPointError("variable-exponent bracket failure")
-    while modular(lam_lo) <= 1.0:
-        lam_lo /= 2.0
-        if lam_lo < vmax * 1e-300:
-            return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if modular(mid) > 1.0:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-        if (lam_hi - lam_lo) <= 1e-14 * lam_hi:
-            break
-    return 0.5 * (lam_lo + lam_hi)
+    return _luxemburg_scalarized(v, np.full(v.size, f.grid.cell_volume), lambda s: s ** exf)
 
 
 def orlicz_slice_norm(f: SampledField, phi: OrliczFunction, r: float, t: float,
@@ -577,14 +551,21 @@ class BallFamily:
     radii: np.ndarray    # (K,)
 
 
-def default_ball_family(grid: Grid) -> BallFamily:
-    """Balls at every cell center with dyadic radii from min h up to the box diameter."""
+def default_radii(grid: Grid) -> np.ndarray:
+    """Dyadic radii from the smallest cell size up to the box diameter."""
     hmin = min(grid.cell_size)
     radii = [hmin]
     while radii[-1] < grid.diameter():
         radii.append(radii[-1] * 2.0)
+    return np.array(radii)
+
+
+def default_ball_family(grid: Grid) -> BallFamily:
+    """Balls at every cell center with the dyadic radii, the last one clipped
+    to the box diameter."""
+    radii = default_radii(grid)
     radii[-1] = grid.diameter()
-    return BallFamily(grid.coords(), np.array(radii))
+    return BallFamily(grid.coords(), radii)
 
 
 def _unit_ball_volume(n: int) -> float:
@@ -693,8 +674,6 @@ def dyadic_cover(center, radius: float, max_level_pad: int = 4):
     n = c.size
     nu0 = math.ceil(math.log2(2.0 * radius))
     best = None
-    from itertools import product
-
     for shift in product((0.0, 1.0 / 3.0, 2.0 / 3.0), repeat=n):
         for nu in range(nu0, nu0 + max_level_pad + 1):
             side = 2.0 ** nu
@@ -711,34 +690,37 @@ def dyadic_cover(center, radius: float, max_level_pad: int = 4):
     return best
 
 
-def _cube_cell_sum(pre: np.ndarray, grid: Grid, cube: DyadicCube) -> float:
-    """Sum of the prefixed quantity over cells whose centers lie in the cube.
-
-    ``pre`` is an (N+1)-padded cumulative sum along every axis of |f|^q * vol.
-    """
-    idx = []
-    for i in range(grid.dim):
-        centers = grid.axis_centers(i)
-        a = np.searchsorted(centers, cube.lo[i], side="right")
-        b = np.searchsorted(centers, cube.hi[i], side="right")
-        if b <= a:
-            return 0.0
-        idx.append((a, b))
-    # inclusion-exclusion over corners of the index box
-    total = 0.0
-    from itertools import product
-
-    for corner in product((0, 1), repeat=grid.dim):
-        sel = tuple(idx[i][corner[i]] for i in range(grid.dim))
-        total += (-1) ** (grid.dim - sum(corner)) * pre[sel]
-    return float(total)
-
-
-def _nd_prefix(arr: np.ndarray) -> np.ndarray:
+def _prefix(arr: np.ndarray) -> np.ndarray:
+    """Cumulative sum along every axis, padded with a leading zero per axis."""
     pre = arr
     for ax in range(arr.ndim):
         pre = np.cumsum(pre, axis=ax)
     return np.pad(pre, [(1, 0)] * arr.ndim)
+
+
+def _box_indices(grid: Grid, lo, hi, lo_side: str):
+    """Per-axis index ranges [a, b) of the cells whose centers lie in the box,
+    or None when it holds no cell center.  The upper face is closed; the lower
+    face is closed for ``lo_side="left"`` and open for ``lo_side="right"``."""
+    rngs = []
+    for i in range(grid.dim):
+        centers = grid.axis_centers(i)
+        a = int(np.searchsorted(centers, lo[i], side=lo_side))
+        b = int(np.searchsorted(centers, hi[i], side="right"))
+        if b <= a:
+            return None
+        rngs.append((a, b))
+    return rngs
+
+
+def _box_sum(prefix: np.ndarray, rngs) -> float:
+    """Sum over an index box from the padded prefix array, by inclusion-exclusion."""
+    dim = len(rngs)
+    total = 0.0
+    for corner in product((0, 1), repeat=dim):
+        sel = tuple(rngs[i][corner[i]] for i in range(dim))
+        total += (-1) ** (dim - sum(corner)) * prefix[sel]
+    return float(total)
 
 
 def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
@@ -757,14 +739,16 @@ def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
     else:
         nu_min, nu_max = nu_range
     v = restrict_values(f, omega)
-    prefix = _nd_prefix(np.abs(v) ** q * grid.cell_volume)
+    prefix = _prefix(np.abs(v) ** q * grid.cell_volume)
     system = DyadicSystem((0.0,) * grid.dim, nu_min, nu_max)
     level_terms = []
     for nu in range(nu_min, nu_max + 1):
         cubes = dyadic_cubes(DyadicSystem(system.shift, nu, nu), grid.lo, grid.hi)
         vals = []
         for cube in cubes:
-            s = _cube_cell_sum(prefix, grid, cube)
+            # dyadic cubes are half-open, (lo, hi]
+            rngs = _box_indices(grid, cube.lo, cube.hi, "right")
+            s = 0.0 if rngs is None else _box_sum(prefix, rngs)
             if s == 0.0:
                 continue
             vals.append(cube.volume ** (1.0 / p - 1.0 / q) * s ** (1.0 / q))
@@ -860,9 +844,18 @@ def mixed_norm(f: SampledField, rs, omega: DomainMask | None = None) -> float:
 
 
 def norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> float:
-    """Evaluate ||f||_{X(Omega)} for any catalog space (zero-extension outside)."""
-    if omega is not None and omega.grid != f.grid:
-        raise ValueError("field and mask live on different grids")
+    """Evaluate ||f||_{X(Omega)} for any catalog space (zero-extension outside).
+
+    Every catalog norm is 1-homogeneous, so f is first divided by the power of
+    two 2^e just above max |f| on the domain, which is exact, and the result is
+    multiplied back; powers |f|^p then neither overflow nor underflow.
+    """
+    v = restrict_values(f, omega)
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return math.ldexp(_evaluate(SampledField(f.grid, np.ldexp(v, -e)), space, omega), e)
+
+
+def _evaluate(f: SampledField, space: SpaceSpec, omega: DomainMask | None) -> float:
     if isinstance(space, Lebesgue):
         return _lebesgue(restrict_values(f, omega), f.grid.cell_volume, space.p)
     if isinstance(space, WeightedLebesgue):

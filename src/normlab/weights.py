@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy import ndimage, signal
 
-from .grid import DomainMask, Grid, SampledField, restrict_values
-from .spaces import SpaceSpec, norm
+from .grid import DomainMask, Grid, SampledField, restrict_values, split_params
+from .spaces import SpaceSpec, _box_indices, _box_sum, _power_samples, _prefix, default_radii, norm
 
 __all__ = [
     "Weight",
@@ -59,11 +60,7 @@ class Weight:
 
 def power_weight(grid: Grid, a: float, center=0.0) -> Weight:
     """|x - c|^a sampled at cell centers."""
-    c = np.asarray(center if not np.isscalar(center) else [center] * grid.dim, dtype=float)
-    d = np.linalg.norm(grid.coords() - c, axis=1)
-    if a < 0 and np.any(d == 0):
-        raise ValueError("singular power weight hits a cell center exactly")
-    samples = (d ** a).reshape(grid.shape)
+    c, samples = _power_samples(grid, a, center)
     ctxt = ";".join(repr(float(x)) for x in c)
     return Weight(grid, samples, f"power:a={a!r},center={ctxt}", (float(a), tuple(c)))
 
@@ -76,7 +73,7 @@ def parse_weight(text: str, grid: Grid) -> Weight:
     kind, _, body = text.strip().partition(":")
     if kind != "power":
         raise ValueError(f"unknown weight form {kind!r}; only power:a=...,center=... parses")
-    kv = dict(item.split("=", 1) for item in body.split(",") if item)
+    kv = split_params(body, text)
     a = float(kv.get("a", "0"))
     ctxt = kv.get("center", "0.0")
     center = tuple(float(x) for x in ctxt.split(";")) if ";" in ctxt else float(ctxt)
@@ -120,18 +117,9 @@ def default_cube_family(grid: Grid, anchor=None) -> CubeFamily:
         los.append(centers - w)
         his.append(centers + w)
     if anchor is not None:
-        c = np.asarray(anchor if not np.isscalar(anchor) else [anchor] * grid.dim, dtype=float)
-        from itertools import product
-
-        side = hmin
-        while side <= 2 * span:
-            for orth in product((-1.0, 1.0), repeat=grid.dim):
-                corner = c + side * np.asarray(orth)
-                los.append(np.minimum(c, corner)[None, :])
-                his.append(np.maximum(c, corner)[None, :])
-            los.append((c - side)[None, :])
-            his.append((c + side)[None, :])
-            side *= 2.0
+        anchored = anchored_cube_family(grid, anchor)
+        los.append(anchored.lo)
+        his.append(anchored.hi)
     return CubeFamily(np.vstack(los), np.vstack(his))
 
 
@@ -141,8 +129,6 @@ def anchored_cube_family(grid: Grid, anchor=0.0) -> CubeFamily:
     constants have the closed form 1/(1+a); the full default family also sees
     asymmetric straddling cubes with strictly larger ratios."""
     c = np.asarray(anchor if not np.isscalar(anchor) else [anchor] * grid.dim, dtype=float)
-    from itertools import product
-
     los, his = [], []
     side = min(grid.cell_size)
     span = max(b - a for a, b in zip(grid.lo, grid.hi))
@@ -155,37 +141,6 @@ def anchored_cube_family(grid: Grid, anchor=0.0) -> CubeFamily:
         his.append((c + side)[None, :])
         side *= 2.0
     return CubeFamily(np.vstack(los), np.vstack(his))
-
-
-def _prefix(arr: np.ndarray) -> np.ndarray:
-    pre = arr
-    for ax in range(arr.ndim):
-        pre = np.cumsum(pre, axis=ax)
-    return np.pad(pre, [(1, 0)] * arr.ndim)
-
-
-def _box_indices(grid: Grid, lo, hi):
-    """Index ranges of cells whose centers lie in the closed box [lo, hi]."""
-    rngs = []
-    for i in range(grid.dim):
-        centers = grid.axis_centers(i)
-        a = int(np.searchsorted(centers, lo[i], side="left"))
-        b = int(np.searchsorted(centers, hi[i], side="right"))
-        if b <= a:
-            return None
-        rngs.append((a, b))
-    return rngs
-
-
-def _box_sum(prefix: np.ndarray, rngs) -> float:
-    from itertools import product
-
-    dim = len(rngs)
-    total = 0.0
-    for corner in product((0, 1), repeat=dim):
-        sel = tuple(rngs[i][corner[i]] for i in range(dim))
-        total += (-1) ** (dim - sum(corner)) * prefix[sel]
-    return float(total)
 
 
 def _power_sup_inverse(power, lo, hi) -> float:
@@ -242,7 +197,8 @@ def muckenhoupt_constant(weight: Weight, p: float, family: CubeFamily | None = N
     box_hi = np.asarray(grid.hi)
     for k in range(family.count):
         lo, hi = family.lo[k], family.hi[k]
-        rngs = _box_indices(grid, lo, hi)
+        # A_p cubes are closed, [lo, hi]
+        rngs = _box_indices(grid, lo, hi, "left")
         if rngs is None:
             continue
         # averages only see cells inside the box; take the sup over the same region
@@ -285,15 +241,6 @@ def dual_weight(weight: Weight, p: float) -> Weight:
 # ---------------------------------------------------------------------------
 # Hardy-Littlewood maximal operator
 # ---------------------------------------------------------------------------
-
-
-def default_radii(grid: Grid) -> np.ndarray:
-    """Dyadic radii from the smallest cell size up to the box diameter."""
-    hmin = min(grid.cell_size)
-    radii = [hmin]
-    while radii[-1] < grid.diameter():
-        radii.append(radii[-1] * 2.0)
-    return np.array(radii)
 
 
 def _ball_kernel(grid: Grid, radius: float) -> np.ndarray:

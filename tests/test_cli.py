@@ -185,6 +185,28 @@ def test_cli_verify_subset(capsys):
     assert "[PASS] lorentz-indicator" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["norm", "--space", "lebesgue:q=2", "--fn", "gaussian:sigma=1"],
+     "space 'lebesgue' needs parameter 'p'"),
+    (["--grid", "n=1,L=2,N=1", "norm"], "need at least 2 cells per axis"),
+    (["--grid", "n=1,L=2,N", "norm"], "bad parameter 'N' in 'n=1,L=2,N'"),
+])
+def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("normlab: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_cli_specs_allow_spaces(tmp_path):
+    rc = main(["--out", str(tmp_path), "--grid", "n=1, L=3 , N=16", "norm",
+               "--fn", "gaussian: sigma=0.5", "--space", "lebesgue: p=2.0"])
+    assert rc == 0
+    row = json.loads((tmp_path / "norms.json").read_text())["rows"][0]
+    assert row["grid"] == "box=[-3.0]..[3.0] N=[16]"
+    assert row["function"] == "gaussian:center=0.0,sigma=0.5"
+
+
 def test_cli_config_driven_run(tmp_path):
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))

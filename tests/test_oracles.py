@@ -18,7 +18,8 @@ from normlab import (
     sample,
 )
 from normlab import oracles
-from normlab.functionals import EXCLUDE_POLICY, bsvy_inner, gagliardo_seminorm
+from normlab.domains import mask, parse_domain
+from normlab.functionals import EXCLUDE_POLICY, bsvy_inner, gagliardo_seminorm, weak_product_quasinorm
 from normlab.spaces import bbm_morrey_norm, herz_local_norm
 
 
@@ -54,6 +55,40 @@ def test_bsvy_inner_negative_gamma_2d():
     ref = oracles.level_set_inner(f.values.ravel(), g.coords(), g.cell_volume, 0.7, -1.0, 2.0)
     scale = max(np.max(np.abs(ref)), 1e-300)
     assert np.max(np.abs(mine.ravel() - ref)) / scale <= 1e-12
+
+
+# masked domain on non-square cells (h = (0.1, 0.07)): the oracles see only
+# the domain cells, the evaluators the full grid with the ball mask
+MASKED_GRID = make_grid(2, (-0.8, -0.84), (0.8, 0.84), (16, 24))
+MASKED_OMEGA = mask(parse_domain("ball:center=0.1;0.0,radius=0.75"), MASKED_GRID)
+MASKED_F = sample(TestFunctionSpec("gaussian", sigma=0.5, center=(0.2, -0.1)), MASKED_GRID)
+MASKED_V = MASKED_F.values.ravel()[MASKED_OMEGA.cells.ravel()]
+MASKED_X = MASKED_GRID.coords()[MASKED_OMEGA.cells.ravel()]
+
+
+def test_gagliardo_masked_nonsquare_cells():
+    mine = gagliardo_seminorm(MASKED_F, 0.7, 1.5, MASKED_OMEGA, EXCLUDE_POLICY)
+    ref = oracles.gagliardo(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.7, 1.5)
+    assert mine == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+def test_bsvy_inner_masked_nonsquare_cells(gamma):
+    mine = bsvy_inner(MASKED_F, 0.8, BsvyParams(gamma, 2.0), MASKED_OMEGA, EXCLUDE_POLICY).values
+    ref = oracles.level_set_inner(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.8, gamma, 2.0)
+    inside = MASKED_OMEGA.cells
+    assert np.all(mine[~inside] == 0.0)
+    assert np.max(np.abs(mine[inside] - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_weak_product_masked_nonsquare_cells():
+    params = BsvyParams(1.0, 2.0)
+    lams = np.geomspace(0.05, 5.0, 7)
+    mine = weak_product_quasinorm(MASKED_F, params, MASKED_OMEGA, lam_grid=lams)
+    vol = MASKED_GRID.cell_volume
+    ref = max(lam * oracles.pair_measure(MASKED_V, MASKED_X, vol, lam, 1.0, 2.0) ** 0.5
+              for lam in lams)
+    assert mine == pytest.approx(ref, rel=1e-12)
 
 
 def test_bbmorrey_indicator_spec_case():

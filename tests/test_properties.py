@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from normlab import (
@@ -63,6 +63,8 @@ def test_lattice_property(space, vals):
 @settings(max_examples=20, deadline=None)
 @given(vals=values_strategy,
        c=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
+@example(vals=np.linspace(-3.0, 7.0, 8), c=1e200)
+@example(vals=np.linspace(-3.0, 7.0, 8), c=1e-200)
 def test_homogeneity(space, vals, c):
     f = SampledField(GRID, vals)
     scaled = SampledField(GRID, c * vals)

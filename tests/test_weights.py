@@ -48,6 +48,14 @@ def test_parse_weight():
     assert w.power[0] == -0.25
 
 
+def test_parse_weight_strips_spaces_and_rejects_bare_keys():
+    g = make_grid(1, -1.0, 1.0, 8)
+    w = parse_weight("power:a=-0.5, center=0.3", g)
+    assert w.power == (-0.5, (0.3,))
+    with pytest.raises(ValueError, match="bad parameter 'a' in 'power:a'"):
+        parse_weight("power:a", g)
+
+
 # --------------------------------------------------------------------------
 # maximal operator
 # --------------------------------------------------------------------------
