@@ -26,11 +26,15 @@ from .experiments import (
 from .grid import make_grid, parse_function, sample, split_params
 from .reports import RatioTable, emit_report
 from .spaces import parse_space
-from .weights import hl_maximal
+from .weights import hl_maximal, parse_weight
 
 
 def _parse_grid(text: str):
     kv = split_params(text, text)
+    for key in kv:
+        if key not in ("n", "L", "lo", "hi", "N", "points"):
+            raise ValueError(f"unknown grid parameter {key!r} in {text!r}; "
+                             "known: n, L, lo, hi, N, points")
     n = int(kv.get("n", "1"))
     if "L" in kv:
         L = float(kv["L"])
@@ -126,8 +130,11 @@ def main(argv=None) -> int:
         print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
         return 1 if failed else 0
 
+    weights = (args.weight or ["power:a=-0.5,center=0.0"]) if args.command == "apconst" else []
     try:
         cfg = _base_config(args)
+        for text in weights:
+            parse_weight(text, cfg.grid)  # reject bad specs before the run starts
     except ValueError as exc:
         print(f"normlab: error: {exc}", file=sys.stderr)
         return 2
@@ -152,7 +159,6 @@ def main(argv=None) -> int:
                           grid=cfg.grid.describe(), seed=cfg.seed)
         return _emit(table, cfg, "maximal", args.plot_script)
     if args.command == "apconst":
-        weights = args.weight or ["power:a=-0.5,center=0.0"]
         return _emit(run_apconst_table(cfg, weights), cfg, "apconst", args.plot_script)
     if args.command == "morrey-duality":
         return _emit(run_morrey_duality_check(cfg, theta=args.theta), cfg,

@@ -83,6 +83,9 @@ def load_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
+    for section in ("experiment", "grid"):
+        if section not in cp:
+            raise ValueError(f"config {str(path)!r} has no [{section}] section")
     exp = cp["experiment"]
     g = cp["grid"]
     dim = g.getint("n")

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-__all__ = ["gagliardo", "level_set_inner", "bbm_morrey", "herz_local", "pair_measure"]
+__all__ = ["gagliardo", "level_set_inner", "bbm_morrey", "herz_local", "pair_measure", "morrey",
+           "muckenhoupt", "luxemburg", "orlicz_slice"]
 
 
 def gagliardo(values, coords, vol, s, p):
@@ -124,3 +125,122 @@ def pair_measure(values, coords, vol, lam, gamma, p):
             if abs(values[i] - values[j]) > lam * d ** (1.0 + gamma / p):
                 total += d ** (gamma - n) * vol * vol
     return total
+
+
+def _in_ball(index, i, j, h, rad):
+    """Cell j lies in the ball around cell i when |(j - i) h| <= rad."""
+    d2 = 0.0
+    for k in range(len(h)):
+        t = (index[j][k] - index[i][k]) * h[k]
+        d2 += t * t
+    return math.sqrt(d2) <= rad
+
+
+def morrey(values, index, h, vol, r, alpha, centers, radii):
+    """Loop over radii, centre cells and cells of |B|^(1/alpha - 1/r) ||f||_{L^r(B)}.
+
+    ``index`` holds each cell's integer grid position and ``centers`` the
+    cell numbers of the ball centres.  Returns the maximum and the first
+    maximising (centre cell, radius), radii outermost.
+    """
+    n = len(h)
+    vball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    best, witness = 0.0, (centers[0], radii[0])
+    for rad in radii:
+        for c in centers:
+            acc = 0.0
+            for j in range(len(values)):
+                if _in_ball(index, c, j, h, rad):
+                    acc += abs(values[j]) ** r * vol
+            val = (vball * rad ** n) ** (1.0 / alpha - 1.0 / r) * acc ** (1.0 / r)
+            if val > best:
+                best, witness = val, (c, rad)
+    return best, witness
+
+
+def muckenhoupt(samples, coords, vol, box_lo, box_hi, p, cube_lo, cube_hi, power=None):
+    """Loop over closed cubes [lo, hi] and cells of the A_p cube averages.
+
+    A cube averages over the cells whose centres it holds.  For p = 1 the sup
+    of 1/w over the cube (clipped to the box) is the closed form for
+    ``power = (a, c)``, the weight |x - c|^a, and the cell maximum otherwise.
+    Returns the maximum and the first maximising clipped cube.
+    """
+    m, n = coords.shape
+    samples = [float(w) for w in samples]
+    witness = (tuple(cube_lo[0]), tuple(cube_hi[0]))
+    if p > 1 and any(w == 0.0 for w in samples):
+        return math.inf, witness
+    best = -math.inf
+    for q in range(len(cube_lo)):
+        mass = wsum = dsum = 0.0
+        wmin = math.inf
+        for i in range(m):
+            if all(cube_lo[q][k] <= coords[i][k] <= cube_hi[q][k] for k in range(n)):
+                mass += vol
+                wsum += samples[i] * vol
+                wmin = min(wmin, samples[i])
+                if p > 1:
+                    dsum += samples[i] ** (1.0 - p / (p - 1.0)) * vol
+        if mass == 0.0:
+            continue
+        lo = [max(cube_lo[q][k], box_lo[k]) for k in range(n)]
+        hi = [min(cube_hi[q][k], box_hi[k]) for k in range(n)]
+        if p > 1:
+            val = wsum / mass * (dsum / mass) ** (p - 1.0)
+        elif power is None:
+            val = wsum / mass * (math.inf if wmin == 0.0 else 1.0 / wmin)
+        else:
+            a, c = power
+            far = near = 0.0
+            for k in range(n):
+                far += max(abs(lo[k] - c[k]), abs(hi[k] - c[k])) ** 2
+                near += max(0.0, lo[k] - c[k], c[k] - hi[k]) ** 2
+            if a == 0:
+                sup = 1.0
+            elif a < 0:
+                sup = math.sqrt(far) ** (-a)
+            else:
+                sup = math.inf if near == 0.0 else math.sqrt(near) ** (-a)
+            val = wsum / mass * sup
+        if val > best:
+            best, witness = val, (tuple(lo), tuple(hi))
+    return best, witness
+
+
+def luxemburg(values, vol, phi):
+    """Bracketing by doubling and bisection of sum phi(|v| / lam) vol = 1."""
+    vals = [abs(x) for x in values]
+    vmax = max(vals)
+    if vmax == 0.0:
+        return 0.0
+
+    def modular(lam):
+        total = 0.0
+        for x in vals:
+            total += float(phi(x / lam)) * vol
+        return total
+
+    lo = hi = vmax
+    while modular(hi) > 1.0:
+        hi *= 2.0
+    while modular(lo) <= 1.0:
+        lo /= 2.0
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if modular(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def orlicz_slice(values, index, h, vol, phi, r, t):
+    """Loop over cells of the slice ratio |f 1_B|_Phi / |1_B|_Phi, B the ball
+    of radius t around the cell, then the L^r norm of the ratios."""
+    total = 0.0
+    for i in range(len(values)):
+        ball = [values[j] for j in range(len(values)) if _in_ball(index, i, j, h, t)]
+        ratio = luxemburg(ball, vol, phi) / luxemburg([1.0] * len(ball), vol, phi)
+        total += ratio ** r * vol
+    return total ** (1.0 / r)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import DomainMask, Grid, SampledField, restrict_values, split_params
 
@@ -42,6 +44,7 @@ __all__ = [
     "luxemburg_norm",
     "orlicz_slice_norm",
     "morrey_norm",
+    "ball_sums",
     "default_ball_family",
     "default_radii",
     "dyadic_cubes",
@@ -451,48 +454,68 @@ def lorentz_norm(f: SampledField, r: float, tau: float, omega: DomainMask | None
     return float(np.sum(terms)) ** (1.0 / tau)
 
 
-def _luxemburg_scalarized(absvals: np.ndarray, weights: np.ndarray, phi, rel_tol=1e-14) -> float:
-    """Solve modular(lam) = sum(phi(v/lam) * w) = 1 by bisection.
+def _luxemburg(absvals: np.ndarray, vol: float, phi, rel_tol=1e-14) -> np.ndarray:
+    """Luxemburg norms of the rows of ``absvals``: per row the lam solving
+    modular(lam) = vol * sum_j phi(v_j / lam) = 1.
 
-    The modular is nonincreasing in lam, so bracketing by doubling is safe.
+    phi is convex with phi(0) = 0, so modular(lam / t) >= t * modular(lam) for
+    t >= 1; from lam0 = max_j v_j, the point lam0 * modular(lam0) therefore lies
+    on the other side of the root, and the two bracket it.  Bracketed secant
+    steps with the Illinois rule then run in (log lam, log modular), where
+    power functions are straight lines, until the bracket is rel_tol wide in
+    log lam; the result is its midpoint, or a step that lands exactly on the
+    root.
     """
-    vmax = float(np.max(absvals)) if absvals.size else 0.0
-    if vmax == 0.0:
-        return 0.0
+    v = np.atleast_2d(absvals)
+    ref = v.max(axis=1)
+    out = np.zeros(ref.size)
+    rows = ref > 0.0  # the zero row has norm 0
+    if not rows.all():
+        if not rows.any():
+            return out
+        out[rows] = _luxemburg(v[rows], vol, phi, rel_tol)
+        return out
+    v = v / ref[:, None]  # lam is measured in units of the row maximum
 
-    def modular(lam):
-        return float(np.sum(phi(absvals / lam) * weights))
+    def log_modular(x):
+        m = vol * np.add.reduce(phi(v * np.exp(-x)[:, None]), axis=1)
+        return m, np.log(np.maximum(np.minimum(m, 1e300), 1e-300))
 
-    lam = vmax
-    m = modular(lam)
-    if m > 1.0:
-        lo, hi = lam, lam
-        while modular(hi) > 1.0:
-            hi *= 2.0
-            if not math.isfinite(hi):
-                raise FloatingPointError("Luxemburg bracket failure (non-finite)")
-    else:
-        lo, hi = lam, lam
-        while modular(lo) <= 1.0:
-            lo /= 2.0
-            if lo < vmax * 1e-300:
-                # modular never reaches 1: norm is 0 only for the zero function
-                return 0.0
+    m0, g0 = log_modular(np.zeros(ref.size))
+    x1 = np.log(m0)
+    m1, g1 = log_modular(x1)
+    above = m0 > 1.0
+    xlo, glo = np.where(above, 0.0, x1), np.where(above, g0, g1)
+    xhi, ghi = np.where(above, x1, 0.0), np.where(above, g1, g0)
+    exact = np.where(m0 == 1.0, 0.0, np.where(m1 == 1.0, x1, np.nan))
+    # rounding can leave an end on the wrong side; widen it by doubling
+    while ((glo <= 0.0) | (ghi > 0.0)).any():
+        xlo = np.where(glo <= 0.0, xlo - math.log(2.0), xlo)
+        xhi = np.where(ghi > 0.0, xhi + math.log(2.0), xhi)
+        if not np.isfinite(ref * np.exp(xhi)).all():
+            raise FloatingPointError("Luxemburg bracket failure (non-finite)")
+        glo, ghi = log_modular(xlo)[1], log_modular(xhi)[1]
+    nudge = 0.4 * rel_tol  # keeps a step off the ends, so both ends close in
+    prev = None
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if modular(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= rel_tol * hi:
+        if not ((xhi - xlo > rel_tol) & np.isnan(exact)).any():
             break
-    return 0.5 * (lo + hi)
+        x = xhi - ghi * (xhi - xlo) / (ghi - glo)
+        x = np.minimum(np.maximum(x, xlo + nudge), xhi - nudge)
+        m, g = log_modular(x)
+        up = m > 1.0
+        # Illinois: the end kept a second time in a row has its value halved
+        keep = 1.0 if prev is None else np.where(up == prev, 0.5, 1.0)
+        xlo, glo = np.where(up, x, xlo), np.where(up, g, keep * glo)
+        xhi, ghi = np.where(up, xhi, x), np.where(up, keep * ghi, g)
+        exact = np.where(m == 1.0, x, exact)
+        prev = up
+    return ref * np.exp(np.where(np.isnan(exact), 0.5 * (xlo + xhi), exact))
 
 
 def luxemburg_norm(f: SampledField, phi: OrliczFunction, omega: DomainMask | None = None) -> float:
     v = np.abs(restrict_values(f, omega)).ravel()
-    w = np.full(v.size, f.grid.cell_volume)
-    return _luxemburg_scalarized(v, w, phi)
+    return float(_luxemburg(v, f.grid.cell_volume, phi)[0])
 
 
 def variable_lebesgue_norm(f: SampledField, exponent: np.ndarray,
@@ -506,38 +529,108 @@ def variable_lebesgue_norm(f: SampledField, exponent: np.ndarray,
         raise ValueError("variable exponent must satisfy 1 < min <= max < inf")
     v = np.abs(restrict_values(f, omega)).ravel()
     exf = ex.ravel()
-    return _luxemburg_scalarized(v, np.full(v.size, f.grid.cell_volume), lambda s: s ** exf)
+    return float(_luxemburg(v, f.grid.cell_volume, lambda s: s ** exf)[0])
 
 
 def orlicz_slice_norm(f: SampledField, phi: OrliczFunction, r: float, t: float,
                       omega: DomainMask | None = None) -> float:
-    """Outer L^r over the box of the slice ratio |f 1_B(x,t)|_Phi / |1_B(x,t)|_Phi."""
+    """Outer L^r over the box of the slice ratio |f 1_B(x,t)|_Phi / |1_B(x,t)|_Phi.
+
+    B(x, t) holds the box cells of the ball stencil of radius t around x.  The
+    denominator depends only on how many cells the ball holds, so it is solved
+    once per distinct count.
+    """
     grid = f.grid
-    h = grid.cell_size
-    if t < min(h) / 2.0:
+    if t < min(grid.cell_size) / 2.0:
         raise ValueError("slice radius is below half a cell; ball degenerates")
     v = np.abs(restrict_values(f, omega))
-    # integer offsets within the ball, shared stencil slid over the grid
-    ranges = [np.arange(-int(t // h[i]) - 1, int(t // h[i]) + 2) for i in range(grid.dim)]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    offs = np.column_stack([m.ravel() for m in mesh])
-    dist = np.sqrt(np.sum((offs * np.array(h)) ** 2, axis=1))
-    offs = offs[dist <= t]
+    stencil = _ball_stencil(grid, float(t))
+    windows = sliding_window_view(np.pad(v, [(k, k) for k in stencil.half]), stencil.inside.shape)
+    balls = windows[(Ellipsis,) + np.nonzero(stencil.inside)].reshape(grid.total_cells, -1)
     vol = grid.cell_volume
-    shape = grid.shape
-    ratios = np.zeros(shape)
-    idx_grids = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
-    flat_idx = np.column_stack([g.ravel() for g in idx_grids])
-    for pos in flat_idx:
-        cells = pos + offs
-        ok = np.all((cells >= 0) & (cells < np.array(shape)), axis=1)
-        cells = cells[ok]
-        ball_vals = v[tuple(cells.T)]
-        w = np.full(ball_vals.size, vol)
-        num = _luxemburg_scalarized(ball_vals, w, phi)
-        den = _luxemburg_scalarized(np.ones(ball_vals.size), w, phi)
-        ratios[tuple(pos)] = num / den
-    return _lebesgue(ratios, vol, r)
+    num = _luxemburg(balls, vol, phi)
+    counts, which = np.unique(stencil.count.ravel(), return_inverse=True)
+    den = _luxemburg((np.arange(balls.shape[1]) < counts[:, None]).astype(float), vol, phi)
+    return _lebesgue(num / den[which], vol, r)
+
+
+# ---------------------------------------------------------------------------
+# balls
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _BallStencil:
+    """Cells of the ball of one radius around a cell, as integer offsets.
+
+    ``inside`` marks the offsets in the ball over the box of half-widths
+    ``half`` around the centre.  Each offset on the leading axes gives one
+    interval of half-width ``w`` along the last axis: ``rows`` holds
+    ``(w, dst, src)`` with the slices that add the interval sums centred at
+    ``src`` to the cells at ``dst``, and ``ends[w]`` the clipped last-axis
+    prefix indices of those intervals.  ``count`` is the number of box cells
+    in the ball around each cell.
+    """
+
+    half: tuple[int, ...]
+    inside: np.ndarray
+    rows: tuple
+    ends: dict
+    count: np.ndarray
+
+
+@lru_cache(maxsize=128)
+def _ball_stencil(grid: Grid, radius: float) -> _BallStencil:
+    h = grid.cell_size
+    # radius // h can round down, so reach one offset further on each side
+    half = tuple(int(radius // h[i]) + 1 for i in range(grid.dim))
+    axes = [np.arange(-k, k + 1) * h[i] for i, k in enumerate(half)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    inside = np.sqrt(sum(m ** 2 for m in mesh)) <= radius
+    n_last = grid.shape[-1]
+    cells = np.arange(n_last)
+    rows, ends = [], {}
+    for lead in np.ndindex(inside.shape[:-1]):
+        width = int(np.count_nonzero(inside[lead]))
+        offset = [j - k for j, k in zip(lead, half)]
+        if width == 0 or any(abs(o) >= n for o, n in zip(offset, grid.shape)):
+            continue
+        w = (width - 1) // 2
+        dst = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, grid.shape))
+        src = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, grid.shape))
+        rows.append((w, dst, src))
+        ends[w] = (np.clip(cells - w, 0, n_last), np.clip(cells + w + 1, 0, n_last))
+    stencil = _BallStencil(half, inside, tuple(rows), ends, np.zeros(grid.shape))
+    _add_ball_sums(_last_axis_prefix(np.ones(grid.shape)), stencil, stencil.count)
+    stencil.count.setflags(write=False)  # shared by every caller of the cache
+    return stencil
+
+
+def _last_axis_prefix(values: np.ndarray) -> np.ndarray:
+    return np.concatenate((np.zeros(values.shape[:-1] + (1,)), np.cumsum(values, axis=-1)), axis=-1)
+
+
+def _add_ball_sums(prefix: np.ndarray, stencil: _BallStencil, out: np.ndarray) -> None:
+    segments = {w: prefix[..., b] - prefix[..., a] for w, (a, b) in stencil.ends.items()}
+    for w, dst, src in stencil.rows:
+        out[dst] += segments[w][src]
+
+
+def ball_sums(values: np.ndarray, grid: Grid, radii) -> np.ndarray:
+    """Sums of ``values`` over the box cells of the ball of each radius around
+    every cell, shape ``(len(radii), *grid.shape)``.
+
+    Cell j lies in the ball of radius r around cell i when |(j - i) h| <= r,
+    measured in integer offsets times the cell sizes.  The ball is one
+    interval along the last axis per offset on the other axes, and each
+    interval sum is a difference of last-axis prefix sums.  For nonnegative
+    values the prefix sums never decrease, so the sums are nonnegative.
+    """
+    prefix = _last_axis_prefix(np.asarray(values, dtype=float))
+    out = np.zeros((len(radii),) + grid.shape)
+    for acc, rad in zip(out, radii):
+        _add_ball_sums(prefix, _ball_stencil(grid, float(rad)), acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -576,34 +669,45 @@ def morrey_norm(f: SampledField, r: float, alpha: float, omega: DomainMask | Non
                 ball_family: BallFamily | None = None, return_witness: bool = False):
     """max over balls B of |B|^(1/alpha - 1/r) * ||f||_{L^r(B)}.
 
-    |B| is the geometric ball volume; cells belong to B by center distance.
-    The supremum over all balls is approached from below by the finite family.
+    |B| is the geometric ball volume; cells belong to B by the rule of
+    :func:`ball_sums`, so ball centres must be cell centres.  The supremum
+    over all balls is approached from below by the finite family; the
+    witness is the first maximum, radii outermost.
     """
-    fam = ball_family if ball_family is not None else default_ball_family(f.grid)
+    grid = f.grid
+    fam = ball_family if ball_family is not None else default_ball_family(grid)
     if fam.centers.size == 0 or fam.radii.size == 0:
         raise ValueError("ball family is empty")
-    v = restrict_values(f, omega)
-    mass = (np.abs(v) ** r).ravel() * f.grid.cell_volume
-    pts = f.grid.coords()
-    n = f.grid.dim
-    vball = _unit_ball_volume(n)
-    best = 0.0
-    witness = (tuple(fam.centers[0]), float(fam.radii[0]))
-    chunk = max(1, int(2**22 / max(1, pts.shape[0])))
-    for start in range(0, fam.centers.shape[0], chunk):
-        cs = fam.centers[start:start + chunk]
-        d = np.linalg.norm(pts[None, :, :] - cs[:, None, :], axis=2)
-        for rad in fam.radii:
-            inside = d <= rad
-            sums = inside @ mass
-            vals = (vball * rad ** n) ** (1.0 / alpha - 1.0 / r) * sums ** (1.0 / r)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                witness = (tuple(cs[k]), float(rad))
+    mass = np.abs(restrict_values(f, omega)) ** r * grid.cell_volume
+    sums = ball_sums(mass, grid, fam.radii).reshape(fam.radii.size, -1)
+    if ball_family is not None:
+        sums = sums[:, _cell_index(grid, fam.centers)]
+    n = grid.dim
+    scale = (_unit_ball_volume(n) * fam.radii ** n) ** (1.0 / alpha - 1.0 / r)
+    vals = scale[:, None] * sums ** (1.0 / r)
+    k = int(np.argmax(vals))
+    best = float(vals.flat[k])
+    if best > 0.0:
+        kr, kc = divmod(k, vals.shape[1])
+        witness = (tuple(fam.centers[kc]), float(fam.radii[kr]))
+    else:
+        best, witness = 0.0, (tuple(fam.centers[0]), float(fam.radii[0]))
     if return_witness:
         return best, witness
     return best
+
+
+def _cell_index(grid: Grid, points: np.ndarray) -> np.ndarray:
+    """Flat C-order indices of the cells centred at ``points`` (M, dim)."""
+    pos = []
+    for i in range(grid.dim):
+        k = np.rint((points[:, i] - grid.lo[i]) / grid.cell_size[i] - 0.5).astype(int)
+        inside = (k >= 0) & (k < grid.shape[i])
+        off = np.abs(grid.axis_centers(i)[np.clip(k, 0, grid.shape[i] - 1)] - points[:, i])
+        if not np.all(inside & (off <= 1e-9 * grid.cell_size[i])):
+            raise ValueError("ball centres must be cell centres")
+        pos.append(k)
+    return np.ravel_multi_index(pos, grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -639,28 +743,34 @@ class DyadicSystem:
             raise ValueError("empty level range")
 
 
+def _dyadic_axes(system: DyadicSystem, nu: int, lo, hi) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the positions m and lower edges of the level-nu cubes of the
+    system that meet the box [lo, hi]."""
+    side = 2.0 ** nu
+    sgn = -1.0 if (nu % 2) else 1.0
+    axes = []
+    for a, b, s in zip(lo, hi, system.shift):
+        # cube extent along the axis: side*(m + sgn*s) < x <= side*(m + 1 + sgn*s)
+        m = np.arange(math.floor(a / side - sgn * s), math.ceil(b / side - sgn * s))
+        clo = side * (m + sgn * s)
+        keep = (clo + side > a) & (clo < b)
+        axes.append((m[keep], clo[keep]))
+    return axes
+
+
 def dyadic_cubes(system: DyadicSystem, lo, hi) -> list[DyadicCube]:
     """All cubes of the system intersecting the box [lo, hi], levels in range."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    n = lo.size
-    shift = np.asarray(system.shift)
-    if shift.size != n:
+    if len(system.shift) != lo.size:
         raise ValueError("shift dimension mismatch")
     cubes = []
     for nu in range(system.nu_min, system.nu_max + 1):
         side = 2.0 ** nu
-        sgn = -1.0 if (nu % 2) else 1.0
-        # cube i-extent: side*(m + sgn*shift) < x <= side*(m + 1 + sgn*shift)
-        m_lo = [math.floor(lo[i] / side - sgn * shift[i]) for i in range(n)]
-        m_hi = [math.ceil(hi[i] / side - sgn * shift[i]) - 1 for i in range(n)]
-        ranges = [range(a, b + 1) for a, b in zip(m_lo, m_hi)]
-        idx = np.stack(np.meshgrid(*[np.array(list(r)) for r in ranges], indexing="ij"), axis=-1).reshape(-1, n)
-        for m in idx:
-            clo = side * (m + sgn * shift)
-            chi = clo + side
-            if np.all(chi > lo) and np.all(clo < hi):
-                cubes.append(DyadicCube(nu, tuple(int(v) for v in m), tuple(clo), tuple(chi)))
+        axes = [zip(m.tolist(), clo.tolist()) for m, clo in _dyadic_axes(system, nu, lo, hi)]
+        for cell in product(*axes):
+            m, clo = zip(*cell)
+            cubes.append(DyadicCube(nu, m, clo, tuple(c + side for c in clo)))
     return cubes
 
 
@@ -698,29 +808,24 @@ def _prefix(arr: np.ndarray) -> np.ndarray:
     return np.pad(pre, [(1, 0)] * arr.ndim)
 
 
-def _box_indices(grid: Grid, lo, hi, lo_side: str):
-    """Per-axis index ranges [a, b) of the cells whose centers lie in the box,
-    or None when it holds no cell center.  The upper face is closed; the lower
-    face is closed for ``lo_side="left"`` and open for ``lo_side="right"``."""
-    rngs = []
-    for i in range(grid.dim):
-        centers = grid.axis_centers(i)
-        a = int(np.searchsorted(centers, lo[i], side=lo_side))
-        b = int(np.searchsorted(centers, hi[i], side="right"))
-        if b <= a:
-            return None
-        rngs.append((a, b))
-    return rngs
+def _cell_ranges(grid: Grid, axis: int, lo, hi, lo_side: str):
+    """Index ranges [a, b) of the cells whose centers lie between ``lo`` and
+    ``hi`` (arrays) along one axis.  The upper end is closed; the lower end
+    is closed for ``lo_side="left"`` and open for ``lo_side="right"``."""
+    centers = grid.axis_centers(axis)
+    return np.searchsorted(centers, lo, side=lo_side), np.searchsorted(centers, hi, side="right")
 
 
-def _box_sum(prefix: np.ndarray, rngs) -> float:
-    """Sum over an index box from the padded prefix array, by inclusion-exclusion."""
-    dim = len(rngs)
+def _box_sums(prefix: np.ndarray, a, b):
+    """Sums over the index boxes [a, b) from the padded prefix array, by
+    inclusion-exclusion; ``a`` and ``b`` hold one index array per axis, and
+    all of them broadcast together."""
+    dim = len(a)
     total = 0.0
     for corner in product((0, 1), repeat=dim):
-        sel = tuple(rngs[i][corner[i]] for i in range(dim))
-        total += (-1) ** (dim - sum(corner)) * prefix[sel]
-    return float(total)
+        sel = tuple(b[i] if corner[i] else a[i] for i in range(dim))
+        total = total + (-1) ** (dim - sum(corner)) * prefix[sel]
+    return total
 
 
 def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
@@ -743,19 +848,21 @@ def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
     system = DyadicSystem((0.0,) * grid.dim, nu_min, nu_max)
     level_terms = []
     for nu in range(nu_min, nu_max + 1):
-        cubes = dyadic_cubes(DyadicSystem(system.shift, nu, nu), grid.lo, grid.hi)
-        vals = []
-        for cube in cubes:
-            # dyadic cubes are half-open, (lo, hi]
-            rngs = _box_indices(grid, cube.lo, cube.hi, "right")
-            s = 0.0 if rngs is None else _box_sum(prefix, rngs)
-            if s == 0.0:
-                continue
-            vals.append(cube.volume ** (1.0 / p - 1.0 / q) * s ** (1.0 / q))
-        if not vals:
+        side = 2.0 ** nu
+        # dyadic cubes are half-open, (lo, hi]
+        a, b = [], []
+        for i, (_, clo) in enumerate(_dyadic_axes(system, nu, grid.lo, grid.hi)):
+            ai, bi = _cell_ranges(grid, i, clo, clo + side, "right")
+            # cubes with an empty range hold no cell; inclusion-exclusion over
+            # one leaves a rounding residue, not an exact 0
+            a.append(ai[bi > ai])
+            b.append(bi[bi > ai])
+        s = _box_sums(prefix, np.ix_(*a), np.ix_(*b))
+        s = s[s != 0.0]
+        if s.size == 0:
             level_terms.append(0.0)
             continue
-        vals = np.asarray(vals)
+        vals = (side ** grid.dim) ** (1.0 / p - 1.0 / q) * s ** (1.0 / q)
         if math.isinf(r):
             level_terms.append(float(np.max(vals)))
         else:

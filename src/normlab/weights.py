@@ -13,10 +13,19 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import ndimage, signal
 
 from .grid import DomainMask, Grid, SampledField, restrict_values, split_params
-from .spaces import SpaceSpec, _box_indices, _box_sum, _power_samples, _prefix, default_radii, norm
+from .spaces import (
+    SpaceSpec,
+    _ball_stencil,
+    _box_sums,
+    _cell_ranges,
+    _power_samples,
+    _prefix,
+    ball_sums,
+    default_radii,
+    norm,
+)
 
 __all__ = [
     "Weight",
@@ -28,6 +37,7 @@ __all__ = [
     "muckenhoupt_constant",
     "dual_weight",
     "default_radii",
+    "ball_sums",
     "hl_maximal",
     "estimate_maximal_opnorm",
     "rubio_de_francia",
@@ -74,6 +84,9 @@ def parse_weight(text: str, grid: Grid) -> Weight:
     if kind != "power":
         raise ValueError(f"unknown weight form {kind!r}; only power:a=...,center=... parses")
     kv = split_params(body, text)
+    for key in kv:
+        if key not in ("a", "center"):
+            raise ValueError(f"unknown weight parameter {key!r} in {text!r}; known: a, center")
     a = float(kv.get("a", "0"))
     ctxt = kv.get("center", "0.0")
     center = tuple(float(x) for x in ctxt.split(";")) if ";" in ctxt else float(ctxt)
@@ -143,19 +156,44 @@ def anchored_cube_family(grid: Grid, anchor=0.0) -> CubeFamily:
     return CubeFamily(np.vstack(los), np.vstack(his))
 
 
-def _power_sup_inverse(power, lo, hi) -> float:
-    """Exact ess sup over the cube of omega^{-1} for omega = |x-c|^a."""
+def _power_sup_inverse(power, lo, hi) -> np.ndarray:
+    """Exact ess sup over each cube (rows of lo, hi) of omega^{-1} for omega = |x-c|^a."""
     a, c = power
-    c = np.asarray(c)
-    far = np.maximum(np.abs(np.asarray(lo) - c), np.abs(np.asarray(hi) - c))
-    near = np.maximum(0.0, np.maximum(np.asarray(lo) - c, c - np.asarray(hi)))
-    dmax = float(np.linalg.norm(far))
-    dmin = float(np.linalg.norm(near))
     if a == 0:
-        return 1.0
+        return np.ones(lo.shape[0])
+    c = np.asarray(c)
     if a < 0:
-        return dmax ** (-a)
-    return math.inf if dmin == 0.0 else dmin ** (-a)
+        far = np.maximum(np.abs(lo - c), np.abs(hi - c))
+        return np.sqrt(np.sum(far ** 2, axis=1)) ** (-a)
+    near = np.maximum(0.0, np.maximum(lo - c, c - hi))
+    with np.errstate(divide="ignore"):
+        return np.sqrt(np.sum(near ** 2, axis=1)) ** (-a)  # inf on cubes holding c
+
+
+def _block_min(values: np.ndarray, a, b) -> np.ndarray:
+    """Minimum of ``values`` over the nonempty index boxes [a, b) (one index
+    array per axis), from a sparse table: entry (k_0, .., k_d-1, j_0, ..)
+    holds the minimum over the block of 2^k_i cells from j_i on each axis."""
+    dim = values.ndim
+    table = values.reshape((1,) * dim + values.shape)
+    for ax, n in enumerate(values.shape):
+        levels, step = [table], 1
+        while 2 * step <= n:
+            head = [slice(None)] * table.ndim
+            tail = [slice(None)] * table.ndim
+            head[dim + ax], tail[dim + ax] = slice(0, n - step), slice(step, n)
+            nxt = levels[-1].copy()
+            nxt[tuple(head)] = np.minimum(levels[-1][tuple(head)], levels[-1][tuple(tail)])
+            levels.append(nxt)
+            step *= 2
+        table = np.concatenate(levels, axis=ax)
+    # two blocks of 2^k cells, k = floor(log2(length)), cover each range
+    k = [np.frexp(bi - ai)[1] - 1 for ai, bi in zip(a, b)]
+    best = np.inf
+    for corner in product((0, 1), repeat=dim):
+        start = tuple(b[i] - (1 << k[i]) if corner[i] else a[i] for i in range(dim))
+        best = np.minimum(best, table[tuple(k) + start])
+    return best
 
 
 @dataclass(frozen=True)
@@ -191,34 +229,35 @@ def muckenhoupt_constant(weight: Weight, p: float, family: CubeFamily | None = N
             return (ApEstimate(math.inf, tuple(family.lo[0]), tuple(family.hi[0]))
                     if return_witness else math.inf)
         pre_d = _prefix(dual * vol)
+    # A_p cubes are closed, [lo, hi]; only cubes holding a cell center count
+    a, b = zip(*(_cell_ranges(grid, i, family.lo[:, i], family.hi[:, i], "left")
+                 for i in range(grid.dim)))
+    held = np.flatnonzero(np.logical_and.reduce([bi > ai for ai, bi in zip(a, b)]))
+    a, b = [ai[held] for ai in a], [bi[held] for bi in b]
+    # averages only see cells inside the box; take the sup over the same region
+    lo = np.maximum(family.lo[held], grid.lo)
+    hi = np.minimum(family.hi[held], grid.hi)
+    mass = _box_sums(pre_1, a, b)
+    avg_w = _box_sums(pre_w, a, b) / mass
+    if p == 1:
+        if weight.power is not None:
+            sup_inv = _power_sup_inverse(weight.power, lo, hi)
+        else:
+            with np.errstate(divide="ignore"):
+                sup_inv = 1.0 / _block_min(weight.samples, a, b)
+        with np.errstate(invalid="ignore"):
+            vals = avg_w * sup_inv
+    else:
+        vals = avg_w * (_box_sums(pre_d, a, b) / mass) ** (p - 1.0)
+    # a cube holding only zero-weight cells gives 0 * inf = nan: never the sup
+    vals = np.where(np.isnan(vals), -math.inf, vals)
     best = -math.inf
     witness = (tuple(family.lo[0]), tuple(family.hi[0]))
-    box_lo = np.asarray(grid.lo)
-    box_hi = np.asarray(grid.hi)
-    for k in range(family.count):
-        lo, hi = family.lo[k], family.hi[k]
-        # A_p cubes are closed, [lo, hi]
-        rngs = _box_indices(grid, lo, hi, "left")
-        if rngs is None:
-            continue
-        # averages only see cells inside the box; take the sup over the same region
-        lo = np.maximum(lo, box_lo)
-        hi = np.minimum(hi, box_hi)
-        mass = _box_sum(pre_1, rngs)
-        avg_w = _box_sum(pre_w, rngs) / mass
-        if p == 1:
-            if weight.power is not None:
-                sup_inv = _power_sup_inverse(weight.power, lo, hi)
-            else:
-                block = weight.samples[tuple(slice(a, b) for a, b in rngs)]
-                wmin = float(np.min(block))
-                sup_inv = math.inf if wmin == 0.0 else 1.0 / wmin
-            val = avg_w * sup_inv
-        else:
-            val = avg_w * (_box_sum(pre_d, rngs) / mass) ** (p - 1.0)
-        if val > best:
-            best = val
-            witness = (tuple(float(x) for x in lo), tuple(float(x) for x in hi))
+    if held.size:
+        k = int(np.argmax(vals))  # the first maximum in family order
+        if vals[k] > best:
+            best = float(vals[k])
+            witness = (tuple(float(x) for x in lo[k]), tuple(float(x) for x in hi[k]))
     if return_witness:
         return ApEstimate(best, *witness)
     return best
@@ -243,25 +282,14 @@ def dual_weight(weight: Weight, p: float) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-def _ball_kernel(grid: Grid, radius: float) -> np.ndarray:
-    h = np.asarray(grid.cell_size)
-    half = [int(radius // h[i]) + 1 for i in range(grid.dim)]
-    axes = [np.arange(-k, k + 1) * h[i] for i, k in enumerate(half)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    d = np.sqrt(sum(m ** 2 for m in mesh))
-    return (d <= radius).astype(float)
-
-
-_FFT_THRESHOLD = 4096  # footprint cells above which FFT convolution is used
-
-
 def hl_maximal(f: SampledField | np.ndarray, grid: Grid | None = None,
                radii: np.ndarray | None = None) -> np.ndarray:
     """Centered maximal function over the radius family.
 
     Ball averages are taken over the cells inside the box (balls clipped to
-    the box, averaged over the clipped volume), and the own-cell average |f|
-    is always included, so M f >= |f| cell-wise exactly.
+    the box, averaged over the clipped volume; cells belong to a ball by the
+    rule of :func:`ball_sums`), and the own-cell average |f| is always
+    included, so M f >= |f| cell-wise exactly.
     """
     if isinstance(f, SampledField):
         grid = f.grid
@@ -275,18 +303,9 @@ def hl_maximal(f: SampledField | np.ndarray, grid: Grid | None = None,
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("radius family is empty")
-    ones = np.ones_like(vals)
     out = vals.copy()
-    for rad in radii:
-        kernel = _ball_kernel(grid, rad)
-        if kernel.size <= _FFT_THRESHOLD:
-            num = ndimage.correlate(vals, kernel, mode="constant", cval=0.0)
-            den = ndimage.correlate(ones, kernel, mode="constant", cval=0.0)
-        else:
-            num = signal.fftconvolve(vals, kernel, mode="same")
-            den = signal.fftconvolve(ones, kernel, mode="same")
-            num = np.maximum(num, 0.0)
-        np.maximum(out, num / den, out=out)
+    for rad, sums in zip(radii, ball_sums(vals, grid, radii)):
+        np.maximum(out, sums / _ball_stencil(grid, float(rad)).count, out=out)
     return out
 
 

@@ -190,11 +190,23 @@ def test_cli_verify_subset(capsys):
      "space 'lebesgue' needs parameter 'p'"),
     (["--grid", "n=1,L=2,N=1", "norm"], "need at least 2 cells per axis"),
     (["--grid", "n=1,L=2,N", "norm"], "bad parameter 'N' in 'n=1,L=2,N'"),
+    (["apconst", "--weight", "power:a"], "bad parameter 'a' in 'power:a'"),
+    (["apconst", "--weight", "power:alpha=-0.5"], "unknown weight parameter 'alpha'"),
+    (["--grid", "n=1,l=3", "norm"], "unknown grid parameter 'l'"),
 ])
 def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert main(["--out", str(tmp_path)] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("normlab: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_cli_config_without_experiment_section(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text("[grid]\nn = 1\nlo = -1\nhi = 1\npoints = 16\n")
+    assert main(["--config", str(cfg_path), "norm"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("normlab: error: ") and "no [experiment] section" in err
     assert err.count("\n") == 1
 
 

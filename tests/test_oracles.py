@@ -14,7 +14,9 @@ from normlab import (
     HerzWeight,
     SampledField,
     TestFunctionSpec,
+    explicit_weight,
     make_grid,
+    power_weight,
     sample,
 )
 from normlab import oracles
@@ -110,6 +112,15 @@ def test_bbmorrey_finite_tau_gaussian():
     assert mine == pytest.approx(ref, rel=1e-13)
 
 
+def test_bbmorrey_2d_nonsquare_cells():
+    g = make_grid(2, (-0.6, -0.49), (0.6, 0.49), (12, 14))  # h = (0.1, 0.07)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.4, center=(0.1, -0.05)), g)
+    mine = bbm_morrey_norm(f, 1.5, 2.0, 3.0, 2.5, nu_range=(-5, 1))
+    ref = oracles.bbm_morrey(f.values.ravel(), g.coords(), g.cell_volume,
+                             1.5, 2.0, 3.0, 2.5, (-5, 1))
+    assert mine == pytest.approx(ref, rel=1e-12)
+
+
 def test_herz_indicator_spec_case():
     # f = 1_B(0,1), p = q = 2, weight exponent 1
     g = make_grid(1, -2.0, 2.0, 64)
@@ -202,3 +213,132 @@ def test_lorentz_norm_naive_riemann_oracle():
     integ = np.trapezoid(tgrid ** (tau / r - 1.0) * fstar ** tau, tgrid)
     ref = integ ** (1.0 / tau)
     assert lorentz_norm(f, r, tau) == pytest.approx(ref, rel=1e-3)
+
+
+# --------------------------------------------------------------------------
+# ball and cube families against the loop oracles
+# --------------------------------------------------------------------------
+
+
+def _cell_positions(g):
+    return np.stack(np.unravel_index(np.arange(g.total_cells), g.shape), axis=1)
+
+
+# 1D, and 2D with non-square cells h = (0.1, 0.07)
+FAMILY_GRIDS = [make_grid(1, -1.0, 1.0, 24), make_grid(2, (-0.6, -0.49), (0.6, 0.49), (12, 14))]
+
+
+@pytest.mark.parametrize("g", FAMILY_GRIDS, ids=["1d", "2d-nonsquare"])
+def test_morrey_default_family_matches_oracle(g):
+    from normlab.spaces import default_ball_family, morrey_norm
+
+    f = sample(TestFunctionSpec("gaussian", sigma=0.4, center=0.1), g)
+    radii = default_ball_family(g).radii
+    mine, witness = morrey_norm(f, 2.0, 3.5, return_witness=True)
+    ref, (cell, rad) = oracles.morrey(f.values.ravel(), _cell_positions(g), g.cell_size,
+                                      g.cell_volume, 2.0, 3.5, range(g.total_cells), radii)
+    assert mine == pytest.approx(ref, rel=1e-12)
+    assert witness == (tuple(g.coords()[cell]), rad)
+
+
+def test_morrey_explicit_family_matches_oracle():
+    from normlab.spaces import BallFamily, morrey_norm
+
+    g = FAMILY_GRIDS[1]
+    f = sample(TestFunctionSpec("tent", width=0.9, center=(0.1, -0.05)), g)
+    rows = list(range(0, g.total_cells, 5))
+    radii = np.array([0.07, 0.15, 0.33, 0.7])
+    mine, witness = morrey_norm(f, 1.5, 4.0, ball_family=BallFamily(g.coords()[rows], radii),
+                                return_witness=True)
+    ref, (cell, rad) = oracles.morrey(f.values.ravel(), _cell_positions(g), g.cell_size,
+                                      g.cell_volume, 1.5, 4.0, rows, radii)
+    assert mine == pytest.approx(ref, rel=1e-12)
+    assert witness == (tuple(g.coords()[cell]), rad)
+
+
+def test_morrey_family_off_cell_centres_rejected():
+    from normlab.spaces import BallFamily, morrey_norm
+
+    g = FAMILY_GRIDS[1]
+    f = SampledField(g, np.ones(g.shape))
+    with pytest.raises(ValueError, match="cell centres"):
+        morrey_norm(f, 2.0, 3.0, ball_family=BallFamily(g.coords() + 0.01, np.array([0.2])))
+
+
+def test_ball_membership_ties_on_twelfths():
+    from normlab.spaces import ball_sums
+
+    # h = 1/12: the cell 8h along an axis lies in the ball of radius 8h around
+    # every centre, so the ball counts are the integer lattice counts
+    g = make_grid(2, -2.0, 2.0, 48)
+    counts = ball_sums(np.ones(g.shape), g, [8 * g.cell_size[0]])[0]
+    idx = np.arange(48)
+    exact = np.zeros(g.shape)
+    for a in range(-8, 9):
+        for b in range(-8, 9):
+            if a * a + b * b <= 64:
+                exact += np.outer((idx + a >= 0) & (idx + a < 48), (idx + b >= 0) & (idx + b < 48))
+    assert np.array_equal(counts, exact)
+
+
+def _ap_weights():
+    rng = np.random.default_rng(11)
+    g1, g2 = FAMILY_GRIDS
+    zero1 = rng.uniform(0.2, 2.0, g1.shape)
+    zero1[7] = 0.0
+    zero2 = rng.uniform(0.2, 2.0, g2.shape)
+    zero2[3, 5] = 0.0
+    return {
+        "1d-power": power_weight(g1, -0.5, center=0.13),
+        "1d-power-positive": power_weight(g1, 0.4, center=0.13),
+        "2d-power": power_weight(g2, -0.4, center=(0.13, -0.07)),
+        "1d-explicit": explicit_weight(g1, rng.uniform(0.2, 2.0, g1.shape)),
+        "2d-explicit": explicit_weight(g2, rng.uniform(0.2, 2.0, g2.shape)),
+        "1d-zero-cell": explicit_weight(g1, zero1),
+        "2d-zero-cell": explicit_weight(g2, zero2),
+    }
+
+
+AP_WEIGHTS = _ap_weights()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+@pytest.mark.parametrize("name", sorted(AP_WEIGHTS))
+def test_muckenhoupt_default_family_matches_oracle(name, p):
+    from normlab.weights import default_cube_family, muckenhoupt_constant
+
+    w = AP_WEIGHTS[name]
+    g = w.grid
+    fam = default_cube_family(g, anchor=None if w.power is None else w.power[1])
+    mine = muckenhoupt_constant(w, p, return_witness=True)
+    ref, (lo, hi) = oracles.muckenhoupt(w.samples.ravel(), g.coords(), g.cell_volume, g.lo, g.hi,
+                                        p, fam.lo, fam.hi, w.power)
+    if math.isinf(ref):
+        assert mine.value == ref
+    else:
+        assert mine.value == pytest.approx(ref, rel=1e-12)
+    assert (mine.cube_lo, mine.cube_hi) == (lo, hi)
+
+
+def test_orlicz_slice_matches_oracle():
+    from normlab.spaces import OrliczFunction, orlicz_slice_norm
+
+    g = make_grid(2, (-0.5, -0.42), (0.5, 0.42), (10, 12))  # h = (0.1, 0.07)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.3, center=(0.05, 0.1)), g)
+    phi = OrliczFunction("two-power", 2.0, 3.0)
+    mine = orlicz_slice_norm(f, phi, 3.0, 0.25)
+    ref = oracles.orlicz_slice(f.values.ravel(), _cell_positions(g), g.cell_size, g.cell_volume,
+                               phi, 3.0, 0.25)
+    assert mine == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
+def test_luxemburg_matches_oracle(scale):
+    from normlab.spaces import OrliczFunction, luxemburg_norm
+
+    g = make_grid(1, -2.0, 2.0, 40)
+    f = sample(TestFunctionSpec("bump", radius=1.3, center=0.2), g)
+    phi = OrliczFunction("two-power", 1.5, 3.0)
+    mine = luxemburg_norm(SampledField(g, scale * f.values), phi)
+    ref = oracles.luxemburg(scale * f.values.ravel(), g.cell_volume, phi)
+    assert mine == pytest.approx(ref, rel=1e-12)

@@ -76,11 +76,16 @@ def test_homogeneity(space, vals, c):
 @pytest.mark.parametrize("space", CATALOG, ids=lambda s: s.canonical())
 @settings(max_examples=20, deadline=None)
 @given(u=values_strategy, v=values_strategy)
+@example(u=np.array([0.0, 3.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0]),
+         v=np.array([0.0, 3.0, 0.0, 0.0, 4.0, 4.0, 4.0, 4.0]))
 def test_triangle_inequality(space, u, v):
     fu = SampledField(GRID, u)
     fv = SampledField(GRID, v)
     fs = SampledField(GRID, u + v)
-    assert norm(fs, space) <= norm(fu, space) + norm(fv, space) + 1e-10
+    # with tau > r the f* functional of L^{r,tau} is only a quasi-norm:
+    # (u+v)*(t) <= u*(t/2) + v*(t/2) gives the constant 2^(1/r)
+    const = 2.0 ** (1.0 / space.r) if isinstance(space, Lorentz) and space.tau > space.r else 1.0
+    assert norm(fs, space) <= const * (norm(fu, space) + norm(fv, space)) + 1e-10
 
 
 @pytest.mark.parametrize("space", CATALOG, ids=lambda s: s.canonical())

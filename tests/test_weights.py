@@ -56,6 +56,12 @@ def test_parse_weight_strips_spaces_and_rejects_bare_keys():
         parse_weight("power:a", g)
 
 
+def test_parse_weight_rejects_unknown_keys():
+    g = make_grid(1, -1.0, 1.0, 8)
+    with pytest.raises(ValueError, match="unknown weight parameter 'alpha'"):
+        parse_weight("power:alpha=-0.5", g)
+
+
 # --------------------------------------------------------------------------
 # maximal operator
 # --------------------------------------------------------------------------
@@ -98,6 +104,23 @@ def test_maximal_sublinear_and_homogeneous():
     assert np.array_equal(hl_maximal(2.0 * a, g), 2.0 * hl_maximal(a, g))
     c = 0.731
     assert np.allclose(hl_maximal(c * a, g), c * hl_maximal(a, g), rtol=1e-12)
+
+
+def test_maximal_matches_direct_ball_averages():
+    # non-square cells h = (0.1, 0.07); cell j is in the ball around cell i
+    # when |(j - i) h| <= r, and balls are clipped to the box
+    g = make_grid(2, (-0.6, -0.49), (0.6, 0.49), (12, 14))
+    vals = np.random.default_rng(2).uniform(0.0, 1.0, g.shape)
+    radii = np.array([0.07, 0.1, 0.25, 0.6, 2.0])
+    mf = hl_maximal(vals, g, radii=radii)
+    idx = np.stack(np.unravel_index(np.arange(g.total_cells), g.shape), axis=1)
+    h = np.asarray(g.cell_size)
+    for i in range(0, g.total_cells, 7):
+        d = np.sqrt(np.sum(((idx - idx[i]) * h) ** 2, axis=1))
+        best = vals.ravel()[i]
+        for r in radii:
+            best = max(best, float(np.mean(vals.ravel()[d <= r])))
+        assert mf.ravel()[i] == pytest.approx(best, rel=1e-12)
 
 
 def test_maximal_empty_radii_rejected():
