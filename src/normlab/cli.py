@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .domains import epsilon_falsifier, parse_domain
 from .experiments import (
     ExperimentConfig,
@@ -19,22 +17,20 @@ from .experiments import (
     run_apconst_table,
     run_bbm_experiment,
     run_bsvy_experiment,
+    run_maximal_table,
     run_morrey_duality_check,
     run_norm_table,
     run_weak_holder_suite,
 )
-from .grid import make_grid, parse_function, sample, split_params
+from .grid import check_params, make_grid, parse_function, split_params
 from .reports import RatioTable, emit_report
 from .spaces import parse_space
-from .weights import hl_maximal, parse_weight
+from .weights import parse_weight
 
 
 def _parse_grid(text: str):
     kv = split_params(text, text)
-    for key in kv:
-        if key not in ("n", "L", "lo", "hi", "N", "points"):
-            raise ValueError(f"unknown grid parameter {key!r} in {text!r}; "
-                             "known: n, L, lo, hi, N, points")
+    check_params("grid", kv, optional=("n", "L", "lo", "hi", "N", "points"))
     n = int(kv.get("n", "1"))
     if "L" in kv:
         L = float(kv["L"])
@@ -149,15 +145,7 @@ def main(argv=None) -> int:
             print(f"{key}: bracket [{agg['c1']:.4g}, {agg['c2']:.4g}] width {agg['width']:.3g}")
         return _emit(table, cfg, "bsvy", args.plot_script)
     if args.command == "maximal":
-        table = RatioTable(provenance=cfg.provenance())
-        for fn in cfg.functions:
-            f = sample(fn, cfg.grid)
-            mf = hl_maximal(f)
-            table.add_row(experiment="maximal", function=fn.canonical(), space="",
-                          domain="full-grid", n=cfg.grid.dim, p="", gamma_or_s="",
-                          value=float(np.max(mf)), reference=float(np.max(np.abs(f.values))),
-                          grid=cfg.grid.describe(), seed=cfg.seed)
-        return _emit(table, cfg, "maximal", args.plot_script)
+        return _emit(run_maximal_table(cfg), cfg, "maximal", args.plot_script)
     if args.command == "apconst":
         return _emit(run_apconst_table(cfg, weights), cfg, "apconst", args.plot_script)
     if args.command == "morrey-duality":

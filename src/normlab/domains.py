@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DomainMask, Grid, split_params
+from .grid import DomainMask, Grid, as_int, check_params, format_params, parse_params
 from .spaces import zero_extend as zero_extend_field
 
 __all__ = [
@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 _CONVEX_KINDS = {"full", "ball", "halfspace"}
+# the parameters of each kind, as ``_validate`` defaults or requires them
+_KINDS = {
+    "full": (),
+    "ball": ("center", "radius"),
+    "halfspace": ("axis", "offset"),
+    "lshape": ("lo1", "hi1", "lo2", "hi2"),
+    "annulus": ("center", "r1", "r2"),
+    "slitbox": ("axis", "pos", "start"),
+}
 
 
 def _boxes_minus_box(lo, hi, blo, bhi):
@@ -94,7 +103,11 @@ class DomainSpec:
         self._validate()
 
     def _validate(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown domain kind {self.kind!r}")
         p = self.params
+        check_params(f"domain {self.kind!r}", p, optional=_KINDS[self.kind],
+                     vectors=("center", "lo1", "hi1", "lo2", "hi2"))
         if self.kind == "full":
             if self.box is None:
                 raise ValueError("full domain needs the ambient box")
@@ -105,7 +118,7 @@ class DomainSpec:
         elif self.kind == "halfspace":
             p.setdefault("axis", 0)
             p.setdefault("offset", 0.0)
-            p["axis"] = int(p["axis"])
+            p["axis"] = as_int(p["axis"], "halfspace axis")
             if self.box is None:
                 raise ValueError("halfspace (clipped) needs the ambient box")
         elif self.kind == "lshape":
@@ -122,26 +135,16 @@ class DomainSpec:
             p.setdefault("axis", 0)
             p.setdefault("pos", 0.0)
             p.setdefault("start", 0.0)
-            p["axis"] = int(p["axis"])
+            p["axis"] = as_int(p["axis"], "slitbox axis")
             if self.box is None:
                 raise ValueError("slitbox needs the ambient box")
-        else:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
 
     @property
     def convex(self) -> bool:
         return self.kind in _CONVEX_KINDS
 
     def canonical(self) -> str:
-        def fmt(v):
-            if isinstance(v, (tuple, list, np.ndarray)):
-                return ";".join(repr(float(x)) for x in v)
-            if isinstance(v, (int, np.integer)):
-                return str(int(v))
-            return repr(float(v))
-
-        body = ",".join(f"{k}={fmt(v)}" for k, v in sorted(self.params.items()))
-        return f"{self.kind}:{body}" if body else self.kind
+        return format_params(self.kind, self.params)
 
     def __repr__(self):
         return f"DomainSpec({self.canonical()!r})"
@@ -307,12 +310,8 @@ class DomainSpec:
 
 def parse_domain(text: str, box=None) -> DomainSpec:
     """Parse ``kind:key=value,...``; vectors use ``;`` separators."""
-    kind, _, body = text.strip().partition(":")
-    params: dict = {}
-    for k, v in split_params(body, text).items():
-        params[k] = tuple(float(x) for x in v.split(";")) if ";" in v else (
-            int(v) if k == "axis" else float(v))
-    return DomainSpec(kind.strip(), box=box, **params)
+    kind, values = parse_params(text)
+    return DomainSpec(kind, box=box, **values)
 
 
 def mask(domain: DomainSpec, grid: Grid) -> DomainMask:

@@ -42,6 +42,7 @@ __all__ = [
     "run_weak_holder_suite",
     "run_norm_table",
     "run_apconst_table",
+    "run_maximal_table",
 ]
 
 DEFAULT_S_GRID = (0.60, 0.70, 0.80, 0.875, 0.925, 0.95)
@@ -143,6 +144,12 @@ def _flags(tokens) -> str:
     return ";".join(t for t in tokens if t)
 
 
+def _add_row(table: RatioTable, cfg: ExperimentConfig, grid: Grid, **cols) -> None:
+    """One row, with the domain (unless given), dimension, grid and seed of the run."""
+    cols.setdefault("domain", cfg.domain.canonical() if cfg.domain else "full-grid")
+    table.add_row(n=grid.dim, grid=grid.describe(), seed=cfg.seed, **cols)
+
+
 # ---------------------------------------------------------------------------
 # gradient-limit experiment
 # ---------------------------------------------------------------------------
@@ -179,20 +186,9 @@ def run_bbm_experiment(cfg: ExperimentConfig) -> RatioTable:
                 tokens.append(f"refine_delta={delta:.3e}")
                 value = v2
                 ref = const * sobolev_norm(f2, space, omega2)
-            table.add_row(
-                experiment="bbm",
-                function=fn.canonical(),
-                space=space.canonical(),
-                domain=cfg.domain.canonical() if cfg.domain else "full-grid",
-                n=cfg.grid.dim,
-                p=cfg.p,
-                gamma_or_s=1.0,
-                value=value,
-                reference=ref,
-                flags=_flags(tokens),
-                grid=cfg.grid.describe(),
-                seed=cfg.seed,
-            )
+            _add_row(table, cfg, cfg.grid, experiment="bbm", function=fn.canonical(),
+                     space=space.canonical(), p=cfg.p, gamma_or_s=1.0, value=value,
+                     reference=ref, flags=_flags(tokens))
     return table
 
 
@@ -228,20 +224,9 @@ def run_bsvy_experiment(cfg: ExperimentConfig) -> tuple[RatioTable, dict]:
                         if len(grids) > 1 and key in base_rows and math.isfinite(base_rows[key]):
                             delta = abs(ratio - base_rows[key]) / abs(ratio) if ratio else 0.0
                             tokens.append(f"refine_delta={delta:.3e}")
-                        table.add_row(
-                            experiment="bsvy",
-                            function=fn.canonical(),
-                            space=space.canonical(),
-                            domain=cfg.domain.canonical() if cfg.domain else "full-grid",
-                            n=grid.dim,
-                            p=cfg.p,
-                            gamma_or_s=gamma,
-                            value=rep.sup,
-                            reference=ref,
-                            flags=_flags(tokens),
-                            grid=grid.describe(),
-                            seed=cfg.seed,
-                        )
+                        _add_row(table, cfg, grid, experiment="bsvy", function=fn.canonical(),
+                                 space=space.canonical(), p=cfg.p, gamma_or_s=gamma,
+                                 value=rep.sup, reference=ref, flags=_flags(tokens))
                         if ref > 0:
                             brackets.setdefault((space.canonical(), gamma), []).append(rep.sup / ref)
     summary = {}
@@ -298,20 +283,9 @@ def run_morrey_duality_check(cfg: ExperimentConfig, theta: float | None = None,
                 spread = max(a1_consts) / min(a1_consts)
                 tokens.append(f"a1_spread={spread:.3f}")
                 tokens.append(f"a1_max={max(a1_consts):.3f}")
-            table.add_row(
-                experiment="morrey-duality",
-                function=fn.canonical(),
-                space=space.canonical(),
-                domain=cfg.domain.canonical() if cfg.domain else "full-grid",
-                n=grid.dim,
-                p=r,
-                gamma_or_s=th,
-                value=best,
-                reference=lhs,
-                flags=_flags(tokens),
-                grid=grid.describe(),
-                seed=cfg.seed,
-            )
+            _add_row(table, cfg, grid, experiment="morrey-duality", function=fn.canonical(),
+                     space=space.canonical(), p=r, gamma_or_s=th, value=best, reference=lhs,
+                     flags=_flags(tokens))
     return table
 
 
@@ -348,20 +322,9 @@ def run_weak_holder_suite(cfg: ExperimentConfig, instances: int = 100,
             passed = res.passed
             min_margin = min(min_margin, res.margin)
         passes += passed
-        table.add_row(
-            experiment="weak-holder",
-            function=f"instance-{i}",
-            space=f"pairs:p={p!r}",
-            domain=cfg.domain.canonical() if cfg.domain else "full-grid",
-            n=grid.dim,
-            p=p,
-            gamma_or_s=gamma,
-            value=res.lhs,
-            reference=res.rhs,
-            flags=_flags(["pass" if passed else "fail"]),
-            grid=grid.describe(),
-            seed=cfg.seed,
-        )
+        _add_row(table, cfg, grid, experiment="weak-holder", function=f"instance-{i}",
+                 space=f"pairs:p={p!r}", p=p, gamma_or_s=gamma, value=res.lhs,
+                 reference=res.rhs, flags=_flags(["pass" if passed else "fail"]))
     summary = {
         "instances": instances,
         "passes": passes,
@@ -372,7 +335,7 @@ def run_weak_holder_suite(cfg: ExperimentConfig, instances: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# plain norm and A_p tables
+# plain norm, A_p and maximal-function tables
 # ---------------------------------------------------------------------------
 
 
@@ -382,20 +345,8 @@ def run_norm_table(cfg: ExperimentConfig) -> RatioTable:
     for fn in cfg.functions:
         f = sample(fn, cfg.grid)
         for space in cfg.spaces:
-            table.add_row(
-                experiment="norm",
-                function=fn.canonical(),
-                space=space.canonical(),
-                domain=cfg.domain.canonical() if cfg.domain else "full-grid",
-                n=cfg.grid.dim,
-                p="",
-                gamma_or_s="",
-                value=norm(f, space, omega),
-                reference="",
-                ratio="",
-                grid=cfg.grid.describe(),
-                seed=cfg.seed,
-            )
+            _add_row(table, cfg, cfg.grid, experiment="norm", function=fn.canonical(),
+                     space=space.canonical(), value=norm(f, space, omega))
     return table
 
 
@@ -405,19 +356,18 @@ def run_apconst_table(cfg: ExperimentConfig, weight_specs: list[str], ps=(1.0, 2
         w = parse_weight(wtxt, cfg.grid)
         for p in ps:
             est = muckenhoupt_constant(w, p, return_witness=True)
-            table.add_row(
-                experiment="apconst",
-                function=w.source,
-                space=f"Ap:p={p!r}",
-                domain="full-grid",
-                n=cfg.grid.dim,
-                p=p,
-                gamma_or_s="",
-                value=est.value,
-                reference="",
-                ratio="",
-                flags=_flags([f"cube={est.cube_lo}..{est.cube_hi}"]),
-                grid=cfg.grid.describe(),
-                seed=cfg.seed,
-            )
+            _add_row(table, cfg, cfg.grid, experiment="apconst", function=w.source,
+                     space=f"Ap:p={p!r}", domain="full-grid", p=p, value=est.value,
+                     flags=_flags([f"cube={est.cube_lo}..{est.cube_hi}"]))
+    return table
+
+
+def run_maximal_table(cfg: ExperimentConfig) -> RatioTable:
+    """Per function: max of the maximal function M f against max |f|."""
+    table = RatioTable(provenance=cfg.provenance())
+    for fn in cfg.functions:
+        f = sample(fn, cfg.grid)
+        _add_row(table, cfg, cfg.grid, experiment="maximal", function=fn.canonical(),
+                 domain="full-grid", value=float(np.max(hl_maximal(f))),
+                 reference=float(np.max(np.abs(f.values))))
     return table

@@ -27,6 +27,10 @@ __all__ = [
     "auto_box",
     "parse_function",
     "split_params",
+    "parse_params",
+    "format_params",
+    "check_params",
+    "as_int",
     "restrict_values",
 ]
 
@@ -175,7 +179,14 @@ def restrict_values(f: SampledField, omega: DomainMask | None) -> np.ndarray:
 # test-function catalog
 # ---------------------------------------------------------------------------
 
-_KINDS = ("gaussian", "tent", "coordinate", "bump", "polygauss")
+# the parameters of each kind; ``_validate`` gives every one a default
+_KINDS = {
+    "gaussian": ("sigma", "center"),
+    "tent": ("width", "center"),
+    "coordinate": ("axis",),
+    "bump": ("radius", "center"),
+    "polygauss": ("degree", "sigma", "center"),
+}
 
 
 class TestFunctionSpec:
@@ -204,6 +215,7 @@ class TestFunctionSpec:
 
     def _validate(self):
         p = self.params
+        check_params(f"function {self.kind!r}", p, optional=_KINDS[self.kind], vectors=("center",))
         if self.kind == "gaussian":
             p.setdefault("sigma", 1.0)
             p.setdefault("center", 0.0)
@@ -216,7 +228,7 @@ class TestFunctionSpec:
                 raise ValueError("tent width must be > 0")
         elif self.kind == "coordinate":
             p.setdefault("axis", 0)
-            p["axis"] = int(p["axis"])
+            p["axis"] = as_int(p["axis"], "coordinate axis")
         elif self.kind == "bump":
             p.setdefault("radius", 1.0)
             p.setdefault("center", 0.0)
@@ -226,7 +238,7 @@ class TestFunctionSpec:
             p.setdefault("degree", 1)
             p.setdefault("sigma", 1.0)
             p.setdefault("center", 0.0)
-            p["degree"] = int(p["degree"])
+            p["degree"] = as_int(p["degree"], "polygauss degree")
             if p["degree"] < 0:
                 raise ValueError("polygauss degree must be >= 0")
             if not p["sigma"] > 0:
@@ -234,15 +246,7 @@ class TestFunctionSpec:
 
     def canonical(self) -> str:
         """Textual form ``kind:key=value,...`` with sorted keys."""
-        def fmt(v):
-            if isinstance(v, (tuple, list, np.ndarray)):
-                return ";".join(repr(float(x)) for x in v)
-            if isinstance(v, (int, np.integer)):
-                return str(int(v))
-            return repr(float(v))
-
-        body = ",".join(f"{k}={fmt(v)}" for k, v in sorted(self.params.items()))
-        return f"{self.kind}:{body}" if body else self.kind
+        return format_params(self.kind, self.params)
 
     def __repr__(self):
         return f"TestFunctionSpec({self.canonical()!r})"
@@ -342,17 +346,58 @@ def split_params(body: str, text: str) -> dict[str, str]:
     return kv
 
 
+def parse_params(text: str) -> tuple[str, dict]:
+    """Split ``kind:key=value,...`` into the kind and its values: a float for
+    each value (``inf`` allowed), a tuple of floats for a ``;``-separated
+    vector.  The inverse of :func:`format_params`."""
+    kind, _, body = text.strip().partition(":")
+    values = {k: tuple(float(x) for x in v.split(";")) if ";" in v else float(v)
+              for k, v in split_params(body, text).items()}
+    return kind.strip(), values
+
+
+def format_params(kind: str, params: dict) -> str:
+    """Canonical ``kind:key=value,...`` with sorted keys: floats as ``repr``,
+    integers as digits, sequences joined by ``;``, strings as they are."""
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (tuple, list, np.ndarray)):
+            return ";".join(repr(float(x)) for x in v)
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    body = ",".join(f"{k}={fmt(v)}" for k, v in sorted(params.items()))
+    return f"{kind}:{body}" if body else kind
+
+
+def check_params(what: str, values: dict, required=(), optional=(), vectors=()) -> None:
+    """Reject spec ``values`` that lack a ``required`` key, hold a key outside
+    ``required`` and ``optional``, or give a ``;``-vector (a tuple) for a key
+    outside ``vectors``; ``what`` names the spec in the message."""
+    for key in required:
+        if key not in values:
+            raise ValueError(f"{what} needs parameter {key!r}")
+    known = (*required, *optional)
+    for key, v in values.items():
+        if key not in known:
+            raise ValueError(f"unknown {what} parameter {key!r}; known: {', '.join(known)}")
+        if isinstance(v, tuple) and key not in vectors:
+            raise ValueError(f"{what} parameter {key!r} takes one number, not a vector")
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; anything but a whole number is a ValueError naming ``what``."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def parse_function(text: str) -> TestFunctionSpec:
     """Parse the canonical textual form ``kind:key=value,...``."""
-    kind, _, body = text.strip().partition(":")
-    params: dict = {}
-    for k, v in split_params(body, text).items():
-        if ";" in v:
-            params[k] = tuple(float(x) for x in v.split(";"))
-        else:
-            fv = float(v)
-            params[k] = int(fv) if k in ("axis", "degree") else fv
-    return TestFunctionSpec(kind.strip(), **params)
+    kind, values = parse_params(text)
+    return TestFunctionSpec(kind, **values)
 
 
 def sample(spec: TestFunctionSpec, grid: Grid) -> SampledField:

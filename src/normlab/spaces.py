@@ -17,7 +17,8 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import DomainMask, Grid, SampledField, restrict_values, split_params
+from .grid import (DomainMask, Grid, SampledField, as_int, check_params, format_params, parse_params,
+                   restrict_values)
 
 __all__ = [
     "SpaceSpec",
@@ -100,16 +101,14 @@ class OrliczFunction:
     def upper_type(self) -> float:
         return self.p1 if self.kind == "power" else float(self.p2)
 
-    def scaled(self, factor: float) -> "OrliczFunction":
-        """Orlicz function of ``t -> Phi(t^factor)``; used by convexification."""
-        if self.kind == "power":
-            return OrliczFunction("power", self.p1 * factor)
-        return OrliczFunction("two-power", self.p1 * factor, self.p2 * factor)
+    def params(self) -> dict:
+        return {"p": self.p1} if self.kind == "power" else {"p1": self.p1, "p2": self.p2}
 
-    def canonical(self) -> str:
-        if self.kind == "power":
-            return f"p={self.p1!r}"
-        return f"p1={self.p1!r},p2={self.p2!r}"
+    @classmethod
+    def from_params(cls, values: dict) -> "OrliczFunction":
+        if "p" in values:
+            return cls("power", values["p"])
+        return cls("two-power", values["p1"], values["p2"])
 
 
 @dataclass(frozen=True)
@@ -142,11 +141,54 @@ def herz_exponent_admissible(a: float, n: int, p: float, s: float) -> bool:
 
 
 class SpaceSpec:
-    """Base class for catalog space descriptions (grid-independent)."""
+    """Base class for catalog space descriptions (grid-independent).
+
+    A subclass with a ``tag`` is one kind of space, registered in ``kinds``.
+    Its text form needs ``keys`` (the constructor's leading arguments, in
+    order) and may hold ``optional`` ones (keywords); both are attributes
+    unless :meth:`params` says otherwise, and only ``vectors`` take
+    ``;``-separated values.  X -> X^(1/p) divides the ``divided`` keys (the
+    exponents) by p and multiplies the ``multiplied`` ones by p.
+    """
 
     tag: str = ""
+    keys: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    vectors: tuple[str, ...] = ()
+    divided: tuple[str, ...] = ()
+    multiplied: tuple[str, ...] = ()
+    kinds: dict[str, type] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.tag:
+            SpaceSpec.kinds[cls.tag] = cls
+
+    @classmethod
+    def from_params(cls, values: dict) -> "SpaceSpec":
+        """The space of the text-form ``values``; rejects missing and unknown keys."""
+        check_params(f"space {cls.tag!r}", values, cls.keys, cls.optional, cls.vectors)
+        return cls(*(values[k] for k in cls.keys), **{k: values[k] for k in cls.optional if k in values})
+
+    def params(self) -> dict:
+        """The text-form parameters, key -> value."""
+        return {k: getattr(self, k) for k in self.keys + self.optional}
 
     def canonical(self) -> str:
+        return format_params(self.tag, self.params())
+
+    def convexify(self, p: float) -> "SpaceSpec":
+        """X^(1/p) for p > 0; see :func:`convexify`."""
+        values = self.params()
+        for key, v in values.items():
+            if key in self.divided:
+                values[key] = v / p
+            elif key in self.multiplied:
+                values[key] = v * p
+        return self.from_params(values)
+
+    def evaluate(self, f: SampledField, omega: DomainMask | None) -> float:
+        """||f||_{X(Omega)}; :func:`norm` calls it with max |f| scaled to about 1."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -161,27 +203,31 @@ class SpaceSpec:
 
 class Lebesgue(SpaceSpec):
     tag = "lebesgue"
+    keys = divided = ("p",)
 
     def __init__(self, p: float):
         if not (1 <= p < math.inf):
             raise ValueError("Lebesgue exponent must lie in [1, inf)")
         self.p = float(p)
 
-    def canonical(self) -> str:
-        return f"lebesgue:p={self.p!r}"
+    def evaluate(self, f, omega):
+        return _lebesgue(restrict_values(f, omega), f.grid.cell_volume, self.p)
 
 
 class WeightedLebesgue(SpaceSpec):
     """L^r with weight |x - c|^a (parametric) or explicit nonnegative samples."""
 
     tag = "weighted"
+    keys = ("r", "a")
+    optional = vectors = ("center",)
+    divided = ("r",)
 
     def __init__(self, r: float, a: float | None = None, center=0.0, samples: np.ndarray | None = None):
         if not (0 < r < math.inf):
             raise ValueError("weighted Lebesgue exponent must be positive and finite")
         self.r = float(r)
         self.a = None if a is None else float(a)
-        self.center = center
+        self.center = float(center) if np.isscalar(center) else center
         self.samples = None if samples is None else np.asarray(samples, dtype=float)
         if self.samples is None and self.a is None:
             raise ValueError("give either a power exponent or explicit weight samples")
@@ -195,12 +241,16 @@ class WeightedLebesgue(SpaceSpec):
             return self.samples
         return _power_samples(grid, self.a, self.center)[1]
 
-    def canonical(self) -> str:
-        if self.samples is not None:
-            return f"weighted:r={self.r!r},weight=explicit"
-        c = self.center
-        ctxt = ";".join(repr(float(x)) for x in c) if not np.isscalar(c) else repr(float(c))
-        return f"weighted:a={self.a!r},center={ctxt},r={self.r!r}"
+    def params(self) -> dict:
+        return {"r": self.r, "weight": "explicit"} if self.samples is not None else super().params()
+
+    def convexify(self, p):
+        if self.samples is None:
+            return super().convexify(p)
+        return WeightedLebesgue(self.r / p, samples=self.samples)
+
+    def evaluate(self, f, omega):
+        return weighted_lebesgue_norm(f, self.r, self.weight_on(f.grid), omega)
 
 
 def _power_samples(grid: Grid, a: float, center) -> tuple[np.ndarray, np.ndarray]:
@@ -214,6 +264,7 @@ def _power_samples(grid: Grid, a: float, center) -> tuple[np.ndarray, np.ndarray
 
 class Lorentz(SpaceSpec):
     tag = "lorentz"
+    keys = divided = ("r", "tau")
 
     def __init__(self, r: float, tau: float):
         if not (1 < r < math.inf and 1 < tau < math.inf):
@@ -221,22 +272,39 @@ class Lorentz(SpaceSpec):
         self.r = float(r)
         self.tau = float(tau)
 
-    def canonical(self) -> str:
-        return f"lorentz:r={self.r!r},tau={self.tau!r}"
+    def evaluate(self, f, omega):
+        return lorentz_norm(f, self.r, self.tau, omega)
 
 
-class Orlicz(SpaceSpec):
+class _PhiSpace(SpaceSpec):
+    """A space on an Orlicz function ``phi``: its text holds phi's ``p`` (or ``p1``
+    and ``p2``), then the ``keys`` that follow ``phi`` in the constructor."""
+
+    @classmethod
+    def from_params(cls, values):
+        phi_keys = ("p",) if "p" in values else ("p1", "p2")
+        check_params(f"space {cls.tag!r}", values, phi_keys + cls.keys)
+        return cls(OrliczFunction.from_params(values), *(values[k] for k in cls.keys))
+
+    def params(self):
+        return {**self.phi.params(), **super().params()}
+
+
+class Orlicz(_PhiSpace):
     tag = "orlicz"
+    divided = ("p", "p1", "p2")
 
     def __init__(self, phi: OrliczFunction):
         self.phi = phi
 
-    def canonical(self) -> str:
-        return f"orlicz:{self.phi.canonical()}"
+    def evaluate(self, f, omega):
+        return luxemburg_norm(f, self.phi, omega)
 
 
-class OrliczSlice(SpaceSpec):
+class OrliczSlice(_PhiSpace):
     tag = "orliczslice"
+    keys = ("r", "t")
+    divided = ("p", "p1", "p2", "r")
 
     def __init__(self, phi: OrliczFunction, r: float, t: float):
         if not (1 < r < math.inf):
@@ -247,12 +315,13 @@ class OrliczSlice(SpaceSpec):
         self.r = float(r)
         self.t = float(t)
 
-    def canonical(self) -> str:
-        return f"orliczslice:{self.phi.canonical()},r={self.r!r},t={self.t!r}"
+    def evaluate(self, f, omega):
+        return orlicz_slice_norm(f, self.phi, self.r, self.t, omega)
 
 
 class Morrey(SpaceSpec):
     tag = "morrey"
+    keys = divided = ("r", "alpha")
 
     def __init__(self, r: float, alpha: float):
         if not (1 <= r <= alpha < math.inf):
@@ -260,14 +329,15 @@ class Morrey(SpaceSpec):
         self.r = float(r)
         self.alpha = float(alpha)
 
-    def canonical(self) -> str:
-        return f"morrey:alpha={self.alpha!r},r={self.r!r}"
+    def evaluate(self, f, omega):
+        return morrey_norm(f, self.r, self.alpha, omega)
 
 
 class BesovBourgainMorrey(SpaceSpec):
     """Dyadic-cube space with inner L^q per cube, l^r in position, l^tau in scale."""
 
     tag = "bbmorrey"
+    keys = divided = ("q", "p", "r", "tau")
 
     def __init__(self, q: float, p: float, r: float, tau: float):
         if not (0 < q <= p <= r):
@@ -281,29 +351,16 @@ class BesovBourgainMorrey(SpaceSpec):
         self.r = float(r)
         self.tau = float(tau)
 
-    def canonical(self) -> str:
-        return f"bbmorrey:p={self.p!r},q={self.q!r},r={self.r!r},tau={self.tau!r}"
+    def evaluate(self, f, omega):
+        return bbm_morrey_norm(f, self.q, self.p, self.r, self.tau, omega)
 
 
-class HerzLocal(SpaceSpec):
-    tag = "herzlocal"
+class _Herz(SpaceSpec):
+    """Exponents p, q and the power weight s^a shared by the Herz spaces."""
 
-    def __init__(self, p: float, q: float, a: float, xi=0.0):
-        if not (1 < p < math.inf and 1 < q < math.inf):
-            raise ValueError("Herz exponents must lie in (1, inf)")
-        self.p = float(p)
-        self.q = float(q)
-        self.weight = HerzWeight(a)
-        self.xi = xi
-
-    def canonical(self) -> str:
-        x = self.xi
-        xtxt = ";".join(repr(float(v)) for v in x) if not np.isscalar(x) else repr(float(x))
-        return f"herzlocal:a={self.weight.a!r},p={self.p!r},q={self.q!r},xi={xtxt}"
-
-
-class HerzGlobal(SpaceSpec):
-    tag = "herzglobal"
+    keys = ("p", "q", "a")
+    divided = ("p", "q")
+    multiplied = ("a",)
 
     def __init__(self, p: float, q: float, a: float):
         if not (1 < p < math.inf and 1 < q < math.inf):
@@ -312,15 +369,36 @@ class HerzGlobal(SpaceSpec):
         self.q = float(q)
         self.weight = HerzWeight(a)
 
-    def canonical(self) -> str:
-        return f"herzglobal:a={self.weight.a!r},p={self.p!r},q={self.q!r}"
+    @property
+    def a(self) -> float:
+        return self.weight.a
+
+
+class HerzLocal(_Herz):
+    tag = "herzlocal"
+    optional = vectors = ("xi",)
+
+    def __init__(self, p: float, q: float, a: float, xi=0.0):
+        super().__init__(p, q, a)
+        self.xi = float(xi) if np.isscalar(xi) else xi
+
+    def evaluate(self, f, omega):
+        return herz_local_norm(f, self.p, self.q, self.weight, self.xi, omega)
+
+
+class HerzGlobal(_Herz):
+    tag = "herzglobal"
+
+    def evaluate(self, f, omega):
+        return herz_global_norm(f, self.p, self.q, self.weight, omega)[0]
 
 
 class MixedNorm(SpaceSpec):
     tag = "mixed"
+    keys = vectors = divided = ("r",)
 
     def __init__(self, rs):
-        rs = tuple(float(r) for r in rs)
+        rs = tuple(float(r) for r in np.atleast_1d(rs))
         if not rs:
             raise ValueError("mixed norm needs at least one exponent")
         for r in rs:
@@ -328,87 +406,58 @@ class MixedNorm(SpaceSpec):
                 raise ValueError("mixed exponents must lie in (1, inf)")
         self.rs = rs
 
-    def canonical(self) -> str:
-        return "mixed:r=" + ";".join(repr(r) for r in self.rs)
+    def params(self):
+        return {"r": np.array(self.rs)}  # an array, so convexify can divide it by p
+
+    def evaluate(self, f, omega):
+        return mixed_norm(f, self.rs, omega)
 
 
 class VariableLebesgue(SpaceSpec):
     """Exponent field r(x); parametric affine ramp or explicit samples."""
 
     tag = "varleb"
+    keys = ("base",)
+    optional = ("slope", "axis")
+    divided = ("base", "slope")
 
     def __init__(self, base: float | None = None, slope: float = 0.0, axis: int = 0,
                  samples: np.ndarray | None = None):
-        self.base = base
+        self.base = None if base is None else float(base)
         self.slope = float(slope)
-        self.axis = int(axis)
+        self.axis = as_int(axis, "varleb axis")
         self.samples = None if samples is None else np.asarray(samples, dtype=float)
         if self.samples is None and base is None:
             raise ValueError("give either a parametric exponent or explicit samples")
 
     def exponent_on(self, grid: Grid) -> np.ndarray:
+        """r(x) at the cell centres; :func:`variable_lebesgue_norm` checks 1 < r < inf."""
         if self.samples is not None:
             if self.samples.shape != grid.shape:
                 raise ValueError("exponent samples do not match the grid")
-            ex = self.samples
-        else:
-            x = grid.meshgrid()[self.axis]
-            ex = self.base + self.slope * x
-        lo, hi = float(np.min(ex)), float(np.max(ex))
-        if not (1 < lo <= hi < math.inf):
-            raise ValueError(f"variable exponent must satisfy 1 < min <= max < inf, got [{lo}, {hi}]")
-        return ex
+            return self.samples
+        if not 0 <= self.axis < grid.dim:
+            raise ValueError(f"exponent axis {self.axis} is not an axis of a {grid.dim}D grid")
+        return self.base + self.slope * grid.meshgrid()[self.axis]
 
-    def canonical(self) -> str:
-        if self.samples is not None:
-            return "varleb:exponent=explicit"
-        return f"varleb:axis={self.axis},base={self.base!r},slope={self.slope!r}"
+    def params(self):
+        return {"exponent": "explicit"} if self.samples is not None else super().params()
+
+    def convexify(self, p):
+        if self.samples is None:
+            return super().convexify(p)
+        return VariableLebesgue(samples=self.samples / p)
+
+    def evaluate(self, f, omega):
+        return variable_lebesgue_norm(f, self.exponent_on(f.grid), omega)
 
 
 def parse_space(text: str) -> SpaceSpec:
     """Parse the canonical textual form ``tag:key=value,...``."""
-    tag, _, body = text.strip().partition(":")
-    kv = split_params(body, text)
-
-    def num(key, default=None):
-        if key not in kv:
-            if default is None:
-                raise ValueError(f"space {tag!r} needs parameter {key!r}")
-            return default
-        v = kv[key]
-        return math.inf if v in ("inf", "Inf") else float(v)
-
-    tag = tag.strip()
-    if tag == "lebesgue":
-        return Lebesgue(num("p"))
-    if tag == "weighted":
-        center = kv.get("center", "0.0")
-        c = tuple(float(x) for x in center.split(";")) if ";" in center else float(center)
-        return WeightedLebesgue(num("r"), a=num("a"), center=c)
-    if tag == "lorentz":
-        return Lorentz(num("r"), num("tau"))
-    if tag == "orlicz":
-        if "p" in kv:
-            return Orlicz(OrliczFunction("power", num("p")))
-        return Orlicz(OrliczFunction("two-power", num("p1"), num("p2")))
-    if tag == "orliczslice":
-        phi = OrliczFunction("power", num("p")) if "p" in kv else OrliczFunction("two-power", num("p1"), num("p2"))
-        return OrliczSlice(phi, num("r"), num("t"))
-    if tag == "morrey":
-        return Morrey(num("r"), num("alpha"))
-    if tag == "bbmorrey":
-        return BesovBourgainMorrey(num("q"), num("p"), num("r"), num("tau"))
-    if tag == "herzlocal":
-        xi = kv.get("xi", "0.0")
-        x = tuple(float(v) for v in xi.split(";")) if ";" in xi else float(xi)
-        return HerzLocal(num("p"), num("q"), num("a"), xi=x)
-    if tag == "herzglobal":
-        return HerzGlobal(num("p"), num("q"), num("a"))
-    if tag == "mixed":
-        return MixedNorm(tuple(float(x) for x in kv["r"].split(";")))
-    if tag == "varleb":
-        return VariableLebesgue(base=num("base"), slope=num("slope", 0.0), axis=int(num("axis", 0)))
-    raise ValueError(f"unknown space tag {tag!r}")
+    tag, values = parse_params(text)
+    if tag not in SpaceSpec.kinds:
+        raise ValueError(f"unknown space tag {tag!r}")
+    return SpaceSpec.kinds[tag].from_params(values)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +575,7 @@ def variable_lebesgue_norm(f: SampledField, exponent: np.ndarray,
         raise ValueError("exponent field must match the grid")
     lo, hi = float(np.min(ex)), float(np.max(ex))
     if not (1 < lo <= hi < math.inf):
-        raise ValueError("variable exponent must satisfy 1 < min <= max < inf")
+        raise ValueError(f"variable exponent must satisfy 1 < min <= max < inf, got [{lo}, {hi}]")
     v = np.abs(restrict_values(f, omega)).ravel()
     exf = ex.ravel()
     return float(_luxemburg(v, f.grid.cell_volume, lambda s: s ** exf)[0])
@@ -959,33 +1008,7 @@ def norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> 
     """
     v = restrict_values(f, omega)
     e = math.frexp(float(np.abs(v).max()))[1]
-    return math.ldexp(_evaluate(SampledField(f.grid, np.ldexp(v, -e)), space, omega), e)
-
-
-def _evaluate(f: SampledField, space: SpaceSpec, omega: DomainMask | None) -> float:
-    if isinstance(space, Lebesgue):
-        return _lebesgue(restrict_values(f, omega), f.grid.cell_volume, space.p)
-    if isinstance(space, WeightedLebesgue):
-        return weighted_lebesgue_norm(f, space.r, space.weight_on(f.grid), omega)
-    if isinstance(space, Lorentz):
-        return lorentz_norm(f, space.r, space.tau, omega)
-    if isinstance(space, Orlicz):
-        return luxemburg_norm(f, space.phi, omega)
-    if isinstance(space, OrliczSlice):
-        return orlicz_slice_norm(f, space.phi, space.r, space.t, omega)
-    if isinstance(space, Morrey):
-        return morrey_norm(f, space.r, space.alpha, omega)
-    if isinstance(space, BesovBourgainMorrey):
-        return bbm_morrey_norm(f, space.q, space.p, space.r, space.tau, omega)
-    if isinstance(space, HerzLocal):
-        return herz_local_norm(f, space.p, space.q, space.weight, space.xi, omega)
-    if isinstance(space, HerzGlobal):
-        return herz_global_norm(f, space.p, space.q, space.weight, omega)[0]
-    if isinstance(space, MixedNorm):
-        return mixed_norm(f, space.rs, omega)
-    if isinstance(space, VariableLebesgue):
-        return variable_lebesgue_norm(f, space.exponent_on(f.grid), omega)
-    raise TypeError(f"unsupported space spec {space!r}")
+    return math.ldexp(space.evaluate(SampledField(f.grid, np.ldexp(v, -e)), omega), e)
 
 
 def convexify(space: SpaceSpec, p: float) -> SpaceSpec:
@@ -995,31 +1018,7 @@ def convexify(space: SpaceSpec, p: float) -> SpaceSpec:
     """
     if not p > 0:
         raise ValueError("convexification exponent must be positive")
-    if isinstance(space, Lebesgue):
-        return Lebesgue(space.p / p)
-    if isinstance(space, WeightedLebesgue):
-        return WeightedLebesgue(space.r / p, a=space.a, center=space.center, samples=space.samples)
-    if isinstance(space, Lorentz):
-        return Lorentz(space.r / p, space.tau / p)
-    if isinstance(space, Orlicz):
-        return Orlicz(space.phi.scaled(1.0 / p))
-    if isinstance(space, OrliczSlice):
-        return OrliczSlice(space.phi.scaled(1.0 / p), space.r / p, space.t)
-    if isinstance(space, Morrey):
-        return Morrey(space.r / p, space.alpha / p)
-    if isinstance(space, BesovBourgainMorrey):
-        return BesovBourgainMorrey(space.q / p, space.p / p, space.r / p, space.tau / p)
-    if isinstance(space, HerzLocal):
-        return HerzLocal(space.p / p, space.q / p, space.weight.a * p, xi=space.xi)
-    if isinstance(space, HerzGlobal):
-        return HerzGlobal(space.p / p, space.q / p, space.weight.a * p)
-    if isinstance(space, MixedNorm):
-        return MixedNorm(tuple(r / p for r in space.rs))
-    if isinstance(space, VariableLebesgue):
-        if space.samples is not None:
-            return VariableLebesgue(samples=space.samples / p)
-        return VariableLebesgue(base=space.base / p, slope=space.slope / p, axis=space.axis)
-    raise TypeError(f"unsupported space spec {space!r}")
+    return space.convexify(p)
 
 
 def zero_extend(values_on_omega: np.ndarray, omega: DomainMask) -> SampledField:

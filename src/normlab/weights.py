@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .grid import DomainMask, Grid, SampledField, restrict_values, split_params
+from .grid import DomainMask, Grid, SampledField, check_params, format_params, parse_params, restrict_values
 from .spaces import (
     SpaceSpec,
     _ball_stencil,
@@ -71,8 +71,7 @@ class Weight:
 def power_weight(grid: Grid, a: float, center=0.0) -> Weight:
     """|x - c|^a sampled at cell centers."""
     c, samples = _power_samples(grid, a, center)
-    ctxt = ";".join(repr(float(x)) for x in c)
-    return Weight(grid, samples, f"power:a={a!r},center={ctxt}", (float(a), tuple(c)))
+    return Weight(grid, samples, format_params("power", {"a": a, "center": c}), (float(a), tuple(c)))
 
 
 def explicit_weight(grid: Grid, samples: np.ndarray) -> Weight:
@@ -80,17 +79,11 @@ def explicit_weight(grid: Grid, samples: np.ndarray) -> Weight:
 
 
 def parse_weight(text: str, grid: Grid) -> Weight:
-    kind, _, body = text.strip().partition(":")
+    kind, values = parse_params(text)
     if kind != "power":
         raise ValueError(f"unknown weight form {kind!r}; only power:a=...,center=... parses")
-    kv = split_params(body, text)
-    for key in kv:
-        if key not in ("a", "center"):
-            raise ValueError(f"unknown weight parameter {key!r} in {text!r}; known: a, center")
-    a = float(kv.get("a", "0"))
-    ctxt = kv.get("center", "0.0")
-    center = tuple(float(x) for x in ctxt.split(";")) if ";" in ctxt else float(ctxt)
-    return power_weight(grid, a, center)
+    check_params("weight", values, optional=("a", "center"), vectors=("center",))
+    return power_weight(grid, values.get("a", 0.0), values.get("center", 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,17 @@ def test_cli_verify_subset(capsys):
     (["apconst", "--weight", "power:a"], "bad parameter 'a' in 'power:a'"),
     (["apconst", "--weight", "power:alpha=-0.5"], "unknown weight parameter 'alpha'"),
     (["--grid", "n=1,l=3", "norm"], "unknown grid parameter 'l'"),
+    (["norm", "--space", "mixed:", "--fn", "gaussian"], "space 'mixed' needs parameter 'r'"),
+    (["norm", "--space", "varleb:base=2,slop=0.5", "--fn", "gaussian"],
+     "unknown space 'varleb' parameter 'slop'"),
+    (["norm", "--space", "orlicz:p=2,p2=3", "--fn", "gaussian"],
+     "unknown space 'orlicz' parameter 'p2'"),
+    (["norm", "--space", "lebesgue:p=2;3", "--fn", "gaussian"],
+     "space 'lebesgue' parameter 'p' takes one number"),
+    (["norm", "--fn", "gaussian:sigm=0.5"], "unknown function 'gaussian' parameter 'sigm'"),
+    (["norm", "--fn", "gaussian", "--domain", "ball:radius=1,centre=0.5"],
+     "unknown domain 'ball' parameter 'centre'"),
+    (["norm", "--fn", "polygauss:degree=1.5"], "polygauss degree must be a whole number"),
 ])
 def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert main(["--out", str(tmp_path)] + argv) == 2

@@ -378,6 +378,7 @@ def test_convexify_identity_full_catalog():
     f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.1), g)
     from normlab import (
         BesovBourgainMorrey,
+        HerzGlobal,
         MixedNorm,
         Orlicz,
         OrliczFunction,
@@ -395,6 +396,9 @@ def test_convexify_identity_full_catalog():
         (BesovBourgainMorrey(3.0, 4.0, 6.0, 5.0), 2.0),
         (MixedNorm((4.0,)), 2.0),
         (VariableLebesgue(base=4.0, slope=0.5, axis=0), 1.5),
+        (WeightedLebesgue(4.0, samples=1.0 + g.coords()[:, 0] ** 2), 2.0),
+        (VariableLebesgue(samples=3.0 + 0.5 * np.sin(g.coords()[:, 0])), 1.5),
+        (HerzGlobal(3.0, 3.0, -0.2), 1.5),
     ]
     for space, p in cases:
         fp = SampledField(g, np.abs(f.values) ** p)

@@ -13,6 +13,7 @@ from normlab import (
     sample,
     truncate,
 )
+from normlab.grid import format_params, parse_params
 
 
 def test_cell_centers_1d():
@@ -121,6 +122,14 @@ def test_function_parse_roundtrip():
     spec = parse_function("gaussian:sigma=1.0,center=0.5")
     assert spec.kind == "gaussian"
     assert parse_function(spec.canonical()) == spec
+
+
+def test_spec_codec_roundtrip():
+    kind, values = parse_params("x: a=inf, b=1;-2 ,c=3")
+    assert (kind, values) == ("x", {"a": math.inf, "b": (1.0, -2.0), "c": 3.0})
+    assert format_params(kind, values) == "x:a=inf,b=1.0;-2.0,c=3.0"
+    assert format_params("y", {"s": "explicit", "n": 2, "v": np.array([0.5])}) == "y:n=2,s=explicit,v=0.5"
+    assert format_params("full", {}) == "full"
 
 
 def test_vector_center_parse():

@@ -16,7 +16,9 @@ from normlab import (
     Orlicz,
     OrliczFunction,
     SampledField,
+    SpaceSpec,
     TestFunctionSpec,
+    VariableLebesgue,
     WeightedLebesgue,
     associate_norm_empirical,
     convexify,
@@ -67,14 +69,53 @@ def test_norm_grid_mismatch_error():
         norm(f, Lebesgue(2.0), omega)
 
 
+CATALOG_TEXT = {
+    "lebesgue:p=2": "lebesgue:p=2.0",
+    "weighted:r=2,a=-0.5": "weighted:a=-0.5,center=0.0,r=2.0",
+    "weighted:r=2.0,a=-0.5,center=0.1;-0.2": "weighted:a=-0.5,center=0.1;-0.2,r=2.0",
+    "lorentz:r=2.0,tau=3.0": "lorentz:r=2.0,tau=3.0",
+    "orlicz:p=2.5": "orlicz:p=2.5",
+    "orlicz:p1=1.5,p2=3.0": "orlicz:p1=1.5,p2=3.0",
+    "orliczslice:p=2,r=2,t=0.3": "orliczslice:p=2.0,r=2.0,t=0.3",
+    "orliczslice:t=0.3,p2=3,r=2.5,p1=2": "orliczslice:p1=2.0,p2=3.0,r=2.5,t=0.3",
+    "morrey:r=2.0,alpha=4.0": "morrey:alpha=4.0,r=2.0",
+    "bbmorrey:q=2.0,p=3.0,r=4.0,tau=inf": "bbmorrey:p=3.0,q=2.0,r=4.0,tau=inf",
+    "herzlocal:p=2.0,q=2.5,a=-0.2": "herzlocal:a=-0.2,p=2.0,q=2.5,xi=0.0",
+    "herzlocal:p=2.0,q=2.5,a=-0.2,xi=0.1;-0.2": "herzlocal:a=-0.2,p=2.0,q=2.5,xi=0.1;-0.2",
+    "herzglobal:p=2.0,q=2.5,a=-0.2": "herzglobal:a=-0.2,p=2.0,q=2.5",
+    "mixed:r=3": "mixed:r=3.0",
+    "mixed:r=2.0;3.0": "mixed:r=2.0;3.0",
+    "varleb:base=2": "varleb:axis=0,base=2.0,slope=0.0",
+    "varleb:base=2.5,slope=-0.5,axis=1": "varleb:axis=1,base=2.5,slope=-0.5",
+}
+
+
 def test_parse_space_roundtrip():
-    for txt in ("lebesgue:p=2.0", "lorentz:r=2.0,tau=3.0", "orlicz:p1=1.5,p2=3.0",
-                "morrey:r=2.0,alpha=4.0", "mixed:r=2.0;3.0",
-                "herzlocal:p=2.0,q=2.5,a=-0.2,xi=0.0",
-                "weighted:r=2.0,a=-0.5,center=0.0",
-                "bbmorrey:q=2.0,p=3.0,r=4.0,tau=inf"):
+    for txt, canonical in CATALOG_TEXT.items():
         spec = parse_space(txt)
-        assert parse_space(spec.canonical()) == spec
+        assert spec.canonical() == canonical
+        assert parse_space(canonical) == spec
+
+
+def test_space_registry_is_the_catalog():
+    tags = {parse_space(txt).tag for txt in CATALOG_TEXT}
+    assert len(tags) == 11
+    assert set(SpaceSpec.kinds) == tags
+    assert all(cls.tag == tag for tag, cls in SpaceSpec.kinds.items())
+
+
+def test_constructor_numbers_match_parsed_text():
+    assert VariableLebesgue(base=2) == parse_space("varleb:base=2")
+    assert WeightedLebesgue(2, a=-0.5, center=0).canonical() == "weighted:a=-0.5,center=0.0,r=2.0"
+    assert HerzLocal(2, 2, -0.2, xi=0).canonical() == "herzlocal:a=-0.2,p=2.0,q=2.0,xi=0.0"
+
+
+def test_variable_exponent_axis_outside_grid():
+    g = make_grid(1, 0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="axis 3"):
+        VariableLebesgue(base=2, axis=3).exponent_on(g)
+    with pytest.raises(ValueError, match="axis 1"):
+        norm(SampledField(g, np.ones(g.shape)), VariableLebesgue(base=2, axis=1))
 
 
 def test_space_invariants_rejected():
