@@ -192,7 +192,7 @@ def criterion_7() -> AcceptanceResult:
         bound = bool(slack <= res.eps_tail + 1e-9 * np.max(rg))
         tailok = bool(res.eps_tail <= 2.0 ** (-(depth + 1)) * res.running_norm + 1e-300)
         ok = ok and dom and bound and tailok
-        details.append(f"{spec.kind}:{'ok' if dom and bound and tailok else 'bad'}")
+        details.append(f"{spec.tag}:{'ok' if dom and bound and tailok else 'bad'}")
     return AcceptanceResult(
         "majorant-iteration", "R_K g >= |g| and M(R_K g) <= 2c R_K g + eps_K, K=12, 5 probes",
         ok, ",".join(details), "cell-wise, eps_K <= 2^-(K+1) running norm", time.time() - t0)
@@ -370,8 +370,7 @@ def criterion_12(progress: bool = False) -> AcceptanceResult:
                         print(f"  [{space.canonical()} g={gamma} {dom_txt}] width {width:.2f}")
 
     run_suite(1, 64, _EQ_FUNCTIONS_1D, _EQ_SPACES_1D)
-    fn2 = tuple(TestFunctionSpec(s.kind, **s.params) for s in _EQ_FUNCTIONS_1D)
-    run_suite(2, 16, fn2, (MixedNorm((2.5, 3.0)),))
+    run_suite(2, 16, _EQ_FUNCTIONS_1D, (MixedNorm((2.5, 3.0)),))
     ok = not failures
     return AcceptanceResult(
         "equivalence-bracket",

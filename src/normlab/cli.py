@@ -25,7 +25,6 @@ from .experiments import (
 from .grid import check_params, make_grid, parse_function, split_params
 from .reports import RatioTable, emit_report
 from .spaces import parse_space
-from .weights import parse_weight
 
 
 def _parse_grid(text: str):
@@ -126,15 +125,14 @@ def main(argv=None) -> int:
         print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
         return 1 if failed else 0
 
-    weights = (args.weight or ["power:a=-0.5,center=0.0"]) if args.command == "apconst" else []
     try:
-        cfg = _base_config(args)
-        for text in weights:
-            parse_weight(text, cfg.grid)  # reject bad specs before the run starts
+        return _run(args, _base_config(args))
     except ValueError as exc:
         print(f"normlab: error: {exc}", file=sys.stderr)
         return 2
 
+
+def _run(args, cfg: ExperimentConfig) -> int:
     if args.command == "norm":
         return _emit(run_norm_table(cfg), cfg, "norms", args.plot_script)
     if args.command == "bbm":
@@ -147,6 +145,7 @@ def main(argv=None) -> int:
     if args.command == "maximal":
         return _emit(run_maximal_table(cfg), cfg, "maximal", args.plot_script)
     if args.command == "apconst":
+        weights = args.weight or ["power:a=-0.5,center=0.0"]
         return _emit(run_apconst_table(cfg, weights), cfg, "apconst", args.plot_script)
     if args.command == "morrey-duality":
         return _emit(run_morrey_duality_check(cfg, theta=args.theta), cfg,
@@ -158,11 +157,10 @@ def main(argv=None) -> int:
         _emit(table, cfg, "weak_holder", args.plot_script)
         return 0 if summary["passes"] == summary["instances"] else 1
     if args.command == "epsilon-check":
-        dom = parse_domain(args.domain, box=(cfg.grid.lo, cfg.grid.hi)) if args.domain else None
-        if dom is None:
+        if cfg.domain is None:
             print("epsilon-check needs --domain", file=sys.stderr)
             return 2
-        cert = epsilon_falsifier(dom, args.eps, args.samples, seed=cfg.seed)
+        cert = epsilon_falsifier(cfg.domain, args.eps, args.samples, seed=cfg.seed)
         print(cert.to_json())
         return 0
     raise AssertionError(args.command)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DomainMask, Grid, as_int, check_params, format_params, parse_params
+from .grid import DomainMask, Grid, Spec, _as_tuple, check_axis
 from .spaces import zero_extend as zero_extend_field
 
 __all__ = [
@@ -27,17 +27,6 @@ __all__ = [
     "EpsilonCertificate",
     "epsilon_falsifier",
 ]
-
-_CONVEX_KINDS = {"full", "ball", "halfspace"}
-# the parameters of each kind, as ``_validate`` defaults or requires them
-_KINDS = {
-    "full": (),
-    "ball": ("center", "radius"),
-    "halfspace": ("axis", "offset"),
-    "lshape": ("lo1", "hi1", "lo2", "hi2"),
-    "annulus": ("center", "r1", "r2"),
-    "slitbox": ("axis", "pos", "start"),
-}
 
 
 def _boxes_minus_box(lo, hi, blo, bhi):
@@ -89,150 +78,184 @@ def _segments_cross_2d(a, b, c, d) -> bool:
     return False
 
 
-class DomainSpec:
+class DomainSpec(Spec):
     """Shape catalog: full, ball, halfspace, lshape, annulus, slitbox.
 
-    ``box`` (ambient bounds) is required for full, halfspace and slitbox; it
-    doubles as the sampling box of the falsifier for every kind.
+    ``box`` (ambient bounds) is required for the kinds that set ``needs_box``
+    (full, halfspace, slitbox); the others give their own ``_bounds``.  It
+    doubles as the sampling box of the falsifier for every kind.  A kind's
+    ``_inside`` and ``_distance`` act on an (M, dim) point array (those of
+    the open box unless it overrides them); it overrides the falsifier's
+    hooks where its shape needs it, and ``convex`` shapes make refutations
+    certified.
     """
 
-    def __init__(self, kind: str, box=None, **params):
-        self.kind = kind
-        self.params = dict(params)
+    family = "domain"
+    vectors = ("center",)
+    convex = False
+    needs_box = False
+
+    def __init__(self, kind: str | None = None, box=None, **params):
         self.box = None if box is None else (tuple(map(float, box[0])), tuple(map(float, box[1])))
-        self._validate()
-
-    def _validate(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        p = self.params
-        check_params(f"domain {self.kind!r}", p, optional=_KINDS[self.kind],
-                     vectors=("center", "lo1", "hi1", "lo2", "hi2"))
-        if self.kind == "full":
-            if self.box is None:
-                raise ValueError("full domain needs the ambient box")
-        elif self.kind == "ball":
-            p.setdefault("center", 0.0)
-            if not p.get("radius", 0) > 0:
-                raise ValueError("ball radius must be positive")
-        elif self.kind == "halfspace":
-            p.setdefault("axis", 0)
-            p.setdefault("offset", 0.0)
-            p["axis"] = as_int(p["axis"], "halfspace axis")
-            if self.box is None:
-                raise ValueError("halfspace (clipped) needs the ambient box")
-        elif self.kind == "lshape":
-            for key in ("lo1", "hi1", "lo2", "hi2"):
-                if key not in p:
-                    raise ValueError("lshape needs lo1/hi1/lo2/hi2 corner vectors")
-                p[key] = tuple(float(v) for v in np.atleast_1d(p[key]))
-        elif self.kind == "annulus":
-            p.setdefault("center", 0.0)
-            r1, r2 = p.get("r1", 0), p.get("r2", 0)
-            if not 0 < r1 < r2:
-                raise ValueError("annulus needs 0 < r1 < r2")
-        elif self.kind == "slitbox":
-            p.setdefault("axis", 0)
-            p.setdefault("pos", 0.0)
-            p.setdefault("start", 0.0)
-            p["axis"] = as_int(p["axis"], "slitbox axis")
-            if self.box is None:
-                raise ValueError("slitbox needs the ambient box")
-
-    @property
-    def convex(self) -> bool:
-        return self.kind in _CONVEX_KINDS
-
-    def canonical(self) -> str:
-        return format_params(self.kind, self.params)
+        if self.needs_box and self.box is None:
+            raise ValueError(f"{self.tag} domain needs the ambient box")
+        super().__init__(**params)
+        for key in self.integers:  # a domain's whole-number keys are axes of its box
+            check_axis(getattr(self, key), len(self.box[0]), f"{self.tag} {key}")
 
     def __repr__(self):
-        return f"DomainSpec({self.canonical()!r})"
-
-    def _center(self, dim: int) -> np.ndarray:
-        c = self.params.get("center", 0.0)
-        return np.asarray(c if not np.isscalar(c) else [c] * dim, dtype=float)
-
-    def _slit_perp_axis(self, dim: int) -> int:
-        ax = self.params["axis"]
-        return dim - 1 if ax != dim - 1 else dim - 2
+        return f"{type(self).__name__}({self.canonical()!r}, box={self.box})"
 
     def sampling_box(self, dim: int):
-        if self.box is not None:
-            return np.asarray(self.box[0]), np.asarray(self.box[1])
-        p = self.params
-        if self.kind == "ball":
-            c = self._center(dim)
-            return c - p["radius"], c + p["radius"]
-        if self.kind == "annulus":
-            c = self._center(dim)
-            return c - p["r2"], c + p["r2"]
-        if self.kind == "lshape":
-            lo = np.minimum(p["lo1"], p["lo2"])
-            hi = np.maximum(p["hi1"], p["hi2"])
-            return np.asarray(lo), np.asarray(hi)
-        raise ValueError("no box available")
+        """The ambient box if given, else the shape's bounding box."""
+        if self.box is None:
+            return self._bounds(dim)
+        return np.asarray(self.box[0]), np.asarray(self.box[1])
 
     def predicate(self, points: np.ndarray) -> np.ndarray:
         """Open-set membership of continuum points, shape (M,)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = pts.shape[1]
-        p = self.params
-        if self.kind == "full":
-            lo, hi = self.sampling_box(dim)
-            return np.all((pts > lo) & (pts < hi), axis=1)
-        if self.kind == "ball":
-            return np.linalg.norm(pts - self._center(dim), axis=1) < p["radius"]
-        if self.kind == "halfspace":
-            lo, hi = self.sampling_box(dim)
-            inside = np.all((pts > lo) & (pts < hi), axis=1)
-            return inside & (pts[:, p["axis"]] > p["offset"])
-        if self.kind == "lshape":
-            in1 = np.all((pts > np.asarray(p["lo1"])) & (pts < np.asarray(p["hi1"])), axis=1)
-            in2 = np.all((pts > np.asarray(p["lo2"])) & (pts < np.asarray(p["hi2"])), axis=1)
-            return in1 | in2
-        if self.kind == "annulus":
-            d = np.linalg.norm(pts - self._center(dim), axis=1)
-            return (d > p["r1"]) & (d < p["r2"])
-        if self.kind == "slitbox":
-            lo, hi = self.sampling_box(dim)
-            inside = np.all((pts > lo) & (pts < hi), axis=1)
-            perp = self._slit_perp_axis(dim)
-            on_slit = (pts[:, p["axis"]] == p["pos"]) & (pts[:, perp] >= p["start"])
-            return inside & ~on_slit
-        raise AssertionError(self.kind)
+        return self._inside(np.atleast_2d(np.asarray(points, dtype=float)))
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Closed-form distance to the boundary for points inside the domain."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = pts.shape[1]
-        p = self.params
-        if self.kind == "full":
-            lo, hi = self.sampling_box(dim)
-            return np.min(np.minimum(pts - lo, hi - pts), axis=1)
-        if self.kind == "ball":
-            return p["radius"] - np.linalg.norm(pts - self._center(dim), axis=1)
-        if self.kind == "halfspace":
-            # ideal half-space: the catalog shape the curve conditions refer to
-            return pts[:, p["axis"]] - p["offset"]
-        if self.kind == "annulus":
-            d = np.linalg.norm(pts - self._center(dim), axis=1)
-            return np.minimum(d - p["r1"], p["r2"] - d)
-        if self.kind == "slitbox":
-            lo, hi = self.sampling_box(dim)
-            box_d = np.min(np.minimum(pts - lo, hi - pts), axis=1)
-            perp = self._slit_perp_axis(dim)
-            gap = np.maximum(p["start"] - pts[:, perp], 0.0)
-            slit_d = np.sqrt((pts[:, p["axis"]] - p["pos"]) ** 2 + gap ** 2)
-            return np.minimum(box_d, slit_d)
-        if self.kind == "lshape":
-            return np.array([self._lshape_distance(z) for z in pts])
-        raise AssertionError(self.kind)
+        return self._distance(np.atleast_2d(np.asarray(points, dtype=float)))
 
-    def _lshape_distance(self, z: np.ndarray) -> float:
-        p = self.params
-        boxes = [(np.asarray(p["lo1"]), np.asarray(p["hi1"])),
-                 (np.asarray(p["lo2"]), np.asarray(p["hi2"]))]
+    def segment_blocked(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Certified check that the open segment (a, b) leaves the domain
+        (never, for a convex shape)."""
+        return False
+
+    def interior_anchor(self, dim: int) -> np.ndarray:
+        """A point inside the shape that bent candidate curves lean towards."""
+        lo, hi = self.sampling_box(dim)
+        return 0.5 * (lo + hi)
+
+    def stress_pairs(self, dim: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Shape-aware point pairs the falsifier tries besides the random sample."""
+        return []
+
+    def _inside(self, pts):
+        lo, hi = self.sampling_box(pts.shape[1])
+        return np.all((pts > lo) & (pts < hi), axis=1)
+
+    def _distance(self, pts):
+        lo, hi = self.sampling_box(pts.shape[1])
+        return np.min(np.minimum(pts - lo, hi - pts), axis=1)
+
+
+def _radii(pts: np.ndarray, center) -> np.ndarray:
+    return np.linalg.norm(pts - np.asarray(_as_tuple(center, pts.shape[1])), axis=1)
+
+
+class Full(DomainSpec):
+    tag = "full"
+    convex = needs_box = True
+
+
+class Ball(DomainSpec):
+    tag = "ball"
+    keys = ("radius",)
+    defaults = {"center": 0.0}
+    positive = ("radius",)
+    convex = True
+
+    def _bounds(self, dim):
+        c = np.asarray(_as_tuple(self.center, dim))
+        return c - self.radius, c + self.radius
+
+    def _inside(self, pts):
+        return _radii(pts, self.center) < self.radius
+
+    def _distance(self, pts):
+        return self.radius - _radii(pts, self.center)
+
+    def interior_anchor(self, dim):
+        return np.asarray(_as_tuple(self.center, dim))
+
+    def stress_pairs(self, dim, rng):
+        # near-boundary pairs a short arc apart; a 1D ball has no arcs
+        if dim < 2:
+            return []
+        c = np.asarray(_as_tuple(self.center, dim))
+        R = self.radius
+        pairs = []
+        for frac in (0.9, 0.99):
+            for ang in (0.05, 0.3):
+                u = rng.standard_normal(dim)
+                u /= np.linalg.norm(u)
+                v = rng.standard_normal(dim)
+                v = v - u * np.dot(v, u)
+                v /= np.linalg.norm(v)
+                a = c + frac * R * u
+                b = c + frac * R * (math.cos(ang) * u + math.sin(ang) * v)
+                pairs.append((a, b))
+        return pairs
+
+
+class Halfspace(DomainSpec):
+    """The half-space x_axis > offset, clipped to the box; the boundary
+    distance is that of the ideal half-space, the shape the curve
+    conditions refer to."""
+
+    tag = "halfspace"
+    defaults = {"axis": 0, "offset": 0.0}
+    integers = ("axis",)
+    convex = needs_box = True
+
+    def _inside(self, pts):
+        return super()._inside(pts) & (pts[:, self.axis] > self.offset)
+
+    def _distance(self, pts):
+        return pts[:, self.axis] - self.offset
+
+    def interior_anchor(self, dim):
+        mid = super().interior_anchor(dim)
+        mid[self.axis] = 0.5 * (self.offset + self.sampling_box(dim)[1][self.axis])
+        return mid
+
+    def stress_pairs(self, dim, rng):
+        # pairs just above the cut, parallel to it
+        lo, hi = self.sampling_box(dim)
+        ax = self.axis
+        span = float(np.max(hi - lo))
+        pairs = []
+        for height in (1e-3 * span, 1e-2 * span):
+            for sep in (0.1 * span, 0.4 * span):
+                a = 0.5 * (lo + hi)
+                a[ax] = self.offset + height
+                b = a.copy()
+                other = (ax + 1) % dim
+                a[other] -= sep / 2
+                b[other] += sep / 2
+                pairs.append((a, b))
+        return pairs
+
+
+class Lshape(DomainSpec):
+    """Union of the open boxes (lo1, hi1) and (lo2, hi2)."""
+
+    tag = "lshape"
+    keys = vectors = ("lo1", "hi1", "lo2", "hi2")
+
+    def _boxes(self, dim):
+        lo1, hi1, lo2, hi2 = (np.asarray(_as_tuple(getattr(self, k), dim)) for k in self.keys)
+        return [(lo1, hi1), (lo2, hi2)]
+
+    def _bounds(self, dim):
+        (lo1, hi1), (lo2, hi2) = self._boxes(dim)
+        return np.minimum(lo1, lo2), np.maximum(hi1, hi2)
+
+    def _inside(self, pts):
+        (lo1, hi1), (lo2, hi2) = self._boxes(pts.shape[1])
+        return np.all((pts > lo1) & (pts < hi1), axis=1) | np.all((pts > lo2) & (pts < hi2), axis=1)
+
+    def _distance(self, pts):
+        boxes = self._boxes(pts.shape[1])
+        return np.array([self._point_distance(z, boxes) for z in pts])
+
+    @staticmethod
+    def _point_distance(z, boxes) -> float:
+        # nearest exposed part of a face: each face of one box minus the other box
         best = math.inf
         for (lo, hi), (olo, ohi) in (boxes, boxes[::-1]):
             for ax in range(z.size):
@@ -243,85 +266,127 @@ class DomainSpec:
                         best = min(best, _point_box_distance(z, plo, phi))
         return best
 
-    def segment_blocked(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """Certified check that the open segment (a, b) leaves the domain."""
+    def segment_blocked(self, a, b):
+        # covered-interval test of the segment against the two boxes
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self.convex:
-            return False
-        p = self.params
-        if self.kind == "annulus":
-            return _segment_point_distance(a, b, self._center(a.size)) <= p["r1"]
-        if self.kind == "slitbox":
-            if a.size != 2:
-                mid = 0.5 * (a + b)
-                return not bool(self.predicate(mid[None])[0])
-            perp = self._slit_perp_axis(2)
-            ax = p["axis"]
-            top = self.sampling_box(2)[1][perp]
-            s0 = np.empty(2)
-            s1 = np.empty(2)
-            s0[ax], s0[perp] = p["pos"], p["start"]
-            s1[ax], s1[perp] = p["pos"], top
-            return _segments_cross_2d(a, b, s0, s1)
-        if self.kind == "lshape":
-            # covered-interval test of the segment against the two boxes
-            ivs = []
-            for lo, hi in ((p["lo1"], p["hi1"]), (p["lo2"], p["hi2"])):
-                t0, t1 = 0.0, 1.0
-                for ax in range(a.size):
-                    d = b[ax] - a[ax]
-                    if d == 0:
-                        if not (lo[ax] <= a[ax] <= hi[ax]):
-                            t0, t1 = 1.0, 0.0
-                            break
-                        continue
-                    u0 = (lo[ax] - a[ax]) / d
-                    u1 = (hi[ax] - a[ax]) / d
-                    if u0 > u1:
-                        u0, u1 = u1, u0
-                    t0, t1 = max(t0, u0), min(t1, u1)
-                if t1 > t0:
-                    ivs.append((t0, t1))
-            ivs.sort()
-            covered = 0.0
-            for t0, t1 in ivs:
-                if t0 > covered + 1e-12:
-                    return True
-                covered = max(covered, t1)
-            return covered < 1.0 - 1e-12
-        return False
+        ivs = []
+        for lo, hi in self._boxes(a.size):
+            t0, t1 = 0.0, 1.0
+            for ax in range(a.size):
+                d = b[ax] - a[ax]
+                if d == 0:
+                    if not (lo[ax] <= a[ax] <= hi[ax]):
+                        t0, t1 = 1.0, 0.0
+                        break
+                    continue
+                u0 = (lo[ax] - a[ax]) / d
+                u1 = (hi[ax] - a[ax]) / d
+                if u0 > u1:
+                    u0, u1 = u1, u0
+                t0, t1 = max(t0, u0), min(t1, u1)
+            if t1 > t0:
+                ivs.append((t0, t1))
+        ivs.sort()
+        covered = 0.0
+        for t0, t1 in ivs:
+            if t0 > covered + 1e-12:
+                return True
+            covered = max(covered, t1)
+        return covered < 1.0 - 1e-12
 
-    def interior_anchor(self, dim: int) -> np.ndarray:
-        p = self.params
-        if self.kind == "ball":
-            return self._center(dim)
-        if self.kind == "annulus":
-            c = self._center(dim)
-            c = c.copy()
-            c[0] += 0.5 * (p["r1"] + p["r2"])
-            return c
+
+class Annulus(DomainSpec):
+    tag = "annulus"
+    keys = ("r1", "r2")
+    defaults = {"center": 0.0}
+
+    def __init__(self, *args, **params):
+        super().__init__(*args, **params)
+        if not 0 < self.r1 < self.r2:
+            raise ValueError("annulus needs 0 < r1 < r2")
+
+    def _bounds(self, dim):
+        c = np.asarray(_as_tuple(self.center, dim))
+        return c - self.r2, c + self.r2
+
+    def _inside(self, pts):
+        d = _radii(pts, self.center)
+        return (d > self.r1) & (d < self.r2)
+
+    def _distance(self, pts):
+        d = _radii(pts, self.center)
+        return np.minimum(d - self.r1, self.r2 - d)
+
+    def segment_blocked(self, a, b):
+        a = np.asarray(a, dtype=float)
+        return _segment_point_distance(a, b, _as_tuple(self.center, a.size)) <= self.r1
+
+    def interior_anchor(self, dim):
+        c = np.asarray(_as_tuple(self.center, dim))
+        c[0] += 0.5 * (self.r1 + self.r2)
+        return c
+
+
+class Slitbox(DomainSpec):
+    """The box minus the slit {x_axis = pos, x_perp >= start}, where perp is
+    the last axis other than ``axis``: the standard non-uniform domain."""
+
+    tag = "slitbox"
+    defaults = {"axis": 0, "pos": 0.0, "start": 0.0}
+    integers = ("axis",)
+    needs_box = True
+
+    def _perp(self, dim: int) -> int:
+        return dim - 1 if self.axis != dim - 1 else dim - 2
+
+    def _inside(self, pts):
+        perp = self._perp(pts.shape[1])
+        on_slit = (pts[:, self.axis] == self.pos) & (pts[:, perp] >= self.start)
+        return super()._inside(pts) & ~on_slit
+
+    def _distance(self, pts):
+        gap = np.maximum(self.start - pts[:, self._perp(pts.shape[1])], 0.0)
+        slit_d = np.sqrt((pts[:, self.axis] - self.pos) ** 2 + gap ** 2)
+        return np.minimum(super()._distance(pts), slit_d)
+
+    def segment_blocked(self, a, b):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if a.size != 2:
+            return not bool(self.predicate(0.5 * (a + b))[0])
+        perp = self._perp(2)
+        s0 = np.empty(2)
+        s1 = np.empty(2)
+        s0[self.axis], s0[perp] = self.pos, self.start
+        s1[self.axis], s1[perp] = self.pos, self.sampling_box(2)[1][perp]
+        return _segments_cross_2d(a, b, s0, s1)
+
+    def stress_pairs(self, dim, rng):
+        # pairs straddling the slit at three heights and three gaps
         lo, hi = self.sampling_box(dim)
-        mid = 0.5 * (np.asarray(lo) + np.asarray(hi))
-        if self.kind == "halfspace":
-            mid[p["axis"]] = 0.5 * (p["offset"] + hi[p["axis"]])
-        return mid
+        perp = self._perp(dim)
+        span = float(np.max(hi - lo))
+        pairs = []
+        for frac in (0.35, 0.6, 0.85):
+            height = self.start + frac * (hi[perp] - self.start)
+            for delta in (2e-3 * span, 8e-3 * span, 3e-2 * span):
+                a = 0.5 * (lo + hi)
+                b = a.copy()
+                a[self.axis], b[self.axis] = self.pos - delta, self.pos + delta
+                a[perp] = b[perp] = height
+                pairs.append((a, b))
+        return pairs
 
 
-def parse_domain(text: str, box=None) -> DomainSpec:
-    """Parse ``kind:key=value,...``; vectors use ``;`` separators."""
-    kind, values = parse_params(text)
-    return DomainSpec(kind, box=box, **values)
+parse_domain = DomainSpec.parse
 
 
 def mask(domain: DomainSpec, grid: Grid) -> DomainMask:
     """Cells whose centers satisfy the shape predicate."""
-    dom = domain
-    if dom.box is None:
-        dom = DomainSpec(domain.kind, box=(grid.lo, grid.hi), **domain.params)
-    cells = dom.predicate(grid.coords()).reshape(grid.shape)
+    cells = domain.predicate(grid.coords()).reshape(grid.shape)
     if not cells.any():
-        raise ValueError("domain mask is empty on this grid")
+        raise ValueError(f"domain {domain.canonical()} holds no cell centre of this grid")
     return DomainMask(grid, cells)
 
 
@@ -393,54 +458,6 @@ def _candidate_curves(domain: DomainSpec, x, y, eps, rng, curve_points):
             yield f"bend{depth}/{k}", pts, length, [(x, apex), (apex, y)]
 
 
-def _adversarial_pairs(domain: DomainSpec, dim: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shape-aware stress pairs appended to the random sample."""
-    p = domain.params
-    pairs = []
-    if domain.kind == "slitbox":
-        lo, hi = domain.sampling_box(dim)
-        perp = domain._slit_perp_axis(dim)
-        ax = p["axis"]
-        span = float(np.max(np.asarray(hi) - np.asarray(lo)))
-        top = hi[perp]
-        for frac in (0.35, 0.6, 0.85):
-            height = p["start"] + frac * (top - p["start"])
-            for delta in (2e-3 * span, 8e-3 * span, 3e-2 * span):
-                a = 0.5 * (np.asarray(lo) + np.asarray(hi))
-                b = a.copy()
-                a = a.astype(float); b = b.astype(float)
-                a[ax], b[ax] = p["pos"] - delta, p["pos"] + delta
-                a[perp] = b[perp] = height
-                pairs.append((a, b))
-    elif domain.kind == "ball":
-        c = domain._center(dim)
-        R = p["radius"]
-        for frac in (0.9, 0.99):
-            for ang in (0.05, 0.3):
-                u = rng.standard_normal(dim)
-                u /= np.linalg.norm(u)
-                v = rng.standard_normal(dim)
-                v = v - u * np.dot(v, u)
-                v /= np.linalg.norm(v)
-                a = c + frac * R * u
-                b = c + frac * R * (math.cos(ang) * u + math.sin(ang) * v)
-                pairs.append((a, b))
-    elif domain.kind == "halfspace":
-        lo, hi = domain.sampling_box(dim)
-        ax = p["axis"]
-        span = float(np.max(np.asarray(hi) - np.asarray(lo)))
-        for height in (1e-3 * span, 1e-2 * span):
-            for sep in (0.1 * span, 0.4 * span):
-                a = 0.5 * (np.asarray(lo) + np.asarray(hi)).astype(float)
-                a[ax] = p["offset"] + height
-                b = a.copy()
-                other = (ax + 1) % dim
-                a[other] -= sep / 2
-                b[other] += sep / 2
-                pairs.append((a, b))
-    return pairs
-
-
 def epsilon_falsifier(domain: DomainSpec, eps: float, sample_count: int, dim: int | None = None,
                       seed: int = 0, curve_points: int = 64) -> EpsilonCertificate:
     """Sample point pairs and hunt for a pair no candidate curve can join.
@@ -456,17 +473,18 @@ def epsilon_falsifier(domain: DomainSpec, eps: float, sample_count: int, dim: in
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     if dim is None:
-        dim = 2 if domain.kind in ("lshape", "slitbox") else (
-            len(domain.box[0]) if domain.box is not None else 2)
+        dim = len(domain.box[0]) if domain.box is not None else 2
     lo, hi = domain.sampling_box(dim)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
 
-    pairs = _adversarial_pairs(domain, dim, rng)
+    pairs = domain.stress_pairs(dim, rng)
     need = sample_count
+    misses = 0
     while need > 0:
         cand = rng.uniform(lo, hi, size=(2 * need + 16, dim))
         keep = cand[domain.predicate(cand)]
+        misses = 0 if len(keep) else misses + 1
+        if misses == 1000:
+            raise ValueError(f"domain {domain.canonical()} holds no sampled point of its sampling box")
         for i in range(0, len(keep) - 1, 2):
             pairs.append((keep[i], keep[i + 1]))
             need -= 1

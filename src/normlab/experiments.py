@@ -136,8 +136,7 @@ def load_config(path) -> ExperimentConfig:
 def _domain_mask(cfg: ExperimentConfig, grid: Grid):
     if cfg.domain is None:
         return None
-    dom = DomainSpec(cfg.domain.kind, box=(grid.lo, grid.hi), **cfg.domain.params)
-    return mask(dom, grid)
+    return mask(cfg.domain, grid)
 
 
 def _flags(tokens) -> str:

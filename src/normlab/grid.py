@@ -18,6 +18,7 @@ __all__ = [
     "Grid",
     "SampledField",
     "DomainMask",
+    "Spec",
     "TestFunctionSpec",
     "make_grid",
     "sample",
@@ -31,6 +32,7 @@ __all__ = [
     "format_params",
     "check_params",
     "as_int",
+    "check_axis",
     "restrict_values",
 ]
 
@@ -41,7 +43,7 @@ def _as_tuple(x, dim: int, cast=float) -> tuple:
         return tuple(cast(x) for _ in range(dim))
     seq = tuple(cast(v) for v in x)
     if len(seq) != dim:
-        raise ValueError(f"expected {dim} entries, got {len(seq)}")
+        raise ValueError(f"expected {dim} entries (one per axis), got {len(seq)}")
     return seq
 
 
@@ -176,159 +178,8 @@ def restrict_values(f: SampledField, omega: DomainMask | None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# test-function catalog
+# spec text and the spec base
 # ---------------------------------------------------------------------------
-
-# the parameters of each kind; ``_validate`` gives every one a default
-_KINDS = {
-    "gaussian": ("sigma", "center"),
-    "tent": ("width", "center"),
-    "coordinate": ("axis",),
-    "bump": ("radius", "center"),
-    "polygauss": ("degree", "sigma", "center"),
-}
-
-
-class TestFunctionSpec:
-    """One member of the closed-form test family.
-
-    (Not a test case; the ``__test__`` flag keeps pytest from collecting it.)
-
-    Kinds and parameters:
-      gaussian    sigma > 0, center          exp(-|x-c|^2 / sigma^2)
-      tent        width > 0, center          max(0, 1 - |x-c| / (width/2))
-      coordinate  axis                       x_axis
-      bump        radius > 0, center         exp(1 - 1/(1 - (|x-c|/R)^2)) inside R
-      polygauss   degree >= 0, sigma, center (x_0-c_0)^degree * gaussian
-
-    All kinds have closed-form gradients.
-    """
-
-    __test__ = False
-
-    def __init__(self, kind: str, **params):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown test-function kind {kind!r}")
-        self.kind = kind
-        self.params = dict(params)
-        self._validate()
-
-    def _validate(self):
-        p = self.params
-        check_params(f"function {self.kind!r}", p, optional=_KINDS[self.kind], vectors=("center",))
-        if self.kind == "gaussian":
-            p.setdefault("sigma", 1.0)
-            p.setdefault("center", 0.0)
-            if not p["sigma"] > 0:
-                raise ValueError("gaussian sigma must be > 0")
-        elif self.kind == "tent":
-            p.setdefault("width", 2.0)
-            p.setdefault("center", 0.0)
-            if not p["width"] > 0:
-                raise ValueError("tent width must be > 0")
-        elif self.kind == "coordinate":
-            p.setdefault("axis", 0)
-            p["axis"] = as_int(p["axis"], "coordinate axis")
-        elif self.kind == "bump":
-            p.setdefault("radius", 1.0)
-            p.setdefault("center", 0.0)
-            if not p["radius"] > 0:
-                raise ValueError("bump radius must be > 0")
-        elif self.kind == "polygauss":
-            p.setdefault("degree", 1)
-            p.setdefault("sigma", 1.0)
-            p.setdefault("center", 0.0)
-            p["degree"] = as_int(p["degree"], "polygauss degree")
-            if p["degree"] < 0:
-                raise ValueError("polygauss degree must be >= 0")
-            if not p["sigma"] > 0:
-                raise ValueError("polygauss sigma must be > 0")
-
-    def canonical(self) -> str:
-        """Textual form ``kind:key=value,...`` with sorted keys."""
-        return format_params(self.kind, self.params)
-
-    def __repr__(self):
-        return f"TestFunctionSpec({self.canonical()!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, TestFunctionSpec) and self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
-
-    def _center(self, dim: int) -> np.ndarray:
-        return np.asarray(_as_tuple(self.params.get("center", 0.0), dim))
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values at ``points`` of shape (M, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = pts.shape[1]
-        p = self.params
-        if self.kind == "gaussian":
-            d2 = np.sum((pts - self._center(dim)) ** 2, axis=1)
-            return np.exp(-d2 / p["sigma"] ** 2)
-        if self.kind == "tent":
-            r = np.linalg.norm(pts - self._center(dim), axis=1)
-            return np.maximum(0.0, 1.0 - r / (p["width"] / 2.0))
-        if self.kind == "coordinate":
-            return pts[:, p["axis"]].copy()
-        if self.kind == "bump":
-            u2 = np.sum((pts - self._center(dim)) ** 2, axis=1) / p["radius"] ** 2
-            out = np.zeros(len(pts))
-            inside = u2 < 1.0
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
-            return out
-        if self.kind == "polygauss":
-            c = self._center(dim)
-            d2 = np.sum((pts - c) ** 2, axis=1)
-            g = np.exp(-d2 / p["sigma"] ** 2)
-            return (pts[:, 0] - c[0]) ** p["degree"] * g
-        raise AssertionError(self.kind)
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Closed-form gradient at ``points``; shape (M, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = pts.shape[1]
-        p = self.params
-        if self.kind == "gaussian":
-            c = self._center(dim)
-            v = self.evaluate(pts)
-            return -2.0 * (pts - c) / p["sigma"] ** 2 * v[:, None]
-        if self.kind == "tent":
-            c = self._center(dim)
-            rel = pts - c
-            r = np.linalg.norm(rel, axis=1)
-            half = p["width"] / 2.0
-            out = np.zeros_like(pts)
-            on = (r > 0) & (r < half)
-            out[on] = -rel[on] / (r[on, None] * half)
-            return out
-        if self.kind == "coordinate":
-            out = np.zeros_like(pts)
-            out[:, p["axis"]] = 1.0
-            return out
-        if self.kind == "bump":
-            c = self._center(dim)
-            R = p["radius"]
-            rel = pts - c
-            u2 = np.sum(rel ** 2, axis=1) / R ** 2
-            out = np.zeros_like(pts)
-            inside = u2 < 1.0
-            v = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
-            out[inside] = v[:, None] * (-2.0 * rel[inside] / R ** 2) / (1.0 - u2[inside])[:, None] ** 2
-            return out
-        if self.kind == "polygauss":
-            c = self._center(dim)
-            d = p["degree"]
-            rel = pts - c
-            g = np.exp(-np.sum(rel ** 2, axis=1) / p["sigma"] ** 2)
-            poly = rel[:, 0] ** d
-            out = poly[:, None] * (-2.0 * rel / p["sigma"] ** 2) * g[:, None]
-            if d > 0:
-                out[:, 0] += d * rel[:, 0] ** (d - 1) * g
-            return out
-        raise AssertionError(self.kind)
 
 
 def split_params(body: str, text: str) -> dict[str, str]:
@@ -388,16 +239,252 @@ def check_params(what: str, values: dict, required=(), optional=(), vectors=()) 
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int; anything but a whole number is a ValueError naming ``what``."""
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    """``value`` as an int; anything but a whole number >= 0 is a ValueError naming ``what``."""
+    if not (float(value).is_integer() and value >= 0):
+        raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
     return int(value)
 
 
-def parse_function(text: str) -> TestFunctionSpec:
-    """Parse the canonical textual form ``kind:key=value,...``."""
-    kind, values = parse_params(text)
-    return TestFunctionSpec(kind, **values)
+def check_axis(axis: int, dim: int, what: str) -> int:
+    """``axis`` if ``dim``-dimensional points have it; a ValueError naming ``what`` otherwise."""
+    if not 0 <= axis < dim:
+        raise ValueError(f"{what} {axis} is not an axis of a {dim}D grid")
+    return axis
+
+
+class Spec:
+    """One kind of a spec family, written ``tag:key=value,...``.
+
+    A family (functions, domains, spaces) is a subclass that sets ``family``
+    and gets a ``kinds`` registry; each subclass with a ``tag`` is a kind
+    there, and ``Family(tag, **params)`` builds it.  The text form needs
+    ``keys`` and may hold ``optional`` ones (attributes, unless :meth:`params`
+    says otherwise); only ``vectors`` take ``;``-separated values.  Kinds that
+    declare ``defaults`` for their optional keys use the constructor here:
+    whole numbers for ``integers``, float tuples for sequences, floats else,
+    ``positive`` keys > 0.  Space kinds define their own.
+    """
+
+    tag = ""
+    keys: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    vectors: tuple[str, ...] = ()
+    defaults: dict = {}
+    integers: tuple[str, ...] = ()
+    positive: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "family" in cls.__dict__:
+            cls.kinds = {}
+        if "defaults" in cls.__dict__:
+            cls.optional = tuple(cls.defaults)
+        if "tag" in cls.__dict__:
+            cls.kinds[cls.tag] = cls
+
+    def __new__(cls, *args, **params):
+        # a family called as Family(tag, **params) builds its kind ``tag``
+        return super().__new__(cls if cls.tag else cls.kind(args[0] if args else params.get("kind")))
+
+    def __init__(self, kind: str | None = None, **params):
+        check_params(f"{self.family} {self.tag!r}", params, self.keys, self.optional, self.vectors)
+        for key in self.keys + self.optional:
+            value = params.get(key, self.defaults.get(key))
+            if key in self.integers:
+                value = as_int(value, f"{self.tag} {key}")
+            elif np.isscalar(value):
+                value = float(value)
+                if key in self.positive and not value > 0:
+                    raise ValueError(f"{self.tag} {key} must be > 0")
+            else:
+                value = tuple(float(v) for v in value)
+            setattr(self, key, value)
+
+    @classmethod
+    def kind(cls, tag) -> type:
+        """The class of the family's kind ``tag``."""
+        if tag not in cls.kinds:
+            raise ValueError(f"unknown {cls.family} kind {tag!r}; known: {', '.join(cls.kinds)}")
+        return cls.kinds[tag]
+
+    @classmethod
+    def parse(cls, text: str, **context) -> "Spec":
+        """The family's spec of the text form ``tag:key=value,...``."""
+        tag, values = parse_params(text)
+        return cls.kind(tag).from_params(values, **context)
+
+    @classmethod
+    def from_params(cls, values: dict, **context) -> "Spec":
+        """The spec of the text-form ``values``; rejects missing and unknown keys."""
+        check_params(f"{cls.family} {cls.tag!r}", values, cls.keys, cls.optional, cls.vectors)
+        return cls(**context, **values)
+
+    def params(self) -> dict:
+        """The text-form parameters, key -> value."""
+        return {k: getattr(self, k) for k in self.keys + self.optional}
+
+    def canonical(self) -> str:
+        """Textual form ``tag:key=value,...`` with sorted keys."""
+        return format_params(self.tag, self.params())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.canonical()!r})"
+
+    def __eq__(self, other):
+        """Equal when of one kind and printed alike (the text form, and a domain's box)."""
+        return type(other) is type(self) and repr(self) == repr(other)
+
+    def __hash__(self):
+        return hash(repr(self))
+
+
+# ---------------------------------------------------------------------------
+# test-function catalog
+# ---------------------------------------------------------------------------
+
+
+class TestFunctionSpec(Spec):
+    """One member of the closed-form test family.
+
+    (Not a test case; the ``__test__`` flag keeps pytest from collecting it.)
+
+    Kinds and parameters:
+      gaussian    sigma > 0, center          exp(-|x-c|^2 / sigma^2)
+      tent        width > 0, center          max(0, 1 - |x-c| / (width/2))
+      coordinate  axis                       x_axis
+      bump        radius > 0, center         exp(1 - 1/(1 - (|x-c|/R)^2)) inside R
+      polygauss   degree >= 0, sigma, center (x_0-c_0)^degree * gaussian
+
+    All kinds have closed-form gradients.  A kind implements ``_value`` and
+    ``_gradient`` on an (M, dim) point array, and ``tail_width`` if it decays.
+    """
+
+    __test__ = False
+    family = "function"
+    vectors = ("center",)
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Values at ``points`` of shape (M, dim)."""
+        return self._value(np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """Closed-form gradient at ``points``; shape (M, dim)."""
+        return self._gradient(np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def tail_width(self, dim: int, tail_tol: float) -> float:
+        """Half-width of a box around the centre outside which |f| has < tail_tol of its mass."""
+        raise ValueError(f"{self.tag} has no decaying tail; give the box explicitly")
+
+    def _rel(self, pts: np.ndarray) -> np.ndarray:
+        return pts - np.asarray(_as_tuple(self.center, pts.shape[1]))
+
+
+class Tent(TestFunctionSpec):
+    tag = "tent"
+    defaults = {"width": 2.0, "center": 0.0}
+    positive = ("width",)
+
+    def _value(self, pts):
+        return np.maximum(0.0, 1.0 - np.linalg.norm(self._rel(pts), axis=1) / (self.width / 2.0))
+
+    def _gradient(self, pts):
+        rel = self._rel(pts)
+        r = np.linalg.norm(rel, axis=1)
+        half = self.width / 2.0
+        out = np.zeros_like(pts)
+        on = (r > 0) & (r < half)
+        out[on] = -rel[on] / (r[on, None] * half)
+        return out
+
+    def tail_width(self, dim, tail_tol):
+        return self.width / 2.0 * 1.05
+
+
+class Coordinate(TestFunctionSpec):
+    tag = "coordinate"
+    defaults = {"axis": 0}
+    integers = ("axis",)
+
+    def _value(self, pts):
+        return pts[:, check_axis(self.axis, pts.shape[1], "coordinate axis")].copy()
+
+    def _gradient(self, pts):
+        out = np.zeros_like(pts)
+        out[:, check_axis(self.axis, pts.shape[1], "coordinate axis")] = 1.0
+        return out
+
+
+class Bump(TestFunctionSpec):
+    tag = "bump"
+    defaults = {"radius": 1.0, "center": 0.0}
+    positive = ("radius",)
+
+    def _value(self, pts):
+        u2 = np.sum(self._rel(pts) ** 2, axis=1) / self.radius ** 2
+        out = np.zeros(len(pts))
+        inside = u2 < 1.0
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
+        return out
+
+    def _gradient(self, pts):
+        R = self.radius
+        rel = self._rel(pts)
+        u2 = np.sum(rel ** 2, axis=1) / R ** 2
+        out = np.zeros_like(pts)
+        inside = u2 < 1.0
+        v = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
+        out[inside] = v[:, None] * (-2.0 * rel[inside] / R ** 2) / (1.0 - u2[inside])[:, None] ** 2
+        return out
+
+    def tail_width(self, dim, tail_tol):
+        return self.radius * 1.05
+
+
+class Polygauss(TestFunctionSpec):
+    tag = "polygauss"
+    defaults = {"degree": 1, "sigma": 1.0, "center": 0.0}
+    integers = ("degree",)
+    positive = ("sigma",)
+
+    def _value(self, pts):
+        rel = self._rel(pts)
+        return rel[:, 0] ** self.degree * np.exp(-np.sum(rel ** 2, axis=1) / self.sigma ** 2)
+
+    def _gradient(self, pts):
+        d = self.degree
+        rel = self._rel(pts)
+        g = np.exp(-np.sum(rel ** 2, axis=1) / self.sigma ** 2)
+        out = (rel[:, 0] ** d)[:, None] * (-2.0 * rel / self.sigma ** 2) * g[:, None]
+        if d > 0:
+            out[:, 0] += d * rel[:, 0] ** (d - 1) * g
+        return out
+
+    def tail_width(self, dim, tail_tol):
+        # doubles 2 sigma until the radial tail of r^degree exp(-r^2/sigma^2) is below tail_tol
+        sigma = self.sigma
+
+        def tail_fraction(L):
+            r = np.linspace(0, 8 * max(L, sigma), 20001)
+            prof = r ** self.degree * np.exp(-(r ** 2) / sigma ** 2) * r ** (dim - 1)
+            total = np.trapezoid(prof, r)
+            out = np.trapezoid(np.where(r > L, prof, 0.0), r)
+            return out / total
+
+        half = 2.0 * sigma
+        while tail_fraction(half) > tail_tol:
+            half *= 2.0
+        return half
+
+
+class Gaussian(Polygauss):
+    """The polygauss of degree 0."""
+
+    tag = "gaussian"
+    defaults = {"sigma": 1.0, "center": 0.0}
+    degree = 0
+
+
+parse_function = TestFunctionSpec.parse
 
 
 def sample(spec: TestFunctionSpec, grid: Grid) -> SampledField:
@@ -444,28 +531,6 @@ def auto_box(spec: TestFunctionSpec, dim: int, tail_tol: float = 1e-8) -> tuple[
     kinds grow the box by doubling until the radial tail estimate drops below
     ``tail_tol``.  The coordinate function has no decay and is rejected.
     """
-    p = spec.params
-    center = np.asarray(_as_tuple(p.get("center", 0.0), dim))
-    if spec.kind == "tent":
-        half = p["width"] / 2.0 * 1.05
-    elif spec.kind == "bump":
-        half = p["radius"] * 1.05
-    elif spec.kind in ("gaussian", "polygauss"):
-        sigma = p["sigma"]
-        deg = p.get("degree", 0)
-
-        def tail_fraction(L):
-            r = np.linspace(0, 8 * max(L, sigma), 20001)
-            prof = r ** deg * np.exp(-(r ** 2) / sigma ** 2) * r ** (dim - 1)
-            total = np.trapezoid(prof, r)
-            out = np.trapezoid(np.where(r > L, prof, 0.0), r)
-            return out / total
-
-        half = 2.0 * sigma
-        while tail_fraction(half) > tail_tol:
-            half *= 2.0
-    else:
-        raise ValueError(f"{spec.kind} has no decaying tail; give the box explicitly")
-    lo = tuple(c - half for c in center)
-    hi = tuple(c + half for c in center)
-    return lo, hi
+    half = spec.tail_width(dim, tail_tol)
+    center = _as_tuple(spec.center, dim)
+    return tuple(c - half for c in center), tuple(c + half for c in center)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 __all__ = ["gagliardo", "level_set_inner", "bbm_morrey", "herz_local", "pair_measure", "morrey",
-           "muckenhoupt", "luxemburg", "orlicz_slice"]
+           "muckenhoupt", "luxemburg", "orlicz_slice", "lorentz", "variable_lebesgue"]
 
 
 def gagliardo(values, coords, vol, s, p):
@@ -244,3 +244,47 @@ def orlicz_slice(values, index, h, vol, phi, r, t):
         ratio = luxemburg(ball, vol, phi) / luxemburg([1.0] * len(ball), vol, phi)
         total += ratio ** r * vol
     return total ** (1.0 / r)
+
+
+def lorentz(values, vol, r, tau):
+    """Layer cake over the distinct levels y_1 > ... > y_m > 0 of |f|:
+    ||f||^tau = sum_j (r/tau) mu_j^(tau/r) (y_j^tau - y_(j+1)^tau), y_(m+1) = 0,
+    with mu_j the measure of {|f| >= y_j}, counted cell by cell."""
+    vals = [abs(x) for x in values]
+    levels = sorted({x for x in vals if x > 0.0}, reverse=True)
+    total = 0.0
+    for j, y in enumerate(levels):
+        below = levels[j + 1] if j + 1 < len(levels) else 0.0
+        mu = 0.0
+        for x in vals:
+            if x >= y:
+                mu += vol
+        total += (r / tau) * mu ** (tau / r) * (y ** tau - below ** tau)
+    return total ** (1.0 / tau)
+
+
+def variable_lebesgue(values, vol, exponents):
+    """Bracketing by doubling and bisection of sum (|v_i| / lam)^r_i vol = 1."""
+    cells = [(abs(x), float(e)) for x, e in zip(values, exponents)]
+    vmax = max(x for x, _ in cells)
+    if vmax == 0.0:
+        return 0.0
+
+    def modular(lam):
+        total = 0.0
+        for x, e in cells:
+            total += (x / lam) ** e * vol
+        return total
+
+    lo = hi = vmax
+    while modular(hi) > 1.0:
+        hi *= 2.0
+    while modular(lo) <= 1.0:
+        lo /= 2.0
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if modular(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import (DomainMask, Grid, SampledField, as_int, check_params, format_params, parse_params,
+from .grid import (DomainMask, Grid, SampledField, Spec, _as_tuple, as_int, check_axis, check_params,
                    restrict_values)
 
 __all__ = [
@@ -140,42 +140,18 @@ def herz_exponent_admissible(a: float, n: int, p: float, s: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class SpaceSpec:
+class SpaceSpec(Spec):
     """Base class for catalog space descriptions (grid-independent).
 
-    A subclass with a ``tag`` is one kind of space, registered in ``kinds``.
-    Its text form needs ``keys`` (the constructor's leading arguments, in
-    order) and may hold ``optional`` ones (keywords); both are attributes
-    unless :meth:`params` says otherwise, and only ``vectors`` take
-    ``;``-separated values.  X -> X^(1/p) divides the ``divided`` keys (the
-    exponents) by p and multiplies the ``multiplied`` ones by p.
+    Each kind is registered in ``SpaceSpec.kinds``; its ``keys`` are the
+    constructor's leading arguments and its ``optional`` ones keywords (see
+    :class:`~normlab.grid.Spec`).  X -> X^(1/p) divides the ``divided`` keys
+    (the exponents) by p and multiplies the ``multiplied`` ones by p.
     """
 
-    tag: str = ""
-    keys: tuple[str, ...] = ()
-    optional: tuple[str, ...] = ()
-    vectors: tuple[str, ...] = ()
+    family = "space"
     divided: tuple[str, ...] = ()
     multiplied: tuple[str, ...] = ()
-    kinds: dict[str, type] = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if cls.tag:
-            SpaceSpec.kinds[cls.tag] = cls
-
-    @classmethod
-    def from_params(cls, values: dict) -> "SpaceSpec":
-        """The space of the text-form ``values``; rejects missing and unknown keys."""
-        check_params(f"space {cls.tag!r}", values, cls.keys, cls.optional, cls.vectors)
-        return cls(*(values[k] for k in cls.keys), **{k: values[k] for k in cls.optional if k in values})
-
-    def params(self) -> dict:
-        """The text-form parameters, key -> value."""
-        return {k: getattr(self, k) for k in self.keys + self.optional}
-
-    def canonical(self) -> str:
-        return format_params(self.tag, self.params())
 
     def convexify(self, p: float) -> "SpaceSpec":
         """X^(1/p) for p > 0; see :func:`convexify`."""
@@ -191,14 +167,10 @@ class SpaceSpec:
         """||f||_{X(Omega)}; :func:`norm` calls it with max |f| scaled to about 1."""
         raise NotImplementedError
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.canonical()!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, SpaceSpec) and self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
+    def associate(self, values: np.ndarray, grid: Grid) -> float | None:
+        """The closed-form associate (Koethe dual) norm of the zero-extended
+        ``values``, or None where the space has none."""
+        return None
 
 
 class Lebesgue(SpaceSpec):
@@ -212,6 +184,9 @@ class Lebesgue(SpaceSpec):
 
     def evaluate(self, f, omega):
         return _lebesgue(restrict_values(f, omega), f.grid.cell_volume, self.p)
+
+    def associate(self, values, grid):
+        return None if self.p == 1 else _lebesgue(values, grid.cell_volume, self.p / (self.p - 1.0))
 
 
 class WeightedLebesgue(SpaceSpec):
@@ -252,11 +227,20 @@ class WeightedLebesgue(SpaceSpec):
     def evaluate(self, f, omega):
         return weighted_lebesgue_norm(f, self.r, self.weight_on(f.grid), omega)
 
+    def associate(self, values, grid):
+        if self.r <= 1:
+            return None
+        rp = self.r / (self.r - 1.0)
+        w = self.weight_on(grid)
+        if np.any(w == 0):
+            raise ValueError("dual weight undefined where the weight vanishes")
+        return float(np.sum(np.abs(values) ** rp * w ** (1.0 - rp)) * grid.cell_volume) ** (1.0 / rp)
 
-def _power_samples(grid: Grid, a: float, center) -> tuple[np.ndarray, np.ndarray]:
+
+def _power_samples(grid: Grid, a: float, center) -> tuple[tuple, np.ndarray]:
     """The center as a point of the grid's dimension and |x - c|^a at the cell centers."""
-    c = np.asarray(center if not np.isscalar(center) else [center] * grid.dim, dtype=float)
-    d = np.linalg.norm(grid.coords() - c, axis=1)
+    c = _as_tuple(center, grid.dim)
+    d = np.linalg.norm(grid.coords() - np.asarray(c), axis=1)
     if a < 0 and np.any(d == 0):
         raise ValueError("singular power weight hits a cell center exactly")
     return c, (d ** a).reshape(grid.shape)
@@ -280,14 +264,16 @@ class _PhiSpace(SpaceSpec):
     """A space on an Orlicz function ``phi``: its text holds phi's ``p`` (or ``p1``
     and ``p2``), then the ``keys`` that follow ``phi`` in the constructor."""
 
+    optional = ("p", "p1", "p2")
+
     @classmethod
-    def from_params(cls, values):
+    def from_params(cls, values, **context):
         phi_keys = ("p",) if "p" in values else ("p1", "p2")
         check_params(f"space {cls.tag!r}", values, phi_keys + cls.keys)
         return cls(OrliczFunction.from_params(values), *(values[k] for k in cls.keys))
 
     def params(self):
-        return {**self.phi.params(), **super().params()}
+        return {**self.phi.params(), **{k: getattr(self, k) for k in self.keys}}
 
 
 class Orlicz(_PhiSpace):
@@ -397,14 +383,12 @@ class MixedNorm(SpaceSpec):
     tag = "mixed"
     keys = vectors = divided = ("r",)
 
-    def __init__(self, rs):
-        rs = tuple(float(r) for r in np.atleast_1d(rs))
-        if not rs:
+    def __init__(self, r):
+        self.rs = tuple(float(x) for x in np.atleast_1d(r))
+        if not self.rs:
             raise ValueError("mixed norm needs at least one exponent")
-        for r in rs:
-            if not (1 < r < math.inf):
-                raise ValueError("mixed exponents must lie in (1, inf)")
-        self.rs = rs
+        if not all(1 < x < math.inf for x in self.rs):
+            raise ValueError("mixed exponents must lie in (1, inf)")
 
     def params(self):
         return {"r": np.array(self.rs)}  # an array, so convexify can divide it by p
@@ -436,9 +420,7 @@ class VariableLebesgue(SpaceSpec):
             if self.samples.shape != grid.shape:
                 raise ValueError("exponent samples do not match the grid")
             return self.samples
-        if not 0 <= self.axis < grid.dim:
-            raise ValueError(f"exponent axis {self.axis} is not an axis of a {grid.dim}D grid")
-        return self.base + self.slope * grid.meshgrid()[self.axis]
+        return self.base + self.slope * grid.meshgrid()[check_axis(self.axis, grid.dim, "exponent axis")]
 
     def params(self):
         return {"exponent": "explicit"} if self.samples is not None else super().params()
@@ -452,12 +434,7 @@ class VariableLebesgue(SpaceSpec):
         return variable_lebesgue_norm(f, self.exponent_on(f.grid), omega)
 
 
-def parse_space(text: str) -> SpaceSpec:
-    """Parse the canonical textual form ``tag:key=value,...``."""
-    tag, values = parse_params(text)
-    if tag not in SpaceSpec.kinds:
-        raise ValueError(f"unknown space tag {tag!r}")
-    return SpaceSpec.kinds[tag].from_params(values)
+parse_space = SpaceSpec.parse
 
 
 # ---------------------------------------------------------------------------
@@ -936,8 +913,7 @@ def herz_local_norm(f: SampledField, p: float, q: float, weight: HerzWeight, xi,
     matching the puncture at xi in the continuum definition.
     """
     grid = f.grid
-    c = np.asarray(xi if not np.isscalar(xi) else [xi] * grid.dim, dtype=float)
-    d = np.linalg.norm(grid.coords() - c, axis=1)
+    d = np.linalg.norm(grid.coords() - np.asarray(_as_tuple(xi, grid.dim)), axis=1)
     v = np.abs(restrict_values(f, omega)).ravel()
     pos = d > 0
     if not np.any(pos & (v > 0)):
@@ -1048,7 +1024,8 @@ def associate_norm_empirical(f: SampledField, space: SpaceSpec,
                              omega: DomainMask | None = None,
                              witness_count: int = 32, seed: int = 0) -> AssociateEstimate:
     """Lower bound on the associate (Koethe dual) norm by pairing against
-    random unit-norm witnesses; exact dual value for (weighted) Lebesgue r > 1.
+    random unit-norm witnesses, with the space's closed form where it has one
+    (:meth:`SpaceSpec.associate`: (weighted) Lebesgue with exponent > 1).
     """
     if witness_count < 1:
         raise ValueError("need at least one witness")
@@ -1067,14 +1044,4 @@ def associate_norm_empirical(f: SampledField, space: SpaceSpec,
             continue
         pairing = float(np.sum(np.abs(fv * gf.values)) * vol) / gn
         best = max(best, pairing)
-    exact = None
-    if isinstance(space, Lebesgue) and space.p > 1:
-        rp = space.p / (space.p - 1.0)
-        exact = _lebesgue(fv, vol, rp)
-    elif isinstance(space, WeightedLebesgue) and space.r > 1:
-        rp = space.r / (space.r - 1.0)
-        w = space.weight_on(grid)
-        if np.any(w == 0):
-            raise ValueError("dual weight undefined where the weight vanishes")
-        exact = float(np.sum(np.abs(fv) ** rp * w ** (1.0 - rp)) * vol) ** (1.0 / rp)
-    return AssociateEstimate(best, exact, witness_count)
+    return AssociateEstimate(best, space.associate(fv, grid), witness_count)

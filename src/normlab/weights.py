@@ -14,7 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from .grid import DomainMask, Grid, SampledField, check_params, format_params, parse_params, restrict_values
+from .grid import (DomainMask, Grid, SampledField, _as_tuple, check_params, format_params, parse_params,
+                   restrict_values)
 from .spaces import (
     SpaceSpec,
     _ball_stencil,
@@ -71,7 +72,7 @@ class Weight:
 def power_weight(grid: Grid, a: float, center=0.0) -> Weight:
     """|x - c|^a sampled at cell centers."""
     c, samples = _power_samples(grid, a, center)
-    return Weight(grid, samples, format_params("power", {"a": a, "center": c}), (float(a), tuple(c)))
+    return Weight(grid, samples, format_params("power", {"a": a, "center": c}), (float(a), c))
 
 
 def explicit_weight(grid: Grid, samples: np.ndarray) -> Weight:
@@ -134,7 +135,7 @@ def anchored_cube_family(grid: Grid, anchor=0.0) -> CubeFamily:
     scales plus the symmetric ones.  This is the family on which power-weight
     constants have the closed form 1/(1+a); the full default family also sees
     asymmetric straddling cubes with strictly larger ratios."""
-    c = np.asarray(anchor if not np.isscalar(anchor) else [anchor] * grid.dim, dtype=float)
+    c = np.asarray(_as_tuple(anchor, grid.dim))
     los, his = [], []
     side = min(grid.cell_size)
     span = max(b - a for a, b in zip(grid.lo, grid.hi))
@@ -265,8 +266,8 @@ def dual_weight(weight: Weight, p: float) -> Weight:
         raise ValueError("dual weight undefined where the weight vanishes")
     samples = weight.samples ** (1.0 - pp)
     if weight.power is not None:
-        a, c = weight.power
-        return Weight(weight.grid, samples, f"power:a={a * (1.0 - pp)!r}", (a * (1.0 - pp), c))
+        a, c = weight.power[0] * (1.0 - pp), weight.power[1]
+        return Weight(weight.grid, samples, format_params("power", {"a": a, "center": c}), (a, c))
     return Weight(weight.grid, samples, "explicit")
 
 

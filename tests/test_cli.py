@@ -102,7 +102,7 @@ def test_config_load(tmp_path):
     assert cfg.kind == "bsvy"
     assert cfg.seed == 11
     assert len(cfg.functions) == 2
-    assert cfg.domain.kind == "ball"
+    assert cfg.domain.tag == "ball"
     assert cfg.gammas == (1.0,)
     assert not cfg.refine
 
@@ -204,6 +204,20 @@ def test_cli_verify_subset(capsys):
     (["norm", "--fn", "gaussian", "--domain", "ball:radius=1,centre=0.5"],
      "unknown domain 'ball' parameter 'centre'"),
     (["norm", "--fn", "polygauss:degree=1.5"], "polygauss degree must be a whole number"),
+    (["--grid", "n=1,L=2,N=16", "norm", "--fn", "coordinate:axis=3"],
+     "coordinate axis 3 is not an axis of a 1D grid"),
+    (["--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian", "--domain", "halfspace:axis=2"],
+     "halfspace axis 2 is not an axis of a 1D grid"),
+    (["--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian", "--domain", "slitbox:axis=2"],
+     "slitbox axis 2 is not an axis of a 1D grid"),
+    (["--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian", "--space", "varleb:base=2,axis=3"],
+     "exponent axis 3 is not an axis of a 1D grid"),
+    (["--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian", "--space", "mixed:r=2;3"],
+     "need 1 exponents, got 2"),
+    (["--grid", "n=2,L=2,N=16", "norm", "--fn", "gaussian:center=0;0;0"],
+     "expected 2 entries (one per axis), got 3"),
+    (["--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian", "--domain", "ball:center=10,radius=0.1"],
+     "domain ball:center=10.0,radius=0.1 holds no cell centre of this grid"),
 ])
 def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert main(["--out", str(tmp_path)] + argv) == 2

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_mask_empty_rejected():
 
 def test_parse_domain_roundtrip():
     dom = parse_domain("ball:center=0.5;0.5,radius=1.0", box=BOX2)
-    assert dom.kind == "ball"
+    assert dom.tag == "ball"
     dom2 = parse_domain(dom.canonical(), box=BOX2)
     assert dom2.canonical() == dom.canonical()
 
@@ -108,7 +109,7 @@ def test_falsifier_convex_clean():
                 DomainSpec("halfspace", box=BOX2, axis=0, offset=0.0),
                 DomainSpec("full", box=BOX2)):
         cert = epsilon_falsifier(dom, 0.5, 2000, seed=5)
-        assert cert.verdict == "not-refuted", (dom.kind, cert.witness)
+        assert cert.verdict == "not-refuted", (dom.tag, cert.witness)
 
 
 def test_falsifier_slit_refuted_with_witness_near_slit():
@@ -143,3 +144,44 @@ def test_falsifier_deterministic_given_seed():
     a = epsilon_falsifier(dom, 0.5, 100, seed=3)
     b = epsilon_falsifier(dom, 0.5, 100, seed=3)
     assert a.to_json() == b.to_json()
+
+
+def test_falsifier_ball_1d_not_refuted():
+    # an interval is a uniform domain; there are no arcs to stress it with
+    dom = DomainSpec("ball", box=((-2.0,), (2.0,)), center=0.0, radius=1.3)
+    cert = epsilon_falsifier(dom, 0.5, 200, seed=5)
+    assert cert.verdict == "not-refuted", cert.witness
+
+
+def test_falsifier_rejects_domain_outside_its_box():
+    dom = DomainSpec("ball", box=((-2.0,), (2.0,)), center=10.0, radius=0.1)
+    with pytest.raises(ValueError, match="no sampled point"):
+        epsilon_falsifier(dom, 0.5, 10, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "slitbox"])
+def test_axis_outside_box_rejected(kind):
+    with pytest.raises(ValueError, match=f"{kind} axis 2 is not an axis of a 2D grid"):
+        DomainSpec(kind, box=BOX2, axis=2)
+
+
+def test_domain_spec_equality_follows_canonical_text():
+    assert parse_domain("ball:radius=1") == DomainSpec("ball", radius=1)
+    assert parse_domain("ball:radius=1") != parse_domain("ball:radius=2")
+    assert parse_domain("full", box=BOX2) != parse_domain("full", box=((-1.0, -1.0), (1.0, 2.0)))
+    assert DomainSpec("ball", radius=1).tag == "ball"
+
+
+@pytest.mark.parametrize("text, box, message", [
+    ("ball:radius=0", None, "ball radius must be > 0"),
+    ("ball:center=0", None, "domain 'ball' needs parameter 'radius'"),
+    ("annulus:r1=0.5,r2=0.5", None, "annulus needs 0 < r1 < r2"),
+    ("lshape:lo1=0,hi1=1,lo2=0", None, "domain 'lshape' needs parameter 'hi2'"),
+    ("full", None, "full domain needs the ambient box"),
+    ("halfspace", None, "halfspace domain needs the ambient box"),
+    ("slitbox:axis=-1", BOX2, "slitbox axis must be a whole number >= 0"),
+    ("disc:radius=1", None, "unknown domain kind 'disc'"),
+])
+def test_domain_spec_rejects_bad_values(text, box, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_domain(text, box=box)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_gradient_fd_convergence_order():
 
 def test_function_parse_roundtrip():
     spec = parse_function("gaussian:sigma=1.0,center=0.5")
-    assert spec.kind == "gaussian"
+    assert spec.tag == "gaussian"
     assert parse_function(spec.canonical()) == spec
 
 
@@ -156,4 +157,31 @@ def test_bump_and_polygauss_gradients_match_fd():
         f = sample(spec, g)
         fd = gradient_fd(f)
         err = np.max(np.abs(fd - f.analytic_gradient))
-        assert err <= 100.0 * max(g.cell_size) ** 2, spec.kind
+        assert err <= 100.0 * max(g.cell_size) ** 2, spec.tag
+
+
+def test_function_constructor_numbers_match_parsed_text():
+    spec = TestFunctionSpec("gaussian", sigma=1, center=0)
+    assert spec == parse_function("gaussian:sigma=1")
+    assert spec.canonical() == "gaussian:center=0.0,sigma=1.0"
+    assert TestFunctionSpec("polygauss", degree=2.0).canonical() == "polygauss:center=0.0,degree=2,sigma=1.0"
+
+
+def test_coordinate_axis_outside_grid():
+    g = make_grid(2, -1.0, 1.0, 4)
+    assert sample(TestFunctionSpec("coordinate", axis=1), g).values[0, 1] == g.axis_centers(1)[1]
+    with pytest.raises(ValueError, match="coordinate axis 2 is not an axis of a 2D grid"):
+        sample(TestFunctionSpec("coordinate", axis=2), g)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gaussian:sigma=0", "gaussian sigma must be > 0"),
+    ("tent:width=-1", "tent width must be > 0"),
+    ("bump:radius=0", "bump radius must be > 0"),
+    ("polygauss:degree=-1", "polygauss degree must be a whole number >= 0"),
+    ("coordinate:axis=-1", "coordinate axis must be a whole number >= 0"),
+    ("sine:period=1", "unknown function kind 'sine'"),
+])
+def test_function_spec_rejects_bad_values(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_function(text)

@@ -342,3 +342,49 @@ def test_luxemburg_matches_oracle(scale):
     mine = luxemburg_norm(SampledField(g, scale * f.values), phi)
     ref = oracles.luxemburg(scale * f.values.ravel(), g.cell_volume, phi)
     assert mine == pytest.approx(ref, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Lorentz and variable-exponent Lebesgue against the loop oracles
+# --------------------------------------------------------------------------
+
+LINE = make_grid(1, -2.0, 2.0, 40)
+LINE_F = sample(TestFunctionSpec("bump", radius=1.3, center=0.2), LINE)
+
+
+@pytest.mark.parametrize("r, tau", [(3.0, 1.5), (1.5, 3.0)], ids=["tau<r", "tau>r"])
+def test_lorentz_matches_layer_cake_oracle(r, tau):
+    from normlab.spaces import lorentz_norm
+
+    ref = oracles.lorentz(LINE_F.values.ravel(), LINE.cell_volume, r, tau)
+    assert lorentz_norm(LINE_F, r, tau) == pytest.approx(ref, rel=1e-12)
+    ref = oracles.lorentz(MASKED_V, MASKED_GRID.cell_volume, r, tau)
+    assert lorentz_norm(MASKED_F, r, tau, MASKED_OMEGA) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("r, tau", [(3.0, 1.5), (1.5, 3.0)], ids=["tau<r", "tau>r"])
+def test_lorentz_tied_values_match_layer_cake_oracle(r, tau):
+    from normlab.spaces import lorentz_norm
+
+    # five levels, each held by many cells of the masked 2D grid
+    tied = SampledField(MASKED_GRID, np.round(4.0 * MASKED_F.values) / 4.0)
+    values = tied.values.ravel()[MASKED_OMEGA.cells.ravel()]
+    assert len(np.unique(values)) <= 5 < values.size
+    ref = oracles.lorentz(values, MASKED_GRID.cell_volume, r, tau)
+    assert lorentz_norm(tied, r, tau, MASKED_OMEGA) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 40.0])
+def test_variable_lebesgue_matches_oracle(scale):
+    from normlab.spaces import VariableLebesgue, variable_lebesgue_norm
+
+    ramp = VariableLebesgue(base=2.0, slope=0.4).exponent_on(LINE)  # r from 1.2 to 2.8
+    line = SampledField(LINE, scale * LINE_F.values)
+    ref = oracles.variable_lebesgue(line.values.ravel(), LINE.cell_volume, ramp.ravel())
+    assert variable_lebesgue_norm(line, ramp) == pytest.approx(ref, rel=1e-12)
+    x, y = MASKED_GRID.meshgrid()
+    ramp = 1.8 + 0.5 * x - 0.3 * y
+    masked = SampledField(MASKED_GRID, scale * MASKED_F.values)
+    ref = oracles.variable_lebesgue(scale * MASKED_V, MASKED_GRID.cell_volume,
+                                    ramp.ravel()[MASKED_OMEGA.cells.ravel()])
+    assert variable_lebesgue_norm(masked, ramp, MASKED_OMEGA) == pytest.approx(ref, rel=1e-12)

@@ -185,6 +185,16 @@ def test_dual_weight_involution():
     assert np.allclose(w2.samples, 1.0 / w.samples, rtol=1e-13)
 
 
+def test_dual_weight_source_keeps_the_center():
+    g = make_grid(1, -1.0, 1.0, 16)
+    for center in (0.3, (0.3,)):
+        dual = dual_weight(power_weight(g, -0.5, center=center), 2.0)
+        assert dual.source == "power:a=0.5,center=0.3"
+        again = parse_weight(dual.source, g)
+        assert np.allclose(again.samples, dual.samples, rtol=1e-12, atol=0.0)
+        assert again.power == dual.power == (0.5, (0.3,))
+
+
 def test_dual_weight_rejects_zeros():
     g = make_grid(1, 0.0, 1.0, 8)
     samples = np.ones(g.shape)
