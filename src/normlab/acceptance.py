@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainSpec, epsilon_falsifier, mask, parse_domain
+from .domains import DomainSpec, epsilon_falsifier, parse_domain
 from .functionals import (
     BsvyParams,
     KernelPolicy,
     bbm_constant,
     bbm_limit_extrapolate,
-    bsvy_functional,
     bsvy_sup,
+    bsvy_values,
     gagliardo_seminorm_sweep,
-    sobolev_norm,
 )
 from .grid import SampledField, TestFunctionSpec, make_grid, sample
 from .spaces import (
@@ -52,7 +51,7 @@ from .weights import (
     power_weight,
     rubio_de_francia,
 )
-from .experiments import DEFAULT_S_GRID, run_weak_holder_suite, ExperimentConfig
+from .experiments import DEFAULT_S_GRID, ExperimentConfig, run_bsvy_experiment, run_weak_holder_suite
 
 __all__ = ["AcceptanceResult", "CRITERIA", "run_acceptance"]
 
@@ -126,11 +125,8 @@ def criterion_4() -> AcceptanceResult:
     space = Lebesgue(1.0)
     policy = KernelPolicy(near_window=160.0)
     lams = np.geomspace(2.0, 1000.0, 25)
-    worst = 0.0
-    for lam in lams:
-        val = bsvy_functional(f, float(lam), params, space, None, policy)
-        ref = 2.0 - 1.0 / lam
-        worst = max(worst, abs(val - ref) / ref)
+    ref = 2.0 - 1.0 / lams
+    worst = float(np.max(np.abs(bsvy_values(f, lams, params, space, None, policy) - ref) / ref))
     rep = bsvy_sup(f, params, space, None, policy)
     ok = worst <= 0.01 and rep.sup >= 1.99
     return AcceptanceResult(
@@ -332,50 +328,28 @@ _EQ_GAMMAS = (1.0, 2.0, -1.0)
 _EQ_POLICY = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
 
 
-def criterion_12(progress: bool = False) -> AcceptanceResult:
+def criterion_12() -> AcceptanceResult:
     t0 = time.time()
-    p = 2.0
-    worst_width = 0.0
-    worst_delta = 0.0
+    worst_width = worst_delta = 0.0
     failures = []
-
-    def run_suite(dim, npts, functions, spaces):
-        nonlocal worst_width, worst_delta
+    for dim, npts, spaces in ((1, 64, _EQ_SPACES_1D), (2, 16, (MixedNorm((2.5, 3.0)),))):
+        grid = make_grid(dim, -2.0, 2.0, npts)
         for dom_txt in _EQ_DOMAINS:
-            for space in spaces:
-                for gamma in _EQ_GAMMAS:
-                    ratios = {}
-                    for npts_k, scale in ((npts, "coarse"), (npts * 2, "fine")):
-                        grid = make_grid(dim, -2.0, 2.0, npts_k)
-                        dom = parse_domain(dom_txt, box=(grid.lo, grid.hi))
-                        omega = None if dom_txt == "full" else mask(dom, grid)
-                        for fn in functions:
-                            f = sample(fn, grid)
-                            ref = sobolev_norm(f, space, omega)
-                            rep = bsvy_sup(f, BsvyParams(gamma, p), space, omega, _EQ_POLICY)
-                            ratios.setdefault(fn.canonical(), {})[scale] = (
-                                rep.sup / ref if ref > 0 else math.nan)
-                    fine = [v["fine"] for v in ratios.values() if math.isfinite(v["fine"])]
-                    width = max(fine) / min(fine)
-                    worst_width = max(worst_width, width)
-                    if width > 10.0:
-                        failures.append(f"width {width:.1f} @ {space.canonical()},g={gamma},{dom_txt}")
-                    for fname, v in ratios.items():
-                        delta = abs(v["fine"] - v["coarse"]) / v["fine"]
-                        worst_delta = max(worst_delta, delta)
-                        if delta > 0.10:
-                            failures.append(
-                                f"delta {delta:.2f} @ {fname},{space.canonical()},g={gamma},{dom_txt}")
-                    if progress:
-                        print(f"  [{space.canonical()} g={gamma} {dom_txt}] width {width:.2f}")
-
-    run_suite(1, 64, _EQ_FUNCTIONS_1D, _EQ_SPACES_1D)
-    run_suite(2, 16, _EQ_FUNCTIONS_1D, (MixedNorm((2.5, 3.0)),))
-    ok = not failures
+            dom = None if dom_txt == "full" else parse_domain(dom_txt, box=(grid.lo, grid.hi))
+            cfg = ExperimentConfig("bsvy", grid, list(_EQ_FUNCTIONS_1D), list(spaces), dom,
+                                   _EQ_GAMMAS, p=2.0, policy=_EQ_POLICY)
+            summary = run_bsvy_experiment(cfg)[1]
+            if len(summary) != len(spaces) * len(_EQ_GAMMAS):  # one bracket per (space, gamma)
+                failures.append(f"{len(summary)} brackets @ {dom_txt}")
+            for key, agg in summary.items():
+                worst_width = max(worst_width, agg["width"])
+                worst_delta = max(worst_delta, agg["delta"])
+                if agg["width"] > 10.0 or agg["delta"] > 0.10:
+                    failures.append(f"width {agg['width']:.1f}, delta {agg['delta']:.2f} @ {key},{dom_txt}")
     return AcceptanceResult(
         "equivalence-bracket",
         "sup/gradient-norm ratios bracketed (width <= 10) and refinement-stable (10%)",
-        ok, f"worst width {worst_width:.2f}, worst refine delta {worst_delta:.3f};"
+        not failures, f"worst width {worst_width:.2f}, worst refine delta {worst_delta:.3f};"
         + ("; ".join(failures[:3]) if failures else ""),
         "c2/c1 <= 10 and 10% under N -> 2N", time.time() - t0)
 

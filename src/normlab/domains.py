@@ -410,6 +410,7 @@ class EpsilonCertificate:
 
 
 _BEND_DEPTHS = (0.1, 0.2, 0.35, 0.5, 0.75)
+CURVE_POINTS = 64  # points per straight curve, half of it per bend leg
 
 
 def _polyline_ok(domain: DomainSpec, x, y, pts_list, eps, length) -> tuple[bool, str]:
@@ -427,10 +428,10 @@ def _polyline_ok(domain: DomainSpec, x, y, pts_list, eps, length) -> tuple[bool,
     return True, ""
 
 
-def _candidate_curves(domain: DomainSpec, x, y, eps, rng, curve_points):
+def _candidate_curves(domain: DomainSpec, x, y, eps, rng):
     """Straight segment plus one-bend polylines through perturbed midpoints."""
     d = float(np.linalg.norm(y - x))
-    t = np.linspace(0.0, 1.0, curve_points)[:, None]
+    t = np.linspace(0.0, 1.0, CURVE_POINTS)[:, None]
     yield "segment", [x + t * (y - x)], d, [(x, y)]
     dim = x.size
     seg = (y - x) / d
@@ -447,7 +448,7 @@ def _candidate_curves(domain: DomainSpec, x, y, eps, rng, curve_points):
         if nv > 1e-9:
             dirs.append(v / nv)
             dirs.append(-v / nv)
-    half = np.linspace(0.0, 1.0, max(curve_points // 2, 2))[:, None]
+    half = np.linspace(0.0, 1.0, CURVE_POINTS // 2)[:, None]
     for depth in _BEND_DEPTHS:
         if math.sqrt(1.0 + 4.0 * depth ** 2) > 1.0 / eps:
             continue  # cannot satisfy the length condition
@@ -459,7 +460,7 @@ def _candidate_curves(domain: DomainSpec, x, y, eps, rng, curve_points):
 
 
 def epsilon_falsifier(domain: DomainSpec, eps: float, sample_count: int, dim: int | None = None,
-                      seed: int = 0, curve_points: int = 64) -> EpsilonCertificate:
+                      seed: int = 0) -> EpsilonCertificate:
     """Sample point pairs and hunt for a pair no candidate curve can join.
 
     A refutation is certified for convex shapes (the family contains the
@@ -496,7 +497,7 @@ def epsilon_falsifier(domain: DomainSpec, eps: float, sample_count: int, dim: in
             continue
         audit = []
         ok = False
-        for name, pts, length, legs in _candidate_curves(domain, x, y, eps, rng, curve_points):
+        for name, pts, length, legs in _candidate_curves(domain, x, y, eps, rng):
             if any(domain.segment_blocked(a, b) for a, b in legs):
                 audit.append({"curve": name, "fail": "blocked"})
                 continue

@@ -63,7 +63,6 @@ class ExperimentConfig:
     outdir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
     refine: bool = True
-    extras: dict = field(default_factory=dict)
 
     def provenance(self) -> dict:
         return {
@@ -128,8 +127,6 @@ def load_config(path) -> ExperimentConfig:
         if "formats" in ou:
             cfg.formats = tuple(ou["formats"].split())
         cfg.refine = ou.getboolean("refine", fallback=cfg.refine)
-    if "extras" in cp:
-        cfg.extras = dict(cp["extras"])
     return cfg
 
 
@@ -198,44 +195,46 @@ def run_bbm_experiment(cfg: ExperimentConfig) -> RatioTable:
 
 def run_bsvy_experiment(cfg: ExperimentConfig) -> tuple[RatioTable, dict]:
     """Per (function, space, gamma): sup of the level-set functional against
-    the gradient norm; per-configuration ratio brackets aggregated."""
+    the gradient norm on the grid and, with ``refine``, on its 2x refinement;
+    rows come from the finest grid.  Per (space, gamma) the summary holds the
+    ratio bracket [c1, c2], its width c2/c1 and its worst refinement delta
+    (NaN without refinement)."""
     table = RatioTable(provenance=cfg.provenance())
-    brackets: dict[tuple[str, float], list[float]] = {}
     grids = [cfg.grid] + ([cfg.grid.refine(2)] if cfg.refine else [])
-    base_rows: dict[tuple, float] = {}
-    for gi, grid in enumerate(grids):
+
+    def sups(grid):
+        """(fn, space, gamma, sup report, reference) per listed combination, in order."""
         omega = _domain_mask(cfg, grid)
         for fn in cfg.functions:
             f = sample(fn, grid)
             for space in cfg.spaces:
                 ref = sobolev_norm(f, space, omega)
                 for gamma in cfg.gammas:
-                    params = BsvyParams(gamma, cfg.p)
-                    rep = bsvy_sup(f, params, space, omega, cfg.policy)
-                    tokens = list(rep.flags)
-                    key = (fn.canonical(), space.canonical(), gamma)
-                    if gi == 0:
-                        base_rows[key] = rep.sup / ref if ref > 0 else math.nan
-                        if len(grids) > 1:
-                            continue  # emit rows from the fine grid only
-                    if gi == len(grids) - 1:
-                        ratio = rep.sup / ref if ref > 0 else math.nan
-                        if len(grids) > 1 and key in base_rows and math.isfinite(base_rows[key]):
-                            delta = abs(ratio - base_rows[key]) / abs(ratio) if ratio else 0.0
-                            tokens.append(f"refine_delta={delta:.3e}")
-                        _add_row(table, cfg, grid, experiment="bsvy", function=fn.canonical(),
-                                 space=space.canonical(), p=cfg.p, gamma_or_s=gamma,
-                                 value=rep.sup, reference=ref, flags=_flags(tokens))
-                        if ref > 0:
-                            brackets.setdefault((space.canonical(), gamma), []).append(rep.sup / ref)
+                    rep = bsvy_sup(f, BsvyParams(gamma, cfg.p), space, omega, cfg.policy)
+                    yield fn, space, gamma, rep, ref
+
+    runs = [list(sups(grid)) for grid in grids]
+    brackets: dict[tuple[str, float], list[tuple[float, float]]] = {}
+    for (fn, space, gamma, rep, ref), (*_, coarse, cref) in zip(runs[-1], runs[0]):
+        ratio = rep.sup / ref if ref > 0 else math.nan
+        base = coarse.sup / cref if cref > 0 else math.nan
+        tokens = list(rep.flags)
+        delta = math.nan
+        if cfg.refine and math.isfinite(base):
+            delta = abs(ratio - base) / abs(ratio) if ratio else 0.0
+            tokens.append(f"refine_delta={delta:.3e}")
+        _add_row(table, cfg, grids[-1], experiment="bsvy", function=fn.canonical(),
+                 space=space.canonical(), p=cfg.p, gamma_or_s=gamma,
+                 value=rep.sup, reference=ref, flags=_flags(tokens))
+        if ref > 0:
+            brackets.setdefault((space.canonical(), gamma), []).append((ratio, delta))
     summary = {}
-    for (space_txt, gamma), ratios in brackets.items():
+    for (space_txt, gamma), members in brackets.items():
+        ratios, deltas = zip(*members)
         c1, c2 = min(ratios), max(ratios)
         summary[f"{space_txt}|gamma={gamma}"] = {
-            "c1": c1,
-            "c2": c2,
-            "width": c2 / c1 if c1 > 0 else math.inf,
-        }
+            "c1": c1, "c2": c2, "width": c2 / c1 if c1 > 0 else math.inf,
+            "delta": float(np.fmax.reduce(deltas))}  # fmax skips NaN
     return table, summary
 
 

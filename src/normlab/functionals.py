@@ -35,6 +35,7 @@ __all__ = [
     "bbm_limit_extrapolate",
     "bsvy_inner",
     "bsvy_inner_profile",
+    "bsvy_values",
     "bsvy_functional",
     "bsvy_sup",
     "default_lambda_grid",
@@ -115,6 +116,9 @@ class KernelPolicy:
 
 DEFAULT_POLICY = KernelPolicy()
 EXCLUDE_POLICY = KernelPolicy(diagonal="exclude")
+LAMBDA_POINTS = 40  # the default lambda grid
+LAMBDA_DECADES = (1e-3, 1e4)
+REFINE_POINTS = 10  # lambdas added by each extension or refinement pass of bsvy_sup
 
 
 @dataclass(frozen=True)
@@ -123,17 +127,12 @@ class BsvyParams:
 
     gamma: float
     p: float
-    lam_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.gamma == 0 or not math.isfinite(self.gamma):
             raise ValueError("gamma must be nonzero and finite")
         if not (1 <= self.p < math.inf):
             raise ValueError("p must lie in [1, inf)")
-        if self.lam_grid is not None:
-            lam = np.asarray(self.lam_grid)
-            if lam.ndim != 1 or np.any(lam <= 0) or np.any(np.diff(lam) <= 0):
-                raise ValueError("lambda grid must be strictly increasing and positive")
 
     @property
     def theorem_conditional(self) -> bool:
@@ -226,21 +225,11 @@ def _directional_extent_1d(grid: Grid, mask: np.ndarray | None):
         x = grid.axis_centers(0)
         return x - grid.lo[0], grid.hi[0] - x
     m = mask.astype(bool).ravel()
-    ahead = np.zeros(n)
-    run = 0.0
-    for i in range(n - 1, -1, -1):
-        ahead[i] = run
-        run = run + 1.0 if m[i] else 0.0
-        if not m[i]:
-            ahead[i] = 0.0
-    behind = np.zeros(n)
-    run = 0.0
-    for i in range(n):
-        behind[i] = run
-        run = run + 1.0 if m[i] else 0.0
-        if not m[i]:
-            behind[i] = 0.0
-    return (behind + 0.5) * h, (ahead + 0.5) * h
+    idx = np.arange(n)
+    # a run of domain cells ends at the nearest cell outside the domain
+    behind = idx - np.maximum.accumulate(np.where(m, -1, idx)) - 1
+    ahead = np.minimum.accumulate(np.where(m, n, idx)[::-1])[::-1] - idx - 1
+    return (np.where(m, behind, 0) + 0.5) * h, (np.where(m, ahead, 0) + 0.5) * h
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +365,6 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     grid = f.grid
     n = grid.dim
     h = np.asarray(grid.cell_size)
-    hmin = min(grid.cell_size)
     mask = _mask_array(omega, grid)
     v = f.values
     vol = grid.cell_volume
@@ -385,16 +373,13 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     # near cells outside the analytic window are subsampled: they sit at the
     # membership handoff where whole-cell granularity is worst; oracle mode
     # stays purely discrete
-    subsampled = model_on and policy.subsample > 1
-    sub_w = policy.subsample_window * hmin if subsampled else 0.0
+    sub_w = policy.subsample_window * min(grid.cell_size) if model_on and policy.subsample > 1 else 0.0
     k = policy.subsample
-    sub_shifts = None
     if sub_w > 0:
         axes = [((np.arange(k) + 0.5) / k - 0.5) * h[i] for i in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         sub_shifts = np.column_stack([m.ravel() for m in mesh])
-    lam_shape = (lams.size,) + (1,) * n
-    lam_col = lams.reshape(lam_shape)
+    lam_col = lams.reshape((lams.size,) + (1,) * n)
     inner = np.zeros((lams.size,) + grid.shape)
     removed, walk = _pair_walk(grid, mask, policy)
     for off, dist, sa, sb, pm in walk:
@@ -465,25 +450,31 @@ def bsvy_inner(f: SampledField, lam: float, params: BsvyParams,
     return SampledField(f.grid, bsvy_inner_profile(f, [lam], params, omega, policy)[0])
 
 
+def bsvy_values(f: SampledField, lams, params: BsvyParams, space: SpaceSpec,
+                omega: DomainMask | None = None,
+                policy: KernelPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """lam * || (level-set inner integral)^(1/p) ||_X(Omega) per lam, from one pair walk."""
+    inner = bsvy_inner_profile(f, lams, params, omega, policy)
+    return np.array([lam * norm(SampledField(f.grid, row ** (1.0 / params.p)), space, omega)
+                     for lam, row in zip(lams, inner)])
+
+
 def bsvy_functional(f: SampledField, lam: float, params: BsvyParams, space: SpaceSpec,
                     omega: DomainMask | None = None,
                     policy: KernelPolicy = DEFAULT_POLICY) -> float:
     """lam * || (level-set inner integral)^(1/p) ||_X(Omega)."""
-    inner = bsvy_inner(f, lam, params, omega, policy)
-    fld = SampledField(f.grid, inner.values ** (1.0 / params.p))
-    return lam * norm(fld, space, omega)
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    return float(bsvy_values(f, [lam], params, space, omega, policy)[0])
 
 
-def default_lambda_grid(f: SampledField, omega: DomainMask | None = None,
-                        points: int = 40, decades=(1e-3, 1e4)) -> np.ndarray:
-    """Log-spaced lambdas over decades * max |grad f| (the natural slope scale)."""
+def default_lambda_grid(f: SampledField, omega: DomainMask | None = None) -> np.ndarray:
+    """Log-spaced lambdas over LAMBDA_DECADES * max |grad f| (the natural slope scale)."""
     g = gradient_magnitude(f)
     if omega is not None:
         g = np.where(omega.cells, g, 0.0)
-    scale = float(np.max(g))
-    if scale == 0.0:
-        scale = 1.0
-    return np.geomspace(decades[0] * scale, decades[1] * scale, points)
+    scale = float(np.max(g)) or 1.0
+    return np.geomspace(LAMBDA_DECADES[0] * scale, LAMBDA_DECADES[1] * scale, LAMBDA_POINTS)
 
 
 @dataclass
@@ -512,16 +503,14 @@ class FunctionalReport:
 def bsvy_sup(f: SampledField, params: BsvyParams, space: SpaceSpec,
              omega: DomainMask | None = None,
              policy: KernelPolicy = DEFAULT_POLICY,
-             lam_grid=None, refine_points: int = 10) -> FunctionalReport:
+             lam_grid=None) -> FunctionalReport:
     """Supremum over the lambda grid of the level-set functional.
 
     The default grid spans seven decades around the gradient scale; an
     endpoint argmax triggers one automatic two-decade extension, and one
     refinement pass localizes the maximum between its grid neighbors.
     """
-    if lam_grid is None:
-        lam_grid = params.lam_grid if params.lam_grid is not None else default_lambda_grid(f, omega)
-    lam = np.asarray(lam_grid, dtype=float)
+    lam = np.asarray(default_lambda_grid(f, omega) if lam_grid is None else lam_grid, dtype=float)
     if lam.size < 25 or lam[-1] / lam[0] < 10 ** 6:
         raise ValueError("lambda grid must span >= 6 decades with >= 25 points")
     report = FunctionalReport(
@@ -532,44 +521,29 @@ def bsvy_sup(f: SampledField, params: BsvyParams, space: SpaceSpec,
     if params.theorem_conditional:
         report.flags.append("theorem-conditional")
 
-    def profile_for(lams: np.ndarray) -> np.ndarray:
-        inner = bsvy_inner_profile(f, lams, params, omega, policy)
-        vals = np.empty(lams.size)
-        for i in range(lams.size):
-            fld = SampledField(f.grid, inner[i] ** (1.0 / params.p))
-            vals[i] = lams[i] * norm(fld, space, omega)
-        return vals
-
     def merge(lams, vals, extra):
-        ev = profile_for(extra)
         lams = np.concatenate([lams, extra])
-        vals = np.concatenate([vals, ev])
+        vals = np.concatenate([vals, bsvy_values(f, extra, params, space, omega, policy)])
         order = np.argsort(lams)
-        return lams[order], vals[order]
+        return lams[order], vals[order], int(np.argmax(vals[order]))
 
-    vals = profile_for(lam)
+    vals = bsvy_values(f, lam, params, space, omega, policy)
     if not np.any(vals > 0):
-        report.lam_grid = lam.tolist()
-        report.profile = vals.tolist()
+        report.lam_grid, report.profile = lam.tolist(), vals.tolist()
         report.flags.append("degenerate")
         return report
     k = int(np.argmax(vals))
     if k in (0, lam.size - 1):
         report.extended = True
-        if k == 0:
-            ext = np.geomspace(lam[0] / 100.0, lam[0], refine_points, endpoint=False)
-        else:
-            ext = np.geomspace(lam[-1], lam[-1] * 100.0, refine_points + 1)[1:]
-        lam, vals = merge(lam, vals, ext)
-        k = int(np.argmax(vals))
+        ext = (np.geomspace(lam[0] / 100.0, lam[0], REFINE_POINTS, endpoint=False) if k == 0
+               else np.geomspace(lam[-1], lam[-1] * 100.0, REFINE_POINTS + 1)[1:])
+        lam, vals, k = merge(lam, vals, ext)
     lo = lam[max(k - 1, 0)]
     hi = lam[min(k + 1, lam.size - 1)]
     if hi > lo:
-        fine = np.geomspace(lo, hi, refine_points + 2)[1:-1]
-        lam, vals = merge(lam, vals, fine)
-        k = int(np.argmax(vals))
-    report.lam_grid = lam.tolist()
-    report.profile = vals.tolist()
+        fine = np.geomspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+        lam, vals, k = merge(lam, vals, fine)
+    report.lam_grid, report.profile = lam.tolist(), vals.tolist()
     report.sup = float(vals[k])
     report.argmax_lam = float(lam[k])
     report.endpoint = k in (0, lam.size - 1)
@@ -592,9 +566,7 @@ def weak_product_quasinorm(f: SampledField, params: BsvyParams,
     the level set; no diagonal model is applied, matching the exclude-policy
     inner field summed over the domain.
     """
-    if lam_grid is None:
-        lam_grid = default_lambda_grid(f, omega)
-    lam = np.asarray(lam_grid, dtype=float)
+    lam = np.asarray(default_lambda_grid(f, omega) if lam_grid is None else lam_grid, dtype=float)
     gamma, p = params.gamma, params.p
     grid = f.grid
     n = grid.dim
@@ -655,6 +627,14 @@ class WeakHolderResult:
         return self.lhs / self.rhs if self.rhs > 0 else 0.0
 
 
+def _upper_level_measures(levels: np.ndarray, weights: np.ndarray):
+    """Distinct levels, descending, each with the summed weight of the entries at or above it."""
+    order = np.argsort(-levels, kind="stable")
+    lv = levels[order]
+    last = np.append(lv[1:] != lv[:-1], True)
+    return lv[last], np.cumsum(weights[order])[last]
+
+
 def weak_holder_check(F: np.ndarray, G: np.ndarray, gamma: float, weight: np.ndarray,
                       p: float, omega: DomainMask | None, grid: Grid) -> WeakHolderResult:
     """Weak-type Hoelder inequality for pair fields against the pair measure.
@@ -664,7 +644,7 @@ def weak_holder_check(F: np.ndarray, G: np.ndarray, gamma: float, weight: np.nda
       sum |F G| dmu <= p' * sup_l l mu(|F|>l)^(1/p) * int_0^inf mu(|G|>s)^(1/p') ds
 
     with the sup and the integral evaluated exactly on the level breakpoints
-    of the discrete pair fields.
+    of the discrete pair fields.  The weight must be nonnegative.
     """
     if not (1 < p < math.inf):
         raise ValueError("p must lie in (1, inf)")
@@ -690,20 +670,13 @@ def weak_holder_check(F: np.ndarray, G: np.ndarray, gamma: float, weight: np.nda
     if not (math.isfinite(lhs)):
         raise FloatingPointError("non-finite left-hand side")
     pp = p / (p - 1.0)
-    fvals = np.unique(absF[kern > 0]) if np.any(kern > 0) else np.array([])
-    fvals = fvals[fvals > 0]
-    sup = 0.0
-    for v in fvals:
-        mu = float(np.sum(kern[absF >= v]))
-        sup = max(sup, v * mu ** (1.0 / p))
-    gvals = np.concatenate(([0.0], np.unique(absG[kern > 0]))) if np.any(kern > 0) else np.array([0.0])
-    integral = 0.0
-    for lo, hi in zip(gvals[:-1], gvals[1:]):
-        mu = float(np.sum(kern[absG >= hi]))
-        integral += (hi - lo) * mu ** (1.0 / pp)
+    pos = kern > 0
+    fv, fmu = _upper_level_measures(absF[pos], kern[pos])
+    sup = float(np.max(fv * fmu ** (1.0 / p), initial=0.0))
+    gv, gmu = _upper_level_measures(absG[pos], kern[pos])
+    integral = float(np.sum((gv - np.append(gv[1:], 0.0)) * gmu ** (1.0 / pp)))
     rhs = pp * sup * integral
-    passed = lhs <= rhs * (1.0 + 1e-12) + 1e-300
-    return WeakHolderResult(lhs, rhs, passed)
+    return WeakHolderResult(lhs, rhs, lhs <= rhs * (1.0 + 1e-12) + 1e-300)
 
 
 def sobolev_norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> float:

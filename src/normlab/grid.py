@@ -36,6 +36,8 @@ __all__ = [
     "restrict_values",
 ]
 
+TAIL_TOL = 1e-8  # share of |f|'s mass that auto_box may leave outside the box
+
 
 def _as_tuple(x, dim: int, cast=float) -> tuple:
     """Broadcast a scalar or sequence to a length-``dim`` tuple."""
@@ -371,8 +373,8 @@ class TestFunctionSpec(Spec):
         """Closed-form gradient at ``points``; shape (M, dim)."""
         return self._gradient(np.atleast_2d(np.asarray(points, dtype=float)))
 
-    def tail_width(self, dim: int, tail_tol: float) -> float:
-        """Half-width of a box around the centre outside which |f| has < tail_tol of its mass."""
+    def tail_width(self, dim: int) -> float:
+        """Half-width of a box around the centre outside which |f| has < TAIL_TOL of its mass."""
         raise ValueError(f"{self.tag} has no decaying tail; give the box explicitly")
 
     def _rel(self, pts: np.ndarray) -> np.ndarray:
@@ -396,7 +398,7 @@ class Tent(TestFunctionSpec):
         out[on] = -rel[on] / (r[on, None] * half)
         return out
 
-    def tail_width(self, dim, tail_tol):
+    def tail_width(self, dim):
         return self.width / 2.0 * 1.05
 
 
@@ -436,7 +438,7 @@ class Bump(TestFunctionSpec):
         out[inside] = v[:, None] * (-2.0 * rel[inside] / R ** 2) / (1.0 - u2[inside])[:, None] ** 2
         return out
 
-    def tail_width(self, dim, tail_tol):
+    def tail_width(self, dim):
         return self.radius * 1.05
 
 
@@ -459,8 +461,8 @@ class Polygauss(TestFunctionSpec):
             out[:, 0] += d * rel[:, 0] ** (d - 1) * g
         return out
 
-    def tail_width(self, dim, tail_tol):
-        # doubles 2 sigma until the radial tail of r^degree exp(-r^2/sigma^2) is below tail_tol
+    def tail_width(self, dim):
+        # doubles 2 sigma until the radial tail of r^degree exp(-r^2/sigma^2) is below TAIL_TOL
         sigma = self.sigma
 
         def tail_fraction(L):
@@ -471,7 +473,7 @@ class Polygauss(TestFunctionSpec):
             return out / total
 
         half = 2.0 * sigma
-        while tail_fraction(half) > tail_tol:
+        while tail_fraction(half) > TAIL_TOL:
             half *= 2.0
         return half
 
@@ -524,13 +526,13 @@ def gradient_magnitude(f: SampledField) -> np.ndarray:
     return np.sqrt(np.sum(g * g, axis=0))
 
 
-def auto_box(spec: TestFunctionSpec, dim: int, tail_tol: float = 1e-8) -> tuple[tuple, tuple]:
-    """Box half-width such that the tail of |f| outside carries < tail_tol of its mass.
+def auto_box(spec: TestFunctionSpec, dim: int) -> tuple[tuple, tuple]:
+    """Box half-width such that the tail of |f| outside carries < TAIL_TOL of its mass.
 
     Compactly supported kinds get their support plus a small margin; decaying
     kinds grow the box by doubling until the radial tail estimate drops below
-    ``tail_tol``.  The coordinate function has no decay and is rejected.
+    TAIL_TOL.  The coordinate function has no decay and is rejected.
     """
-    half = spec.tail_width(dim, tail_tol)
+    half = spec.tail_width(dim)
     center = _as_tuple(spec.center, dim)
     return tuple(c - half for c in center), tuple(c + half for c in center)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 __all__ = ["gagliardo", "level_set_inner", "bbm_morrey", "herz_local", "pair_measure", "morrey",
-           "muckenhoupt", "luxemburg", "orlicz_slice", "lorentz", "variable_lebesgue"]
+           "muckenhoupt", "luxemburg", "orlicz_slice", "lorentz", "variable_lebesgue", "weak_holder"]
 
 
 def gagliardo(values, coords, vol, s, p):
@@ -288,3 +288,31 @@ def variable_lebesgue(values, vol, exponents):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def weak_holder(F, G, coords, vol, gamma, weight, p, cells=None):
+    """Both sides (lhs, rhs) of the weak Hoelder check, one pair and one level at a time."""
+    m, n = coords.shape
+    kern = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i == j or (cells is not None and not (cells[i] and cells[j])):
+                continue
+            d = math.sqrt(sum((coords[i, k] - coords[j, k]) ** 2 for k in range(n)))
+            kern[i, j] = d ** (gamma - n) * weight[i] * vol * vol
+    absF = np.abs(F)
+    absG = np.abs(G)
+    lhs = float(np.sum(absF * absG * kern))
+    pp = p / (p - 1.0)
+    fvals = np.unique(absF[kern > 0]) if np.any(kern > 0) else np.array([])
+    fvals = fvals[fvals > 0]
+    sup = 0.0
+    for v in fvals:
+        mu = float(np.sum(kern[absF >= v]))
+        sup = max(sup, v * mu ** (1.0 / p))
+    gvals = np.concatenate(([0.0], np.unique(absG[kern > 0]))) if np.any(kern > 0) else np.array([0.0])
+    integral = 0.0
+    for lo, hi in zip(gvals[:-1], gvals[1:]):
+        mu = float(np.sum(kern[absG >= hi]))
+        integral += (hi - lo) * mu ** (1.0 / pp)
+    return lhs, pp * sup * integral

@@ -63,6 +63,10 @@ __all__ = [
     "associate_norm_empirical",
 ]
 
+LUXEMBURG_REL_TOL = 1e-14  # bracket width in log lam at which the Luxemburg solver stops
+COVER_LEVELS = 5  # dyadic levels dyadic_cover tries per shift, from the smallest possible
+XI_STRIDE = 4  # default_xi_grid takes every XI_STRIDE-th cell centre per axis
+
 
 # ---------------------------------------------------------------------------
 # auxiliary parameter objects
@@ -480,7 +484,7 @@ def lorentz_norm(f: SampledField, r: float, tau: float, omega: DomainMask | None
     return float(np.sum(terms)) ** (1.0 / tau)
 
 
-def _luxemburg(absvals: np.ndarray, vol: float, phi, rel_tol=1e-14) -> np.ndarray:
+def _luxemburg(absvals: np.ndarray, vol: float, phi) -> np.ndarray:
     """Luxemburg norms of the rows of ``absvals``: per row the lam solving
     modular(lam) = vol * sum_j phi(v_j / lam) = 1.
 
@@ -488,9 +492,9 @@ def _luxemburg(absvals: np.ndarray, vol: float, phi, rel_tol=1e-14) -> np.ndarra
     t >= 1; from lam0 = max_j v_j, the point lam0 * modular(lam0) therefore lies
     on the other side of the root, and the two bracket it.  Bracketed secant
     steps with the Illinois rule then run in (log lam, log modular), where
-    power functions are straight lines, until the bracket is rel_tol wide in
-    log lam; the result is its midpoint, or a step that lands exactly on the
-    root.
+    power functions are straight lines, until the bracket is LUXEMBURG_REL_TOL
+    wide in log lam; the result is its midpoint, or a step that lands exactly
+    on the root.
     """
     v = np.atleast_2d(absvals)
     ref = v.max(axis=1)
@@ -499,7 +503,7 @@ def _luxemburg(absvals: np.ndarray, vol: float, phi, rel_tol=1e-14) -> np.ndarra
     if not rows.all():
         if not rows.any():
             return out
-        out[rows] = _luxemburg(v[rows], vol, phi, rel_tol)
+        out[rows] = _luxemburg(v[rows], vol, phi)
         return out
     v = v / ref[:, None]  # lam is measured in units of the row maximum
 
@@ -521,10 +525,10 @@ def _luxemburg(absvals: np.ndarray, vol: float, phi, rel_tol=1e-14) -> np.ndarra
         if not np.isfinite(ref * np.exp(xhi)).all():
             raise FloatingPointError("Luxemburg bracket failure (non-finite)")
         glo, ghi = log_modular(xlo)[1], log_modular(xhi)[1]
-    nudge = 0.4 * rel_tol  # keeps a step off the ends, so both ends close in
+    nudge = 0.4 * LUXEMBURG_REL_TOL  # keeps a step off the ends, so both ends close in
     prev = None
     for _ in range(200):
-        if not ((xhi - xlo > rel_tol) & np.isnan(exact)).any():
+        if not ((xhi - xlo > LUXEMBURG_REL_TOL) & np.isnan(exact)).any():
             break
         x = xhi - ghi * (xhi - xlo) / (ghi - glo)
         x = np.minimum(np.maximum(x, xlo + nudge), xhi - nudge)
@@ -800,7 +804,7 @@ def dyadic_cubes(system: DyadicSystem, lo, hi) -> list[DyadicCube]:
     return cubes
 
 
-def dyadic_cover(center, radius: float, max_level_pad: int = 4):
+def dyadic_cover(center, radius: float):
     """Smallest cube among the 3^n shifted systems containing the ball.
 
     Returns ``(shift, DyadicCube)`` or None when no candidate contains the ball
@@ -811,7 +815,7 @@ def dyadic_cover(center, radius: float, max_level_pad: int = 4):
     nu0 = math.ceil(math.log2(2.0 * radius))
     best = None
     for shift in product((0.0, 1.0 / 3.0, 2.0 / 3.0), repeat=n):
-        for nu in range(nu0, nu0 + max_level_pad + 1):
+        for nu in range(nu0, nu0 + COVER_LEVELS):
             side = 2.0 ** nu
             sgn = -1.0 if (nu % 2) else 1.0
             m = tuple(math.floor((c[i] - radius) / side - sgn * shift[i]) for i in range(n))
@@ -904,22 +908,14 @@ def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
 # ---------------------------------------------------------------------------
 
 
-def herz_local_norm(f: SampledField, p: float, q: float, weight: HerzWeight, xi,
-                    omega: DomainMask | None = None) -> float:
-    """{sum_k [w(2^k)]^q ||f||^q_{L^p(annulus k)}}^(1/q) with annuli around xi.
-
-    Annulus k holds cells with 2^(k-1) <= |x - xi| < 2^k.  A cell center
-    coinciding with xi (distance zero) belongs to no annulus and is skipped,
-    matching the puncture at xi in the continuum definition.
-    """
-    grid = f.grid
-    d = np.linalg.norm(grid.coords() - np.asarray(_as_tuple(xi, grid.dim)), axis=1)
-    v = np.abs(restrict_values(f, omega)).ravel()
+def _herz_sum(pts, v, xi, p: float, q: float, weight: HerzWeight, vol: float) -> float:
+    """The Herz sum around ``xi`` of the flat |f| values ``v`` at the cell centres ``pts``."""
+    d = np.linalg.norm(pts - np.asarray(_as_tuple(xi, pts.shape[1])), axis=1)
     pos = d > 0
     if not np.any(pos & (v > 0)):
         return 0.0
     k = np.floor(np.log2(d[pos])).astype(int) + 1
-    mass = (v[pos] ** p) * grid.cell_volume
+    mass = (v[pos] ** p) * vol
     k0 = k.min()
     sums = np.bincount(k - k0, weights=mass)
     ks = np.arange(k0, k0 + sums.size)
@@ -928,9 +924,21 @@ def herz_local_norm(f: SampledField, p: float, q: float, weight: HerzWeight, xi,
     return float(np.sum((wq * lp) ** q)) ** (1.0 / q)
 
 
-def default_xi_grid(grid: Grid, stride: int = 4) -> np.ndarray:
-    """Coarse sub-lattice of cell centers (every ``stride``-th per axis) plus the origin."""
-    sel = [grid.axis_centers(i)[::stride] for i in range(grid.dim)]
+def herz_local_norm(f: SampledField, p: float, q: float, weight: HerzWeight, xi,
+                    omega: DomainMask | None = None) -> float:
+    """{sum_k [w(2^k)]^q ||f||^q_{L^p(annulus k)}}^(1/q) with annuli around xi.
+
+    Annulus k holds cells with 2^(k-1) <= |x - xi| < 2^k.  A cell center
+    coinciding with xi (distance zero) belongs to no annulus and is skipped,
+    matching the puncture at xi in the continuum definition.
+    """
+    v = np.abs(restrict_values(f, omega)).ravel()
+    return _herz_sum(f.grid.coords(), v, xi, p, q, weight, f.grid.cell_volume)
+
+
+def default_xi_grid(grid: Grid) -> np.ndarray:
+    """Coarse sub-lattice of cell centers (every XI_STRIDE-th per axis) plus the origin."""
+    sel = [grid.axis_centers(i)[::XI_STRIDE] for i in range(grid.dim)]
     mesh = np.meshgrid(*sel, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     return np.vstack([pts, np.zeros((1, grid.dim))])
@@ -945,9 +953,11 @@ def herz_global_norm(f: SampledField, p: float, q: float, weight: HerzWeight,
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     if xi_grid.shape[0] == 0:
         raise ValueError("xi grid is empty")
+    pts = f.grid.coords()
+    v = np.abs(restrict_values(f, omega)).ravel()
     best, best_xi = -math.inf, None
     for xi in xi_grid:
-        val = herz_local_norm(f, p, q, weight, xi, omega)
+        val = _herz_sum(pts, v, xi, p, q, weight, f.grid.cell_volume)
         if val > best:
             best, best_xi = val, tuple(float(x) for x in xi)
     return best, best_xi

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -115,6 +116,13 @@ def test_bsvy_experiment_rows_and_bracket(tmp_path):
     assert len(table.rows) == 2
     key = next(iter(summary))
     assert summary[key]["width"] >= 1.0
+    assert math.isnan(summary[key]["delta"])  # no refinement, no delta
+    cfg.refine = True
+    table, summary = run_bsvy_experiment(cfg)
+    deltas = [float(tok.split("=")[1]) for row in table.rows for tok in row["flags"].split(";")
+              if tok.startswith("refine_delta=")]
+    assert len(deltas) == 2
+    assert summary[key]["delta"] == pytest.approx(max(deltas), rel=1e-3)
 
 
 def test_cli_determinism(tmp_path):

@@ -25,10 +25,13 @@ from normlab import (
     weak_product_quasinorm,
     weighted_mu_measure,
 )
+from normlab.domains import mask, parse_domain
 from normlab.functionals import (
     DEFAULT_POLICY,
     EXCLUDE_POLICY,
+    _directional_extent_1d,
     bsvy_inner_profile,
+    bsvy_values,
     default_lambda_grid,
     sphere_area,
     sphere_moment,
@@ -163,6 +166,32 @@ def test_bsvy_level_set_monotone_in_lambda():
     prof = bsvy_inner_profile(f, [0.5, 1.0, 2.0], BsvyParams(2.0, 2.0), None, EXCLUDE_POLICY)
     assert np.all(prof[1] <= prof[0] + 1e-15)
     assert np.all(prof[2] <= prof[1] + 1e-15)
+
+
+def test_bsvy_values_equal_single_lambda_calls():
+    g = make_grid(1, -2.0, 2.0, 48)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    omega = mask(parse_domain("annulus:r1=0.4,r2=1.5"), g)
+    params = BsvyParams(-1.0, 2.0)
+    lams = np.geomspace(0.05, 50.0, 7)
+    vals = bsvy_values(f, lams, params, Lebesgue(3.0), omega)
+    assert vals.tolist() == [bsvy_functional(f, lam, params, Lebesgue(3.0), omega) for lam in lams]
+
+
+def test_directional_extent_matches_cell_loop():
+    g = make_grid(1, 0.0, 1.0, 12)
+    h = g.cell_size[0]
+    # several runs, single-cell runs, and runs that touch either box end
+    for cells in ("111111111111", "110111001011", "010101010101", "100000000001", "000111111000"):
+        m = np.array([c == "1" for c in cells])
+        behind, ahead = _directional_extent_1d(g, m)
+        for i in range(m.size):
+            back = fwd = 0
+            while m[i] and i - back - 1 >= 0 and m[i - back - 1]:
+                back += 1
+            while m[i] and i + fwd + 1 < m.size and m[i + fwd + 1]:
+                fwd += 1
+            assert (behind[i], ahead[i]) == ((back + 0.5) * h, (fwd + 0.5) * h), (cells, i)
 
 
 def test_bsvy_functional_desk_value():

@@ -21,7 +21,13 @@ from normlab import (
 )
 from normlab import oracles
 from normlab.domains import mask, parse_domain
-from normlab.functionals import EXCLUDE_POLICY, bsvy_inner, gagliardo_seminorm, weak_product_quasinorm
+from normlab.functionals import (
+    EXCLUDE_POLICY,
+    bsvy_inner,
+    gagliardo_seminorm,
+    weak_holder_check,
+    weak_product_quasinorm,
+)
 from normlab.spaces import bbm_morrey_norm, herz_local_norm
 
 
@@ -388,3 +394,21 @@ def test_variable_lebesgue_matches_oracle(scale):
     ref = oracles.variable_lebesgue(scale * MASKED_V, MASKED_GRID.cell_volume,
                                     ramp.ravel()[MASKED_OMEGA.cells.ravel()])
     assert variable_lebesgue_norm(masked, ramp, MASKED_OMEGA) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["ties", "mask", "power-weight", "zero-g"])
+def test_weak_holder_matches_level_loop_oracle(case):
+    g = make_grid(1, 0.0, 1.0, 16)
+    n = g.total_cells
+    rng = np.random.default_rng(17)
+    # fields rounded to one decimal: many pairs share a level
+    F = np.round(rng.lognormal(sigma=1.0, size=(n, n)), 1)
+    G = np.zeros((n, n)) if case == "zero-g" else np.round(rng.lognormal(sigma=1.0, size=(n, n)), 1)
+    w = power_weight(g, -0.3, center=0.37).samples if case == "power-weight" else np.ones(g.shape)
+    omega = mask(parse_domain("ball:center=0.5,radius=0.3"), g) if case == "mask" else None
+    res = weak_holder_check(F, G, 1.0, w, 2.5, omega, g)
+    lhs, rhs = oracles.weak_holder(F, G, g.coords(), g.cell_volume, 1.0, w.ravel(), 2.5,
+                                   None if omega is None else omega.cells.ravel())
+    assert res.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+    assert res.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+    assert (rhs == 0.0) == (case == "zero-g")
