@@ -500,6 +500,12 @@ class FunctionalReport:
         return cls(**json.loads(text))
 
 
+def _first_max(vals: np.ndarray) -> int:
+    """Index of the first value within a relative 1e-12 of the maximum, so that a
+    profile flat up to rounding does not pick its argmax by a last bit."""
+    return int(np.argmax(vals >= np.max(vals) * (1.0 - 1e-12)))
+
+
 def bsvy_sup(f: SampledField, params: BsvyParams, space: SpaceSpec,
              omega: DomainMask | None = None,
              policy: KernelPolicy = DEFAULT_POLICY,
@@ -525,21 +531,20 @@ def bsvy_sup(f: SampledField, params: BsvyParams, space: SpaceSpec,
         lams = np.concatenate([lams, extra])
         vals = np.concatenate([vals, bsvy_values(f, extra, params, space, omega, policy)])
         order = np.argsort(lams)
-        return lams[order], vals[order], int(np.argmax(vals[order]))
+        return lams[order], vals[order], _first_max(vals[order])
 
     vals = bsvy_values(f, lam, params, space, omega, policy)
     if not np.any(vals > 0):
         report.lam_grid, report.profile = lam.tolist(), vals.tolist()
         report.flags.append("degenerate")
         return report
-    k = int(np.argmax(vals))
+    k = _first_max(vals)
     if k in (0, lam.size - 1):
         report.extended = True
         ext = (np.geomspace(lam[0] / 100.0, lam[0], REFINE_POINTS, endpoint=False) if k == 0
                else np.geomspace(lam[-1], lam[-1] * 100.0, REFINE_POINTS + 1)[1:])
         lam, vals, k = merge(lam, vals, ext)
-    lo = lam[max(k - 1, 0)]
-    hi = lam[min(k + 1, lam.size - 1)]
+    lo, hi = lam[max(k - 1, 0)], lam[min(k + 1, lam.size - 1)]
     if hi > lo:
         fine = np.geomspace(lo, hi, REFINE_POINTS + 2)[1:-1]
         lam, vals, k = merge(lam, vals, fine)

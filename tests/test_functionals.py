@@ -459,3 +459,21 @@ def test_default_lambda_grid_scale():
     lam = default_lambda_grid(f)
     assert lam[0] == pytest.approx(1e-3) and lam[-1] == pytest.approx(1e4)
     assert lam.size == 40
+
+
+@pytest.mark.parametrize("c", [1 + 2.0 ** -40, 1 + 3 * 2.0 ** -40, 1 - 1e-9, 1.5, 3.0])
+def test_bsvy_sup_homogeneous_on_flat_profile(c):
+    # the profile is flat up to rounding over four decades of lambda; the
+    # reported argmax must not depend on which last bit wins
+    from normlab import MixedNorm
+
+    g = make_grid(2, -2.0, 2.0, 32)
+    f = sample(TestFunctionSpec("tent", width=1.5), g)
+    fc = SampledField(g, c * f.values, c * f.analytic_gradient)
+    omega = mask(parse_domain("ball:radius=1.3"), g)
+    policy = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
+    params, space = BsvyParams(1.0, 2.0), MixedNorm((2.5, 3.0))
+    rep = bsvy_sup(f, params, space, omega, policy)
+    rep_c = bsvy_sup(fc, params, space, omega, policy)
+    assert rep_c.sup / c == pytest.approx(rep.sup, rel=1e-12)
+    assert rep_c.argmax_lam / c == pytest.approx(rep.argmax_lam, rel=1e-12)
