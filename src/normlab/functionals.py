@@ -116,7 +116,7 @@ class KernelPolicy:
 
 DEFAULT_POLICY = KernelPolicy()
 EXCLUDE_POLICY = KernelPolicy(diagonal="exclude")
-LAMBDA_POINTS = 40  # the default lambda grid
+LAMBDA_POINTS = 40  # default lambda grid: its points, and its span in units of max |grad f|
 LAMBDA_DECADES = (1e-3, 1e4)
 REFINE_POINTS = 10  # lambdas added by each extension or refinement pass of bsvy_sup
 
