@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import DomainMask, Grid, SampledField, gradient_magnitude
-from .spaces import SpaceSpec, norm
+from .spaces import SpaceSpec, norm, norm_many
 
 __all__ = [
     "KernelPolicy",
@@ -363,6 +363,8 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
         raise ValueError("lambda values must be positive")
     gamma, p = params.gamma, params.p
     grid = f.grid
+    if not lams.size:
+        return np.zeros((0,) + grid.shape)
     n = grid.dim
     h = np.asarray(grid.cell_size)
     mask = _mask_array(omega, grid)
@@ -379,34 +381,54 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
         axes = [((np.arange(k) + 0.5) / k - 0.5) * h[i] for i in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         sub_shifts = np.column_stack([m.ravel() for m in mesh])
+    # rows in ascending lambda order: the rows on which a pair offset can hold
+    # a level-set member are then a prefix, and the walk skips the rest (they
+    # would only add exact zeros)
+    order = np.argsort(lams, kind="stable")
+    lams = lams[order]
     lam_col = lams.reshape((lams.size,) + (1,) * n)
+    # no increment |f(x)-f(y)| on the domain exceeds the spread of f there
+    on = v if mask is None else v[mask]
+    spread = float(np.ptp(on)) if on.size else 0.0
     inner = np.zeros((lams.size,) + grid.shape)
     removed, walk = _pair_walk(grid, mask, policy)
     for off, dist, sa, sb, pm in walk:
-        delta = np.abs(v[sa] - v[sb])
-        if sub_w > 0 and dist <= sub_w:
+        subsampled = sub_w > 0 and dist <= sub_w
+        if subsampled:
             dsub = np.linalg.norm(np.asarray(off) * h + sub_shifts, axis=1)
-            kersub = dsub ** (gamma - n) * vol / k ** n
             thr = dsub ** expo
-            order = np.argsort(thr)
-            thr = thr[order]
-            cumker = np.concatenate(([0.0], np.cumsum(kersub[order])))
+            order_sub = np.argsort(thr)
+            thr = thr[order_sub]
+            if spread / lams[0] <= thr[0]:
+                continue  # the offset holds no member on any row
+        else:
+            thresh = lams * dist ** expo
+            if thresh[0] >= spread:
+                continue
+        delta = np.abs(v[sa] - v[sb])
+        if pm is not None:
+            delta = np.where(pm, delta, 0.0)  # a pair outside the domain is in no level set
+        dmax = np.maximum.reduce(delta, axis=None)
+        if subsampled:
+            # a row holds a member only where some delta / lam exceeds thr[0]
+            live = int(np.count_nonzero(dmax / lams > thr[0]))
+            if not live:
+                continue
+            kersub = dsub ** (gamma - n) * vol / k ** n
+            cumker = np.concatenate(([0.0], np.cumsum(kersub[order_sub])))
             # membership delta > lam * thr_j: prefix of the threshold-sorted
             # subcells; one searchsorted replaces the per-subcell loop
-            ratio = delta[None] / lam_col
+            ratio = delta[None] / lam_col[:live]
             counts = np.searchsorted(thr, ratio.ravel(), side="left").reshape(ratio.shape)
             contrib = cumker[counts]
-            if pm is not None:
-                contrib = contrib * pm[None]
-            inner[(slice(None),) + sa] += contrib
-            inner[(slice(None),) + sb] += contrib
         else:
-            ker = dist ** (gamma - n) * vol
-            memb = delta[None] > lam_col * dist ** expo
-            if pm is not None:
-                memb = memb & pm[None]
-            inner[(slice(None),) + sa] += memb * ker
-            inner[(slice(None),) + sb] += memb * ker
+            live = int(thresh.searchsorted(dmax))  # the rows with thresh < dmax
+            if not live:
+                continue
+            memb = delta[None] > thresh[:live].reshape(lam_col[:live].shape)
+            contrib = memb * (dist ** (gamma - n) * vol)
+        inner[(slice(0, live),) + sa] += contrib
+        inner[(slice(0, live),) + sb] += contrib
     if model_on:
         # frozen-gradient analytic near-field over the removed ball: the
         # inclusion radius rho(x) = (|grad f(x)| / lam)^(p/gamma) is a ceiling
@@ -438,7 +460,7 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
         inner += diag
     if mask is not None:
         inner = np.where(mask[None], inner, 0.0)
-    return inner
+    return inner[np.argsort(order)]  # back to the caller's lambda order
 
 
 def bsvy_inner(f: SampledField, lam: float, params: BsvyParams,
@@ -453,10 +475,11 @@ def bsvy_inner(f: SampledField, lam: float, params: BsvyParams,
 def bsvy_values(f: SampledField, lams, params: BsvyParams, space: SpaceSpec,
                 omega: DomainMask | None = None,
                 policy: KernelPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """lam * || (level-set inner integral)^(1/p) ||_X(Omega) per lam, from one pair walk."""
+    """lam * || (level-set inner integral)^(1/p) ||_X(Omega) per lam, from one pair
+    walk and one batched norm."""
     inner = bsvy_inner_profile(f, lams, params, omega, policy)
-    return np.array([lam * norm(SampledField(f.grid, row ** (1.0 / params.p)), space, omega)
-                     for lam, row in zip(lams, inner)])
+    lams = np.asarray(lams, dtype=float)
+    return lams * norm_many(inner ** (1.0 / params.p), f.grid, space, omega)
 
 
 def bsvy_functional(f: SampledField, lam: float, params: BsvyParams, space: SpaceSpec,

@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-__all__ = ["gagliardo", "level_set_inner", "bbm_morrey", "herz_local", "pair_measure", "morrey",
-           "muckenhoupt", "luxemburg", "orlicz_slice", "lorentz", "variable_lebesgue", "weak_holder"]
+__all__ = ["gagliardo", "level_set_inner", "level_set_sup", "bbm_morrey", "herz_local",
+           "pair_measure", "morrey", "muckenhoupt", "luxemburg", "orlicz_slice", "lorentz",
+           "variable_lebesgue", "weak_holder"]
 
 
 def gagliardo(values, coords, vol, s, p):
@@ -50,6 +51,36 @@ def level_set_inner(values, coords, vol, lam, gamma, p):
                 acc += d ** (gamma - n) * vol
         out[i] = acc
     return out
+
+
+def level_set_sup(values, coords, vol, gamma, p):
+    """Sup over all lam > 0 of lam * mu(lam)^(1/p), mu(lam) the kernel-weighted
+    measure of the ordered pairs x != y with |f(x)-f(y)| > lam |x-y|^(1+gamma/p):
+    the exclude-policy level-set functional in L^p, with no lambda grid.
+
+    mu(lam) only drops at the pair thresholds t = |f(x)-f(y)| / |x-y|^(1+gamma/p)
+    and lam * mu(lam)^(1/p) grows between them, so the sup is the largest
+    t * mu(pairs with threshold >= t)^(1/p) over the thresholds t > 0.
+    """
+    n = coords.shape[1]
+    m = len(values)
+    thresholds, weights = [], []
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            d = 0.0
+            for k in range(n):
+                d += (coords[i, k] - coords[j, k]) ** 2
+            d = math.sqrt(d)
+            thresholds.append(abs(values[i] - values[j]) / d ** (1.0 + gamma / p))
+            weights.append(d ** (gamma - n) * vol * vol)
+    thr = np.array(thresholds)
+    w = np.array(weights)
+    best = 0.0
+    for t in np.unique(thr[thr > 0.0]):
+        best = max(best, float(t) * float(np.sum(w[thr >= t])) ** (1.0 / p))
+    return best
 
 
 def bbm_morrey(values, coords, vol, q, p, r, tau, nu_range):

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["COLUMNS", "RatioTable", "emit_report"]
 
 COLUMNS = (
@@ -33,8 +35,8 @@ COLUMNS = (
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # a numpy scalar's repr would name its type
     return str(v)
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +39,7 @@ __all__ = [
     "DyadicSystem",
     "DyadicCube",
     "norm",
+    "norm_many",
     "parse_space",
     "weighted_lebesgue_norm",
     "decreasing_rearrangement",
@@ -75,44 +77,32 @@ XI_STRIDE = 4  # default_xi_grid takes every XI_STRIDE-th cell centre per axis
 
 @dataclass(frozen=True)
 class OrliczFunction:
-    """Orlicz function: ``power`` means s^p, ``two-power`` means max(s^p1, s^p2)."""
+    """Orlicz function phi(s) = max over its exponents q of s^q: kind ``power``
+    is s^p1 (text key ``p``), ``two-power`` is max(s^p1, s^p2) with p1 <= p2."""
 
     kind: str
     p1: float
     p2: float | None = None
+    KEYS: ClassVar[dict] = {"power": ("p",), "two-power": ("p1", "p2")}  # text keys per kind
 
     def __post_init__(self):
-        if self.kind == "power":
-            if not self.p1 > 1:
-                raise ValueError("power Orlicz function needs p > 1")
-        elif self.kind == "two-power":
-            if self.p2 is None or not (1 < self.p1 <= self.p2 < math.inf):
-                raise ValueError("two-power needs 1 < p1 <= p2 < inf")
-        else:
+        if self.kind not in self.KEYS:
             raise ValueError(f"unknown Orlicz kind {self.kind!r}")
+        q = self.exponents
+        if len(q) != len(self.KEYS[self.kind]) or not (1 < q[0] <= q[-1] < math.inf):
+            raise ValueError(f"{self.kind} Orlicz function needs exponents "
+                             f"1 < {' <= '.join(self.KEYS[self.kind])} < inf")
+
+    @property
+    def exponents(self) -> tuple[float, ...]:
+        return (self.p1,) if self.p2 is None else (self.p1, self.p2)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if self.kind == "power":
-            return s ** self.p1
-        return np.maximum(s ** self.p1, s ** self.p2)
-
-    @property
-    def lower_type(self) -> float:
-        return self.p1
-
-    @property
-    def upper_type(self) -> float:
-        return self.p1 if self.kind == "power" else float(self.p2)
+        return s ** self.p1 if self.p2 is None else np.maximum(s ** self.p1, s ** self.p2)
 
     def params(self) -> dict:
-        return {"p": self.p1} if self.kind == "power" else {"p1": self.p1, "p2": self.p2}
-
-    @classmethod
-    def from_params(cls, values: dict) -> "OrliczFunction":
-        if "p" in values:
-            return cls("power", values["p"])
-        return cls("two-power", values["p1"], values["p2"])
+        return dict(zip(self.KEYS[self.kind], self.exponents))
 
 
 @dataclass(frozen=True)
@@ -167,8 +157,9 @@ class SpaceSpec(Spec):
                 values[key] = v * p
         return self.from_params(values)
 
-    def evaluate(self, f: SampledField, omega: DomainMask | None) -> float:
-        """||f||_{X(Omega)}; :func:`norm` calls it with max |f| scaled to about 1."""
+    def evaluate(self, values: np.ndarray, grid: Grid) -> np.ndarray:
+        """||v||_X of each row v of ``values``, shape ``(B, *grid.shape)``, zero
+        outside the domain; :func:`norm_many` scales each row's max |v| to about 1."""
         raise NotImplementedError
 
     def associate(self, values: np.ndarray, grid: Grid) -> float | None:
@@ -186,11 +177,12 @@ class Lebesgue(SpaceSpec):
             raise ValueError("Lebesgue exponent must lie in [1, inf)")
         self.p = float(p)
 
-    def evaluate(self, f, omega):
-        return _lebesgue(restrict_values(f, omega), f.grid.cell_volume, self.p)
+    def evaluate(self, values, grid):
+        return _lebesgue(values, grid.cell_volume, self.p)
 
     def associate(self, values, grid):
-        return None if self.p == 1 else _lebesgue(values, grid.cell_volume, self.p / (self.p - 1.0))
+        return None if self.p == 1 else float(_lebesgue(values[None], grid.cell_volume,
+                                                        self.p / (self.p - 1.0))[0])
 
 
 class WeightedLebesgue(SpaceSpec):
@@ -228,8 +220,8 @@ class WeightedLebesgue(SpaceSpec):
             return super().convexify(p)
         return WeightedLebesgue(self.r / p, samples=self.samples)
 
-    def evaluate(self, f, omega):
-        return weighted_lebesgue_norm(f, self.r, self.weight_on(f.grid), omega)
+    def evaluate(self, values, grid):
+        return _lebesgue(values, grid.cell_volume, self.r, self.weight_on(grid))
 
     def associate(self, values, grid):
         if self.r <= 1:
@@ -260,8 +252,8 @@ class Lorentz(SpaceSpec):
         self.r = float(r)
         self.tau = float(tau)
 
-    def evaluate(self, f, omega):
-        return lorentz_norm(f, self.r, self.tau, omega)
+    def evaluate(self, values, grid):
+        return _lorentz(values, grid.cell_volume, self.r, self.tau)
 
 
 class _PhiSpace(SpaceSpec):
@@ -272,9 +264,11 @@ class _PhiSpace(SpaceSpec):
 
     @classmethod
     def from_params(cls, values, **context):
-        phi_keys = ("p",) if "p" in values else ("p1", "p2")
+        kind = "power" if "p" in values else "two-power"
+        phi_keys = OrliczFunction.KEYS[kind]
         check_params(f"space {cls.tag!r}", values, phi_keys + cls.keys)
-        return cls(OrliczFunction.from_params(values), *(values[k] for k in cls.keys))
+        phi = OrliczFunction(kind, *(values[k] for k in phi_keys))
+        return cls(phi, *(values[k] for k in cls.keys))
 
     def params(self):
         return {**self.phi.params(), **{k: getattr(self, k) for k in self.keys}}
@@ -287,8 +281,8 @@ class Orlicz(_PhiSpace):
     def __init__(self, phi: OrliczFunction):
         self.phi = phi
 
-    def evaluate(self, f, omega):
-        return luxemburg_norm(f, self.phi, omega)
+    def evaluate(self, values, grid):
+        return _luxemburg(np.abs(_flat_rows(values)), grid.cell_volume, self.phi)
 
 
 class OrliczSlice(_PhiSpace):
@@ -305,8 +299,9 @@ class OrliczSlice(_PhiSpace):
         self.r = float(r)
         self.t = float(t)
 
-    def evaluate(self, f, omega):
-        return orlicz_slice_norm(f, self.phi, self.r, self.t, omega)
+    def evaluate(self, values, grid):
+        return np.array([orlicz_slice_norm(SampledField(grid, v), self.phi, self.r, self.t)
+                         for v in values])
 
 
 class Morrey(SpaceSpec):
@@ -319,8 +314,9 @@ class Morrey(SpaceSpec):
         self.r = float(r)
         self.alpha = float(alpha)
 
-    def evaluate(self, f, omega):
-        return morrey_norm(f, self.r, self.alpha, omega)
+    def evaluate(self, values, grid):
+        radii = default_ball_family(grid).radii
+        return _morrey(values, grid, self.r, self.alpha, radii).max(axis=(0, 2))
 
 
 class BesovBourgainMorrey(SpaceSpec):
@@ -341,8 +337,9 @@ class BesovBourgainMorrey(SpaceSpec):
         self.r = float(r)
         self.tau = float(tau)
 
-    def evaluate(self, f, omega):
-        return bbm_morrey_norm(f, self.q, self.p, self.r, self.tau, omega)
+    def evaluate(self, values, grid):
+        return np.array([bbm_morrey_norm(SampledField(grid, v), self.q, self.p, self.r, self.tau)
+                         for v in values])
 
 
 class _Herz(SpaceSpec):
@@ -372,15 +369,16 @@ class HerzLocal(_Herz):
         super().__init__(p, q, a)
         self.xi = float(xi) if np.isscalar(xi) else xi
 
-    def evaluate(self, f, omega):
-        return herz_local_norm(f, self.p, self.q, self.weight, self.xi, omega)
+    def evaluate(self, values, grid):
+        return _herz(grid.coords(), np.abs(_flat_rows(values)), self.xi, self.p, self.q,
+                     self.weight, grid.cell_volume)
 
 
 class HerzGlobal(_Herz):
     tag = "herzglobal"
 
-    def evaluate(self, f, omega):
-        return herz_global_norm(f, self.p, self.q, self.weight, omega)[0]
+    def evaluate(self, values, grid):
+        return _herz_global(values, grid, self.p, self.q, self.weight, default_xi_grid(grid))[0]
 
 
 class MixedNorm(SpaceSpec):
@@ -397,8 +395,8 @@ class MixedNorm(SpaceSpec):
     def params(self):
         return {"r": np.array(self.rs)}  # an array, so convexify can divide it by p
 
-    def evaluate(self, f, omega):
-        return mixed_norm(f, self.rs, omega)
+    def evaluate(self, values, grid):
+        return _mixed(values, grid, self.rs)
 
 
 class VariableLebesgue(SpaceSpec):
@@ -434,8 +432,8 @@ class VariableLebesgue(SpaceSpec):
             return super().convexify(p)
         return VariableLebesgue(samples=self.samples / p)
 
-    def evaluate(self, f, omega):
-        return variable_lebesgue_norm(f, self.exponent_on(f.grid), omega)
+    def evaluate(self, values, grid):
+        return _variable_lebesgue(values, grid.cell_volume, self.exponent_on(grid))
 
 
 parse_space = SpaceSpec.parse
@@ -446,8 +444,26 @@ parse_space = SpaceSpec.parse
 # ---------------------------------------------------------------------------
 
 
-def _lebesgue(values: np.ndarray, vol: float, p: float) -> float:
-    return float(np.sum(np.abs(values) ** p) * vol) ** (1.0 / p)
+def _flat_rows(values: np.ndarray) -> np.ndarray:
+    """``values`` of shape (B, *shape) as B flat rows."""
+    return values.reshape(len(values), -1)
+
+
+def _one_row(f: SampledField, omega: DomainMask | None) -> np.ndarray:
+    """``f`` zero-extended outside ``omega``, as a batch of one row."""
+    return restrict_values(f, omega)[None]
+
+
+def _root(sums: np.ndarray, p: float) -> np.ndarray:
+    """sums ** (1/p), entry by entry with the C library's pow as for Python
+    floats; numpy's vectorised power differs from it in some last bits."""
+    return np.array([s ** (1.0 / p) for s in sums.tolist()])
+
+
+def _lebesgue(values: np.ndarray, vol: float, p: float, weight: np.ndarray | None = None):
+    """(sum |v|^p * weight * vol)^(1/p) of each row v of ``values``."""
+    terms = np.abs(values) ** p
+    return _root(np.sum(_flat_rows(terms if weight is None else terms * weight), axis=1) * vol, p)
 
 
 def weighted_lebesgue_norm(f: SampledField, r: float, weight: np.ndarray,
@@ -458,8 +474,7 @@ def weighted_lebesgue_norm(f: SampledField, r: float, weight: np.ndarray,
         raise ValueError("weight samples must match the grid")
     if np.any(w < 0):
         raise ValueError("weight must be nonnegative")
-    v = restrict_values(f, omega)
-    return float(np.sum(np.abs(v) ** r * w) * f.grid.cell_volume) ** (1.0 / r)
+    return float(_lebesgue(_one_row(f, omega), f.grid.cell_volume, r, w)[0])
 
 
 def decreasing_rearrangement(f: SampledField, omega: DomainMask | None = None):
@@ -473,15 +488,21 @@ def decreasing_rearrangement(f: SampledField, omega: DomainMask | None = None):
     return t, v
 
 
-def lorentz_norm(f: SampledField, r: float, tau: float, omega: DomainMask | None = None) -> float:
-    """Exact closed-form Lorentz quasi-norm of the step-function rearrangement."""
-    t, v = decreasing_rearrangement(f, omega)
-    if not np.any(v > 0):
-        return 0.0
+def _lorentz(values: np.ndarray, vol: float, r: float, tau: float) -> np.ndarray:
+    """Closed-form Lorentz quasi-norms of the step rearrangements of the rows."""
+    # descending and contiguous: numpy's power may take another path on a
+    # reversed view, and then a row's result would depend on the batch
+    v = -np.sort(-np.abs(_flat_rows(values)), axis=1)
+    t = np.cumsum(np.full(v.shape[1], vol))
     e = tau / r
     tprev = np.concatenate(([0.0], t[:-1]))
     terms = v ** tau * (r / tau) * (t ** e - tprev ** e)
-    return float(np.sum(terms)) ** (1.0 / tau)
+    return _root(np.sum(terms, axis=1), tau)
+
+
+def lorentz_norm(f: SampledField, r: float, tau: float, omega: DomainMask | None = None) -> float:
+    """Exact closed-form Lorentz quasi-norm of the step-function rearrangement."""
+    return float(_lorentz(_one_row(f, omega), f.grid.cell_volume, r, tau)[0])
 
 
 def _luxemburg(absvals: np.ndarray, vol: float, phi) -> np.ndarray:
@@ -494,7 +515,9 @@ def _luxemburg(absvals: np.ndarray, vol: float, phi) -> np.ndarray:
     steps with the Illinois rule then run in (log lam, log modular), where
     power functions are straight lines, until the bracket is LUXEMBURG_REL_TOL
     wide in log lam; the result is its midpoint, or a step that lands exactly
-    on the root.
+    on the root.  A row leaves the batch once it is done, so its norm does not
+    depend on the other rows.  ``phi`` is applied to the rows still in the
+    batch at once.
     """
     v = np.atleast_2d(absvals)
     ref = v.max(axis=1)
@@ -526,10 +549,19 @@ def _luxemburg(absvals: np.ndarray, vol: float, phi) -> np.ndarray:
             raise FloatingPointError("Luxemburg bracket failure (non-finite)")
         glo, ghi = log_modular(xlo)[1], log_modular(xhi)[1]
     nudge = 0.4 * LUXEMBURG_REL_TOL  # keeps a step off the ends, so both ends close in
+    logs = np.empty(ref.size)  # each row's result, log of lam / ref
+    left = np.arange(ref.size)  # the rows still stepping
     prev = None
     for _ in range(200):
-        if not ((xhi - xlo > LUXEMBURG_REL_TOL) & np.isnan(exact)).any():
-            break
+        live = (xhi - xlo > LUXEMBURG_REL_TOL) & np.isnan(exact)
+        if not live.all():
+            if not live.any():
+                break
+            # a row that is done leaves the batch: its steps end where they would alone
+            logs[left[~live]] = np.where(np.isnan(exact), 0.5 * (xlo + xhi), exact)[~live]
+            left, v, xlo, glo, xhi, ghi, exact = (
+                a[live] for a in (left, v, xlo, glo, xhi, ghi, exact))
+            prev = None if prev is None else prev[live]
         x = xhi - ghi * (xhi - xlo) / (ghi - glo)
         x = np.minimum(np.maximum(x, xlo + nudge), xhi - nudge)
         m, g = log_modular(x)
@@ -540,26 +572,30 @@ def _luxemburg(absvals: np.ndarray, vol: float, phi) -> np.ndarray:
         xhi, ghi = np.where(up, xhi, x), np.where(up, keep * ghi, g)
         exact = np.where(m == 1.0, x, exact)
         prev = up
-    return ref * np.exp(np.where(np.isnan(exact), 0.5 * (xlo + xhi), exact))
+    logs[left] = np.where(np.isnan(exact), 0.5 * (xlo + xhi), exact)
+    return ref * np.exp(logs)
 
 
 def luxemburg_norm(f: SampledField, phi: OrliczFunction, omega: DomainMask | None = None) -> float:
-    v = np.abs(restrict_values(f, omega)).ravel()
-    return float(_luxemburg(v, f.grid.cell_volume, phi)[0])
+    return float(_luxemburg(np.abs(restrict_values(f, omega)).ravel(), f.grid.cell_volume, phi)[0])
+
+
+def _variable_lebesgue(values: np.ndarray, vol: float, exponent: np.ndarray) -> np.ndarray:
+    """Luxemburg-type norms of the rows with the pointwise exponent field r(x)."""
+    ex = np.asarray(exponent, dtype=float)
+    if ex.shape != values.shape[1:]:
+        raise ValueError("exponent field must match the grid")
+    lo, hi = float(np.min(ex)), float(np.max(ex))
+    if not (1 < lo <= hi < math.inf):
+        raise ValueError(f"variable exponent must satisfy 1 < min <= max < inf, got [{lo}, {hi}]")
+    exf = ex.ravel()
+    return _luxemburg(np.abs(_flat_rows(values)), vol, lambda s: s ** exf)
 
 
 def variable_lebesgue_norm(f: SampledField, exponent: np.ndarray,
                            omega: DomainMask | None = None) -> float:
     """Luxemburg-type norm with pointwise exponent field r(x)."""
-    ex = np.asarray(exponent, dtype=float)
-    if ex.shape != f.grid.shape:
-        raise ValueError("exponent field must match the grid")
-    lo, hi = float(np.min(ex)), float(np.max(ex))
-    if not (1 < lo <= hi < math.inf):
-        raise ValueError(f"variable exponent must satisfy 1 < min <= max < inf, got [{lo}, {hi}]")
-    v = np.abs(restrict_values(f, omega)).ravel()
-    exf = ex.ravel()
-    return float(_luxemburg(v, f.grid.cell_volume, lambda s: s ** exf)[0])
+    return float(_variable_lebesgue(_one_row(f, omega), f.grid.cell_volume, exponent)[0])
 
 
 def orlicz_slice_norm(f: SampledField, phi: OrliczFunction, r: float, t: float,
@@ -581,7 +617,7 @@ def orlicz_slice_norm(f: SampledField, phi: OrliczFunction, r: float, t: float,
     num = _luxemburg(balls, vol, phi)
     counts, which = np.unique(stencil.count.ravel(), return_inverse=True)
     den = _luxemburg((np.arange(balls.shape[1]) < counts[:, None]).astype(float), vol, phi)
-    return _lebesgue(num / den[which], vol, r)
+    return float(_lebesgue((num / den[which])[None], vol, r)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +662,10 @@ def _ball_stencil(grid: Grid, radius: float) -> _BallStencil:
         if width == 0 or any(abs(o) >= n for o, n in zip(offset, grid.shape)):
             continue
         w = (width - 1) // 2
-        dst = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, grid.shape))
-        src = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, grid.shape))
+        # slices over the grid's axes after an Ellipsis, which takes any batch axes
+        lead_axes = list(zip(offset, grid.shape))
+        dst = (..., *(slice(max(0, -o), n - max(0, o)) for o, n in lead_axes), slice(None))
+        src = (..., *(slice(max(0, o), n - max(0, -o)) for o, n in lead_axes), slice(None))
         rows.append((w, dst, src))
         ends[w] = (np.clip(cells - w, 0, n_last), np.clip(cells + w + 1, 0, n_last))
     stencil = _BallStencil(half, inside, tuple(rows), ends, np.zeros(grid.shape))
@@ -648,7 +686,8 @@ def _add_ball_sums(prefix: np.ndarray, stencil: _BallStencil, out: np.ndarray) -
 
 def ball_sums(values: np.ndarray, grid: Grid, radii) -> np.ndarray:
     """Sums of ``values`` over the box cells of the ball of each radius around
-    every cell, shape ``(len(radii), *grid.shape)``.
+    every cell, shape ``(len(radii), *values.shape)``; ``values`` may carry
+    batch axes in front of ``grid.shape``.
 
     Cell j lies in the ball of radius r around cell i when |(j - i) h| <= r,
     measured in integer offsets times the cell sizes.  The ball is one
@@ -656,8 +695,9 @@ def ball_sums(values: np.ndarray, grid: Grid, radii) -> np.ndarray:
     interval sum is a difference of last-axis prefix sums.  For nonnegative
     values the prefix sums never decrease, so the sums are nonnegative.
     """
-    prefix = _last_axis_prefix(np.asarray(values, dtype=float))
-    out = np.zeros((len(radii),) + grid.shape)
+    values = np.asarray(values, dtype=float)
+    prefix = _last_axis_prefix(values)
+    out = np.zeros((len(radii),) + values.shape)
     for acc, rad in zip(out, radii):
         _add_ball_sums(prefix, _ball_stencil(grid, float(rad)), acc)
     return out
@@ -695,6 +735,19 @@ def _unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 
 
+def _morrey(values: np.ndarray, grid: Grid, r: float, alpha: float, radii: np.ndarray,
+            centres: np.ndarray | None = None) -> np.ndarray:
+    """|B|^(1/alpha - 1/r) * ||v||_{L^r(B)} for each ball B of the radii around
+    the cells ``centres`` (flat indices; None for every cell) and each row v of
+    ``values``, shape (radii, B, centres)."""
+    mass = np.abs(values) ** r * grid.cell_volume
+    sums = ball_sums(mass, grid, radii).reshape(radii.size, len(values), -1)
+    if centres is not None:
+        sums = sums[..., centres]
+    scale = (_unit_ball_volume(grid.dim) * radii ** grid.dim) ** (1.0 / alpha - 1.0 / r)
+    return scale[:, None, None] * sums ** (1.0 / r)
+
+
 def morrey_norm(f: SampledField, r: float, alpha: float, omega: DomainMask | None = None,
                 ball_family: BallFamily | None = None, return_witness: bool = False):
     """max over balls B of |B|^(1/alpha - 1/r) * ||f||_{L^r(B)}.
@@ -708,13 +761,8 @@ def morrey_norm(f: SampledField, r: float, alpha: float, omega: DomainMask | Non
     fam = ball_family if ball_family is not None else default_ball_family(grid)
     if fam.centers.size == 0 or fam.radii.size == 0:
         raise ValueError("ball family is empty")
-    mass = np.abs(restrict_values(f, omega)) ** r * grid.cell_volume
-    sums = ball_sums(mass, grid, fam.radii).reshape(fam.radii.size, -1)
-    if ball_family is not None:
-        sums = sums[:, _cell_index(grid, fam.centers)]
-    n = grid.dim
-    scale = (_unit_ball_volume(n) * fam.radii ** n) ** (1.0 / alpha - 1.0 / r)
-    vals = scale[:, None] * sums ** (1.0 / r)
+    centres = None if ball_family is None else _cell_index(grid, fam.centers)
+    vals = _morrey(_one_row(f, omega), grid, r, alpha, fam.radii, centres)[:, 0]
     k = int(np.argmax(vals))
     best = float(vals.flat[k])
     if best > 0.0:
@@ -908,20 +956,23 @@ def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
 # ---------------------------------------------------------------------------
 
 
-def _herz_sum(pts, v, xi, p: float, q: float, weight: HerzWeight, vol: float) -> float:
-    """The Herz sum around ``xi`` of the flat |f| values ``v`` at the cell centres ``pts``."""
-    d = np.linalg.norm(pts - np.asarray(_as_tuple(xi, pts.shape[1])), axis=1)
-    pos = d > 0
-    if not np.any(pos & (v > 0)):
-        return 0.0
-    k = np.floor(np.log2(d[pos])).astype(int) + 1
-    mass = (v[pos] ** p) * vol
+def _herz(pts, rows: np.ndarray, xi, p: float, q: float, weight: HerzWeight, vol: float):
+    """The Herz sums around ``xi`` of the flat |f| rows ``rows`` at the cell centres ``pts``."""
+    # |pts - xi| summed as np.linalg.norm sums it, without its slow short-axis reduce
+    d = np.sqrt(sum((pts[:, i] - c) ** 2 for i, c in enumerate(_as_tuple(xi, pts.shape[1]))))
+    cells = np.flatnonzero(d > 0)
+    if not cells.size:
+        return np.zeros(len(rows))
+    k = np.floor(np.log2(d[cells])).astype(int) + 1
     k0 = k.min()
-    sums = np.bincount(k - k0, weights=mass)
-    ks = np.arange(k0, k0 + sums.size)
-    lp = sums ** (1.0 / p)
-    wq = (2.0 ** ks) ** weight.a
-    return float(np.sum((wq * lp) ** q)) ** (1.0 / q)
+    nk = int(k.max() - k0) + 1
+    mass = np.take(rows, cells, axis=1) ** p * vol
+    # one bincount for all rows: annulus j of row b is bin b * nk + j, and
+    # every bin adds its cells in cell order
+    bins = (np.arange(len(rows))[:, None] * nk + (k - k0)).ravel()
+    sums = np.bincount(bins, weights=mass.ravel(), minlength=len(rows) * nk).reshape(-1, nk)
+    wq = (2.0 ** np.arange(k0, k0 + nk)) ** weight.a
+    return _root(np.sum((wq * sums ** (1.0 / p)) ** q, axis=1), q)
 
 
 def herz_local_norm(f: SampledField, p: float, q: float, weight: HerzWeight, xi,
@@ -932,8 +983,8 @@ def herz_local_norm(f: SampledField, p: float, q: float, weight: HerzWeight, xi,
     coinciding with xi (distance zero) belongs to no annulus and is skipped,
     matching the puncture at xi in the continuum definition.
     """
-    v = np.abs(restrict_values(f, omega)).ravel()
-    return _herz_sum(f.grid.coords(), v, xi, p, q, weight, f.grid.cell_volume)
+    rows = np.abs(_flat_rows(_one_row(f, omega)))
+    return float(_herz(f.grid.coords(), rows, xi, p, q, weight, f.grid.cell_volume)[0])
 
 
 def default_xi_grid(grid: Grid) -> np.ndarray:
@@ -942,6 +993,17 @@ def default_xi_grid(grid: Grid) -> np.ndarray:
     mesh = np.meshgrid(*sel, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     return np.vstack([pts, np.zeros((1, grid.dim))])
+
+
+def _herz_global(values: np.ndarray, grid: Grid, p: float, q: float, weight: HerzWeight,
+                 xi_grid: np.ndarray):
+    """Per row of ``values``, the max over the centres of the local Herz norm and
+    the index of the first centre that attains it."""
+    pts = grid.coords()
+    rows = np.abs(_flat_rows(values))
+    vals = np.array([_herz(pts, rows, xi, p, q, weight, grid.cell_volume) for xi in xi_grid])
+    best = np.argmax(vals, axis=0)
+    return vals[best, np.arange(len(rows))], best
 
 
 def herz_global_norm(f: SampledField, p: float, q: float, weight: HerzWeight,
@@ -953,14 +1015,8 @@ def herz_global_norm(f: SampledField, p: float, q: float, weight: HerzWeight,
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     if xi_grid.shape[0] == 0:
         raise ValueError("xi grid is empty")
-    pts = f.grid.coords()
-    v = np.abs(restrict_values(f, omega)).ravel()
-    best, best_xi = -math.inf, None
-    for xi in xi_grid:
-        val = _herz_sum(pts, v, xi, p, q, weight, f.grid.cell_volume)
-        if val > best:
-            best, best_xi = val, tuple(float(x) for x in xi)
-    return best, best_xi
+    vals, best = _herz_global(_one_row(f, omega), f.grid, p, q, weight, xi_grid)
+    return float(vals[0]), tuple(float(x) for x in xi_grid[best[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -968,16 +1024,20 @@ def herz_global_norm(f: SampledField, p: float, q: float, weight: HerzWeight,
 # ---------------------------------------------------------------------------
 
 
+def _mixed(values: np.ndarray, grid: Grid, rs) -> np.ndarray:
+    """Iterated midpoint sums of each row, innermost axis first with exponent rs[0]."""
+    rs = tuple(float(r) for r in rs)
+    if len(rs) != grid.dim:
+        raise ValueError(f"need {grid.dim} exponents, got {len(rs)}")
+    t = np.abs(values)
+    for r, h in zip(rs[:-1], grid.cell_size):
+        t = (np.sum(t ** r, axis=1) * h) ** (1.0 / r)
+    return _root(np.sum(t ** rs[-1], axis=1) * grid.cell_size[-1], rs[-1])
+
+
 def mixed_norm(f: SampledField, rs, omega: DomainMask | None = None) -> float:
     """Iterated midpoint sums, innermost axis first with exponent rs[0]."""
-    rs = tuple(float(r) for r in rs)
-    if len(rs) != f.grid.dim:
-        raise ValueError(f"need {f.grid.dim} exponents, got {len(rs)}")
-    t = np.abs(restrict_values(f, omega))
-    for i, r in enumerate(rs):
-        h = f.grid.cell_size[i]
-        t = (np.sum(t ** r, axis=0) * h) ** (1.0 / r)
-    return float(t)
+    return float(_mixed(_one_row(f, omega), f.grid, rs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -985,16 +1045,33 @@ def mixed_norm(f: SampledField, rs, omega: DomainMask | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> float:
-    """Evaluate ||f||_{X(Omega)} for any catalog space (zero-extension outside).
+def norm_many(values: np.ndarray, grid: Grid, space: SpaceSpec,
+              omega: DomainMask | None = None) -> np.ndarray:
+    """||v||_{X(Omega)} of each row v of ``values``, shape ``(B, *grid.shape)``,
+    for any catalog space (zero-extension outside).
 
-    Every catalog norm is 1-homogeneous, so f is first divided by the power of
-    two 2^e just above max |f| on the domain, which is exact, and the result is
-    multiplied back; powers |f|^p then neither overflow nor underflow.
+    Every catalog norm is 1-homogeneous, so each row is first divided by the
+    power of two 2^e just above its max |v| on the domain, which is exact, and
+    its result is multiplied back; powers |v|^p then neither overflow nor
+    underflow.  A row's norm does not depend on the other rows.
     """
-    v = restrict_values(f, omega)
-    e = math.frexp(float(np.abs(v).max()))[1]
-    return math.ldexp(space.evaluate(SampledField(f.grid, np.ldexp(v, -e)), omega), e)
+    v = np.asarray(values, dtype=float)
+    if v.shape[1:] != grid.shape:
+        raise ValueError(f"rows of shape {v.shape[1:]} do not match the grid {grid.shape}")
+    if not len(v):
+        return np.zeros(0)
+    if omega is not None:
+        if omega.grid != grid:
+            raise ValueError("field and mask live on different grids")
+        v = np.where(omega.cells, v, 0.0)
+    e = np.frexp(_flat_rows(np.abs(v)).max(axis=1))[1]
+    scaled = np.ldexp(v, -e.reshape((-1,) + (1,) * grid.dim))
+    return np.ldexp(space.evaluate(scaled, grid), e)
+
+
+def norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> float:
+    """Evaluate ||f||_{X(Omega)} for any catalog space; see :func:`norm_many`."""
+    return float(norm_many(f.values[None], f.grid, space, omega)[0])
 
 
 def convexify(space: SpaceSpec, p: float) -> SpaceSpec:

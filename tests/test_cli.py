@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from normlab.cli import main
@@ -57,6 +58,17 @@ def test_csv_single_row_layout(tmp_path):
     assert lines[0] == ",".join(COLUMNS)
     assert len(lines) == 2
     assert lines[1].split(",")[COLUMNS.index("ratio")] == "0.5"
+
+
+def test_csv_writes_numpy_scalars_as_plain_floats(tmp_path):
+    t = RatioTable()
+    t.add_row(experiment="norm", function="f", space="s", domain="d", n=1, p=2.0,
+              gamma_or_s=0.5, value=np.float64(1.5), reference=2.0, grid="g", seed=7)
+    row = emit_report(t, tmp_path, "np", formats=("csv",))[0].read_text().strip().split("\n")[1]
+    cells = row.split(",")
+    assert cells[COLUMNS.index("value")] == "1.5"
+    assert cells[COLUMNS.index("ratio")] == "0.75"
+    assert "np." not in row
 
 
 def test_csv_quotes_comma_fields(tmp_path):

@@ -19,12 +19,14 @@ from normlab import (
     bsvy_sup,
     gagliardo_seminorm,
     make_grid,
+    parse_space,
     sample,
     sobolev_norm,
     weak_holder_check,
     weak_product_quasinorm,
     weighted_mu_measure,
 )
+from normlab import oracles
 from normlab.domains import mask, parse_domain
 from normlab.functionals import (
     DEFAULT_POLICY,
@@ -176,6 +178,92 @@ def test_bsvy_values_equal_single_lambda_calls():
     lams = np.geomspace(0.05, 50.0, 7)
     vals = bsvy_values(f, lams, params, Lebesgue(3.0), omega)
     assert vals.tolist() == [bsvy_functional(f, lam, params, Lebesgue(3.0), omega) for lam in lams]
+
+
+# one member of every catalog kind, on 1D grids
+CATALOG_1D = ("lebesgue:p=2", "weighted:a=-0.3,r=3", "lorentz:r=3,tau=2.5", "orlicz:p1=2.5,p2=3",
+              "orliczslice:p=2,r=2.5,t=0.3", "morrey:alpha=4,r=2", "bbmorrey:p=3,q=2,r=4,tau=5",
+              "herzlocal:a=-0.2,p=2.5,q=2.5", "herzglobal:a=-0.2,p=2.5,q=2.5", "mixed:r=2.5",
+              "varleb:base=2.5,slope=0.3")
+
+
+@pytest.mark.parametrize("dim, text", [(1, t) for t in CATALOG_1D] + [(2, "mixed:r=2.5;3")])
+@pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
+def test_bsvy_values_equal_single_lambda_calls_every_kind(dim, text, domain):
+    g = make_grid(dim, -2.0, 2.0, 32 if dim == 1 else 16)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    omega = None if domain is None else mask(parse_domain(domain), g)
+    params, space = BsvyParams(1.0, 2.0), parse_space(text)
+    lams = np.geomspace(0.05, 50.0, 7)[[3, 0, 6, 1, 5, 2, 4]]
+    vals = bsvy_values(f, lams, params, space, omega)
+    assert vals.tolist() == [bsvy_functional(f, lam, params, space, omega) for lam in lams]
+
+
+def test_inner_profile_unsorted_batch_with_duplicates():
+    lams = np.array([2.0, 0.5, 1.0, 0.5, 8.0, 0.1, 2.0, 1e-3, 50.0])
+    ordered = np.sort(lams)
+    params = BsvyParams(2.0, 2.0)
+    for dim, npts in ((1, 48), (2, 12)):
+        g = make_grid(dim, -2.0, 2.0, npts)
+        f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+        omega = mask(parse_domain("ball:radius=1.3"), g)
+        for policy, dom in ((DEFAULT_POLICY, None), (DEFAULT_POLICY, omega),
+                            (EXCLUDE_POLICY, omega)):
+            prof = bsvy_inner_profile(f, lams, params, dom, policy)
+            ref = bsvy_inner_profile(f, ordered, params, dom, policy)
+            for lam, row in zip(lams, prof):
+                assert np.array_equal(row, ref[np.searchsorted(ordered, lam)])
+    g = make_grid(1, -2.0, 2.0, 48)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    assert bsvy_values(f, [], params, Lebesgue(2.0)).shape == (0,)
+    for lam, row in zip(lams, bsvy_inner_profile(f, lams, params, None, EXCLUDE_POLICY)):
+        ref = oracles.level_set_inner(f.values.ravel(), g.coords(), g.cell_volume, lam, 2.0, 2.0)
+        assert np.max(np.abs(row.ravel() - ref)) <= 1e-12 * np.max(ref)
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, EXCLUDE_POLICY], ids=["default", "exclude"])
+@pytest.mark.parametrize("gamma", [2.0, -1.0])
+def test_inner_profile_pairs_at_offset_edges_match_loops(policy, gamma):
+    # each lambda sits just below the one at which an offset's largest
+    # increment leaves the level set, so the walk must keep that row for it
+    g = make_grid(1, -2.0, 2.0, 32)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    v, h, p = f.values.ravel(), g.cell_size[0], 2.0
+    expo = 1.0 + gamma / p
+    shifts = ((np.arange(policy.subsample) + 0.5) / policy.subsample - 0.5) * h
+
+    def pair_dists(o):
+        """Distances at which a cell pair at offset o enters the sum."""
+        if policy.diagonal == "exclude" or o * h > policy.subsample_window * h:
+            return np.array([o * h])
+        return np.abs(o * h + shifts) if o * h > policy.near_window * h else np.array([])
+
+    lams = np.array([np.max(np.abs(v[o:] - v[:-o])) / np.min(pair_dists(o)) ** expo * (1 - 1e-9)
+                     for o in (2, 3, 5, 12)])
+    params = BsvyParams(gamma, p)
+    # the analytic near-field term alone: no pair differs in value
+    model = SampledField(g, np.zeros(g.shape), f.analytic_gradient)
+    pairs = (bsvy_inner_profile(f, lams, params, None, policy)
+             - bsvy_inner_profile(model, lams, params, None, policy))
+    for lam, row in zip(lams, pairs):
+        ref = np.zeros(v.size)
+        for i in range(v.size):
+            for j in range(v.size):
+                ds = pair_dists(abs(i - j)) if i != j else np.array([])
+                memb = abs(v[i] - v[j]) > lam * ds ** expo
+                ref[i] += np.sum(memb * ds ** (gamma - 1) * h / max(ds.size, 1))
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(ref)
+
+
+@pytest.mark.parametrize("spec", [TestFunctionSpec("tent", width=1.5),
+                                  TestFunctionSpec("gaussian")])
+def test_bsvy_sup_below_exact_all_lambda_sup(spec):
+    # exclude policy in L^p: the lambda grid can only miss the sup over all lambda
+    g = make_grid(1, -2.0, 2.0, 64)
+    f = sample(spec, g)
+    exact = oracles.level_set_sup(f.values.ravel(), g.coords(), g.cell_volume, 1.0, 2.0)
+    sup = bsvy_sup(f, BsvyParams(1.0, 2.0), Lebesgue(2.0), None, EXCLUDE_POLICY).sup
+    assert 0.95 * exact <= sup <= exact * (1.0 + 1e-12)
 
 
 def test_directional_extent_matches_cell_loop():

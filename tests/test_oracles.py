@@ -99,6 +99,21 @@ def test_weak_product_masked_nonsquare_cells():
     assert mine == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+def test_level_set_sup_is_the_breakpoint_max(gamma):
+    # just below a pair threshold the level set still holds that pair, so
+    # lam * mu(lam)^(1/p) there approaches each breakpoint value from below
+    g = make_grid(1, -1.0, 1.0, 10)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.4, center=0.1), g)
+    v, x, vol = f.values.ravel(), g.coords(), g.cell_volume
+    d = np.abs(x[:, 0, None] - x[None, :, 0])
+    off = ~np.eye(v.size, dtype=bool)
+    thresholds = np.unique(np.abs(v[:, None] - v[None])[off] / d[off] ** (1.0 + gamma / 2.0))
+    below = [lam * oracles.pair_measure(v, x, vol, lam, gamma, 2.0) ** 0.5
+             for lam in thresholds[thresholds > 0] * (1.0 - 1e-9)]
+    assert oracles.level_set_sup(v, x, vol, gamma, 2.0) == pytest.approx(max(below), rel=1e-8)
+
+
 def test_bbmorrey_indicator_spec_case():
     # unit indicator, q=2 p=3 r=4 tau=inf, levels -3..3
     g = make_grid(1, 0.0, 1.0, 32)

@@ -33,6 +33,7 @@ from normlab import (
     mo_indices,
     morrey_norm,
     norm,
+    norm_many,
     orlicz_slice_norm,
     parse_space,
     restriction_norm,
@@ -41,6 +42,7 @@ from normlab import (
     weighted_lebesgue_norm,
     zero_extend,
 )
+from normlab.domains import mask, parse_domain
 from normlab.spaces import bbm_morrey_norm, herz_exponent_admissible
 
 
@@ -58,6 +60,53 @@ def test_norm_constant_on_unit_box():
     g = make_grid(1, 0.0, 1.0, 16)
     f = SampledField(g, np.ones(g.shape))
     assert norm(f, Lebesgue(2.0)) == pytest.approx(1.0, abs=1e-14)
+
+
+# one member of every catalog kind, on 1D grids
+CATALOG_1D = ("lebesgue:p=2", "weighted:a=-0.3,r=3", "lorentz:r=3,tau=2.5", "orlicz:p1=2.5,p2=3",
+              "orliczslice:p=2,r=2.5,t=0.3", "morrey:alpha=4,r=2", "bbmorrey:p=3,q=2,r=4,tau=5",
+              "herzlocal:a=-0.2,p=2.5,q=2.5", "herzglobal:a=-0.2,p=2.5,q=2.5", "mixed:r=2.5",
+              "varleb:base=2.5,slope=0.3")
+
+
+def test_catalog_1d_holds_every_kind():
+    assert sorted(parse_space(text).tag for text in CATALOG_1D) == sorted(SpaceSpec.kinds)
+
+
+@pytest.mark.parametrize("dim, text", [(1, t) for t in CATALOG_1D] + [(2, "mixed:r=2.5;3")])
+@pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
+def test_norm_many_rows_equal_norm(dim, text, domain):
+    g = make_grid(dim, -2.0, 2.0, 24 if dim == 1 else 12)
+    space = parse_space(text)
+    omega = None if domain is None else mask(parse_domain(domain), g)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.2), g).values
+    t = sample(TestFunctionSpec("tent", width=1.5), g).values
+    rng = np.random.default_rng(3)
+    noise = rng.random((40,) + g.shape) ** rng.uniform(0.2, 12.0, size=(40,) + (1,) * dim)
+    rows = np.concatenate([np.stack([f, np.zeros(g.shape), 1e200 * f, 1e-200 * t, t]), noise])
+    many = norm_many(rows, g, space, omega)
+    assert many.tolist() == [norm(SampledField(g, row), space, omega) for row in rows]
+    assert many[1] == 0.0
+
+
+def test_norm_many_shape_mismatch_error_and_empty_batch():
+    g = make_grid(1, 0.0, 1.0, 16)
+    with pytest.raises(ValueError):
+        norm_many(np.ones((3, 15)), g, Lebesgue(2.0))
+    for text in CATALOG_1D:
+        assert norm_many(np.zeros((0, 16)), g, parse_space(text)).shape == (0,)
+
+
+@pytest.mark.parametrize("space", [Orlicz(OrliczFunction("two-power", 1.5, 4.0)),
+                                   VariableLebesgue(base=2.5, slope=1.2, axis=0)])
+def test_luxemburg_row_alone_equals_row_in_batch(space):
+    # rows of differing shapes need differing numbers of secant steps; a row
+    # that is done must not move while the others go on
+    g = make_grid(1, -1.0, 1.0, 40)
+    rng = np.random.default_rng(5)
+    rows = rng.random((300,) + g.shape) ** rng.uniform(0.2, 12.0, size=(300, 1))
+    alone = [norm(SampledField(g, row), space) for row in rows]
+    assert norm_many(rows, g, space).tolist() == alone
 
 
 def test_norm_grid_mismatch_error():
