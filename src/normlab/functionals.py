@@ -119,6 +119,14 @@ EXCLUDE_POLICY = KernelPolicy(diagonal="exclude")
 LAMBDA_POINTS = 40  # default lambda grid: its points, and its span in units of max |grad f|
 LAMBDA_DECADES = (1e-3, 1e4)
 REFINE_POINTS = 10  # lambdas added by each extension or refinement pass of bsvy_sup
+# at p = 2 the Gagliardo kernels sum the offsets with max |o_i| <= NEAR_CELLS
+# directly and the rest by FFT correlation, which loses digits to cancellation
+# near the diagonal
+NEAR_CELLS = 16
+# |f|^p and |grad f|^2 stay inside 2^(+-SAFE_EXP2) times the kernel factors
+# without rescaling; outside, the Gagliardo entry points divide f by a power
+# of two
+SAFE_EXP2 = 512
 
 
 @dataclass(frozen=True)
@@ -157,8 +165,26 @@ class GagliardoParams:
 # ---------------------------------------------------------------------------
 
 
-def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLUDE_POLICY):
-    """Walk the integer offsets whose first nonzero component is positive.
+def _half_offsets(grid: Grid, policy: KernelPolicy):
+    """The integer offsets whose first nonzero component is positive, in the C
+    order of the box [-(n-1), n-1]^dim where they follow the zero offset, with
+    their lengths and whether each lies outside the policy's analytic near
+    field (all do under "exclude")."""
+    shape = grid.shape
+    dims = [2 * n - 1 for n in shape]
+    total = math.prod(dims)
+    offs = np.stack(np.unravel_index(np.arange(total // 2 + 1, total), dims), axis=1)
+    offs -= np.asarray(shape) - 1
+    dists = np.linalg.norm(offs * np.asarray(grid.cell_size), axis=1)
+    eq_ball = policy.diagonal == "equivalent-ball"
+    keep = dists > (policy.near_window * min(grid.cell_size) if eq_ball else 0.0)
+    return offs, dists, keep
+
+
+def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLUDE_POLICY,
+               radius: float = math.inf):
+    """Walk the integer offsets whose first nonzero component is positive and
+    at most ``radius`` on every axis.
 
     Each unordered cell pair {x, x+o} appears exactly once; callers accumulate
     contributions at both ends.  Offsets inside the policy's analytic near
@@ -167,23 +193,16 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLU
     per remaining offset: the slices ``sa``/``sb`` pick the cells x and x+o,
     and ``pair_mask`` is ``mask[sa] & mask[sb]`` (None without a mask).
     """
-    shape = grid.shape
-    # in C order over the box [-(n-1), n-1]^dim of offsets the zero offset sits
-    # in the middle, and the offsets after it are exactly the positive ones
-    dims = [2 * n - 1 for n in shape]
-    total = math.prod(dims)
-    offs = np.stack(np.unravel_index(np.arange(total // 2 + 1, total), dims), axis=1)
-    offs -= np.asarray(shape) - 1
-    dists = np.linalg.norm(offs * np.asarray(grid.cell_size), axis=1)
-    eq_ball = policy.diagonal == "equivalent-ball"
-    keep = dists > (policy.near_window * min(grid.cell_size) if eq_ball else 0.0)
-    cols = offs[keep].T.tolist()
-    kept_dists = dists[keep]
+    offs, dists, keep = _half_offsets(grid, policy)
+    walked = keep & (np.abs(offs).max(axis=1, initial=0) <= radius)
+    cols = offs[walked].T.tolist()
+    kept_dists = dists[walked]
     # per-axis (sa, sb) slice pairs indexed by the offset itself: entries for
     # o >= 0 come first, so a negative o indexes from the end of the list
-    tables = [[(slice(0, n - o), slice(o, n)) for o in range(n)]
-              + [(slice(-o, n), slice(0, n + o)) for o in range(-(n - 1), 0)]
-              for n in shape]
+    reach = [int(min(n - 1, radius)) for n in grid.shape]
+    tables = [[(slice(0, n - o), slice(o, n)) for o in range(r + 1)]
+              + [(slice(-o, n), slice(0, n + o)) for o in range(-r, 0)]
+              for n, r in zip(grid.shape, reach)]
 
     def kept():
         # callers do scalar arithmetic on dist, which is faster on Python
@@ -195,6 +214,71 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLU
             yield off, dist, sa, sb, pm
 
     return int(np.count_nonzero(~keep)), kept()
+
+
+def _far_offsets(grid: Grid, policy: KernelPolicy):
+    """The kept offsets that ``_pair_walk(..., radius=NEAR_CELLS)`` leaves out:
+    their flat indices in the offset box [-(n-1), n-1]^dim and their lengths."""
+    offs, dists, keep = _half_offsets(grid, policy)
+    far = keep & (np.abs(offs).max(axis=1, initial=0) > NEAR_CELLS)
+    return np.flatnonzero(far) + (offs.shape[0] + 1), dists[far]
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the real FFT handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            k = p35
+            while k < n:
+                k *= 2
+            best = min(best, k)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_pair_terms(v: np.ndarray, mask: np.ndarray | None, kernel: np.ndarray | None = None):
+    """p = 2 pair sums for all offsets at once, from zero-padded real FFTs.
+
+    With m the domain indicator, sum_x a(x) b(x+o) is the inverse transform of
+    conj(A) B.  Without a kernel the result is, on the offset box
+    [-(n-1), n-1]^dim (C order),
+
+        S(o) = sum_x m(x) m(x+o) (v(x) - v(x+o))^2 = A(o) + A(-o) - 2 B(o),
+
+    A = corr(v^2 m, m), B = corr(v m, v m).  With a kernel K on that box
+    (K(o) = K(-o)) it is the per-cell field
+
+        m(x) sum_o K(o) m(x+o) (v(x) - v(x+o))^2 = m [v^2 K*m - 2 v K*(vm) + K*(v^2 m)].
+
+    v is first centred on the mid-range of its domain values: the differences
+    do not change, the terms that cancel are smaller, and a field constant on
+    the domain gives exact zeros.  Both results are sums of squares, so
+    rounding below zero is clamped.
+    """
+    m = np.ones(v.shape) if mask is None else mask.astype(float)
+    on = v if mask is None else v[mask]
+    mid = 0.5 * (float(np.max(on)) + float(np.min(on)))
+    v = (v if mask is None else np.where(mask, v, mid)) - mid
+    axes = tuple(range(-v.ndim, 0))
+    lengths = [_fast_length(2 * n - 1) for n in v.shape]
+    vm = v * m
+    spec = np.fft.rfftn(np.stack([m, vm, v * vm]), s=lengths, axes=axes)
+    if kernel is None:
+        prod = 2.0 * (np.conj(spec[2]) * spec[0]).real - 2.0 * np.abs(spec[1]) ** 2
+        at = [np.arange(1 - n, n) % size for n, size in zip(v.shape, lengths)]
+    else:
+        prod = np.conj(np.fft.rfftn(kernel, s=lengths, axes=axes)) * spec
+        # corr(K, g)(t) at t = x - (n-1) is sum_o K(o) g(x+o)
+        at = [np.arange(1 - n, 1) % size for n, size in zip(v.shape, lengths)]
+    out = np.fft.irfftn(prod, s=lengths, axes=axes)[(Ellipsis,) + np.ix_(*at)]
+    if kernel is not None:
+        km, kvm, kv2m = out
+        out = m * (v * v * km - 2.0 * v * kvm + kv2m)
+    return np.maximum(out, 0.0)
 
 
 def _mask_array(omega: DomainMask | None, grid: Grid):
@@ -243,13 +327,37 @@ def _frozen_gradient_term(gradp, s: float, p: float, n: int, r_eq: float):
     return gradp * sphere_moment(p, n) * r_eq ** (p * (1.0 - s)) / (p * (1.0 - s))
 
 
+def _scale_exponent(f: SampledField, mask: np.ndarray | None, p: float) -> int:
+    """Exponent e of the power of two 2^e just above max |f| on the domain when
+    |f|^p or |grad f|^2 could leave the range of floats; 0 (no scaling) inside
+    the safe band, so ordinary inputs keep their exact arithmetic."""
+    on = f.values if mask is None else f.values[mask]
+    e = int(np.frexp(np.max(np.abs(on)))[1])
+    return e if abs(e) * max(p, 2.0) > SAFE_EXP2 else 0
+
+
+def _scaled(f: SampledField, e: int) -> SampledField:
+    """f / 2^e with its analytic gradient; f itself when e = 0."""
+    if not e:
+        return f
+    grad = None if f.analytic_gradient is None else np.ldexp(f.analytic_gradient, -e)
+    return SampledField(f.grid, np.ldexp(f.values, -e), grad)
+
+
+def _unscale(x, e: int, p: float = 1.0):
+    """x * 2^(e p), with the integer part of the exponent applied exactly."""
+    k = math.floor(e * p)
+    return np.ldexp(x * 2.0 ** (e * p - k), k)
+
+
 def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
                              omega: DomainMask | None = None,
                              policy: KernelPolicy = DEFAULT_POLICY) -> list[float]:
     """Gagliardo seminorms for several s at once (the pair sums are shared).
 
     [sum over x != y in Omega of |f(x)-f(y)|^p / |x-y|^(sp+n) vol^2]^(1/p),
-    with the near-field handled per policy.
+    with the near-field handled per policy.  At p = 2 the offsets beyond
+    NEAR_CELLS on some axis get their sums from one FFT correlation.
     """
     s_values = [float(s) for s in s_values]
     for s in s_values:
@@ -257,9 +365,12 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
     grid = f.grid
     n = grid.dim
     mask = _mask_array(omega, grid)
+    e = _scale_exponent(f, mask, p)
+    f = _scaled(f, e)
     v = f.values
     eq_ball = policy.diagonal == "equivalent-ball"
-    removed, walk = _pair_walk(grid, mask, policy)
+    fft = p == 2.0
+    removed, walk = _pair_walk(grid, mask, policy, NEAR_CELLS if fft else math.inf)
     dists, sums = [], []
     for _, dist, sa, sb, pm in walk:
         d = np.abs(v[sa] - v[sb]) ** p
@@ -269,6 +380,10 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
         sums.append(float(np.sum(d)))
     dists = np.asarray(dists)
     sums = np.asarray(sums)
+    if fft:
+        at, far_dists = _far_offsets(grid, policy)
+        dists = np.concatenate([dists, far_dists])
+        sums = np.concatenate([sums, _fft_pair_terms(v, mask).ravel()[at]])
     vol = grid.cell_volume
     if eq_ball:
         g = gradient_magnitude(f)
@@ -281,7 +396,7 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
         total = 2.0 * vol * vol * float(np.sum(sums * dists ** (-(s * p + n))))
         if eq_ball:
             total += _frozen_gradient_term(gradp, s, p, n, r_eq)
-        out.append(total ** (1.0 / p))
+        out.append(float(_unscale(total ** (1.0 / p), e)))
     return out
 
 
@@ -294,15 +409,22 @@ def gagliardo_seminorm(f: SampledField, s: float, p: float,
 def fractional_inner_field(f: SampledField, s: float, p: float,
                            omega: DomainMask | None = None,
                            policy: KernelPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Per-cell inner integral  x -> sum_y |f(x)-f(y)|^p / |x-y|^(n+sp) vol."""
+    """Per-cell inner integral  x -> sum_y |f(x)-f(y)|^p / |x-y|^(n+sp) vol.
+
+    At p = 2 the offsets beyond NEAR_CELLS on some axis come from one FFT
+    convolution with their kernel.
+    """
     GagliardoParams(s, p)
     grid = f.grid
     n = grid.dim
     mask = _mask_array(omega, grid)
+    e = _scale_exponent(f, mask, p)
+    f = _scaled(f, e)
     v = f.values
     vol = grid.cell_volume
     inner = np.zeros(grid.shape)
-    removed, walk = _pair_walk(grid, mask, policy)
+    fft = p == 2.0
+    removed, walk = _pair_walk(grid, mask, policy, NEAR_CELLS if fft else math.inf)
     for _, dist, sa, sb, pm in walk:
         d = np.abs(v[sa] - v[sb]) ** p
         if pm is not None:
@@ -310,6 +432,13 @@ def fractional_inner_field(f: SampledField, s: float, p: float,
         ker = dist ** (-(s * p + n)) * vol
         inner[sa] += d * ker
         inner[sb] += d * ker
+    if fft:
+        at, far_dists = _far_offsets(grid, policy)
+        box = [2 * k - 1 for k in grid.shape]
+        kernel = np.zeros(math.prod(box))
+        # offset o sits at flat index i, -o at size - 1 - i
+        kernel[at] = kernel[kernel.size - 1 - at] = far_dists ** (-(s * p + n)) * vol
+        inner += _fft_pair_terms(v, mask, kernel.reshape(box))
     if policy.diagonal == "equivalent-ball":
         g = gradient_magnitude(f)
         diag = _frozen_gradient_term(g ** p, s, p, n, _equivalent_radius(removed, grid))
@@ -318,16 +447,17 @@ def fractional_inner_field(f: SampledField, s: float, p: float,
         inner += diag
     if mask is not None:
         inner = np.where(mask, inner, 0.0)
-    return inner
+    return _unscale(inner, e, p)
 
 
 def bbm_scaled_value(f: SampledField, s: float, p: float, space: SpaceSpec,
                      omega: DomainMask | None = None,
                      policy: KernelPolicy = DEFAULT_POLICY) -> float:
     """(1-s)^(1/p) * || [inner fractional integral]^(1/p) ||_X(Omega)."""
-    inner = fractional_inner_field(f, s, p, omega, policy)
+    e = _scale_exponent(f, _mask_array(omega, f.grid), p)
+    inner = fractional_inner_field(_scaled(f, e), s, p, omega, policy)
     fld = SampledField(f.grid, inner ** (1.0 / p))
-    return (1.0 - s) ** (1.0 / p) * norm(fld, space, omega)
+    return float(_unscale((1.0 - s) ** (1.0 / p) * norm(fld, space, omega), e))
 
 
 def bbm_limit_extrapolate(pairs) -> tuple[float, float]:

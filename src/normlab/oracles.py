@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["gagliardo", "level_set_inner", "level_set_sup", "bbm_morrey", "herz_local",
+__all__ = ["gagliardo", "fractional_inner", "level_set_inner", "level_set_sup", "bbm_morrey", "herz_local",
            "pair_measure", "morrey", "muckenhoupt", "luxemburg", "orlicz_slice", "lorentz",
            "variable_lebesgue", "weak_holder"]
 
@@ -31,6 +31,25 @@ def gagliardo(values, coords, vol, s, p):
             d = math.sqrt(d)
             total += abs(values[i] - values[j]) ** p / d ** (s * p + n) * vol * vol
     return total ** (1.0 / p)
+
+
+def fractional_inner(values, coords, vol, s, p):
+    """Per-cell sum over y != x of |f(x)-f(y)|^p / |x-y|^(sp+n) vol."""
+    n = coords.shape[1]
+    m = len(values)
+    out = np.zeros(m)
+    for i in range(m):
+        acc = 0.0
+        for j in range(m):
+            if i == j:
+                continue
+            d = 0.0
+            for k in range(n):
+                d += (coords[i, k] - coords[j, k]) ** 2
+            d = math.sqrt(d)
+            acc += abs(values[i] - values[j]) ** p / d ** (s * p + n) * vol
+        out[i] = acc
+    return out
 
 
 def level_set_inner(values, coords, vol, lam, gamma, p):

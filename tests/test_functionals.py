@@ -35,6 +35,8 @@ from normlab.functionals import (
     bsvy_inner_profile,
     bsvy_values,
     default_lambda_grid,
+    fractional_inner_field,
+    gagliardo_seminorm_sweep,
     sphere_area,
     sphere_moment,
 )
@@ -89,15 +91,61 @@ def test_gagliardo_homogeneous_p1():
 
 
 def test_bbm_scaled_fubini_identity():
-    # X = L^p makes the field route equal (1-s)^(1/p) times the seminorm
-    g = make_grid(1, -2.0, 2.0, 48)
-    f = sample(TestFunctionSpec("gaussian"), g)
+    # X = L^p makes the field route equal (1-s)^(1/p) times the seminorm; at
+    # p = 2 on the larger grids both routes take their far offsets by FFT
+    for dim, npts in ((1, 48), (1, 256), (2, 40)):
+        g = make_grid(dim, -2.0, 2.0, npts)
+        f = sample(TestFunctionSpec("gaussian"), g)
+        for policy in (EXCLUDE_POLICY, DEFAULT_POLICY):
+            for p in (1.0, 2.0):
+                s = 0.7
+                lhs = bbm_scaled_value(f, s, p, Lebesgue(p), None, policy)
+                rhs = (1.0 - s) ** (1.0 / p) * gagliardo_seminorm(f, s, p, None, policy)
+                assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,npts", [(1, 256), (2, 48)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gagliardo_p2_exact_zero_for_constant(dim, npts, masked):
+    # a field constant on the domain (other values outside it) has no pair
+    # differences there; the FFT part must give exact zeros as the walk does
+    g = make_grid(dim, -2.0, 2.0, npts)
+    vals = np.full(g.shape, 3.7)
+    omega = None
+    if masked:
+        omega = mask(parse_domain("ball:radius=1.3"), g)
+        vals = np.where(omega.cells, vals, np.linspace(-5.0, 9.0, vals.size).reshape(g.shape))
+    f = SampledField(g, vals, np.zeros((dim,) + g.shape))
     for policy in (EXCLUDE_POLICY, DEFAULT_POLICY):
-        for p in (1.0, 2.0):
-            s = 0.7
-            lhs = bbm_scaled_value(f, s, p, Lebesgue(p), None, policy)
-            rhs = (1.0 - s) ** (1.0 / p) * gagliardo_seminorm(f, s, p, None, policy)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert gagliardo_seminorm_sweep(f, [0.3, 0.9], 2.0, omega, policy) == [0.0, 0.0]
+        assert np.all(fractional_inner_field(f, 0.6, 2.0, omega, policy) == 0.0)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_gagliardo_homogeneous_at_extreme_scales(p, c):
+    g = make_grid(1, -2.0, 2.0, 64)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    fc = SampledField(g, c * f.values, c * f.analytic_gradient)
+    for policy in (EXCLUDE_POLICY, DEFAULT_POLICY):
+        a = gagliardo_seminorm_sweep(f, [0.3, 0.9], p, None, policy)
+        b = gagliardo_seminorm_sweep(fc, [0.3, 0.9], p, None, policy)
+        assert np.allclose(np.divide(b, c), a, rtol=1e-12, atol=0.0)
+        a = bbm_scaled_value(f, 0.7, p, Lebesgue(3.0), None, policy)
+        b = bbm_scaled_value(fc, 0.7, p, Lebesgue(3.0), None, policy)
+        assert b / c == pytest.approx(a, rel=1e-12)
+
+
+@pytest.mark.parametrize("p,c", [(1.0, 1e200), (1.0, 1e-200), (1.5, 1e180), (1.5, 1e-180),
+                                 (2.0, 1e150), (2.0, 1e-150)])
+def test_fractional_inner_homogeneous_at_extreme_scales(p, c):
+    # the inner field is p-homogeneous; c^p stays inside the float range
+    g = make_grid(1, -2.0, 2.0, 64)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    fc = SampledField(g, c * f.values, c * f.analytic_gradient)
+    inner = fractional_inner_field(f, 0.7, p)
+    inner_c = fractional_inner_field(fc, 0.7, p)
+    assert np.max(np.abs(inner_c / c ** p - inner)) <= 1e-12 * np.max(inner)
 
 
 def test_gagliardo_domain_restriction():

@@ -24,6 +24,7 @@ from normlab.domains import mask, parse_domain
 from normlab.functionals import (
     EXCLUDE_POLICY,
     bsvy_inner,
+    fractional_inner_field,
     gagliardo_seminorm,
     weak_holder_check,
     weak_product_quasinorm,
@@ -78,6 +79,32 @@ def test_gagliardo_masked_nonsquare_cells():
     mine = gagliardo_seminorm(MASKED_F, 0.7, 1.5, MASKED_OMEGA, EXCLUDE_POLICY)
     ref = oracles.gagliardo(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.7, 1.5)
     assert mine == pytest.approx(ref, rel=1e-12)
+
+
+def test_gagliardo_masked_nonsquare_cells_p2():
+    # the offsets beyond 16 cells along the long axis come from the FFT
+    mine = gagliardo_seminorm(MASKED_F, 0.7, 2.0, MASKED_OMEGA, EXCLUDE_POLICY)
+    ref = oracles.gagliardo(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.7, 2.0)
+    assert mine == pytest.approx(ref, rel=1e-12)
+
+
+def test_gagliardo_fft_offsets_1d():
+    # N = 512: all but 16 of the 511 offsets are summed by FFT correlation
+    g = make_grid(1, -3.0, 3.0, 512)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.3), g)
+    for s in (0.3, 0.9):
+        mine = gagliardo_seminorm(f, s, 2.0, policy=EXCLUDE_POLICY)
+        ref = oracles.gagliardo(f.values.ravel(), g.coords(), g.cell_volume, s, 2.0)
+        assert mine == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_fractional_inner_masked_nonsquare_cells(p):
+    mine = fractional_inner_field(MASKED_F, 0.7, p, MASKED_OMEGA, EXCLUDE_POLICY)
+    ref = oracles.fractional_inner(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.7, p)
+    inside = MASKED_OMEGA.cells
+    assert np.all(mine[~inside] == 0.0)
+    assert np.max(np.abs(mine[inside] - ref)) <= 1e-12 * np.max(ref)
 
 
 @pytest.mark.parametrize("gamma", [1.0, -1.0])
