@@ -21,8 +21,8 @@ from .functionals import (
     KernelPolicy,
     bbm_constant,
     bbm_limit_extrapolate,
-    bbm_scaled_value,
-    bsvy_sup,
+    bbm_scaled_sweep,
+    bsvy_sups,
     gagliardo_seminorm_sweep,
     sobolev_norm,
     weak_holder_check,
@@ -151,40 +151,54 @@ def _add_row(table: RatioTable, cfg: ExperimentConfig, grid: Grid, **cols) -> No
 # ---------------------------------------------------------------------------
 
 
-def _bbm_extrapolated(f: SampledField, cfg: ExperimentConfig, space: SpaceSpec, omega) -> float:
-    """Extrapolated s -> 1 limit of the scaled fractional quantity in X-norm form."""
-    if isinstance(space, Lebesgue) and space.p == cfg.p:
-        semis = gagliardo_seminorm_sweep(f, cfg.s_grid, cfg.p, omega, cfg.policy)
-        pairs = [(s, (1.0 - s) ** (1.0 / cfg.p) * g) for s, g in zip(cfg.s_grid, semis)]
-    else:
-        pairs = [(s, bbm_scaled_value(f, s, cfg.p, space, omega, cfg.policy)) for s in cfg.s_grid]
-    return bbm_limit_extrapolate(pairs)[0]
+def _bbm_extrapolated(f: SampledField, cfg: ExperimentConfig, omega) -> list[float]:
+    """Extrapolated s -> 1 limit of the scaled fractional quantity in each
+    space's norm form.  L^p with the sweep's own p reads the seminorm sweep;
+    every other space shares one s-batched inner field."""
+    def shortcut(space):
+        return isinstance(space, Lebesgue) and space.p == cfg.p
+
+    others = [space for space in cfg.spaces if not shortcut(space)]
+    scaled = iter(bbm_scaled_sweep(f, cfg.s_grid, cfg.p, others, omega, cfg.policy) if others else ())
+    out = []
+    for space in cfg.spaces:
+        if shortcut(space):
+            semis = gagliardo_seminorm_sweep(f, cfg.s_grid, cfg.p, omega, cfg.policy)
+            vals = [(1.0 - s) ** (1.0 / cfg.p) * g for s, g in zip(cfg.s_grid, semis)]
+        else:
+            vals = next(scaled)
+        out.append(bbm_limit_extrapolate(zip(cfg.s_grid, vals))[0])
+    return out
 
 
 def run_bbm_experiment(cfg: ExperimentConfig) -> RatioTable:
     """Per (function, space): sweep s, extrapolate, compare with the closed-form
-    limit constant times the gradient norm."""
+    limit constant times the gradient norm.  Per function and grid the spaces
+    other than L^p with the sweep's p share one s-batched inner field
+    (:func:`~normlab.functionals.bbm_scaled_sweep`); rows keep the function ->
+    space order."""
     table = RatioTable(provenance=cfg.provenance())
     omega = _domain_mask(cfg, cfg.grid)
     const = bbm_constant(cfg.p, cfg.grid.dim) ** (1.0 / cfg.p)
     for fn in cfg.functions:
         f = sample(fn, cfg.grid)
-        for space in cfg.spaces:
-            ref = const * sobolev_norm(f, space, omega)
-            value = _bbm_extrapolated(f, cfg, space, omega)
-            tokens = []
-            if cfg.refine:
-                fine_grid = cfg.grid.refine(2)
-                f2 = sample(fn, fine_grid)
-                omega2 = _domain_mask(cfg, fine_grid)
-                v2 = _bbm_extrapolated(f2, cfg, space, omega2)
+        values = _bbm_extrapolated(f, cfg, omega)
+        refs = [const * sobolev_norm(f, space, omega) for space in cfg.spaces]
+        tokens = [[] for _ in cfg.spaces]
+        if cfg.refine:
+            fine_grid = cfg.grid.refine(2)
+            f2 = sample(fn, fine_grid)
+            omega2 = _domain_mask(cfg, fine_grid)
+            fine = _bbm_extrapolated(f2, cfg, omega2)
+            for tok, value, v2 in zip(tokens, values, fine):
                 delta = abs(v2 - value) / abs(v2) if v2 != 0 else 0.0
-                tokens.append(f"refine_delta={delta:.3e}")
-                value = v2
-                ref = const * sobolev_norm(f2, space, omega2)
+                tok.append(f"refine_delta={delta:.3e}")
+            values = fine
+            refs = [const * sobolev_norm(f2, space, omega2) for space in cfg.spaces]
+        for space, value, ref, tok in zip(cfg.spaces, values, refs, tokens):
             _add_row(table, cfg, cfg.grid, experiment="bbm", function=fn.canonical(),
                      space=space.canonical(), p=cfg.p, gamma_or_s=1.0, value=value,
-                     reference=ref, flags=_flags(tokens))
+                     reference=ref, flags=_flags(tok))
     return table
 
 
@@ -198,7 +212,12 @@ def run_bsvy_experiment(cfg: ExperimentConfig) -> tuple[RatioTable, dict]:
     the gradient norm on the grid and, with ``refine``, on its 2x refinement;
     rows come from the finest grid.  Per (space, gamma) the summary holds the
     ratio bracket [c1, c2], its width c2/c1 and its worst refinement delta
-    (NaN without refinement)."""
+    (NaN without refinement).
+
+    The loops run function -> gamma -> spaces: one
+    :func:`~normlab.functionals.bsvy_sups` per (function, gamma, grid) shares
+    its level-set rows across the spaces.  Rows and summary keys keep the
+    function -> space -> gamma order."""
     table = RatioTable(provenance=cfg.provenance())
     grids = [cfg.grid] + ([cfg.grid.refine(2)] if cfg.refine else [])
 
@@ -207,11 +226,12 @@ def run_bsvy_experiment(cfg: ExperimentConfig) -> tuple[RatioTable, dict]:
         omega = _domain_mask(cfg, grid)
         for fn in cfg.functions:
             f = sample(fn, grid)
-            for space in cfg.spaces:
+            reps = [bsvy_sups(f, BsvyParams(gamma, cfg.p), cfg.spaces, omega, cfg.policy)
+                    for gamma in cfg.gammas]
+            for j, space in enumerate(cfg.spaces):
                 ref = sobolev_norm(f, space, omega)
-                for gamma in cfg.gammas:
-                    rep = bsvy_sup(f, BsvyParams(gamma, cfg.p), space, omega, cfg.policy)
-                    yield fn, space, gamma, rep, ref
+                for gamma, by_space in zip(cfg.gammas, reps):
+                    yield fn, space, gamma, by_space[j], ref
 
     runs = [list(sups(grid)) for grid in grids]
     brackets: dict[tuple[str, float], list[tuple[float, float]]] = {}

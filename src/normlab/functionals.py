@@ -31,6 +31,7 @@ __all__ = [
     "gagliardo_seminorm",
     "gagliardo_seminorm_sweep",
     "fractional_inner_field",
+    "bbm_scaled_sweep",
     "bbm_scaled_value",
     "bbm_limit_extrapolate",
     "bsvy_inner",
@@ -38,6 +39,7 @@ __all__ = [
     "bsvy_values",
     "bsvy_functional",
     "bsvy_sup",
+    "bsvy_sups",
     "default_lambda_grid",
     "weak_product_quasinorm",
     "weighted_mu_measure",
@@ -124,8 +126,8 @@ REFINE_POINTS = 10  # lambdas added by each extension or refinement pass of bsvy
 # near the diagonal
 NEAR_CELLS = 16
 # |f|^p and |grad f|^2 stay inside 2^(+-SAFE_EXP2) times the kernel factors
-# without rescaling; outside, the Gagliardo entry points divide f by a power
-# of two
+# without rescaling; outside, the Gagliardo entry points, bsvy_sups and
+# sobolev_norm divide f by a power of two
 SAFE_EXP2 = 512
 
 
@@ -240,24 +242,25 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _fft_pair_terms(v: np.ndarray, mask: np.ndarray | None, kernel: np.ndarray | None = None):
+def _fft_pair_terms(v: np.ndarray, mask: np.ndarray | None, kernels: np.ndarray | None = None):
     """p = 2 pair sums for all offsets at once, from zero-padded real FFTs.
 
     With m the domain indicator, sum_x a(x) b(x+o) is the inverse transform of
-    conj(A) B.  Without a kernel the result is, on the offset box
+    conj(A) B.  Without kernels the result is, on the offset box
     [-(n-1), n-1]^dim (C order),
 
         S(o) = sum_x m(x) m(x+o) (v(x) - v(x+o))^2 = A(o) + A(-o) - 2 B(o),
 
-    A = corr(v^2 m, m), B = corr(v m, v m).  With a kernel K on that box
-    (K(o) = K(-o)) it is the per-cell field
+    A = corr(v^2 m, m), B = corr(v m, v m).  With a stack of kernels K on that
+    box (K(o) = K(-o)) it is, per kernel, the per-cell field
 
         m(x) sum_o K(o) m(x+o) (v(x) - v(x+o))^2 = m [v^2 K*m - 2 v K*(vm) + K*(v^2 m)].
 
-    v is first centred on the mid-range of its domain values: the differences
-    do not change, the terms that cancel are smaller, and a field constant on
-    the domain gives exact zeros.  Both results are sums of squares, so
-    rounding below zero is clamped.
+    Each transform runs on its own, so a kernel's field does not depend on
+    the others in the stack.  v is first centred on the mid-range of its
+    domain values: the differences do not change, the terms that cancel are
+    smaller, and a field constant on the domain gives exact zeros.  Both
+    results are sums of squares, so rounding below zero is clamped.
     """
     m = np.ones(v.shape) if mask is None else mask.astype(float)
     on = v if mask is None else v[mask]
@@ -267,16 +270,17 @@ def _fft_pair_terms(v: np.ndarray, mask: np.ndarray | None, kernel: np.ndarray |
     lengths = [_fast_length(2 * n - 1) for n in v.shape]
     vm = v * m
     spec = np.fft.rfftn(np.stack([m, vm, v * vm]), s=lengths, axes=axes)
-    if kernel is None:
+    if kernels is None:
         prod = 2.0 * (np.conj(spec[2]) * spec[0]).real - 2.0 * np.abs(spec[1]) ** 2
         at = [np.arange(1 - n, n) % size for n, size in zip(v.shape, lengths)]
     else:
-        prod = np.conj(np.fft.rfftn(kernel, s=lengths, axes=axes)) * spec
+        kspec = np.fft.rfftn(kernels, s=lengths, axes=axes)
+        prod = np.conj(kspec[:, None]) * spec
         # corr(K, g)(t) at t = x - (n-1) is sum_o K(o) g(x+o)
         at = [np.arange(1 - n, 1) % size for n, size in zip(v.shape, lengths)]
     out = np.fft.irfftn(prod, s=lengths, axes=axes)[(Ellipsis,) + np.ix_(*at)]
-    if kernel is not None:
-        km, kvm, kv2m = out
+    if kernels is not None:
+        km, kvm, kv2m = out[:, 0], out[:, 1], out[:, 2]
         out = m * (v * v * km - 2.0 * v * kvm + kv2m)
     return np.maximum(out, 0.0)
 
@@ -406,15 +410,21 @@ def gagliardo_seminorm(f: SampledField, s: float, p: float,
     return gagliardo_seminorm_sweep(f, [s], p, omega, policy)[0]
 
 
-def fractional_inner_field(f: SampledField, s: float, p: float,
+def fractional_inner_field(f: SampledField, s_values, p: float,
                            omega: DomainMask | None = None,
                            policy: KernelPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Per-cell inner integral  x -> sum_y |f(x)-f(y)|^p / |x-y|^(n+sp) vol.
+    """Per-cell inner integrals  x -> sum_y |f(x)-f(y)|^p / |x-y|^(n+sp) vol
+    for several s at once; entry [i, x] belongs to s_values[i].
 
+    The s enter only through one scalar weight per offset, so each offset's
+    |f(x)-f(y)|^p is computed once and added into every row with the weight
+    that row gets alone: a row does not depend on the other s in the batch.
     At p = 2 the offsets beyond NEAR_CELLS on some axis come from one FFT
-    convolution with their kernel.
+    convolution per s with their kernel.
     """
-    GagliardoParams(s, p)
+    s_values = [float(s) for s in s_values]
+    for s in s_values:
+        GagliardoParams(s, p)
     grid = f.grid
     n = grid.dim
     mask = _mask_array(omega, grid)
@@ -422,42 +432,58 @@ def fractional_inner_field(f: SampledField, s: float, p: float,
     f = _scaled(f, e)
     v = f.values
     vol = grid.cell_volume
-    inner = np.zeros(grid.shape)
+    inner = np.zeros((len(s_values),) + grid.shape)
+    if not s_values:
+        return inner
+    rows = (slice(None),)
+    exps = [-(s * p + n) for s in s_values]
     fft = p == 2.0
     removed, walk = _pair_walk(grid, mask, policy, NEAR_CELLS if fft else math.inf)
     for _, dist, sa, sb, pm in walk:
         d = np.abs(v[sa] - v[sb]) ** p
         if pm is not None:
             d = d * pm
-        ker = dist ** (-(s * p + n)) * vol
-        inner[sa] += d * ker
-        inner[sb] += d * ker
+        # Python-float powers: numpy's vector pow may differ in the last bit
+        ker = np.array([dist ** x * vol for x in exps]).reshape((-1,) + (1,) * n)
+        d = d * ker
+        inner[rows + sa] += d
+        inner[rows + sb] += d
     if fft:
         at, far_dists = _far_offsets(grid, policy)
         box = [2 * k - 1 for k in grid.shape]
-        kernel = np.zeros(math.prod(box))
+        kernels = np.zeros((len(s_values), math.prod(box)))
         # offset o sits at flat index i, -o at size - 1 - i
-        kernel[at] = kernel[kernel.size - 1 - at] = far_dists ** (-(s * p + n)) * vol
-        inner += _fft_pair_terms(v, mask, kernel.reshape(box))
+        for kernel, x in zip(kernels, exps):
+            kernel[at] = kernel[kernel.size - 1 - at] = far_dists ** x * vol
+        inner += _fft_pair_terms(v, mask, kernels.reshape([-1] + box))
     if policy.diagonal == "equivalent-ball":
-        g = gradient_magnitude(f)
-        diag = _frozen_gradient_term(g ** p, s, p, n, _equivalent_radius(removed, grid))
-        if mask is not None:
-            diag = np.where(mask, diag, 0.0)
-        inner += diag
+        gradp = gradient_magnitude(f) ** p
+        r_eq = _equivalent_radius(removed, grid)
+        for row, s in zip(inner, s_values):
+            row += _frozen_gradient_term(gradp, s, p, n, r_eq)
     if mask is not None:
         inner = np.where(mask, inner, 0.0)
     return _unscale(inner, e, p)
+
+
+def bbm_scaled_sweep(f: SampledField, s_values, p: float, spaces,
+                     omega: DomainMask | None = None,
+                     policy: KernelPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """(1-s)^(1/p) * || [inner fractional integral]^(1/p) ||_X(Omega) for every
+    space X (rows) and s (columns), from one batched inner field."""
+    e = _scale_exponent(f, _mask_array(omega, f.grid), p)
+    roots = fractional_inner_field(_scaled(f, e), s_values, p, omega, policy) ** (1.0 / p)
+    weights = np.array([(1.0 - float(s)) ** (1.0 / p) for s in s_values])
+    spaces = list(spaces)
+    return np.array([_unscale(weights * norm_many(roots, f.grid, space, omega), e)
+                     for space in spaces]).reshape(len(spaces), len(weights))
 
 
 def bbm_scaled_value(f: SampledField, s: float, p: float, space: SpaceSpec,
                      omega: DomainMask | None = None,
                      policy: KernelPolicy = DEFAULT_POLICY) -> float:
     """(1-s)^(1/p) * || [inner fractional integral]^(1/p) ||_X(Omega)."""
-    e = _scale_exponent(f, _mask_array(omega, f.grid), p)
-    inner = fractional_inner_field(_scaled(f, e), s, p, omega, policy)
-    fld = SampledField(f.grid, inner ** (1.0 / p))
-    return float(_unscale((1.0 - s) ** (1.0 / p) * norm(fld, space, omega), e))
+    return float(bbm_scaled_sweep(f, [s], p, [space], omega, policy)[0, 0])
 
 
 def bbm_limit_extrapolate(pairs) -> tuple[float, float]:
@@ -659,6 +685,88 @@ def _first_max(vals: np.ndarray) -> int:
     return int(np.argmax(vals >= np.max(vals) * (1.0 - 1e-12)))
 
 
+def _sup_search(lam: np.ndarray, report: FunctionalReport, e: int):
+    """The lambda search of :func:`bsvy_sup` for one space, as a generator that
+    yields each lambda batch it needs and is sent back their values.  It fills
+    in the report at the end, with lambdas and values multiplied by 2^e."""
+
+    def merge(lams, vals, extra):
+        lams = np.concatenate([lams, extra])
+        vals = np.concatenate([vals, (yield extra)])
+        order = np.argsort(lams)
+        return lams[order], vals[order], _first_max(vals[order])
+
+    vals = yield lam
+    if np.any(vals > 0):
+        k = _first_max(vals)
+        if k in (0, lam.size - 1):
+            report.extended = True
+            ext = (np.geomspace(lam[0] / 100.0, lam[0], REFINE_POINTS, endpoint=False) if k == 0
+                   else np.geomspace(lam[-1], lam[-1] * 100.0, REFINE_POINTS + 1)[1:])
+            lam, vals, k = yield from merge(lam, vals, ext)
+        lo, hi = lam[max(k - 1, 0)], lam[min(k + 1, lam.size - 1)]
+        if hi > lo:
+            fine = np.geomspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+            lam, vals, k = yield from merge(lam, vals, fine)
+        report.sup = float(_unscale(vals[k], e))
+        report.argmax_lam = float(_unscale(lam[k], e))
+        report.endpoint = k in (0, lam.size - 1)
+        if report.endpoint:
+            report.flags.append("endpoint-argmax")
+    else:
+        report.flags.append("degenerate")
+    report.lam_grid, report.profile = _unscale(lam, e).tolist(), _unscale(vals, e).tolist()
+
+
+def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
+              omega: DomainMask | None = None,
+              policy: KernelPolicy = DEFAULT_POLICY,
+              lam_grid=None) -> list[FunctionalReport]:
+    """:func:`bsvy_sup` for several spaces X at once, one report per space.
+
+    The inner integral does not depend on X, so the searches run in lockstep:
+    each round makes one :func:`bsvy_inner_profile` call on the lambdas that
+    some space needs and no earlier round computed, and keeps the rows for
+    the rest of this call.  Each space's values come from :func:`norm_many`
+    on the rows it asked for; a row does not depend on its batch, so every
+    report equals the one that space gets alone.  Outside the safe band f is
+    divided by a power of two first: the level sets do not change when f and
+    lambda scale together.
+    """
+    spaces = list(spaces)
+    e = _scale_exponent(f, _mask_array(omega, f.grid), params.p)
+    f = _scaled(f, e)
+    lam = (default_lambda_grid(f, omega) if lam_grid is None
+           else np.ldexp(np.asarray(lam_grid, dtype=float), -e))
+    if lam.size < 25 or lam[-1] / lam[0] < 10 ** 6:
+        raise ValueError("lambda grid must span >= 6 decades with >= 25 points")
+    reports = [FunctionalReport(
+        kind="level-set-sup",
+        inputs={"space": space.canonical(), "gamma": params.gamma, "p": params.p},
+        flags=["theorem-conditional"] if params.theorem_conditional else [],
+        extra={"grid": f.grid.describe(), "policy": policy.canonical()},
+    ) for space in spaces]
+    searches = [_sup_search(lam, rep, e) for rep in reports]
+    asks = [next(search) for search in searches]
+    # the rows computed so far, and the row of each lambda
+    rows, where = np.zeros((0,) + f.grid.shape), {}
+    while any(ask is not None for ask in asks):
+        fresh = sorted({x for ask in asks if ask is not None for x in ask.tolist()} - where.keys())
+        if fresh:
+            where.update(zip(fresh, range(len(rows), len(rows) + len(fresh))))
+            rows = np.concatenate([rows, bsvy_inner_profile(f, fresh, params, omega, policy)])
+        for i, ask in enumerate(asks):
+            if ask is None:
+                continue
+            inner = rows[[where[x] for x in ask.tolist()]]
+            vals = ask * norm_many(inner ** (1.0 / params.p), f.grid, spaces[i], omega)
+            try:
+                asks[i] = searches[i].send(vals)
+            except StopIteration:
+                asks[i] = None
+    return reports
+
+
 def bsvy_sup(f: SampledField, params: BsvyParams, space: SpaceSpec,
              omega: DomainMask | None = None,
              policy: KernelPolicy = DEFAULT_POLICY,
@@ -667,47 +775,10 @@ def bsvy_sup(f: SampledField, params: BsvyParams, space: SpaceSpec,
 
     The default grid spans seven decades around the gradient scale; an
     endpoint argmax triggers one automatic two-decade extension, and one
-    refinement pass localizes the maximum between its grid neighbors.
+    refinement pass localizes the maximum between its grid neighbors.  This is
+    :func:`bsvy_sups` for one space.
     """
-    lam = np.asarray(default_lambda_grid(f, omega) if lam_grid is None else lam_grid, dtype=float)
-    if lam.size < 25 or lam[-1] / lam[0] < 10 ** 6:
-        raise ValueError("lambda grid must span >= 6 decades with >= 25 points")
-    report = FunctionalReport(
-        kind="level-set-sup",
-        inputs={"space": space.canonical(), "gamma": params.gamma, "p": params.p},
-        extra={"grid": f.grid.describe(), "policy": policy.canonical()},
-    )
-    if params.theorem_conditional:
-        report.flags.append("theorem-conditional")
-
-    def merge(lams, vals, extra):
-        lams = np.concatenate([lams, extra])
-        vals = np.concatenate([vals, bsvy_values(f, extra, params, space, omega, policy)])
-        order = np.argsort(lams)
-        return lams[order], vals[order], _first_max(vals[order])
-
-    vals = bsvy_values(f, lam, params, space, omega, policy)
-    if not np.any(vals > 0):
-        report.lam_grid, report.profile = lam.tolist(), vals.tolist()
-        report.flags.append("degenerate")
-        return report
-    k = _first_max(vals)
-    if k in (0, lam.size - 1):
-        report.extended = True
-        ext = (np.geomspace(lam[0] / 100.0, lam[0], REFINE_POINTS, endpoint=False) if k == 0
-               else np.geomspace(lam[-1], lam[-1] * 100.0, REFINE_POINTS + 1)[1:])
-        lam, vals, k = merge(lam, vals, ext)
-    lo, hi = lam[max(k - 1, 0)], lam[min(k + 1, lam.size - 1)]
-    if hi > lo:
-        fine = np.geomspace(lo, hi, REFINE_POINTS + 2)[1:-1]
-        lam, vals, k = merge(lam, vals, fine)
-    report.lam_grid, report.profile = lam.tolist(), vals.tolist()
-    report.sup = float(vals[k])
-    report.argmax_lam = float(lam[k])
-    report.endpoint = k in (0, lam.size - 1)
-    if report.endpoint:
-        report.flags.append("endpoint-argmax")
-    return report
+    return bsvy_sups(f, params, [space], omega, policy, lam_grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +909,8 @@ def weak_holder_check(F: np.ndarray, G: np.ndarray, gamma: float, weight: np.nda
 
 
 def sobolev_norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> float:
-    """|| |grad f| ||_X(Omega); analytic gradient preferred, finite differences otherwise."""
-    g = gradient_magnitude(f)
-    return norm(SampledField(f.grid, g), space, omega)
+    """|| |grad f| ||_X(Omega); analytic gradient preferred, finite differences
+    otherwise.  Outside the safe band f is divided by a power of two first."""
+    e = _scale_exponent(f, _mask_array(omega, f.grid), 1.0)
+    g = gradient_magnitude(_scaled(f, e))
+    return float(_unscale(norm(SampledField(f.grid, g), space, omega), e))

@@ -936,7 +936,9 @@ def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
             a.append(ai[bi > ai])
             b.append(bi[bi > ai])
         s = _box_sums(prefix, np.ix_(*a), np.ix_(*b))
-        s = s[s != 0.0]
+        # in 2D and up a cube of zeros sums to a rounding residue of either
+        # sign; a negative one would make the q-th root NaN
+        s = s[s > 0.0]
         if s.size == 0:
             level_terms.append(0.0)
             continue

@@ -75,3 +75,50 @@ def test_apconst_table():
     a1 = table.rows[0]["value"]
     a2 = table.rows[1]["value"]
     assert a2 <= a1 + 1e-12  # nonincreasing in p on the same family
+
+
+def test_bsvy_experiment_rows_equal_per_space_sups():
+    from normlab import BsvyParams, bsvy_sup, sample, sobolev_norm
+    from normlab.domains import mask, parse_domain
+    from normlab.experiments import run_bsvy_experiment
+
+    spaces = [Lebesgue(2.0), parse_space("lorentz:r=3,tau=2.5"), Morrey(2.0, 4.0)]
+    fns = [TestFunctionSpec("gaussian", sigma=0.6, center=0.3), TestFunctionSpec("tent", width=1.5)]
+    cfg = base_cfg(functions=fns, spaces=spaces, gammas=(1.0, -1.0), p=2.0,
+                   domain=parse_domain("ball:radius=1.3"), refine=True)
+    cfg.grid = make_grid(1, -2.0, 2.0, 24)
+    table, summary = run_bsvy_experiment(cfg)
+    fine = cfg.grid.refine(2)
+    omega = mask(cfg.domain, fine)
+    expected = []
+    for fn in fns:
+        f = sample(fn, fine)
+        for space in spaces:
+            for gamma in cfg.gammas:
+                rep = bsvy_sup(f, BsvyParams(gamma, 2.0), space, omega, cfg.policy)
+                expected.append((fn.canonical(), space.canonical(), gamma, rep.sup,
+                                 sobolev_norm(f, space, omega), rep.flags))
+    got = [(r["function"], r["space"], r["gamma_or_s"], r["value"], r["reference"],
+            r["flags"].split(";")[:-1]) for r in table.rows]
+    assert got == expected
+    assert list(summary) == [f"{s.canonical()}|gamma={g}" for s in spaces for g in cfg.gammas]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_bbm_experiment_rows_equal_per_s_values(p):
+    from normlab import bbm_constant, bbm_limit_extrapolate, bbm_scaled_value, sample, sobolev_norm
+    from normlab.domains import mask, parse_domain
+
+    spaces = [Lebesgue(p), parse_space("lorentz:r=3,tau=2.5"), Morrey(2.0, 4.0)]
+    cfg = base_cfg(functions=[TestFunctionSpec("gaussian", sigma=0.7)], spaces=spaces, p=p,
+                   domain=parse_domain("ball:radius=3.1"), refine=True)
+    cfg.grid = make_grid(1, -4.0, 4.0, 96)
+    table = run_bbm_experiment(cfg)
+    fine = cfg.grid.refine(2)
+    f = sample(cfg.functions[0], fine)
+    omega = mask(cfg.domain, fine)
+    assert [r["space"] for r in table.rows] == [s.canonical() for s in spaces]
+    for row, space in zip(table.rows[1:], spaces[1:]):
+        pairs = [(s, bbm_scaled_value(f, s, p, space, omega, cfg.policy)) for s in cfg.s_grid]
+        assert row["value"] == bbm_limit_extrapolate(pairs)[0]
+        assert row["reference"] == bbm_constant(p, 1) ** (1.0 / p) * sobolev_norm(f, space, omega)

@@ -118,7 +118,7 @@ def test_gagliardo_p2_exact_zero_for_constant(dim, npts, masked):
     f = SampledField(g, vals, np.zeros((dim,) + g.shape))
     for policy in (EXCLUDE_POLICY, DEFAULT_POLICY):
         assert gagliardo_seminorm_sweep(f, [0.3, 0.9], 2.0, omega, policy) == [0.0, 0.0]
-        assert np.all(fractional_inner_field(f, 0.6, 2.0, omega, policy) == 0.0)
+        assert np.all(fractional_inner_field(f, [0.6], 2.0, omega, policy) == 0.0)
 
 
 @pytest.mark.parametrize("c", [1e200, 1e-200])
@@ -143,8 +143,8 @@ def test_fractional_inner_homogeneous_at_extreme_scales(p, c):
     g = make_grid(1, -2.0, 2.0, 64)
     f = sample(TestFunctionSpec("gaussian"), g)
     fc = SampledField(g, c * f.values, c * f.analytic_gradient)
-    inner = fractional_inner_field(f, 0.7, p)
-    inner_c = fractional_inner_field(fc, 0.7, p)
+    inner = fractional_inner_field(f, [0.7], p)[0]
+    inner_c = fractional_inner_field(fc, [0.7], p)[0]
     assert np.max(np.abs(inner_c / c ** p - inner)) <= 1e-12 * np.max(inner)
 
 
@@ -613,3 +613,137 @@ def test_bsvy_sup_homogeneous_on_flat_profile(c):
     rep_c = bsvy_sup(fc, params, space, omega, policy)
     assert rep_c.sup / c == pytest.approx(rep.sup, rel=1e-12)
     assert rep_c.argmax_lam / c == pytest.approx(rep.argmax_lam, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# shared searches and s-batched inner fields
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim, texts", [(1, CATALOG_1D), (2, ("mixed:r=2.5;3",))])
+@pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
+@pytest.mark.parametrize("gamma", [1.0, 2.0, -1.0])
+def test_bsvy_sups_equal_per_space_sups(dim, texts, domain, gamma, monkeypatch):
+    import normlab.functionals as F
+
+    g = make_grid(dim, -2.0, 2.0, 32 if dim == 1 else 16)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    omega = None if domain is None else mask(parse_domain(domain), g)
+    policy = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
+    params, spaces = BsvyParams(gamma, 2.0), [parse_space(t) for t in texts]
+    alone = [bsvy_sup(f, params, space, omega, policy) for space in spaces]
+    batches = []
+    profile = F.bsvy_inner_profile
+
+    def counted(f, lams, *args):
+        batches.append(list(lams))
+        return profile(f, lams, *args)
+
+    monkeypatch.setattr(F, "bsvy_inner_profile", counted)
+    shared = F.bsvy_sups(f, params, spaces, omega, policy)
+    assert [r.__dict__ for r in shared] == [r.__dict__ for r in alone]
+    # grid, extension, refinement: at most three rounds, no lambda computed twice
+    requested = [lam for batch in batches for lam in batch]
+    assert len(batches) <= 3 and len(requested) == len(set(requested))
+
+
+def test_bsvy_sups_shared_extension_requested_once(monkeypatch):
+    # at gamma = -1 most kinds put the argmax at the low end of the grid, so
+    # they all ask for the same ten extension lambdas
+    import normlab.functionals as F
+
+    g = make_grid(1, -2.0, 2.0, 32)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    params, spaces = BsvyParams(-1.0, 2.0), [parse_space(t) for t in CATALOG_1D]
+    grid0 = default_lambda_grid(f)
+    batches = []
+    profile = F.bsvy_inner_profile
+
+    def counted(f, lams, *args):
+        batches.append(np.asarray(lams))
+        return profile(f, lams, *args)
+
+    monkeypatch.setattr(F, "bsvy_inner_profile", counted)
+    reps = F.bsvy_sups(f, params, spaces)
+    low = [r for r in reps if r.extended and r.lam_grid[0] < grid0[0]]
+    assert len(low) >= 2
+    ext = np.geomspace(grid0[0] / 100.0, grid0[0], 10, endpoint=False)
+    assert all(set(ext.tolist()) <= set(r.lam_grid) for r in low)
+    assert sum(np.count_nonzero(np.isin(b, ext)) for b in batches) == ext.size
+    assert [r.__dict__ for r in reps] == [bsvy_sup(f, params, s).__dict__ for s in spaces]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("case", ["1d", "masked-2d"])
+def test_fractional_inner_rows_do_not_depend_on_the_s_batch(p, case):
+    if case == "1d":
+        g = make_grid(1, -4.0, 4.0, 256)  # 238 offsets beyond NEAR_CELLS at p = 2
+        f, omega = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.3), g), None
+    else:
+        g = make_grid(2, (-0.8, -0.84), (0.8, 0.84), (16, 24))  # h = (0.1, 0.07)
+        f = sample(TestFunctionSpec("gaussian", sigma=0.5, center=(0.2, -0.1)), g)
+        omega = mask(parse_domain("ball:center=0.1;0.0,radius=0.75"), g)
+    s_values = [0.3, 0.6, 0.875, 0.95]
+    for policy in (DEFAULT_POLICY, EXCLUDE_POLICY):
+        batch = fractional_inner_field(f, s_values, p, omega, policy)
+        assert batch.shape == (len(s_values),) + g.shape
+        backward = fractional_inner_field(f, s_values[::-1], p, omega, policy)[::-1]
+        for s, row, row_b in zip(s_values, batch, backward):
+            alone = fractional_inner_field(f, [s], p, omega, policy)[0]
+            assert np.array_equal(row, alone) and np.array_equal(row_b, alone)
+    assert fractional_inner_field(f, [], p, omega).shape == (0,) + g.shape
+
+
+def test_bbm_scaled_sweep_equals_single_values():
+    from normlab.functionals import bbm_scaled_sweep
+
+    g = make_grid(1, -4.0, 4.0, 128)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.7), g)
+    omega = mask(parse_domain("ball:radius=3.1"), g)
+    spaces = [Lebesgue(3.0), parse_space("lorentz:r=3,tau=2.5"), parse_space("morrey:alpha=4,r=2")]
+    s_values = [0.6, 0.8, 0.95]
+    for p in (1.0, 2.0):
+        table = bbm_scaled_sweep(f, s_values, p, spaces, omega)
+        assert table.shape == (3, 3)
+        assert table.tolist() == [[bbm_scaled_value(f, s, p, space, omega) for s in s_values]
+                                  for space in spaces]
+
+
+# --------------------------------------------------------------------------
+# level-set sup and Sobolev norm at extreme scales
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+@pytest.mark.parametrize("dim, text", [(1, "lorentz:r=3,tau=2.5"), (2, "mixed:r=2.5;3")])
+def test_bsvy_sup_homogeneous_at_extreme_scales(dim, text, gamma, c):
+    g = make_grid(dim, -2.0, 2.0, 64 if dim == 1 else 16)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    fc = SampledField(g, c * f.values, c * f.analytic_gradient)
+    omega = mask(parse_domain("ball:radius=1.3"), g)
+    policy = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
+    params, space = BsvyParams(gamma, 2.0), parse_space(text)
+    rep = bsvy_sup(f, params, space, omega, policy)
+    rep_c = bsvy_sup(fc, params, space, omega, policy)
+    assert rep_c.flags == rep.flags and "degenerate" not in rep_c.flags
+    assert rep_c.sup / c == pytest.approx(rep.sup, rel=1e-12)
+    assert rep_c.argmax_lam / c == pytest.approx(rep.argmax_lam, rel=1e-12)
+    assert np.allclose(np.divide(rep_c.lam_grid, c), rep.lam_grid, rtol=1e-12, atol=0.0)
+    prof, prof_c = np.array(rep.profile), np.divide(rep_c.profile, c)
+    assert prof_c.shape == prof.shape
+    assert np.max(np.abs(prof_c - prof)) <= 1e-12 * np.max(prof)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+@pytest.mark.parametrize("dim, text", [(1, "lorentz:r=3,tau=2.5"), (2, "mixed:r=2.5;3")])
+def test_sobolev_norm_homogeneous_at_extreme_scales(dim, text, c):
+    g = make_grid(dim, -2.0, 2.0, 64 if dim == 1 else 16)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    omega = mask(parse_domain("ball:radius=1.3"), g)
+    space = parse_space(text)
+    for grad in (f.analytic_gradient, None):  # analytic and finite-difference gradients
+        fa = SampledField(g, f.values, grad)
+        fc = SampledField(g, c * f.values, None if grad is None else c * grad)
+        ref = sobolev_norm(fa, space, omega)
+        assert sobolev_norm(fc, space, omega) / c == pytest.approx(ref, rel=1e-12)

@@ -100,7 +100,7 @@ def test_gagliardo_fft_offsets_1d():
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_fractional_inner_masked_nonsquare_cells(p):
-    mine = fractional_inner_field(MASKED_F, 0.7, p, MASKED_OMEGA, EXCLUDE_POLICY)
+    mine = fractional_inner_field(MASKED_F, [0.7], p, MASKED_OMEGA, EXCLUDE_POLICY)[0]
     ref = oracles.fractional_inner(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.7, p)
     inside = MASKED_OMEGA.cells
     assert np.all(mine[~inside] == 0.0)
@@ -166,6 +166,20 @@ def test_bbmorrey_2d_nonsquare_cells():
     mine = bbm_morrey_norm(f, 1.5, 2.0, 3.0, 2.5, nu_range=(-5, 1))
     ref = oracles.bbm_morrey(f.values.ravel(), g.coords(), g.cell_volume,
                              1.5, 2.0, 3.0, 2.5, (-5, 1))
+    assert mine == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1.01, 1.27, 1.44])
+def test_bbmorrey_2d_zero_cubes_match_oracle(sigma):
+    # zero outside a ball: in 2D the box sum of a cube of zeros is a rounding
+    # residue of either sign, and a negative one must not reach the q-th root
+    g = make_grid(2, -2.0, 2.0, 16)
+    omega = mask(parse_domain("ball:radius=1.3"), g)
+    f = sample(TestFunctionSpec("gaussian", sigma=sigma), g)
+    nu = (math.floor(math.log2(min(g.cell_size))) - 1, math.ceil(math.log2(g.diameter())) + 1)
+    mine = bbm_morrey_norm(f, 2.0, 3.0, 4.0, 5.0, omega)
+    ref = oracles.bbm_morrey(np.where(omega.cells, f.values, 0.0).ravel(), g.coords(),
+                             g.cell_volume, 2.0, 3.0, 4.0, 5.0, nu)
     assert mine == pytest.approx(ref, rel=1e-12)
 
 
