@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DomainMask, Grid, SampledField, gradient_magnitude
+from .grid import DomainMask, Grid, SampledField, gradient_magnitude, mask_cells, safe_exponent
 from .spaces import SpaceSpec, norm, norm_many
 
 __all__ = [
@@ -125,10 +125,6 @@ REFINE_POINTS = 10  # lambdas added by each extension or refinement pass of bsvy
 # directly and the rest by FFT correlation, which loses digits to cancellation
 # near the diagonal
 NEAR_CELLS = 16
-# |f|^p and |grad f|^2 stay inside 2^(+-SAFE_EXP2) times the kernel factors
-# without rescaling; outside, the Gagliardo entry points, bsvy_sups and
-# sobolev_norm divide f by a power of two
-SAFE_EXP2 = 512
 
 
 @dataclass(frozen=True)
@@ -285,14 +281,6 @@ def _fft_pair_terms(v: np.ndarray, mask: np.ndarray | None, kernels: np.ndarray 
     return np.maximum(out, 0.0)
 
 
-def _mask_array(omega: DomainMask | None, grid: Grid):
-    if omega is None:
-        return None
-    if omega.grid != grid:
-        raise ValueError("field and mask live on different grids")
-    return omega.cells
-
-
 def _equivalent_radius(n_removed_offsets: int, grid: Grid) -> float:
     """Radius of the ball whose volume matches the removed near-field cells."""
     cells = 2 * n_removed_offsets + 1
@@ -332,12 +320,8 @@ def _frozen_gradient_term(gradp, s: float, p: float, n: int, r_eq: float):
 
 
 def _scale_exponent(f: SampledField, mask: np.ndarray | None, p: float) -> int:
-    """Exponent e of the power of two 2^e just above max |f| on the domain when
-    |f|^p or |grad f|^2 could leave the range of floats; 0 (no scaling) inside
-    the safe band, so ordinary inputs keep their exact arithmetic."""
-    on = f.values if mask is None else f.values[mask]
-    e = int(np.frexp(np.max(np.abs(on)))[1])
-    return e if abs(e) * max(p, 2.0) > SAFE_EXP2 else 0
+    """:func:`~normlab.grid.safe_exponent` of f on the domain for |f|^p and |grad f|^2."""
+    return safe_exponent(f.values if mask is None else f.values[mask], max(p, 2.0))
 
 
 def _scaled(f: SampledField, e: int) -> SampledField:
@@ -368,7 +352,7 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
         GagliardoParams(s, p)
     grid = f.grid
     n = grid.dim
-    mask = _mask_array(omega, grid)
+    mask = mask_cells(omega, grid)
     e = _scale_exponent(f, mask, p)
     f = _scaled(f, e)
     v = f.values
@@ -427,7 +411,7 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
         GagliardoParams(s, p)
     grid = f.grid
     n = grid.dim
-    mask = _mask_array(omega, grid)
+    mask = mask_cells(omega, grid)
     e = _scale_exponent(f, mask, p)
     f = _scaled(f, e)
     v = f.values
@@ -471,7 +455,7 @@ def bbm_scaled_sweep(f: SampledField, s_values, p: float, spaces,
                      policy: KernelPolicy = DEFAULT_POLICY) -> np.ndarray:
     """(1-s)^(1/p) * || [inner fractional integral]^(1/p) ||_X(Omega) for every
     space X (rows) and s (columns), from one batched inner field."""
-    e = _scale_exponent(f, _mask_array(omega, f.grid), p)
+    e = _scale_exponent(f, mask_cells(omega, f.grid), p)
     roots = fractional_inner_field(_scaled(f, e), s_values, p, omega, policy) ** (1.0 / p)
     weights = np.array([(1.0 - float(s)) ** (1.0 / p) for s in s_values])
     spaces = list(spaces)
@@ -523,7 +507,7 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
         return np.zeros((0,) + grid.shape)
     n = grid.dim
     h = np.asarray(grid.cell_size)
-    mask = _mask_array(omega, grid)
+    mask = mask_cells(omega, grid)
     v = f.values
     vol = grid.cell_volume
     expo = 1.0 + gamma / p
@@ -649,9 +633,8 @@ def bsvy_functional(f: SampledField, lam: float, params: BsvyParams, space: Spac
 
 def default_lambda_grid(f: SampledField, omega: DomainMask | None = None) -> np.ndarray:
     """Log-spaced lambdas over LAMBDA_DECADES * max |grad f| (the natural slope scale)."""
-    g = gradient_magnitude(f)
-    if omega is not None:
-        g = np.where(omega.cells, g, 0.0)
+    cells = mask_cells(omega, f.grid)
+    g = gradient_magnitude(f) if cells is None else np.where(cells, gradient_magnitude(f), 0.0)
     scale = float(np.max(g)) or 1.0
     return np.geomspace(LAMBDA_DECADES[0] * scale, LAMBDA_DECADES[1] * scale, LAMBDA_POINTS)
 
@@ -680,9 +663,11 @@ class FunctionalReport:
 
 
 def _first_max(vals: np.ndarray) -> int:
-    """Index of the first value within a relative 1e-12 of the maximum, so that a
-    profile flat up to rounding does not pick its argmax by a last bit."""
-    return int(np.argmax(vals >= np.max(vals) * (1.0 - 1e-12)))
+    """Index of the first finite value within a relative 1e-12 of the finite
+    maximum, so that a profile flat up to rounding does not pick its argmax by
+    a last bit, and a NaN does not hide the maximum."""
+    finite = np.where(np.isfinite(vals), vals, -np.inf)
+    return int(np.argmax(finite >= np.max(finite) * (1.0 - 1e-12)))
 
 
 def _sup_search(lam: np.ndarray, report: FunctionalReport, e: int):
@@ -715,6 +700,8 @@ def _sup_search(lam: np.ndarray, report: FunctionalReport, e: int):
             report.flags.append("endpoint-argmax")
     else:
         report.flags.append("degenerate")
+    if not np.isfinite(vals).all():
+        report.flags.append("nan-profile")
     report.lam_grid, report.profile = _unscale(lam, e).tolist(), _unscale(vals, e).tolist()
 
 
@@ -734,7 +721,7 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
     lambda scale together.
     """
     spaces = list(spaces)
-    e = _scale_exponent(f, _mask_array(omega, f.grid), params.p)
+    e = _scale_exponent(f, mask_cells(omega, f.grid), params.p)
     f = _scaled(f, e)
     lam = (default_lambda_grid(f, omega) if lam_grid is None
            else np.ldexp(np.asarray(lam_grid, dtype=float), -e))
@@ -803,7 +790,7 @@ def weak_product_quasinorm(f: SampledField, params: BsvyParams,
     vol = grid.cell_volume
     expo = 1.0 + gamma / p
     measures = np.zeros(lam.size)
-    for _, dist, sa, sb, pm in _pair_walk(grid, _mask_array(omega, grid))[1]:
+    for _, dist, sa, sb, pm in _pair_walk(grid, mask_cells(omega, grid))[1]:
         delta = np.abs(v[sa] - v[sb])
         if pm is not None:
             delta = np.where(pm, delta, 0.0)
@@ -829,7 +816,7 @@ def weighted_mu_measure(predicate, gamma: float, weight: np.ndarray,
     vol = grid.cell_volume
     n = grid.dim
     total = 0.0
-    for _, dist, sa, sb, pm in _pair_walk(grid, _mask_array(omega, grid))[1]:
+    for _, dist, sa, sb, pm in _pair_walk(grid, mask_cells(omega, grid))[1]:
         xa = np.column_stack([m[sa].ravel() for m in mesh])
         xb = np.column_stack([m[sb].ravel() for m in mesh])
         ker = dist ** (gamma - n) * vol * vol
@@ -891,7 +878,7 @@ def weak_holder_check(F: np.ndarray, G: np.ndarray, gamma: float, weight: np.nda
     np.fill_diagonal(kern, 0.0)
     kern = kern * w[:, None] * grid.cell_volume ** 2
     if omega is not None:
-        m = omega.cells.ravel()
+        m = mask_cells(omega, grid).ravel()
         kern = kern * (m[:, None] & m[None, :])
     absF = np.abs(F)
     absG = np.abs(G)
@@ -911,6 +898,6 @@ def weak_holder_check(F: np.ndarray, G: np.ndarray, gamma: float, weight: np.nda
 def sobolev_norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> float:
     """|| |grad f| ||_X(Omega); analytic gradient preferred, finite differences
     otherwise.  Outside the safe band f is divided by a power of two first."""
-    e = _scale_exponent(f, _mask_array(omega, f.grid), 1.0)
+    e = _scale_exponent(f, mask_cells(omega, f.grid), 1.0)
     g = gradient_magnitude(_scaled(f, e))
     return float(_unscale(norm(SampledField(f.grid, g), space, omega), e))

@@ -34,9 +34,14 @@ __all__ = [
     "as_int",
     "check_axis",
     "restrict_values",
+    "mask_cells",
+    "safe_exponent",
 ]
 
 TAIL_TOL = 1e-8  # share of |f|'s mass that auto_box may leave outside the box
+# |f|^p and |grad f|^2 stay inside 2^(+-SAFE_EXP2) times the kernel factors; outside,
+# gradient_magnitude and the functionals' entry points divide by a power of two
+SAFE_EXP2 = 512
 
 
 def _as_tuple(x, dim: int, cast=float) -> tuple:
@@ -170,13 +175,26 @@ class DomainMask:
         return bool(self.cells.all())
 
 
+def mask_cells(omega: DomainMask | None, grid: Grid) -> np.ndarray | None:
+    """The cells of ``omega`` (None for the whole box), checked to lie on ``grid``."""
+    if omega is None:
+        return None
+    if omega.grid != grid:
+        raise ValueError("field and mask live on different grids")
+    return omega.cells
+
+
 def restrict_values(f: SampledField, omega: DomainMask | None) -> np.ndarray:
     """Values of ``f`` zero-extended outside ``omega`` (identity when omega is None)."""
-    if omega is None:
-        return f.values
-    if omega.grid != f.grid:
-        raise ValueError("field and mask live on different grids")
-    return np.where(omega.cells, f.values, 0.0)
+    cells = mask_cells(omega, f.grid)
+    return f.values if cells is None else np.where(cells, f.values, 0.0)
+
+
+def safe_exponent(values: np.ndarray, p: float) -> int:
+    """Exponent e of the power of two 2^e just above max |values| when |values|^p
+    could leave the range of floats; 0 inside the safe band, which keeps the bits."""
+    e = int(np.frexp(np.max(np.abs(values)))[1])
+    return e if abs(e) * p > SAFE_EXP2 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +539,12 @@ def gradient_fd(f: SampledField) -> np.ndarray:
 
 
 def gradient_magnitude(f: SampledField) -> np.ndarray:
-    """Euclidean magnitude |grad f| per cell; analytic gradient preferred."""
+    """Euclidean magnitude |grad f| per cell; analytic gradient preferred.  Outside
+    the safe band the gradient is divided by a power of two before squaring."""
     g = f.analytic_gradient if f.analytic_gradient is not None else gradient_fd(f)
-    return np.sqrt(np.sum(g * g, axis=0))
+    e = safe_exponent(g, 2.0)
+    g = np.ldexp(g, -e)
+    return np.ldexp(np.sqrt(np.sum(g * g, axis=0)), e)
 
 
 def auto_box(spec: TestFunctionSpec, dim: int) -> tuple[tuple, tuple]:

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (DomainMask, Grid, SampledField, Spec, _as_tuple, as_int, check_axis, check_params,
-                   restrict_values)
+                   mask_cells, restrict_values)
 
 __all__ = [
     "SpaceSpec",
@@ -253,7 +253,15 @@ class Lorentz(SpaceSpec):
         self.tau = float(tau)
 
     def evaluate(self, values, grid):
-        return _lorentz(values, grid.cell_volume, self.r, self.tau)
+        """Closed-form Lorentz quasi-norms of the step rearrangements of the rows."""
+        # descending and contiguous: numpy's power may take another path on a
+        # reversed view, and then a row's result would depend on the batch
+        v = -np.sort(-np.abs(_flat_rows(values)), axis=1)
+        t = np.cumsum(np.full(v.shape[1], grid.cell_volume))
+        e = self.tau / self.r
+        tprev = np.concatenate(([0.0], t[:-1]))
+        terms = v ** self.tau * (self.r / self.tau) * (t ** e - tprev ** e)
+        return _root(np.sum(terms, axis=1), self.tau)
 
 
 class _PhiSpace(SpaceSpec):
@@ -300,8 +308,7 @@ class OrliczSlice(_PhiSpace):
         self.t = float(t)
 
     def evaluate(self, values, grid):
-        return np.array([orlicz_slice_norm(SampledField(grid, v), self.phi, self.r, self.t)
-                         for v in values])
+        return np.array([_orlicz_slice(v, grid, self.phi, self.r, self.t) for v in values])
 
 
 class Morrey(SpaceSpec):
@@ -338,8 +345,7 @@ class BesovBourgainMorrey(SpaceSpec):
         self.tau = float(tau)
 
     def evaluate(self, values, grid):
-        return np.array([bbm_morrey_norm(SampledField(grid, v), self.q, self.p, self.r, self.tau)
-                         for v in values])
+        return np.array([_bbm_morrey(v, grid, self.q, self.p, self.r, self.tau) for v in values])
 
 
 class _Herz(SpaceSpec):
@@ -396,7 +402,13 @@ class MixedNorm(SpaceSpec):
         return {"r": np.array(self.rs)}  # an array, so convexify can divide it by p
 
     def evaluate(self, values, grid):
-        return _mixed(values, grid, self.rs)
+        """Iterated midpoint sums of each row, innermost axis first with exponent rs[0]."""
+        if len(self.rs) != grid.dim:
+            raise ValueError(f"need {grid.dim} exponents, got {len(self.rs)}")
+        t = np.abs(values)
+        for r, h in zip(self.rs[:-1], grid.cell_size):
+            t = (np.sum(t ** r, axis=1) * h) ** (1.0 / r)
+        return _root(np.sum(t ** self.rs[-1], axis=1) * grid.cell_size[-1], self.rs[-1])
 
 
 class VariableLebesgue(SpaceSpec):
@@ -417,7 +429,7 @@ class VariableLebesgue(SpaceSpec):
             raise ValueError("give either a parametric exponent or explicit samples")
 
     def exponent_on(self, grid: Grid) -> np.ndarray:
-        """r(x) at the cell centres; :func:`variable_lebesgue_norm` checks 1 < r < inf."""
+        """r(x) at the cell centres; :meth:`evaluate` checks 1 < r < inf."""
         if self.samples is not None:
             if self.samples.shape != grid.shape:
                 raise ValueError("exponent samples do not match the grid")
@@ -433,7 +445,14 @@ class VariableLebesgue(SpaceSpec):
         return VariableLebesgue(samples=self.samples / p)
 
     def evaluate(self, values, grid):
-        return _variable_lebesgue(values, grid.cell_volume, self.exponent_on(grid))
+        """Luxemburg-type norms of the rows with the pointwise exponent r(x)."""
+        ex = self.exponent_on(grid)
+        lo, hi = float(np.min(ex)), float(np.max(ex))
+        if not (1 < lo <= hi < math.inf):
+            raise ValueError(f"variable exponent must satisfy 1 < min <= max < inf, "
+                             f"got [{lo}, {hi}]")
+        exf = ex.ravel()
+        return _luxemburg(np.abs(_flat_rows(values)), grid.cell_volume, lambda s: s ** exf)
 
 
 parse_space = SpaceSpec.parse
@@ -447,11 +466,6 @@ parse_space = SpaceSpec.parse
 def _flat_rows(values: np.ndarray) -> np.ndarray:
     """``values`` of shape (B, *shape) as B flat rows."""
     return values.reshape(len(values), -1)
-
-
-def _one_row(f: SampledField, omega: DomainMask | None) -> np.ndarray:
-    """``f`` zero-extended outside ``omega``, as a batch of one row."""
-    return restrict_values(f, omega)[None]
 
 
 def _root(sums: np.ndarray, p: float) -> np.ndarray:
@@ -469,12 +483,7 @@ def _lebesgue(values: np.ndarray, vol: float, p: float, weight: np.ndarray | Non
 def weighted_lebesgue_norm(f: SampledField, r: float, weight: np.ndarray,
                            omega: DomainMask | None = None) -> float:
     """(sum |f|^r * weight * cellvol)^(1/r) over the domain."""
-    w = np.asarray(weight, dtype=float)
-    if w.shape != f.grid.shape:
-        raise ValueError("weight samples must match the grid")
-    if np.any(w < 0):
-        raise ValueError("weight must be nonnegative")
-    return float(_lebesgue(_one_row(f, omega), f.grid.cell_volume, r, w)[0])
+    return float(norm_many(f.values[None], f.grid, WeightedLebesgue(r, samples=weight), omega)[0])
 
 
 def decreasing_rearrangement(f: SampledField, omega: DomainMask | None = None):
@@ -488,21 +497,9 @@ def decreasing_rearrangement(f: SampledField, omega: DomainMask | None = None):
     return t, v
 
 
-def _lorentz(values: np.ndarray, vol: float, r: float, tau: float) -> np.ndarray:
-    """Closed-form Lorentz quasi-norms of the step rearrangements of the rows."""
-    # descending and contiguous: numpy's power may take another path on a
-    # reversed view, and then a row's result would depend on the batch
-    v = -np.sort(-np.abs(_flat_rows(values)), axis=1)
-    t = np.cumsum(np.full(v.shape[1], vol))
-    e = tau / r
-    tprev = np.concatenate(([0.0], t[:-1]))
-    terms = v ** tau * (r / tau) * (t ** e - tprev ** e)
-    return _root(np.sum(terms, axis=1), tau)
-
-
 def lorentz_norm(f: SampledField, r: float, tau: float, omega: DomainMask | None = None) -> float:
     """Exact closed-form Lorentz quasi-norm of the step-function rearrangement."""
-    return float(_lorentz(_one_row(f, omega), f.grid.cell_volume, r, tau)[0])
+    return float(norm_many(f.values[None], f.grid, Lorentz(r, tau), omega)[0])
 
 
 def _luxemburg(absvals: np.ndarray, vol: float, phi) -> np.ndarray:
@@ -577,25 +574,13 @@ def _luxemburg(absvals: np.ndarray, vol: float, phi) -> np.ndarray:
 
 
 def luxemburg_norm(f: SampledField, phi: OrliczFunction, omega: DomainMask | None = None) -> float:
-    return float(_luxemburg(np.abs(restrict_values(f, omega)).ravel(), f.grid.cell_volume, phi)[0])
-
-
-def _variable_lebesgue(values: np.ndarray, vol: float, exponent: np.ndarray) -> np.ndarray:
-    """Luxemburg-type norms of the rows with the pointwise exponent field r(x)."""
-    ex = np.asarray(exponent, dtype=float)
-    if ex.shape != values.shape[1:]:
-        raise ValueError("exponent field must match the grid")
-    lo, hi = float(np.min(ex)), float(np.max(ex))
-    if not (1 < lo <= hi < math.inf):
-        raise ValueError(f"variable exponent must satisfy 1 < min <= max < inf, got [{lo}, {hi}]")
-    exf = ex.ravel()
-    return _luxemburg(np.abs(_flat_rows(values)), vol, lambda s: s ** exf)
+    return float(norm_many(f.values[None], f.grid, Orlicz(phi), omega)[0])
 
 
 def variable_lebesgue_norm(f: SampledField, exponent: np.ndarray,
                            omega: DomainMask | None = None) -> float:
     """Luxemburg-type norm with pointwise exponent field r(x)."""
-    return float(_variable_lebesgue(_one_row(f, omega), f.grid.cell_volume, exponent)[0])
+    return float(norm_many(f.values[None], f.grid, VariableLebesgue(samples=exponent), omega)[0])
 
 
 def orlicz_slice_norm(f: SampledField, phi: OrliczFunction, r: float, t: float,
@@ -606,12 +591,16 @@ def orlicz_slice_norm(f: SampledField, phi: OrliczFunction, r: float, t: float,
     denominator depends only on how many cells the ball holds, so it is solved
     once per distinct count.
     """
-    grid = f.grid
+    return float(norm_many(f.values[None], f.grid, OrliczSlice(phi, r, t), omega)[0])
+
+
+def _orlicz_slice(v: np.ndarray, grid: Grid, phi: OrliczFunction, r: float, t: float) -> float:
+    """:func:`orlicz_slice_norm` of one row ``v``, zero outside the domain."""
     if t < min(grid.cell_size) / 2.0:
         raise ValueError("slice radius is below half a cell; ball degenerates")
-    v = np.abs(restrict_values(f, omega))
     stencil = _ball_stencil(grid, float(t))
-    windows = sliding_window_view(np.pad(v, [(k, k) for k in stencil.half]), stencil.inside.shape)
+    windows = sliding_window_view(np.pad(np.abs(v), [(k, k) for k in stencil.half]),
+                                  stencil.inside.shape)
     balls = windows[(Ellipsis,) + np.nonzero(stencil.inside)].reshape(grid.total_cells, -1)
     vol = grid.cell_volume
     num = _luxemburg(balls, vol, phi)
@@ -762,9 +751,10 @@ def morrey_norm(f: SampledField, r: float, alpha: float, omega: DomainMask | Non
     if fam.centers.size == 0 or fam.radii.size == 0:
         raise ValueError("ball family is empty")
     centres = None if ball_family is None else _cell_index(grid, fam.centers)
-    vals = _morrey(_one_row(f, omega), grid, r, alpha, fam.radii, centres)[:, 0]
+    row, e = _scaled_rows(f.values[None], grid, omega)
+    vals = _morrey(row, grid, r, alpha, fam.radii, centres)[:, 0]
     k = int(np.argmax(vals))
-    best = float(vals.flat[k])
+    best = float(np.ldexp(vals.flat[k], e[0]))
     if best > 0.0:
         kr, kc = divmod(k, vals.shape[1])
         witness = (tuple(fam.centers[kc]), float(fam.radii[kr]))
@@ -915,13 +905,18 @@ def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
     piecewise constant, so one sub-grid level suffices; levels below that see
     constant values per cube and contribute nothing new.
     """
-    grid = f.grid
+    row, e = _scaled_rows(f.values[None], f.grid, omega)
+    return float(np.ldexp(_bbm_morrey(row[0], f.grid, q, p, r, tau, nu_range), e[0]))
+
+
+def _bbm_morrey(v: np.ndarray, grid: Grid, q: float, p: float, r: float, tau: float,
+                nu_range: tuple[int, int] | None = None) -> float:
+    """:func:`bbm_morrey_norm` of one row ``v``, zero outside the domain."""
     if nu_range is None:
         nu_min = math.floor(math.log2(min(grid.cell_size))) - 1
         nu_max = math.ceil(math.log2(grid.diameter())) + 1
     else:
         nu_min, nu_max = nu_range
-    v = restrict_values(f, omega)
     prefix = _prefix(np.abs(v) ** q * grid.cell_volume)
     system = DyadicSystem((0.0,) * grid.dim, nu_min, nu_max)
     level_terms = []
@@ -985,8 +980,7 @@ def herz_local_norm(f: SampledField, p: float, q: float, weight: HerzWeight, xi,
     coinciding with xi (distance zero) belongs to no annulus and is skipped,
     matching the puncture at xi in the continuum definition.
     """
-    rows = np.abs(_flat_rows(_one_row(f, omega)))
-    return float(_herz(f.grid.coords(), rows, xi, p, q, weight, f.grid.cell_volume)[0])
+    return float(norm_many(f.values[None], f.grid, HerzLocal(p, q, weight.a, xi), omega)[0])
 
 
 def default_xi_grid(grid: Grid) -> np.ndarray:
@@ -1017,8 +1011,9 @@ def herz_global_norm(f: SampledField, p: float, q: float, weight: HerzWeight,
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     if xi_grid.shape[0] == 0:
         raise ValueError("xi grid is empty")
-    vals, best = _herz_global(_one_row(f, omega), f.grid, p, q, weight, xi_grid)
-    return float(vals[0]), tuple(float(x) for x in xi_grid[best[0]])
+    row, e = _scaled_rows(f.values[None], f.grid, omega)
+    vals, best = _herz_global(row, f.grid, p, q, weight, xi_grid)
+    return float(np.ldexp(vals[0], e[0])), tuple(float(x) for x in xi_grid[best[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -1026,25 +1021,28 @@ def herz_global_norm(f: SampledField, p: float, q: float, weight: HerzWeight,
 # ---------------------------------------------------------------------------
 
 
-def _mixed(values: np.ndarray, grid: Grid, rs) -> np.ndarray:
-    """Iterated midpoint sums of each row, innermost axis first with exponent rs[0]."""
-    rs = tuple(float(r) for r in rs)
-    if len(rs) != grid.dim:
-        raise ValueError(f"need {grid.dim} exponents, got {len(rs)}")
-    t = np.abs(values)
-    for r, h in zip(rs[:-1], grid.cell_size):
-        t = (np.sum(t ** r, axis=1) * h) ** (1.0 / r)
-    return _root(np.sum(t ** rs[-1], axis=1) * grid.cell_size[-1], rs[-1])
-
-
 def mixed_norm(f: SampledField, rs, omega: DomainMask | None = None) -> float:
     """Iterated midpoint sums, innermost axis first with exponent rs[0]."""
-    return float(_mixed(_one_row(f, omega), f.grid, rs)[0])
+    return float(norm_many(f.values[None], f.grid, MixedNorm(rs), omega)[0])
 
 
 # ---------------------------------------------------------------------------
 # dispatcher, convexification, restriction, associate norm
 # ---------------------------------------------------------------------------
+
+
+def _scaled_rows(values: np.ndarray, grid: Grid, omega: DomainMask | None):
+    """The rows of ``values``, shape ``(B, *grid.shape)``, zero outside ``omega``
+    and each divided by the power of two 2^e just above its max |v|, which is
+    exact; returns them and the exponents e."""
+    v = np.asarray(values, dtype=float)
+    if v.shape[1:] != grid.shape:
+        raise ValueError(f"rows of shape {v.shape[1:]} do not match the grid {grid.shape}")
+    cells = mask_cells(omega, grid)
+    if cells is not None:
+        v = np.where(cells, v, 0.0)
+    e = np.frexp(np.abs(v).max(axis=tuple(range(1, v.ndim)), initial=0.0))[1]
+    return np.ldexp(v, -e.reshape((-1,) + (1,) * grid.dim)), e
 
 
 def norm_many(values: np.ndarray, grid: Grid, space: SpaceSpec,
@@ -1057,18 +1055,8 @@ def norm_many(values: np.ndarray, grid: Grid, space: SpaceSpec,
     its result is multiplied back; powers |v|^p then neither overflow nor
     underflow.  A row's norm does not depend on the other rows.
     """
-    v = np.asarray(values, dtype=float)
-    if v.shape[1:] != grid.shape:
-        raise ValueError(f"rows of shape {v.shape[1:]} do not match the grid {grid.shape}")
-    if not len(v):
-        return np.zeros(0)
-    if omega is not None:
-        if omega.grid != grid:
-            raise ValueError("field and mask live on different grids")
-        v = np.where(omega.cells, v, 0.0)
-    e = np.frexp(_flat_rows(np.abs(v)).max(axis=1))[1]
-    scaled = np.ldexp(v, -e.reshape((-1,) + (1,) * grid.dim))
-    return np.ldexp(space.evaluate(scaled, grid), e)
+    scaled, e = _scaled_rows(values, grid, omega)
+    return np.ldexp(space.evaluate(scaled, grid), e) if len(e) else np.zeros(0)
 
 
 def norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> float:

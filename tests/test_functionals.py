@@ -615,6 +615,31 @@ def test_bsvy_sup_homogeneous_on_flat_profile(c):
     assert rep_c.argmax_lam / c == pytest.approx(rep.argmax_lam, rel=1e-12)
 
 
+def test_bsvy_sup_takes_the_finite_argmax_and_flags_a_nan_profile(monkeypatch):
+    # a NaN makes every comparison with the profile maximum False; the search
+    # must neither stop at the first lambda nor hide the NaN
+    g = make_grid(1, -2.0, 2.0, 32)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    params, space = BsvyParams(1.0, 2.0), Lebesgue(2.0)
+    ref = bsvy_sup(f, params, space)
+    lam = default_lambda_grid(f)
+    nan_row = 0 if ref.argmax_lam > lam[1] else lam.size - 1
+    evaluate, calls = Lebesgue.evaluate, []
+
+    def nan_on_one_row(self, values, grid):
+        out = evaluate(self, values, grid)
+        if not calls:
+            out[nan_row] = np.nan
+        calls.append(len(values))
+        return out
+
+    monkeypatch.setattr(Lebesgue, "evaluate", nan_on_one_row)
+    rep = bsvy_sup(f, params, space)
+    assert "nan-profile" in rep.flags and "nan-profile" not in ref.flags
+    assert np.count_nonzero(np.isnan(rep.profile)) == 1
+    assert (rep.sup, rep.argmax_lam, rep.lam_grid) == (ref.sup, ref.argmax_lam, ref.lam_grid)
+
+
 # --------------------------------------------------------------------------
 # shared searches and s-batched inner fields
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from normlab import (
     BesovBourgainMorrey,
     HerzGlobal,
     HerzLocal,
+    HerzWeight,
     Lebesgue,
     Lorentz,
     MixedNorm,
@@ -21,12 +22,24 @@ from normlab import (
     SampledField,
     VariableLebesgue,
     WeightedLebesgue,
+    gradient_magnitude,
+    herz_global_norm,
+    herz_local_norm,
+    lorentz_norm,
+    luxemburg_norm,
     make_grid,
+    mixed_norm,
+    morrey_norm,
     norm,
+    orlicz_slice_norm,
     truncate,
+    variable_lebesgue_norm,
+    weighted_lebesgue_norm,
 )
+from normlab.spaces import bbm_morrey_norm
 
 GRID = make_grid(1, -1.0, 1.0, 8)
+GRID_2D = make_grid(2, -1.0, 1.0, 8)
 
 CATALOG = [
     Lebesgue(2.0),
@@ -73,6 +86,43 @@ def test_homogeneity(space, vals, c):
     assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
+def _x0(grid):
+    return grid.meshgrid()[0]
+
+
+# the per-kind entry points and gradient_magnitude; with r = 2, |f|^r leaves
+# the float range at c = 1e+-200 unless the entry point scales f first
+ENTRY_POINTS = {
+    "weighted_lebesgue_norm": lambda f: weighted_lebesgue_norm(
+        f, 2.0, np.abs(_x0(f.grid) - 0.3) ** 0.5),
+    "lorentz_norm": lambda f: lorentz_norm(f, 2.0, 3.0),
+    "luxemburg_norm": lambda f: luxemburg_norm(f, OrliczFunction("two-power", 1.5, 3.0)),
+    "orlicz_slice_norm": lambda f: orlicz_slice_norm(f, OrliczFunction("power", 2.0), 2.0, 0.4),
+    "morrey_norm": lambda f: morrey_norm(f, 2.0, 3.0),
+    "bbm_morrey_norm": lambda f: bbm_morrey_norm(f, 1.5, 2.0, 3.0, 2.5),
+    "herz_local_norm": lambda f: herz_local_norm(f, 2.0, 2.5, HerzWeight(-0.2), 0.0),
+    "herz_global_norm": lambda f: herz_global_norm(f, 2.0, 2.5, HerzWeight(-0.2))[0],
+    "mixed_norm": lambda f: mixed_norm(f, (2.0, 3.0)[:f.grid.dim]),
+    "variable_lebesgue_norm": lambda f: variable_lebesgue_norm(f, 2.0 + 0.5 * _x0(f.grid)),
+    "gradient_magnitude": gradient_magnitude,
+}
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+@settings(max_examples=5, deadline=None)
+@given(c=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
+@example(c=1e200)
+@example(c=1e-200)
+def test_entry_point_homogeneity(name, grid, c):
+    # a field with a sign change whose gradient stays away from 0
+    x = grid.meshgrid()
+    vals = np.exp(0.7 * x[0] + 0.4 * x[-1]) - 0.5
+    a = ENTRY_POINTS[name](SampledField(grid, c * vals))
+    b = c * np.asarray(ENTRY_POINTS[name](SampledField(grid, vals)))
+    assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
+
+
 @pytest.mark.parametrize("space", CATALOG, ids=lambda s: s.canonical())
 @settings(max_examples=20, deadline=None)
 @given(u=values_strategy, v=values_strategy)
@@ -91,12 +141,14 @@ def test_triangle_inequality(space, u, v):
 @pytest.mark.parametrize("space", CATALOG, ids=lambda s: s.canonical())
 @settings(max_examples=15, deadline=None)
 @given(vals=values_strategy)
+@example(vals=np.full(8, 5e-324))
 def test_monotone_convergence_of_truncations(space, vals):
     f = SampledField(GRID, vals)
     vmax = float(np.max(np.abs(vals)))
     if vmax == 0.0:
         return
-    levels = np.linspace(vmax / 4.0, vmax, 4)
+    # on subnormal fields the lower levels can round to 0, which truncate rejects
+    levels = [m for m in np.linspace(vmax / 4.0, vmax, 4) if m > 0.0]
     norms = [norm(truncate(f, m), space) for m in levels]
     for a, b in zip(norms, norms[1:]):
         assert a <= b + 1e-12

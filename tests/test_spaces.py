@@ -605,3 +605,36 @@ def test_associate_zero_function():
     est = associate_norm_empirical(SampledField(g, np.zeros(g.shape)), Lebesgue(2.0),
                                    witness_count=3, seed=0)
     assert est.lower == 0.0
+
+
+def test_traced_benchmark_finds_every_per_kind_entry_point(monkeypatch):
+    # perfbench/spans.py wraps these names by lookup in traced runs; renaming
+    # or removing one must fail here, not in a traced benchmark run
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    import normlab.spaces
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up
+    spec.loader.exec_module(spans)
+    assert set(spans.KIND_EVALUATORS.values()) <= set(SpaceSpec.kinds)
+    for name in spans.KIND_EVALUATORS:
+        assert callable(getattr(normlab.spaces, name, None)), name
+
+
+def test_mask_on_another_grid_rejected_by_every_evaluator():
+    from normlab.functionals import gagliardo_seminorm_sweep
+    from normlab.grid import restrict_values
+
+    g, other = make_grid(1, 0.0, 1.0, 16), make_grid(1, 0.0, 1.0, 8)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    omega = DomainMask(other, np.ones(other.shape, dtype=bool))
+    for call in (lambda: restrict_values(f, omega), lambda: norm(f, Lebesgue(2.0), omega),
+                 lambda: lorentz_norm(f, 2.0, 3.0, omega),
+                 lambda: gagliardo_seminorm_sweep(f, [0.5], 2.0, omega)):
+        with pytest.raises(ValueError, match="field and mask live on different grids"):
+            call()
