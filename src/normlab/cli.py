@@ -41,8 +41,9 @@ def _parse_grid(text: str):
 
 
 def _base_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = load_config(args.config)
+        cfg.kind = args.command  # the provenance names the subcommand that ran
     else:
         grid = _parse_grid(args.grid) if args.grid else make_grid(1, -2.0, 2.0, 64)
         cfg = ExperimentConfig(kind=args.command, grid=grid)

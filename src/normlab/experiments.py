@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,13 +23,12 @@ from .functionals import (
     bbm_limit_extrapolate,
     bbm_scaled_sweep,
     bsvy_sups,
-    gagliardo_seminorm_sweep,
     sobolev_norm,
     weak_holder_check,
 )
-from .grid import Grid, SampledField, TestFunctionSpec, make_grid, parse_function, sample
+from .grid import Grid, TestFunctionSpec, check_params, make_grid, parse_function, sample
 from .reports import RatioTable
-from .spaces import Lebesgue, Morrey, SpaceSpec, morrey_norm, norm, parse_space, weighted_lebesgue_norm
+from .spaces import Morrey, SpaceSpec, morrey_norm, norm, parse_space, weighted_lebesgue_norm
 from .weights import Weight, hl_maximal, muckenhoupt_constant, parse_weight, power_weight
 
 __all__ = [
@@ -79,24 +78,42 @@ class ExperimentConfig:
         }
 
 
+# per config section: its required keys, then its optional keys
+CONFIG_SECTIONS = {
+    "experiment": ((), ("kind", "seed")),
+    "grid": (("n", "lo", "hi", "points"), ()),
+    "functions": (("specs",), ()),
+    "spaces": (("specs",), ()),
+    "domain": ((), ("spec",)),
+    "sweeps": ((), ("gammas", "p", "s_grid")),
+    "policy": ((), tuple(f.name for f in fields(KernelPolicy))),
+    "output": ((), ("dir", "formats", "refine")),
+}
+
+
 def load_config(path) -> ExperimentConfig:
+    """The experiment of an INI config.  A missing [experiment] or [grid], a
+    section or key outside :data:`CONFIG_SECTIONS` and a missing required key
+    are ValueErrors."""
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
     for section in ("experiment", "grid"):
         if section not in cp:
             raise ValueError(f"config {str(path)!r} has no [{section}] section")
+    for section in cp.sections():
+        if section not in CONFIG_SECTIONS:
+            raise ValueError(f"config {str(path)!r} has unknown section [{section}];"
+                             f" known: {', '.join(CONFIG_SECTIONS)}")
+        check_params(f"config [{section}]", dict(cp[section]), *CONFIG_SECTIONS[section])
     exp = cp["experiment"]
     g = cp["grid"]
-    dim = g.getint("n")
 
-    def vec(section, key, cast=float):
-        raw = section.get(key)
-        parts = raw.split()
-        vals = [cast(v) for v in parts]
+    def vec(raw, cast=float):
+        vals = [cast(v) for v in raw.split()]
         return vals[0] if len(vals) == 1 else vals
 
-    grid = make_grid(dim, vec(g, "lo"), vec(g, "hi"), vec(g, "points", cast=int))
+    grid = make_grid(g.getint("n"), vec(g["lo"]), vec(g["hi"]), vec(g["points"], int))
     cfg = ExperimentConfig(kind=exp.get("kind"), grid=grid)
     cfg.seed = exp.getint("seed", fallback=0)
     if "functions" in cp:
@@ -113,14 +130,9 @@ def load_config(path) -> ExperimentConfig:
         if "s_grid" in sw:
             cfg.s_grid = tuple(float(v) for v in sw["s_grid"].split())
     if "policy" in cp:
-        po = cp["policy"]
-        cfg.policy = KernelPolicy(
-            diagonal=po.get("diagonal", DEFAULT_POLICY.diagonal),
-            near_window=po.getfloat("near_window", fallback=DEFAULT_POLICY.near_window),
-            subsample=po.getint("subsample", fallback=DEFAULT_POLICY.subsample),
-            subsample_window=po.getfloat("subsample_window",
-                                         fallback=DEFAULT_POLICY.subsample_window),
-        )
+        # each key is read as the type of its default; a key left out keeps the default
+        cfg.policy = KernelPolicy(**{key: type(getattr(DEFAULT_POLICY, key))(value)
+                                     for key, value in cp["policy"].items()})
     if "output" in cp:
         ou = cp["output"]
         cfg.outdir = ou.get("dir", cfg.outdir)
@@ -151,54 +163,31 @@ def _add_row(table: RatioTable, cfg: ExperimentConfig, grid: Grid, **cols) -> No
 # ---------------------------------------------------------------------------
 
 
-def _bbm_extrapolated(f: SampledField, cfg: ExperimentConfig, omega) -> list[float]:
-    """Extrapolated s -> 1 limit of the scaled fractional quantity in each
-    space's norm form.  L^p with the sweep's own p reads the seminorm sweep;
-    every other space shares one s-batched inner field."""
-    def shortcut(space):
-        return isinstance(space, Lebesgue) and space.p == cfg.p
-
-    others = [space for space in cfg.spaces if not shortcut(space)]
-    scaled = iter(bbm_scaled_sweep(f, cfg.s_grid, cfg.p, others, omega, cfg.policy) if others else ())
-    out = []
-    for space in cfg.spaces:
-        if shortcut(space):
-            semis = gagliardo_seminorm_sweep(f, cfg.s_grid, cfg.p, omega, cfg.policy)
-            vals = [(1.0 - s) ** (1.0 / cfg.p) * g for s, g in zip(cfg.s_grid, semis)]
-        else:
-            vals = next(scaled)
-        out.append(bbm_limit_extrapolate(zip(cfg.s_grid, vals))[0])
-    return out
-
-
 def run_bbm_experiment(cfg: ExperimentConfig) -> RatioTable:
     """Per (function, space): sweep s, extrapolate, compare with the closed-form
-    limit constant times the gradient norm.  Per function and grid the spaces
-    other than L^p with the sweep's p share one s-batched inner field
-    (:func:`~normlab.functionals.bbm_scaled_sweep`); rows keep the function ->
-    space order."""
+    limit constant times the gradient norm on the grid and, with ``refine``, on
+    its 2x refinement; rows come from the finest grid.  Per (function, grid) one
+    s-batched inner field (:func:`~normlab.functionals.bbm_scaled_sweep`) serves
+    every space; rows keep the function -> space order."""
     table = RatioTable(provenance=cfg.provenance())
-    omega = _domain_mask(cfg, cfg.grid)
+    grids = [cfg.grid] + ([cfg.grid.refine(2)] if cfg.refine else [])
+    omegas = [_domain_mask(cfg, grid) for grid in grids]
     const = bbm_constant(cfg.p, cfg.grid.dim) ** (1.0 / cfg.p)
     for fn in cfg.functions:
-        f = sample(fn, cfg.grid)
-        values = _bbm_extrapolated(f, cfg, omega)
-        refs = [const * sobolev_norm(f, space, omega) for space in cfg.spaces]
-        tokens = [[] for _ in cfg.spaces]
-        if cfg.refine:
-            fine_grid = cfg.grid.refine(2)
-            f2 = sample(fn, fine_grid)
-            omega2 = _domain_mask(cfg, fine_grid)
-            fine = _bbm_extrapolated(f2, cfg, omega2)
-            for tok, value, v2 in zip(tokens, values, fine):
-                delta = abs(v2 - value) / abs(v2) if v2 != 0 else 0.0
-                tok.append(f"refine_delta={delta:.3e}")
-            values = fine
-            refs = [const * sobolev_norm(f2, space, omega2) for space in cfg.spaces]
-        for space, value, ref, tok in zip(cfg.spaces, values, refs, tokens):
+        runs = []
+        for grid, omega in zip(grids, omegas):
+            f = sample(fn, grid)
+            scaled = bbm_scaled_sweep(f, cfg.s_grid, cfg.p, cfg.spaces, omega, cfg.policy)
+            runs.append([bbm_limit_extrapolate(zip(cfg.s_grid, vals))[0] for vals in scaled])
+        # f and omega are now those of the finest grid, where the rows come from
+        for space, value, coarse in zip(cfg.spaces, runs[-1], runs[0]):
+            tokens = []
+            if cfg.refine:
+                delta = abs(value - coarse) / abs(value) if value != 0 else 0.0
+                tokens.append(f"refine_delta={delta:.3e}")
             _add_row(table, cfg, cfg.grid, experiment="bbm", function=fn.canonical(),
                      space=space.canonical(), p=cfg.p, gamma_or_s=1.0, value=value,
-                     reference=ref, flags=_flags(tok))
+                     reference=const * sobolev_norm(f, space, omega), flags=_flags(tokens))
     return table
 
 

@@ -897,7 +897,6 @@ def weak_holder_check(F: np.ndarray, G: np.ndarray, gamma: float, weight: np.nda
 
 def sobolev_norm(f: SampledField, space: SpaceSpec, omega: DomainMask | None = None) -> float:
     """|| |grad f| ||_X(Omega); analytic gradient preferred, finite differences
-    otherwise.  Outside the safe band f is divided by a power of two first."""
-    e = _scale_exponent(f, mask_cells(omega, f.grid), 1.0)
-    g = gradient_magnitude(_scaled(f, e))
-    return float(_unscale(norm(SampledField(f.grid, g), space, omega), e))
+    otherwise.  :func:`~normlab.grid.gradient_magnitude` and
+    :func:`~normlab.spaces.norm` each keep their powers in the float range."""
+    return norm(SampledField(f.grid, gradient_magnitude(f)), space, omega)

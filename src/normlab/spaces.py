@@ -308,7 +308,14 @@ class OrliczSlice(_PhiSpace):
         self.t = float(t)
 
     def evaluate(self, values, grid):
-        return np.array([_orlicz_slice(v, grid, self.phi, self.r, self.t) for v in values])
+        if self.t < min(grid.cell_size) / 2.0:
+            raise ValueError("slice radius is below half a cell; ball degenerates")
+        stencil = _ball_stencil(grid, self.t)
+        # the denominator |1_B(x,t)|_Phi: one solve per distinct ball count, for every row
+        counts, which = np.unique(stencil.count.ravel(), return_inverse=True)
+        ball = np.arange(np.count_nonzero(stencil.inside)) < counts[:, None]
+        den = _luxemburg(ball.astype(float), grid.cell_volume, self.phi)[which]
+        return np.array([_orlicz_slice(v, grid, self.phi, self.r, stencil, den) for v in values])
 
 
 class Morrey(SpaceSpec):
@@ -594,19 +601,15 @@ def orlicz_slice_norm(f: SampledField, phi: OrliczFunction, r: float, t: float,
     return float(norm_many(f.values[None], f.grid, OrliczSlice(phi, r, t), omega)[0])
 
 
-def _orlicz_slice(v: np.ndarray, grid: Grid, phi: OrliczFunction, r: float, t: float) -> float:
-    """:func:`orlicz_slice_norm` of one row ``v``, zero outside the domain."""
-    if t < min(grid.cell_size) / 2.0:
-        raise ValueError("slice radius is below half a cell; ball degenerates")
-    stencil = _ball_stencil(grid, float(t))
+def _orlicz_slice(v: np.ndarray, grid: Grid, phi: OrliczFunction, r: float,
+                  stencil: _BallStencil, den: np.ndarray) -> float:
+    """:func:`orlicz_slice_norm` of one row ``v``, zero outside the domain, with
+    the ball ``stencil`` and each cell's denominator ``den``."""
     windows = sliding_window_view(np.pad(np.abs(v), [(k, k) for k in stencil.half]),
                                   stencil.inside.shape)
     balls = windows[(Ellipsis,) + np.nonzero(stencil.inside)].reshape(grid.total_cells, -1)
     vol = grid.cell_volume
-    num = _luxemburg(balls, vol, phi)
-    counts, which = np.unique(stencil.count.ravel(), return_inverse=True)
-    den = _luxemburg((np.arange(balls.shape[1]) < counts[:, None]).astype(float), vol, phi)
-    return float(_lebesgue((num / den[which])[None], vol, r)[0])
+    return float(_lebesgue((_luxemburg(balls, vol, phi) / den)[None], vol, r)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -270,3 +270,60 @@ def test_cli_config_driven_run(tmp_path):
     rc = main(["--config", str(cfg_path), "bsvy"])
     assert rc == 0
     assert (tmp_path / "out" / "bsvy.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("gammas = 1", "gamma = -1", "unknown config [sweeps] parameter 'gamma'; known: gammas, p, s_grid"),
+    ("[output]", "[policy]\nnear_windw = 9\n\n[output]", "unknown config [policy] parameter 'near_windw'"),
+    ("[output]", "[outptu]", "has unknown section [outptu]; known: experiment, grid,"),
+    ("lo = -2.0\n", "", "config [grid] needs parameter 'lo'"),
+    ("hi = 2.0\n", "", "config [grid] needs parameter 'hi'"),
+    ("points = 32\n", "", "config [grid] needs parameter 'points'"),
+    ("n = 1\n", "", "config [grid] needs parameter 'n'"),
+    ("specs = lebesgue:p=2.0", "spec = lebesgue:p=2.0", "config [spaces] needs parameter 'specs'"),
+])
+def test_cli_bad_config_is_one_line_exit_2(tmp_path, capsys, old, new, message):
+    text = CONFIG_TEXT.format(out=tmp_path / "out")
+    assert old in text
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(text.replace(old, new, 1))
+    assert main(["--config", str(cfg_path), "bsvy"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("normlab: error: ") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_policy_keys_keep_the_other_defaults(tmp_path):
+    from normlab.functionals import KernelPolicy
+
+    cfg_path = tmp_path / "exp.ini"
+    text = CONFIG_TEXT.format(out=tmp_path).replace("[output]", "[policy]\nsubsample = 8\n\n[output]")
+    cfg_path.write_text(text)
+    assert load_config(cfg_path).policy == KernelPolicy(subsample=8)
+
+
+@pytest.mark.parametrize("name", ["bbm_demo", "bsvy_demo", "bsvy_2d_catalog"])
+def test_committed_configs_load(name):
+    from pathlib import Path
+
+    from normlab.experiments import DEFAULT_S_GRID
+    from normlab.functionals import DEFAULT_POLICY, KernelPolicy
+
+    cfg = load_config(Path(__file__).parents[1] / "configs" / f"{name}.ini")
+    assert cfg.kind == name.split("_")[0] and cfg.seed == 7 and cfg.refine
+    assert cfg.functions and cfg.spaces
+    assert cfg.s_grid == DEFAULT_S_GRID
+    if name == "bbm_demo":
+        assert cfg.p == 1.0 and cfg.policy == DEFAULT_POLICY and cfg.domain is None
+    else:
+        assert cfg.p == 2.0 and cfg.gammas == (1.0, 2.0, -1.0) and cfg.domain.tag == "ball"
+        assert cfg.policy == KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
+
+
+def test_provenance_kind_is_the_subcommand_run(tmp_path):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))  # kind = bsvy
+    assert main(["--config", str(cfg_path), "norm"]) == 0
+    payload = json.loads((tmp_path / "out" / "norms.json").read_text())
+    assert payload["provenance"]["kind"] == "norm"

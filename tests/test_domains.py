@@ -185,3 +185,41 @@ def test_domain_spec_equality_follows_canonical_text():
 def test_domain_spec_rejects_bad_values(text, box, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_domain(text, box=box)
+
+
+LSHAPE = DomainSpec("lshape", lo1=(0.0, 0.0), hi1=(2.0, 1.0), lo2=(0.0, 0.0), hi2=(1.0, 2.0))
+
+
+def test_lshape_segment_blocked_matches_dense_predicate():
+    rng = np.random.default_rng(0)
+    lo, hi = LSHAPE.sampling_box(2)
+    t = np.linspace(0.0, 1.0, 20001)[1:-1, None]  # the open segment
+    blocked = 0
+    for _ in range(200):
+        a, b = rng.uniform(lo, hi, size=(2, 2))
+        leaves = not LSHAPE.predicate(a + t * (b - a)).all()
+        assert LSHAPE.segment_blocked(a, b) == leaves, (a, b)
+        blocked += leaves
+    assert 0 < blocked < 200
+
+
+def test_boxless_shapes_sample_their_own_bounds():
+    assert LSHAPE.box is None
+    assert [list(v) for v in LSHAPE.sampling_box(2)] == [[0.0, 0.0], [2.0, 2.0]]
+    ann = DomainSpec("annulus", center=(0.5, -0.5), r1=0.5, r2=1.0)
+    assert [list(v) for v in ann.sampling_box(2)] == [[-0.5, -1.5], [1.5, 0.5]]
+    anchor = ann.interior_anchor(2)
+    assert ann.predicate(anchor)[0]
+    assert np.hypot(anchor[0] - 0.5, anchor[1] + 0.5) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("dom", [
+    LSHAPE, DomainSpec("annulus", center=(0.5, -0.5), r1=0.5, r2=1.0)], ids=["lshape", "annulus"])
+def test_falsifier_refutation_of_boxless_nonconvex_shape_is_advisory(dom):
+    cert = epsilon_falsifier(dom, 0.5, 300, seed=3)
+    assert cert.verdict == "refuted"
+    assert not cert.exhaustive and cert.flags == ["advisory-refutation"]
+    lo, hi = dom.sampling_box(2)
+    for key in ("x", "y"):
+        z = np.asarray(cert.witness[key])
+        assert dom.predicate(z)[0] and np.all((lo <= z) & (z <= hi))

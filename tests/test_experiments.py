@@ -118,7 +118,34 @@ def test_bbm_experiment_rows_equal_per_s_values(p):
     f = sample(cfg.functions[0], fine)
     omega = mask(cfg.domain, fine)
     assert [r["space"] for r in table.rows] == [s.canonical() for s in spaces]
-    for row, space in zip(table.rows[1:], spaces[1:]):
+    for row, space in zip(table.rows, spaces):
         pairs = [(s, bbm_scaled_value(f, s, p, space, omega, cfg.policy)) for s in cfg.s_grid]
         assert row["value"] == bbm_limit_extrapolate(pairs)[0]
         assert row["reference"] == bbm_constant(p, 1) ** (1.0 / p) * sobolev_norm(f, space, omega)
+
+
+def test_bbm_experiment_builds_one_inner_field_per_function_and_grid(monkeypatch):
+    import normlab.experiments as E
+    from normlab import functionals as F
+
+    calls = {"bbm_scaled_sweep": 0, "gagliardo_seminorm_sweep": 0}
+
+    def counted(name):
+        orig = getattr(F, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in calls:  # both homes: the runner may hold its own reference
+        monkeypatch.setattr(F, name, counted(name))
+        monkeypatch.setattr(E, name, getattr(F, name), raising=False)
+    spaces = [Lebesgue(1.0), Lebesgue(2.0), Morrey(2.0, 4.0)]
+    fns = [TestFunctionSpec("gaussian"), TestFunctionSpec("tent", width=1.5)]
+    for refine, grids in ((False, 1), (True, 2)):
+        calls.update(dict.fromkeys(calls, 0))
+        cfg = base_cfg(functions=fns, spaces=spaces, p=1.0, refine=refine)
+        cfg.grid = make_grid(1, -2.0, 2.0, 32)
+        assert len(run_bbm_experiment(cfg).rows) == len(fns) * len(spaces)
+        assert calls == {"bbm_scaled_sweep": len(fns) * grids, "gagliardo_seminorm_sweep": 0}
