@@ -245,6 +245,11 @@ class Lshape(DomainSpec):
         (lo1, hi1), (lo2, hi2) = self._boxes(dim)
         return np.minimum(lo1, lo2), np.maximum(hi1, hi2)
 
+    def interior_anchor(self, dim):
+        # the bounding box's centre can be the reentrant corner
+        lo, hi = max(self._boxes(dim), key=lambda box: np.prod(box[1] - box[0]))
+        return 0.5 * (lo + hi)
+
     def _inside(self, pts):
         (lo1, hi1), (lo2, hi2) = self._boxes(pts.shape[1])
         return np.all((pts > lo1) & (pts < hi1), axis=1) | np.all((pts > lo2) & (pts < hi2), axis=1)
@@ -344,6 +349,13 @@ class Slitbox(DomainSpec):
         perp = self._perp(pts.shape[1])
         on_slit = (pts[:, self.axis] == self.pos) & (pts[:, perp] >= self.start)
         return super()._inside(pts) & ~on_slit
+
+    def interior_anchor(self, dim):
+        # the box centre, moved off the slit along the axis when it lies on it
+        mid = super().interior_anchor(dim)
+        if not self.predicate(mid)[0]:
+            mid[self.axis] = 0.5 * (self.pos + self.sampling_box(dim)[1][self.axis])
+        return mid
 
     def _distance(self, pts):
         gap = np.maximum(self.start - pts[:, self._perp(pts.shape[1])], 0.0)

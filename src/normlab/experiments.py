@@ -93,11 +93,16 @@ CONFIG_SECTIONS = {
 
 def load_config(path) -> ExperimentConfig:
     """The experiment of an INI config.  A missing [experiment] or [grid], a
-    section or key outside :data:`CONFIG_SECTIONS` and a missing required key
-    are ValueErrors."""
+    section or key outside :data:`CONFIG_SECTIONS`, a missing required key, a
+    file that cannot be read and a line that does not parse are ValueErrors."""
     cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {str(path)!r}: {exc.strerror or exc}") from None
+    except configparser.Error as exc:  # its message spans lines
+        raise ValueError(" ".join(str(exc).split())) from None
     for section in ("experiment", "grid"):
         if section not in cp:
             raise ValueError(f"config {str(path)!r} has no [{section}] section")
@@ -185,7 +190,7 @@ def run_bbm_experiment(cfg: ExperimentConfig) -> RatioTable:
             if cfg.refine:
                 delta = abs(value - coarse) / abs(value) if value != 0 else 0.0
                 tokens.append(f"refine_delta={delta:.3e}")
-            _add_row(table, cfg, cfg.grid, experiment="bbm", function=fn.canonical(),
+            _add_row(table, cfg, grids[-1], experiment="bbm", function=fn.canonical(),
                      space=space.canonical(), p=cfg.p, gamma_or_s=1.0, value=value,
                      reference=const * sobolev_norm(f, space, omega), flags=_flags(tokens))
     return table

@@ -186,21 +186,33 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLU
 
     Each unordered cell pair {x, x+o} appears exactly once; callers accumulate
     contributions at both ends.  Offsets inside the policy's analytic near
-    field (none under "exclude") are only counted.  Returns ``(removed,
-    kept)`` where ``kept`` yields ``(offset, distance, sa, sb, pair_mask)``
-    per remaining offset: the slices ``sa``/``sb`` pick the cells x and x+o,
-    and ``pair_mask`` is ``mask[sa] & mask[sb]`` (None without a mask).
+    field (none under "exclude") are only counted, on the whole grid's offset
+    box.  Returns ``(removed, kept)`` where ``kept`` yields ``(offset,
+    distance, sa, sb, pair_mask)`` per remaining offset: the slices
+    ``sa``/``sb`` pick the cells x and x+o, and ``pair_mask`` is
+    ``mask[sa] & mask[sb]`` (None without a mask).
+
+    With a mask the walk stays in the bounding box of its cells: offsets
+    longer than the box on some axis and cells outside it hold no pair, so
+    they are skipped (they would only add exact zeros).
     """
     offs, dists, keep = _half_offsets(grid, policy)
     walked = keep & (np.abs(offs).max(axis=1, initial=0) <= radius)
+    first = [0] * grid.dim
+    last = [n - 1 for n in grid.shape]
+    if mask is not None:
+        cells = np.nonzero(mask)
+        first = [int(c.min()) for c in cells]
+        last = [int(c.max()) for c in cells]
+        walked &= np.all(np.abs(offs) <= np.subtract(last, first), axis=1)
     cols = offs[walked].T.tolist()
     kept_dists = dists[walked]
     # per-axis (sa, sb) slice pairs indexed by the offset itself: entries for
     # o >= 0 come first, so a negative o indexes from the end of the list
-    reach = [int(min(n - 1, radius)) for n in grid.shape]
-    tables = [[(slice(0, n - o), slice(o, n)) for o in range(r + 1)]
-              + [(slice(-o, n), slice(0, n + o)) for o in range(-r, 0)]
-              for n, r in zip(grid.shape, reach)]
+    reach = [int(min(b - a, radius)) for a, b in zip(first, last)]
+    tables = [[(slice(a, b + 1 - o), slice(a + o, b + 1)) for o in range(r + 1)]
+              + [(slice(a - o, b + 1), slice(a, b + 1 + o)) for o in range(-r, 0)]
+              for a, b, r in zip(first, last, reach)]
 
     def kept():
         # callers do scalar arithmetic on dist, which is faster on Python

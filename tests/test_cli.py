@@ -281,6 +281,8 @@ def test_cli_config_driven_run(tmp_path):
     ("points = 32\n", "", "config [grid] needs parameter 'points'"),
     ("n = 1\n", "", "config [grid] needs parameter 'n'"),
     ("specs = lebesgue:p=2.0", "spec = lebesgue:p=2.0", "config [spaces] needs parameter 'specs'"),
+    ("points = 32\n", "points = 32\nfoo\n", "Source contains parsing errors:"),
+    ("[experiment]\n", "foo\n[experiment]\n", "File contains no section headers."),
 ])
 def test_cli_bad_config_is_one_line_exit_2(tmp_path, capsys, old, new, message):
     text = CONFIG_TEXT.format(out=tmp_path / "out")
@@ -292,6 +294,15 @@ def test_cli_bad_config_is_one_line_exit_2(tmp_path, capsys, old, new, message):
     assert err.startswith("normlab: error: ") and message in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, message", [("missing.ini", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_cli_unreadable_config_is_one_line_exit_2(tmp_path, capsys, name, message):
+    cfg_path = tmp_path / name
+    assert main(["--config", str(cfg_path), "norm"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"normlab: error: cannot read config {str(cfg_path)!r}: {message}\n"
 
 
 def test_config_policy_keys_keep_the_other_defaults(tmp_path):

@@ -223,3 +223,20 @@ def test_falsifier_refutation_of_boxless_nonconvex_shape_is_advisory(dom):
     for key in ("x", "y"):
         z = np.asarray(cert.witness[key])
         assert dom.predicate(z)[0] and np.all((lo <= z) & (z <= hi))
+
+
+ANCHOR_SHAPES_2D = {
+    "full": DomainSpec("full", box=BOX2),
+    "ball": DomainSpec("ball", center=(0.2, -0.1), radius=0.5),
+    "halfspace": DomainSpec("halfspace", box=BOX2, axis=1, offset=0.3),
+    "lshape": parse_domain("lshape:lo1=0;0,hi1=2;1,lo2=0;0,hi2=1;2"),
+    "annulus": DomainSpec("annulus", center=(0.5, -0.5), r1=0.5, r2=1.0),
+    "slitbox": DomainSpec("slitbox", box=BOX2),  # the slit ends at the box centre
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ANCHOR_SHAPES_2D))
+def test_interior_anchor_lies_inside(kind):
+    assert sorted(ANCHOR_SHAPES_2D) == sorted(DomainSpec.kinds)
+    dom = ANCHOR_SHAPES_2D[kind]
+    assert dom.predicate(dom.interior_anchor(2))[0]

@@ -37,6 +37,14 @@ def test_bbm_experiment_refinement_flag():
     assert row["ratio"] == pytest.approx(1.0, rel=0.05)
 
 
+@pytest.mark.parametrize("refine, points", [(False, 64), (True, 128)])
+def test_bbm_rows_are_labelled_with_the_grid_they_come_from(refine, points):
+    cfg = base_cfg(functions=[TestFunctionSpec("gaussian")], spaces=[Lebesgue(1.0), Lebesgue(2.0)],
+                   p=1.0, refine=refine)
+    table = run_bbm_experiment(cfg)
+    assert [r["grid"] for r in table.rows] == [f"box=[-2.0]..[2.0] N=[{points}]"] * 2
+
+
 def test_morrey_duality_bracket():
     cfg = base_cfg(functions=[TestFunctionSpec("tent", width=2.0)],
                    spaces=[Morrey(2.0, 4.0)], seed=5)

@@ -32,6 +32,7 @@ from normlab.functionals import (
     DEFAULT_POLICY,
     EXCLUDE_POLICY,
     _directional_extent_1d,
+    _pair_walk,
     bsvy_inner_profile,
     bsvy_values,
     default_lambda_grid,
@@ -772,3 +773,81 @@ def test_sobolev_norm_homogeneous_at_extreme_scales(dim, text, c):
         fc = SampledField(g, c * f.values, None if grad is None else c * grad)
         ref = sobolev_norm(fa, space, omega)
         assert sobolev_norm(fc, space, omega) / c == pytest.approx(ref, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the pair walk stays in the domain's bounding box
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, EXCLUDE_POLICY], ids=["default", "exclude"])
+@pytest.mark.parametrize("domain", ["ball:radius=1.3", "halfspace:axis=0,offset=-0.4"])
+@pytest.mark.parametrize("dim, npts", [(1, 32), (2, 16)])
+def test_pair_kernels_ignore_out_of_domain_padding(dim, npts, domain, policy):
+    # the same field and domain on [-2, 2] and on [-3, 3] with the same cells:
+    # the cells added around the box lie outside the domain and hold junk
+    small = make_grid(dim, -2.0, 2.0, npts)
+    big = make_grid(dim, -3.0, 3.0, npts * 3 // 2)
+    assert big.cell_size == small.cell_size
+    spec = TestFunctionSpec("gaussian", sigma=0.8, center=0.2)
+    f = sample(spec, small)
+    cells = mask(parse_domain(domain, box=(small.lo, small.hi)), small).cells
+    inner = (slice(npts // 4, npts // 4 + npts),) * dim
+    values = np.full(big.shape, 7.0)
+    values[inner] = f.values
+    grad = sample(spec, big).analytic_gradient
+    grad[(slice(None),) + inner] = f.analytic_gradient
+    fb = SampledField(big, values, grad)
+    cells_b = np.zeros(big.shape, dtype=bool)
+    cells_b[inner] = cells
+    omega, omega_b = DomainMask(small, cells), DomainMask(big, cells_b)
+
+    def on_domain(a, b):
+        return a[(Ellipsis,) + (cells,)], b[(Ellipsis,) + inner][(Ellipsis,) + (cells,)]
+
+    lams = np.geomspace(1e-2, 1e2, 9)
+    for gamma in (2.0, -1.0):
+        params = BsvyParams(gamma, 2.0)
+        assert np.array_equal(*on_domain(bsvy_inner_profile(f, lams, params, omega, policy),
+                                         bsvy_inner_profile(fb, lams, params, omega_b, policy)))
+    s_values = [0.3, 0.7, 0.95]
+    assert np.array_equal(*on_domain(fractional_inner_field(f, s_values, 1.0, omega, policy),
+                                     fractional_inner_field(fb, s_values, 1.0, omega_b, policy)))
+    for p in (1.0, 2.0):
+        ref = gagliardo_seminorm_sweep(f, s_values, p, omega, policy)
+        got = gagliardo_seminorm_sweep(fb, s_values, p, omega_b, policy)
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, EXCLUDE_POLICY], ids=["default", "exclude"])
+@pytest.mark.parametrize("dim, npts, domain", [
+    (1, 40, "ball:center=0.7,radius=0.6"),
+    (2, 14, "ball:center=0.5;-0.3,radius=0.9"),
+    (2, (12, 10), "halfspace:axis=1,offset=0.6"),
+])
+def test_masked_pair_walk_stays_in_the_domain_box(dim, npts, domain, policy):
+    g = make_grid(dim, -2.0, 2.0, npts)
+    cells = mask(parse_domain(domain, box=(g.lo, g.hi)), g).cells
+    idx = np.nonzero(cells)
+    first = np.array([i.min() for i in idx])
+    span = np.array([i.max() for i in idx]) - first
+    assert np.any(span < np.array(g.shape) - 1)  # the crop does something
+    removed_full, full = _pair_walk(g, None, policy)
+    removed, walk = _pair_walk(g, cells, policy)
+    assert removed == removed_full
+    walked = {}
+    for off, dist, sa, sb, pm in walk:
+        assert np.all(np.abs(off) <= span)
+        for ax, ends in enumerate(zip(sa, sb)):  # both ends inside the box
+            assert all(first[ax] <= e.start and e.stop <= first[ax] + span[ax] + 1 for e in ends)
+        assert [s.start for s in sa] == list(first + np.maximum(0, -np.array(off)))
+        assert np.array_equal(pm, cells[sa] & cells[sb])
+        walked[tuple(off)] = dist
+    kept = 0
+    for off, dist, sa, sb, _ in full:
+        if tuple(off) in walked:
+            assert walked[tuple(off)] == dist
+            kept += 1
+        else:  # a skipped offset holds no pair of domain cells
+            assert not np.any(cells[sa] & cells[sb])
+    assert kept == len(walked)
