@@ -52,11 +52,6 @@ def _boxes_minus_box(lo, hi, blo, bhi):
     return out
 
 
-def _point_box_distance(z, lo, hi) -> float:
-    gap = np.maximum(np.maximum(np.asarray(lo) - z, z - np.asarray(hi)), 0.0)
-    return float(np.linalg.norm(gap))
-
-
 def _segment_point_distance(a, b, p) -> float:
     a, b, p = (np.asarray(v, dtype=float) for v in (a, b, p))
     d = b - a
@@ -255,21 +250,19 @@ class Lshape(DomainSpec):
         return np.all((pts > lo1) & (pts < hi1), axis=1) | np.all((pts > lo2) & (pts < hi2), axis=1)
 
     def _distance(self, pts):
+        # nearest exposed part of a face: each face of one box minus the other
+        # box; the pieces do not depend on the point
         boxes = self._boxes(pts.shape[1])
-        return np.array([self._point_distance(z, boxes) for z in pts])
-
-    @staticmethod
-    def _point_distance(z, boxes) -> float:
-        # nearest exposed part of a face: each face of one box minus the other box
-        best = math.inf
+        pieces = []
         for (lo, hi), (olo, ohi) in (boxes, boxes[::-1]):
-            for ax in range(z.size):
+            for ax in range(lo.size):
                 for side in (lo[ax], hi[ax]):
                     flo, fhi = lo.copy(), hi.copy()
                     flo[ax] = fhi[ax] = side
-                    for plo, phi in _boxes_minus_box(flo, fhi, olo, ohi):
-                        best = min(best, _point_box_distance(z, plo, phi))
-        return best
+                    pieces += _boxes_minus_box(flo, fhi, olo, ohi)
+        plo, phi = (np.array(ends) for ends in zip(*pieces))
+        gap = np.maximum(np.maximum(plo - pts[:, None], pts[:, None] - phi), 0.0)
+        return np.min(np.linalg.norm(gap, axis=2), axis=1)
 
     def segment_blocked(self, a, b):
         # covered-interval test of the segment against the two boxes

@@ -11,6 +11,7 @@ so evaluators can be matched bitwise against naive double-loop oracles.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -121,6 +122,7 @@ EXCLUDE_POLICY = KernelPolicy(diagonal="exclude")
 LAMBDA_POINTS = 40  # default lambda grid: its points, and its span in units of max |grad f|
 LAMBDA_DECADES = (1e-3, 1e4)
 REFINE_POINTS = 10  # lambdas added by each extension or refinement pass of bsvy_sup
+TAIL_TOL = 1e-5  # a gamma < 0 sup stops after the grid when its tail bound is this close
 # at p = 2 the Gagliardo kernels sum the offsets with max |o_i| <= NEAR_CELLS
 # directly and the rest by FFT correlation, which loses digits to cancellation
 # near the diagonal
@@ -179,10 +181,9 @@ def _half_offsets(grid: Grid, policy: KernelPolicy):
     return offs, dists, keep
 
 
-def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLUDE_POLICY,
-               radius: float = math.inf):
-    """Walk the integer offsets whose first nonzero component is positive and
-    at most ``radius`` on every axis.
+def _pair_walk(grid: Grid, mask: np.ndarray | None, half, radius: float = math.inf):
+    """Walk the integer offsets of ``half`` (the :func:`_half_offsets` table)
+    that are at most ``radius`` on every axis.
 
     Each unordered cell pair {x, x+o} appears exactly once; callers accumulate
     contributions at both ends.  Offsets inside the policy's analytic near
@@ -196,7 +197,7 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLU
     longer than the box on some axis and cells outside it hold no pair, so
     they are skipped (they would only add exact zeros).
     """
-    offs, dists, keep = _half_offsets(grid, policy)
+    offs, dists, keep = half
     walked = keep & (np.abs(offs).max(axis=1, initial=0) <= radius)
     first = [0] * grid.dim
     last = [n - 1 for n in grid.shape]
@@ -226,10 +227,11 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, policy: KernelPolicy = EXCLU
     return int(np.count_nonzero(~keep)), kept()
 
 
-def _far_offsets(grid: Grid, policy: KernelPolicy):
-    """The kept offsets that ``_pair_walk(..., radius=NEAR_CELLS)`` leaves out:
-    their flat indices in the offset box [-(n-1), n-1]^dim and their lengths."""
-    offs, dists, keep = _half_offsets(grid, policy)
+def _far_offsets(half):
+    """The kept offsets of ``half`` that ``_pair_walk(..., radius=NEAR_CELLS)``
+    leaves out: their flat indices in the offset box [-(n-1), n-1]^dim and
+    their lengths."""
+    offs, dists, keep = half
     far = keep & (np.abs(offs).max(axis=1, initial=0) > NEAR_CELLS)
     return np.flatnonzero(far) + (offs.shape[0] + 1), dists[far]
 
@@ -370,7 +372,11 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
     v = f.values
     eq_ball = policy.diagonal == "equivalent-ball"
     fft = p == 2.0
-    removed, walk = _pair_walk(grid, mask, policy, NEAR_CELLS if fft else math.inf)
+    half = _half_offsets(grid, policy)
+    removed, walk = _pair_walk(grid, mask, half, NEAR_CELLS if fft else math.inf)
+    if fft:
+        at, far_dists = _far_offsets(half)
+    del half  # kept, the offset table would add to the peak of the walk and the FFT
     dists, sums = [], []
     for _, dist, sa, sb, pm in walk:
         d = np.abs(v[sa] - v[sb]) ** p
@@ -381,7 +387,6 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
     dists = np.asarray(dists)
     sums = np.asarray(sums)
     if fft:
-        at, far_dists = _far_offsets(grid, policy)
         dists = np.concatenate([dists, far_dists])
         sums = np.concatenate([sums, _fft_pair_terms(v, mask).ravel()[at]])
     vol = grid.cell_volume
@@ -434,7 +439,11 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
     rows = (slice(None),)
     exps = [-(s * p + n) for s in s_values]
     fft = p == 2.0
-    removed, walk = _pair_walk(grid, mask, policy, NEAR_CELLS if fft else math.inf)
+    half = _half_offsets(grid, policy)
+    removed, walk = _pair_walk(grid, mask, half, NEAR_CELLS if fft else math.inf)
+    if fft:
+        at, far_dists = _far_offsets(half)
+    del half  # kept, the offset table would add to the peak of the walk and the FFT
     for _, dist, sa, sb, pm in walk:
         d = np.abs(v[sa] - v[sb]) ** p
         if pm is not None:
@@ -445,7 +454,6 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
         inner[rows + sa] += d
         inner[rows + sb] += d
     if fft:
-        at, far_dists = _far_offsets(grid, policy)
         box = [2 * k - 1 for k in grid.shape]
         kernels = np.zeros((len(s_values), math.prod(box)))
         # offset o sits at flat index i, -o at size - 1 - i
@@ -501,6 +509,101 @@ def bbm_limit_extrapolate(pairs) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _subcells(grid: Grid, policy: KernelPolicy):
+    """The level-set kernel's subsampled shell: its radius (0 when there is
+    none) and the centres of a cell's policy.subsample^dim sub-cells, relative
+    to the cell centre.  Offsets in the shell are outside the analytic window
+    and at the membership handoff, where whole-cell granularity is worst;
+    oracle mode stays purely discrete."""
+    k = policy.subsample
+    if policy.diagonal != "equivalent-ball" or k == 1:
+        return 0.0, None
+    h = grid.cell_size
+    axes = [((np.arange(k) + 0.5) / k - 0.5) * h[i] for i in range(grid.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return policy.subsample_window * min(h), np.column_stack([m.ravel() for m in mesh])
+
+
+def _level_set_model(g: np.ndarray, lams: np.ndarray, params: BsvyParams, grid: Grid,
+                     mask: np.ndarray | None, removed: int):
+    """The frozen-gradient analytic near field of the level-set inner integral
+    over the removed ball, one row per lambda, and its limit constant c.
+
+    The inclusion radius rho(x) = (|grad f(x)| / lam)^(p/gamma) is a ceiling
+    for gamma > 0 and a floor for gamma < 0; each direction integrates
+    z^(gamma-1) up to its cap, the removed ball's radius (in 1D the free
+    distance to the domain boundary when that is shorter).  For gamma < 0,
+    with t = lam^p, t times a direction's term is (g^p - t cap^gamma)_+ / |gamma|:
+    convex in t, and the row tends to c g^p / |gamma| as lam -> 0.
+    """
+    gamma, p = params.gamma, params.p
+    r_cap = _equivalent_radius(removed, grid)
+    # where grad f = 0 the power yields the right inclusion sentinel for
+    # either sign of gamma: ceiling 0 (gamma > 0) or floor inf (gamma < 0)
+    with np.errstate(divide="ignore", over="ignore"):
+        rho = (g[None] / lams.reshape((lams.size,) + (1,) * grid.dim)) ** (p / gamma)
+
+    def radial(cap):
+        # integral of z^(gamma-1) over the included part of (0, cap]:
+        # (0, min(rho, cap)] when gamma > 0, (min(rho, cap), cap] otherwise
+        cap = cap[None] * np.ones_like(rho)
+        a = np.minimum(rho, cap)
+        if gamma > 0:
+            return a ** gamma / gamma
+        return (cap ** gamma - a ** gamma) / gamma
+
+    if grid.dim == 1:
+        # the two axis directions, each with its own cap
+        lo_ext, hi_ext = _directional_extent_1d(grid, mask)
+        c = 2.0
+        rows = radial(np.minimum(r_cap, hi_ext)) + radial(np.minimum(r_cap, lo_ext))
+    else:
+        c = sphere_area(grid.dim)
+        rows = c * radial(np.full(grid.shape, r_cap))
+    if mask is not None:
+        rows = np.where(mask[None], rows, 0.0)
+    return rows, c
+
+
+def _tail_bound(f: SampledField, params: BsvyParams, lam1: float, mask: np.ndarray | None,
+                policy: KernelPolicy):
+    """Per-cell fields M and B for gamma < 0: lam^p times the level-set inner
+    integral tends to M as lam -> 0 and is at most B for every lam <= lam1.
+
+    The inner integral is D(lam) + A(lam), the pair sum and the analytic near
+    field.  No cell's D exceeds K, the kernel weights of every kept offset of
+    both signs summed (a subsampled offset weighs its sub-cells' sum), and with
+    t = lam^p, t A is convex in t with limit M (:func:`_level_set_model`).  So
+    t (K + A) is convex on (0, t1] and at most B = max(M, t1 (K + A(lam1))).
+    """
+    grid = f.grid
+    gamma, p = params.gamma, params.p
+    n = grid.dim
+    vol = grid.cell_volume
+    offs, dists, keep = _half_offsets(grid, policy)
+    dists = dists[keep]
+    weights = dists ** (gamma - n) * vol
+    sub_w, shifts = _subcells(grid, policy)
+    shell = dists <= sub_w
+    if np.any(shell):
+        cells = offs[keep][shell][:, None] * np.asarray(grid.cell_size)
+        dsub = np.linalg.norm(cells + shifts, axis=2)
+        weights[shell] = np.sum(dsub ** (gamma - n), axis=1) * vol / policy.subsample ** n
+    # the margin covers the walk summing the same weights in another order
+    total = 2.0 * float(np.sum(weights)) * (1.0 + 1e-12)
+    t1 = lam1 ** p
+    if policy.diagonal == "equivalent-ball":
+        g = gradient_magnitude(f)
+        model, c = _level_set_model(g, np.array([lam1]), params, grid, mask, np.count_nonzero(~keep))
+        limit = c * g ** p / -gamma
+        bound = np.maximum(limit, t1 * (total + model[0]))
+    else:
+        limit, bound = np.zeros(grid.shape), np.full(grid.shape, t1 * total)
+    if mask is not None:
+        limit, bound = np.where(mask, limit, 0.0), np.where(mask, bound, 0.0)
+    return limit, bound
+
+
 def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
                        omega: DomainMask | None = None,
                        policy: KernelPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -523,16 +626,8 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     v = f.values
     vol = grid.cell_volume
     expo = 1.0 + gamma / p
-    model_on = policy.diagonal == "equivalent-ball"
-    # near cells outside the analytic window are subsampled: they sit at the
-    # membership handoff where whole-cell granularity is worst; oracle mode
-    # stays purely discrete
-    sub_w = policy.subsample_window * min(grid.cell_size) if model_on and policy.subsample > 1 else 0.0
+    sub_w, sub_shifts = _subcells(grid, policy)
     k = policy.subsample
-    if sub_w > 0:
-        axes = [((np.arange(k) + 0.5) / k - 0.5) * h[i] for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        sub_shifts = np.column_stack([m.ravel() for m in mesh])
     # rows in ascending lambda order: the rows on which a pair offset can hold
     # a level-set member are then a prefix, and the walk skips the rest (they
     # would only add exact zeros)
@@ -543,7 +638,7 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     on = v if mask is None else v[mask]
     spread = float(np.ptp(on)) if on.size else 0.0
     inner = np.zeros((lams.size,) + grid.shape)
-    removed, walk = _pair_walk(grid, mask, policy)
+    removed, walk = _pair_walk(grid, mask, _half_offsets(grid, policy))
     for off, dist, sa, sb, pm in walk:
         subsampled = sub_w > 0 and dist <= sub_w
         if subsampled:
@@ -581,35 +676,8 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
             contrib = memb * (dist ** (gamma - n) * vol)
         inner[(slice(0, live),) + sa] += contrib
         inner[(slice(0, live),) + sb] += contrib
-    if model_on:
-        # frozen-gradient analytic near-field over the removed ball: the
-        # inclusion radius rho(x) = (|grad f(x)| / lam)^(p/gamma) is a ceiling
-        # for gamma > 0 and a floor for gamma < 0
-        g = gradient_magnitude(f)
-        r_cap = _equivalent_radius(removed, grid)
-        # where grad f = 0 the power yields the right inclusion sentinel for
-        # either sign of gamma: ceiling 0 (gamma > 0) or floor inf (gamma < 0)
-        with np.errstate(divide="ignore", over="ignore"):
-            rho = (g[None] / lam_col) ** (p / gamma)
-
-        def radial(cap):
-            # integral of z^(gamma-1) over the included part of (0, cap]:
-            # (0, min(rho, cap)] when gamma > 0, (min(rho, cap), cap] otherwise
-            a = np.minimum(rho, cap)
-            if gamma > 0:
-                return a ** gamma / gamma
-            return (cap ** gamma - a ** gamma) / gamma
-
-        if n == 1:
-            lo_ext, hi_ext = _directional_extent_1d(grid, mask)
-            caps_up = np.minimum(r_cap, hi_ext)[None] * np.ones_like(rho)
-            caps_dn = np.minimum(r_cap, lo_ext)[None] * np.ones_like(rho)
-            diag = radial(caps_up) + radial(caps_dn)
-        else:
-            diag = sphere_area(n) * radial(np.full_like(rho, r_cap))
-        if mask is not None:
-            diag = np.where(mask[None], diag, 0.0)
-        inner += diag
+    if policy.diagonal == "equivalent-ball":
+        inner += _level_set_model(gradient_magnitude(f), lams, params, grid, mask, removed)[0]
     if mask is not None:
         inner = np.where(mask[None], inner, 0.0)
     return inner[np.argsort(order)]  # back to the caller's lambda order
@@ -682,10 +750,16 @@ def _first_max(vals: np.ndarray) -> int:
     return int(np.argmax(finite >= np.max(finite) * (1.0 - 1e-12)))
 
 
-def _sup_search(lam: np.ndarray, report: FunctionalReport, e: int):
+def _sup_search(lam: np.ndarray, report: FunctionalReport, e: int, tail=None):
     """The lambda search of :func:`bsvy_sup` for one space, as a generator that
     yields each lambda batch it needs and is sent back their values.  It fills
-    in the report at the end, with lambdas and values multiplied by 2^e."""
+    in the report at the end, with lambdas and values multiplied by 2^e.
+
+    ``tail``, if given, returns an upper bound U on the values at every
+    lambda <= lam[1].  When the grid's best value is at lam[0] and U is within
+    TAIL_TOL of it, no lambda the extension and refinement would try can beat
+    it by more, so the search stops after the grid and records U.
+    """
 
     def merge(lams, vals, extra):
         lams = np.concatenate([lams, extra])
@@ -696,15 +770,19 @@ def _sup_search(lam: np.ndarray, report: FunctionalReport, e: int):
     vals = yield lam
     if np.any(vals > 0):
         k = _first_max(vals)
-        if k in (0, lam.size - 1):
-            report.extended = True
-            ext = (np.geomspace(lam[0] / 100.0, lam[0], REFINE_POINTS, endpoint=False) if k == 0
-                   else np.geomspace(lam[-1], lam[-1] * 100.0, REFINE_POINTS + 1)[1:])
-            lam, vals, k = yield from merge(lam, vals, ext)
-        lo, hi = lam[max(k - 1, 0)], lam[min(k + 1, lam.size - 1)]
-        if hi > lo:
-            fine = np.geomspace(lo, hi, REFINE_POINTS + 2)[1:-1]
-            lam, vals, k = yield from merge(lam, vals, fine)
+        upper = tail() if tail is not None and k == 0 and np.isfinite(vals[0]) else math.inf
+        if upper <= vals[0] * (1.0 + TAIL_TOL):
+            report.extra["sup_upper"] = float(_unscale(upper, e))
+        else:
+            if k in (0, lam.size - 1):
+                report.extended = True
+                ext = (np.geomspace(lam[0] / 100.0, lam[0], REFINE_POINTS, endpoint=False) if k == 0
+                       else np.geomspace(lam[-1], lam[-1] * 100.0, REFINE_POINTS + 1)[1:])
+                lam, vals, k = yield from merge(lam, vals, ext)
+            lo, hi = lam[max(k - 1, 0)], lam[min(k + 1, lam.size - 1)]
+            if hi > lo:
+                fine = np.geomspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+                lam, vals, k = yield from merge(lam, vals, fine)
         report.sup = float(_unscale(vals[k], e))
         report.argmax_lam = float(_unscale(lam[k], e))
         report.endpoint = k in (0, lam.size - 1)
@@ -733,7 +811,8 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
     lambda scale together.
     """
     spaces = list(spaces)
-    e = _scale_exponent(f, mask_cells(omega, f.grid), params.p)
+    mask = mask_cells(omega, f.grid)
+    e = _scale_exponent(f, mask, params.p)
     f = _scaled(f, e)
     lam = (default_lambda_grid(f, omega) if lam_grid is None
            else np.ldexp(np.asarray(lam_grid, dtype=float), -e))
@@ -745,7 +824,20 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
         flags=["theorem-conditional"] if params.theorem_conditional else [],
         extra={"grid": f.grid.describe(), "policy": policy.canonical()},
     ) for space in spaces]
-    searches = [_sup_search(lam, rep, e) for rep in reports]
+
+    @functools.cache
+    def tail_root():
+        # B^(1/p) of the gamma < 0 tail bound, built for the first space that asks
+        return _tail_bound(f, params, lam[1], mask, policy)[1] ** (1.0 / params.p)
+
+    def tail(space):
+        return float(norm_many(tail_root()[None], f.grid, space, omega)[0])
+
+    # on an ascending grid, every lambda the rounds add after a lam[0] argmax
+    # lies below lam[1], where the tail bound holds
+    bounded = params.gamma < 0 and bool(np.all(np.diff(lam) > 0))
+    searches = [_sup_search(lam, rep, e, functools.partial(tail, space) if bounded else None)
+                for rep, space in zip(reports, spaces)]
     asks = [next(search) for search in searches]
     # the rows computed so far, and the row of each lambda
     rows, where = np.zeros((0,) + f.grid.shape), {}
@@ -774,8 +866,11 @@ def bsvy_sup(f: SampledField, params: BsvyParams, space: SpaceSpec,
 
     The default grid spans seven decades around the gradient scale; an
     endpoint argmax triggers one automatic two-decade extension, and one
-    refinement pass localizes the maximum between its grid neighbors.  This is
-    :func:`bsvy_sups` for one space.
+    refinement pass localizes the maximum between its grid neighbors.  For
+    gamma < 0 with the argmax at the first lambda, a closed-form bound U on
+    every lambda up to the second (:func:`_tail_bound`) comes first: when U is
+    within TAIL_TOL of the first value, the search stops after the grid and
+    ``extra["sup_upper"]`` holds U.  This is :func:`bsvy_sups` for one space.
     """
     return bsvy_sups(f, params, [space], omega, policy, lam_grid)[0]
 
@@ -802,7 +897,8 @@ def weak_product_quasinorm(f: SampledField, params: BsvyParams,
     vol = grid.cell_volume
     expo = 1.0 + gamma / p
     measures = np.zeros(lam.size)
-    for _, dist, sa, sb, pm in _pair_walk(grid, mask_cells(omega, grid))[1]:
+    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY))[1]
+    for _, dist, sa, sb, pm in walk:
         delta = np.abs(v[sa] - v[sb])
         if pm is not None:
             delta = np.where(pm, delta, 0.0)
@@ -828,7 +924,8 @@ def weighted_mu_measure(predicate, gamma: float, weight: np.ndarray,
     vol = grid.cell_volume
     n = grid.dim
     total = 0.0
-    for _, dist, sa, sb, pm in _pair_walk(grid, mask_cells(omega, grid))[1]:
+    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY))[1]
+    for _, dist, sa, sb, pm in walk:
         xa = np.column_stack([m[sa].ravel() for m in mesh])
         xb = np.column_stack([m[sb].ravel() for m in mesh])
         ker = dist ** (gamma - n) * vol * vol

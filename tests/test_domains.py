@@ -13,7 +13,7 @@ from normlab import (
     norm,
     parse_domain,
 )
-from normlab.domains import zero_extend_field
+from normlab.domains import _boxes_minus_box, zero_extend_field
 
 
 BOX2 = ((-1.0, -1.0), (1.0, 1.0))
@@ -91,6 +91,35 @@ def test_lshape_distance_near_notch():
     assert d == pytest.approx(0.2)  # the y=1 face of box 1 is exposed at x>1
     deep = dom.boundary_distance(np.array([[0.5, 0.5]]))[0]
     assert deep == pytest.approx(0.5)
+
+
+def _lshape_point_distance(z, boxes):
+    # one point at a time: each face of one box minus the other box, then the
+    # nearest piece
+    best = np.inf
+    for (lo, hi), (olo, ohi) in (boxes, boxes[::-1]):
+        for ax in range(z.size):
+            for side in (lo[ax], hi[ax]):
+                flo, fhi = lo.copy(), hi.copy()
+                flo[ax] = fhi[ax] = side
+                for plo, phi in _boxes_minus_box(flo, fhi, olo, ohi):
+                    best = min(best, np.linalg.norm(np.maximum(np.maximum(plo - z, z - phi), 0.0)))
+    return best
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lshape_distance_equals_point_loop(dim):
+    dom = DomainSpec("lshape", lo1=(0.0,) * dim, hi1=(2.0,) + (1.0,) * (dim - 1),
+                     lo2=(0.0,) * dim, hi2=(1.0, 2.0) + (1.0,) * (dim - 2))
+    lo, hi = dom.sampling_box(dim)
+    pts = np.random.default_rng(dim).uniform(lo - 0.5, hi + 0.5, (1000, dim))
+    pts = pts[dom.predicate(pts)]
+    assert pts.shape[0] > 100
+    boxes = dom._boxes(dim)
+    # a norm per point is a dot product, a batched one a sum of squares: the
+    # two may round apart in the last bit
+    np.testing.assert_allclose(dom.boundary_distance(pts),
+                               [_lshape_point_distance(z, boxes) for z in pts], rtol=1e-15, atol=0)
 
 
 def test_segment_blocked_slit_and_annulus():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +29,16 @@ from normlab import (
 )
 from normlab import oracles
 from normlab.domains import mask, parse_domain
+from normlab.experiments import load_config
+from normlab.spaces import norm_many
 from normlab.functionals import (
     DEFAULT_POLICY,
     EXCLUDE_POLICY,
+    TAIL_TOL,
     _directional_extent_1d,
+    _half_offsets,
     _pair_walk,
+    _tail_bound,
     bsvy_inner_profile,
     bsvy_values,
     default_lambda_grid,
@@ -674,14 +680,15 @@ def test_bsvy_sups_equal_per_space_sups(dim, texts, domain, gamma, monkeypatch):
 
 
 def test_bsvy_sups_shared_extension_requested_once(monkeypatch):
-    # at gamma = -1 most kinds put the argmax at the low end of the grid, so
-    # they all ask for the same ten extension lambdas
+    # on a grid that starts a decade above the default one, the gamma = -1
+    # argmax sits at its low end for most kinds and no tail bound is within
+    # TAIL_TOL, so they all ask for the same ten extension lambdas
     import normlab.functionals as F
 
     g = make_grid(1, -2.0, 2.0, 32)
     f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
     params, spaces = BsvyParams(-1.0, 2.0), [parse_space(t) for t in CATALOG_1D]
-    grid0 = default_lambda_grid(f)
+    grid0 = 10.0 * default_lambda_grid(f)
     batches = []
     profile = F.bsvy_inner_profile
 
@@ -690,13 +697,48 @@ def test_bsvy_sups_shared_extension_requested_once(monkeypatch):
         return profile(f, lams, *args)
 
     monkeypatch.setattr(F, "bsvy_inner_profile", counted)
-    reps = F.bsvy_sups(f, params, spaces)
+    reps = F.bsvy_sups(f, params, spaces, lam_grid=grid0)
+    assert not any("sup_upper" in r.extra for r in reps)
     low = [r for r in reps if r.extended and r.lam_grid[0] < grid0[0]]
     assert len(low) >= 2
     ext = np.geomspace(grid0[0] / 100.0, grid0[0], 10, endpoint=False)
     assert all(set(ext.tolist()) <= set(r.lam_grid) for r in low)
     assert sum(np.count_nonzero(np.isin(b, ext)) for b in batches) == ext.size
+    assert [r.__dict__ for r in reps] == [bsvy_sup(f, params, s, lam_grid=grid0).__dict__
+                                          for s in spaces]
+
+
+def test_bsvy_sups_certified_tail_stops_after_the_grid(monkeypatch):
+    # on the default grid most gamma = -1 sups are at its low end and
+    # certified by the tail bound; a call on those spaces alone makes one
+    # profile call: no extension, no refinement
+    import normlab.functionals as F
+
+    g = make_grid(1, -2.0, 2.0, 32)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    params, spaces = BsvyParams(-1.0, 2.0), [parse_space(t) for t in CATALOG_1D]
+    grid0 = default_lambda_grid(f)
+    reps = F.bsvy_sups(f, params, spaces)
+    certified = [space for space, rep in zip(spaces, reps) if "sup_upper" in rep.extra]
+    assert len(certified) >= 2
+    for rep in reps:
+        if "sup_upper" in rep.extra:
+            assert rep.sup <= rep.extra["sup_upper"] <= rep.sup * (1.0 + TAIL_TOL)
+            assert (rep.sup, rep.argmax_lam) == (rep.profile[0], grid0[0])
+            assert rep.lam_grid == grid0.tolist()
+            assert rep.endpoint and not rep.extended and "endpoint-argmax" in rep.flags
     assert [r.__dict__ for r in reps] == [bsvy_sup(f, params, s).__dict__ for s in spaces]
+    batches = []
+    profile = F.bsvy_inner_profile
+
+    def counted(f, lams, *args):
+        batches.append(np.asarray(lams))
+        return profile(f, lams, *args)
+
+    monkeypatch.setattr(F, "bsvy_inner_profile", counted)
+    again = F.bsvy_sups(f, params, certified)
+    assert len(batches) == 1 and np.array_equal(batches[0], grid0)
+    assert all("sup_upper" in rep.extra for rep in again)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -832,8 +874,8 @@ def test_masked_pair_walk_stays_in_the_domain_box(dim, npts, domain, policy):
     first = np.array([i.min() for i in idx])
     span = np.array([i.max() for i in idx]) - first
     assert np.any(span < np.array(g.shape) - 1)  # the crop does something
-    removed_full, full = _pair_walk(g, None, policy)
-    removed, walk = _pair_walk(g, cells, policy)
+    removed_full, full = _pair_walk(g, None, _half_offsets(g, policy))
+    removed, walk = _pair_walk(g, cells, _half_offsets(g, policy))
     assert removed == removed_full
     walked = {}
     for off, dist, sa, sb, pm in walk:
@@ -851,3 +893,52 @@ def test_masked_pair_walk_stays_in_the_domain_box(dim, npts, domain, policy):
         else:  # a skipped offset holds no pair of domain cells
             assert not np.any(cells[sa] & cells[sb])
     assert kept == len(walked)
+
+
+# --------------------------------------------------------------------------
+# the gamma < 0 tail bound of the lambda search
+# --------------------------------------------------------------------------
+
+CRIT12_POLICY = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
+TAIL_POLICIES = {"default": DEFAULT_POLICY, "criterion-12": CRIT12_POLICY, "exclude": EXCLUDE_POLICY}
+CATALOG_2D = load_config(Path(__file__).resolve().parents[1] / "configs" / "bsvy_2d_catalog.ini").spaces
+
+
+@pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
+@pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("gamma, p", [(-1.0, 1.0), (-1.0, 2.0), (-0.5, 1.0), (-0.5, 2.0)])
+def test_tail_bound_covers_every_lambda_below_the_second_grid_point(gamma, p, dim, domain, policy):
+    # Phi(lam) = lam ||inner(lam)^(1/p)||_X <= U = ||B^(1/p)||_X for lam <= lam_1,
+    # and Phi tends to ||M^(1/p)||_X as lam -> 0 (0 under "exclude")
+    g = make_grid(dim, -2.0, 2.0, 64 if dim == 1 else 16)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    omega = None if domain is None else mask(parse_domain(domain), g)
+    params = BsvyParams(gamma, p)
+    lam1 = default_lambda_grid(f, omega)[1]
+    limit, bound = _tail_bound(f, params, lam1, None if omega is None else omega.cells, policy)
+    lams = np.geomspace(lam1 * 1e-4, lam1, 200)
+    # what bsvy_values computes, with one profile for every space
+    roots = bsvy_inner_profile(f, lams, params, omega, policy) ** (1.0 / p)
+    for space in [parse_space(t) for t in CATALOG_1D] if dim == 1 else CATALOG_2D:
+        vals = lams * norm_many(roots, g, space, omega)
+        upper = norm_many(bound[None] ** (1.0 / p), g, space, omega)[0]
+        low = norm_many(limit[None] ** (1.0 / p), g, space, omega)[0]
+        assert np.all(vals <= upper * (1.0 + 1e-12)), space
+        # at t = lam^p the model falls short of its limit by t cap^gamma per direction
+        assert low * (1.0 - 1e-6) <= vals[0] <= upper, space
+
+
+@pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
+@pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("gamma", [1.0, 2.0, -1.0])
+def test_inner_profile_rows_nonincreasing_in_lambda(gamma, dim, domain, policy):
+    # the level sets shrink as lambda grows, and so does the analytic model
+    g = make_grid(dim, -2.0, 2.0, 64 if dim == 1 else 16)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    omega = None if domain is None else mask(parse_domain(domain), g)
+    lams = np.geomspace(1e-5, 1e5, 61)
+    rows = bsvy_inner_profile(f, lams, BsvyParams(gamma, 2.0), omega, policy)
+    assert np.all(np.diff(rows, axis=0) <= 0.0)
+    assert np.any(np.diff(rows, axis=0) < 0.0)
