@@ -802,13 +802,14 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
     """:func:`bsvy_sup` for several spaces X at once, one report per space.
 
     The inner integral does not depend on X, so the searches run in lockstep:
-    each round makes one :func:`bsvy_inner_profile` call on the lambdas that
-    some space needs and no earlier round computed, and keeps the rows for
-    the rest of this call.  Each space's values come from :func:`norm_many`
-    on the rows it asked for; a row does not depend on its batch, so every
-    report equals the one that space gets alone.  Outside the safe band f is
-    divided by a power of two first: the level sets do not change when f and
-    lambda scale together.
+    each round makes one :func:`bsvy_inner_profile` call on the distinct
+    lambdas the spaces ask for (no round repeats an earlier one's: extensions
+    lie outside the grid, refinements strictly between the argmax's
+    neighbours).  Each space's values come from :func:`norm_many` on the rows
+    it asked for; a row does not depend on its batch, so every report equals
+    the one that space gets alone.  Outside the safe band f is divided by a
+    power of two first: the level sets do not change when f and lambda scale
+    together.
     """
     spaces = list(spaces)
     mask = mask_cells(omega, f.grid)
@@ -839,17 +840,13 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
     searches = [_sup_search(lam, rep, e, functools.partial(tail, space) if bounded else None)
                 for rep, space in zip(reports, spaces)]
     asks = [next(search) for search in searches]
-    # the rows computed so far, and the row of each lambda
-    rows, where = np.zeros((0,) + f.grid.shape), {}
     while any(ask is not None for ask in asks):
-        fresh = sorted({x for ask in asks if ask is not None for x in ask.tolist()} - where.keys())
-        if fresh:
-            where.update(zip(fresh, range(len(rows), len(rows) + len(fresh))))
-            rows = np.concatenate([rows, bsvy_inner_profile(f, fresh, params, omega, policy)])
+        lams = np.unique(np.concatenate([ask for ask in asks if ask is not None]))
+        rows = bsvy_inner_profile(f, lams, params, omega, policy)
         for i, ask in enumerate(asks):
             if ask is None:
                 continue
-            inner = rows[[where[x] for x in ask.tolist()]]
+            inner = rows[np.searchsorted(lams, ask)]
             vals = ask * norm_many(inner ** (1.0 / params.p), f.grid, spaces[i], omega)
             try:
                 asks[i] = searches[i].send(vals)

@@ -65,7 +65,7 @@ __all__ = [
     "associate_norm_empirical",
 ]
 
-LUXEMBURG_REL_TOL = 1e-14  # bracket width in log lam at which the Luxemburg solver stops
+LUXEMBURG_REL_TOL = 1e-14  # Newton step in log lam at or below which the Luxemburg solver stops
 COVER_LEVELS = 5  # dyadic levels dyadic_cover tries per shift, from the smallest possible
 XI_STRIDE = 4  # default_xi_grid takes every XI_STRIDE-th cell centre per axis
 
@@ -96,6 +96,11 @@ class OrliczFunction:
     @property
     def exponents(self) -> tuple[float, ...]:
         return (self.p1,) if self.p2 is None else (self.p1, self.p2)
+
+    @property
+    def ends(self) -> tuple[float, float]:
+        """The exponent of phi below 1 and from 1 on: max(s^p1, s^p2) is s^p1 on (0, 1)."""
+        return self.exponents[0], self.exponents[-1]
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -290,7 +295,7 @@ class Orlicz(_PhiSpace):
         self.phi = phi
 
     def evaluate(self, values, grid):
-        return _luxemburg(np.abs(_flat_rows(values)), grid.cell_volume, self.phi)
+        return _luxemburg(np.abs(_flat_rows(values)), grid.cell_volume, *self.phi.ends)
 
 
 class OrliczSlice(_PhiSpace):
@@ -311,11 +316,16 @@ class OrliczSlice(_PhiSpace):
         if self.t < min(grid.cell_size) / 2.0:
             raise ValueError("slice radius is below half a cell; ball degenerates")
         stencil = _ball_stencil(grid, self.t)
+        vol, pad, cells = grid.cell_volume, [(k, k) for k in stencil.half], np.nonzero(stencil.inside)
         # the denominator |1_B(x,t)|_Phi: one solve per distinct ball count, for every row
         counts, which = np.unique(stencil.count.ravel(), return_inverse=True)
-        ball = np.arange(np.count_nonzero(stencil.inside)) < counts[:, None]
-        den = _luxemburg(ball.astype(float), grid.cell_volume, self.phi)[which]
-        return np.array([_orlicz_slice(v, grid, self.phi, self.r, stencil, den) for v in values])
+        ball = np.arange(cells[0].size) < counts[:, None]
+        den = _luxemburg(ball.astype(float), vol, *self.phi.ends)[which]
+        ratios = []
+        for v in np.abs(values):  # row by row: the whole batch would hold rows x cells x ball
+            balls = sliding_window_view(np.pad(v, pad), stencil.inside.shape)[(..., *cells)]
+            ratios.append(_luxemburg(balls.reshape(grid.total_cells, -1), vol, *self.phi.ends) / den)
+        return _lebesgue(np.array(ratios), vol, self.r)
 
 
 class Morrey(SpaceSpec):
@@ -352,7 +362,7 @@ class BesovBourgainMorrey(SpaceSpec):
         self.tau = float(tau)
 
     def evaluate(self, values, grid):
-        return np.array([_bbm_morrey(v, grid, self.q, self.p, self.r, self.tau) for v in values])
+        return _bbm_morrey(values, grid, self.q, self.p, self.r, self.tau)
 
 
 class _Herz(SpaceSpec):
@@ -458,8 +468,7 @@ class VariableLebesgue(SpaceSpec):
         if not (1 < lo <= hi < math.inf):
             raise ValueError(f"variable exponent must satisfy 1 < min <= max < inf, "
                              f"got [{lo}, {hi}]")
-        exf = ex.ravel()
-        return _luxemburg(np.abs(_flat_rows(values)), grid.cell_volume, lambda s: s ** exf)
+        return _luxemburg(np.abs(_flat_rows(values)), grid.cell_volume, ex.ravel(), ex.ravel())
 
 
 parse_space = SpaceSpec.parse
@@ -509,74 +518,47 @@ def lorentz_norm(f: SampledField, r: float, tau: float, omega: DomainMask | None
     return float(norm_many(f.values[None], f.grid, Lorentz(r, tau), omega)[0])
 
 
-def _luxemburg(absvals: np.ndarray, vol: float, phi) -> np.ndarray:
+def _luxemburg(absvals: np.ndarray, vol: float, lo, hi) -> np.ndarray:
     """Luxemburg norms of the rows of ``absvals``: per row the lam solving
-    modular(lam) = vol * sum_j phi(v_j / lam) = 1.
+    vol * sum_j phi(v_j / lam) = 1, phi(u) = u^q with q = ``lo`` for u < 1 and
+    ``hi`` for u >= 1 (scalars, or one per entry).
 
-    phi is convex with phi(0) = 0, so modular(lam / t) >= t * modular(lam) for
-    t >= 1; from lam0 = max_j v_j, the point lam0 * modular(lam0) therefore lies
-    on the other side of the root, and the two bracket it.  Bracketed secant
-    steps with the Illinois rule then run in (log lam, log modular), where
-    power functions are straight lines, until the bracket is LUXEMBURG_REL_TOL
-    wide in log lam; the result is its midpoint, or a step that lands exactly
-    on the root.  A row leaves the batch once it is done, so its norm does not
-    depend on the other rows.  ``phi`` is applied to the rows still in the
-    batch at once.
-    """
-    v = np.atleast_2d(absvals)
-    ref = v.max(axis=1)
-    out = np.zeros(ref.size)
-    rows = ref > 0.0  # the zero row has norm 0
-    if not rows.all():
-        if not rows.any():
-            return out
-        out[rows] = _luxemburg(v[rows], vol, phi)
-        return out
-    v = v / ref[:, None]  # lam is measured in units of the row maximum
+    In x = log(lam / max_j v_j), g(x) = log vol + log sum_j exp(max(lo d_j,
+    hi d_j)) with d_j = log v_j - x is a log-sum-exp of convex terms of slope
+    -q <= -1: convex and strictly decreasing.  Its tangents lie below it, so
+    the first Newton step, from x = 0, lands at or left of the root from
+    either side, and the later steps rise to it without overshooting (when
+    lo = hi, g is affine and the first step lands on it).  A row whose |step|
+    is at most LUXEMBURG_REL_TOL leaves the batch, so its norm does not depend
+    on the others.  Sums are shifted by their largest term: no power overflows."""
+    ref = absvals.max(axis=1)
+    left = np.flatnonzero(ref > 0.0)  # the rows still stepping; a zero row has norm 0
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a zero entry adds no term
+        a = np.log(absvals[left] / ref[left, None])
+    same = np.array_equal(lo, hi)
 
-    def log_modular(x):
-        m = vol * np.add.reduce(phi(v * np.exp(-x)[:, None]), axis=1)
-        return m, np.log(np.maximum(np.minimum(m, 1e300), 1e-300))
+    def newton(x):
+        """The Newton step -g(x) / g'(x) of each row."""
+        d = a - x[:, None]
+        q = lo if same else np.where(d >= 0.0, hi, lo)
+        t = q * d
+        top = t.max(axis=1)
+        w = np.exp(t - top[:, None])
+        s = np.add.reduce(w, axis=1)
+        return (math.log(vol) + top + np.log(s)) * s / np.add.reduce(q * w, axis=1)
 
-    m0, g0 = log_modular(np.zeros(ref.size))
-    x1 = np.log(m0)
-    m1, g1 = log_modular(x1)
-    above = m0 > 1.0
-    xlo, glo = np.where(above, 0.0, x1), np.where(above, g0, g1)
-    xhi, ghi = np.where(above, x1, 0.0), np.where(above, g1, g0)
-    exact = np.where(m0 == 1.0, 0.0, np.where(m1 == 1.0, x1, np.nan))
-    # rounding can leave an end on the wrong side; widen it by doubling
-    while ((glo <= 0.0) | (ghi > 0.0)).any():
-        xlo = np.where(glo <= 0.0, xlo - math.log(2.0), xlo)
-        xhi = np.where(ghi > 0.0, xhi + math.log(2.0), xhi)
-        if not np.isfinite(ref * np.exp(xhi)).all():
-            raise FloatingPointError("Luxemburg bracket failure (non-finite)")
-        glo, ghi = log_modular(xlo)[1], log_modular(xhi)[1]
-    nudge = 0.4 * LUXEMBURG_REL_TOL  # keeps a step off the ends, so both ends close in
-    logs = np.empty(ref.size)  # each row's result, log of lam / ref
-    left = np.arange(ref.size)  # the rows still stepping
-    prev = None
-    for _ in range(200):
-        live = (xhi - xlo > LUXEMBURG_REL_TOL) & np.isnan(exact)
-        if not live.all():
-            if not live.any():
+    x = np.zeros(left.size)
+    logs = np.zeros(ref.size)  # each row's result, log of lam / ref
+    for _ in range(100):
+        step = newton(x)
+        x = x + step
+        done = np.abs(step) <= LUXEMBURG_REL_TOL
+        if done.any():
+            logs[left[done]] = x[done]
+            left, a, x = left[~done], a[~done], x[~done]
+            if not left.size:
                 break
-            # a row that is done leaves the batch: its steps end where they would alone
-            logs[left[~live]] = np.where(np.isnan(exact), 0.5 * (xlo + xhi), exact)[~live]
-            left, v, xlo, glo, xhi, ghi, exact = (
-                a[live] for a in (left, v, xlo, glo, xhi, ghi, exact))
-            prev = None if prev is None else prev[live]
-        x = xhi - ghi * (xhi - xlo) / (ghi - glo)
-        x = np.minimum(np.maximum(x, xlo + nudge), xhi - nudge)
-        m, g = log_modular(x)
-        up = m > 1.0
-        # Illinois: the end kept a second time in a row has its value halved
-        keep = 1.0 if prev is None else np.where(up == prev, 0.5, 1.0)
-        xlo, glo = np.where(up, x, xlo), np.where(up, g, keep * glo)
-        xhi, ghi = np.where(up, xhi, x), np.where(up, keep * ghi, g)
-        exact = np.where(m == 1.0, x, exact)
-        prev = up
-    logs[left] = np.where(np.isnan(exact), 0.5 * (xlo + xhi), exact)
+    logs[left] = x
     return ref * np.exp(logs)
 
 
@@ -599,17 +581,6 @@ def orlicz_slice_norm(f: SampledField, phi: OrliczFunction, r: float, t: float,
     once per distinct count.
     """
     return float(norm_many(f.values[None], f.grid, OrliczSlice(phi, r, t), omega)[0])
-
-
-def _orlicz_slice(v: np.ndarray, grid: Grid, phi: OrliczFunction, r: float,
-                  stencil: _BallStencil, den: np.ndarray) -> float:
-    """:func:`orlicz_slice_norm` of one row ``v``, zero outside the domain, with
-    the ball ``stencil`` and each cell's denominator ``den``."""
-    windows = sliding_window_view(np.pad(np.abs(v), [(k, k) for k in stencil.half]),
-                                  stencil.inside.shape)
-    balls = windows[(Ellipsis,) + np.nonzero(stencil.inside)].reshape(grid.total_cells, -1)
-    vol = grid.cell_volume
-    return float(_lebesgue((_luxemburg(balls, vol, phi) / den)[None], vol, r)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -871,12 +842,12 @@ def dyadic_cover(center, radius: float):
     return best
 
 
-def _prefix(arr: np.ndarray) -> np.ndarray:
-    """Cumulative sum along every axis, padded with a leading zero per axis."""
+def _prefix(arr: np.ndarray, batch: int = 0) -> np.ndarray:
+    """Cumulative sums along the axes after the first ``batch``, each padded with a leading zero."""
     pre = arr
-    for ax in range(arr.ndim):
+    for ax in range(batch, arr.ndim):
         pre = np.cumsum(pre, axis=ax)
-    return np.pad(pre, [(1, 0)] * arr.ndim)
+    return np.pad(pre, [(0, 0)] * batch + [(1, 0)] * (arr.ndim - batch))
 
 
 def _cell_ranges(grid: Grid, axis: int, lo, hi, lo_side: str):
@@ -889,13 +860,13 @@ def _cell_ranges(grid: Grid, axis: int, lo, hi, lo_side: str):
 
 def _box_sums(prefix: np.ndarray, a, b):
     """Sums over the index boxes [a, b) from the padded prefix array, by
-    inclusion-exclusion; ``a`` and ``b`` hold one index array per axis, and
-    all of them broadcast together."""
+    inclusion-exclusion; ``a`` and ``b`` hold one index array per trailing
+    axis of ``prefix``, and all of them broadcast together."""
     dim = len(a)
     total = 0.0
     for corner in product((0, 1), repeat=dim):
         sel = tuple(b[i] if corner[i] else a[i] for i in range(dim))
-        total = total + (-1) ** (dim - sum(corner)) * prefix[sel]
+        total = total + (-1) ** (dim - sum(corner)) * prefix[(..., *sel)]
     return total
 
 
@@ -909,21 +880,20 @@ def bbm_morrey_norm(f: SampledField, q: float, p: float, r: float, tau: float,
     constant values per cube and contribute nothing new.
     """
     row, e = _scaled_rows(f.values[None], f.grid, omega)
-    return float(np.ldexp(_bbm_morrey(row[0], f.grid, q, p, r, tau, nu_range), e[0]))
+    return float(np.ldexp(_bbm_morrey(row, f.grid, q, p, r, tau, nu_range)[0], e[0]))
 
 
-def _bbm_morrey(v: np.ndarray, grid: Grid, q: float, p: float, r: float, tau: float,
-                nu_range: tuple[int, int] | None = None) -> float:
-    """:func:`bbm_morrey_norm` of one row ``v``, zero outside the domain."""
+@lru_cache(maxsize=128)
+def _dyadic_boxes(grid: Grid, nu_range: tuple[int, int] | None) -> tuple:
+    """Per level nu of the unshifted dyadic system over the grid box (by default
+    from below the cell size to above the box diameter), the side 2^nu and the
+    index boxes [a, b) of its cubes that hold a cell, as :func:`numpy.ix_` arrays."""
     if nu_range is None:
-        nu_min = math.floor(math.log2(min(grid.cell_size))) - 1
-        nu_max = math.ceil(math.log2(grid.diameter())) + 1
-    else:
-        nu_min, nu_max = nu_range
-    prefix = _prefix(np.abs(v) ** q * grid.cell_volume)
-    system = DyadicSystem((0.0,) * grid.dim, nu_min, nu_max)
-    level_terms = []
-    for nu in range(nu_min, nu_max + 1):
+        nu_range = (math.floor(math.log2(min(grid.cell_size))) - 1,
+                    math.ceil(math.log2(grid.diameter())) + 1)
+    system = DyadicSystem((0.0,) * grid.dim, *nu_range)
+    levels = []
+    for nu in range(nu_range[0], nu_range[1] + 1):
         side = 2.0 ** nu
         # dyadic cubes are half-open, (lo, hi]
         a, b = [], []
@@ -933,22 +903,25 @@ def _bbm_morrey(v: np.ndarray, grid: Grid, q: float, p: float, r: float, tau: fl
             # one leaves a rounding residue, not an exact 0
             a.append(ai[bi > ai])
             b.append(bi[bi > ai])
-        s = _box_sums(prefix, np.ix_(*a), np.ix_(*b))
+        levels.append((side, np.ix_(*a), np.ix_(*b)))
+    return tuple(levels)
+
+
+def _bbm_morrey(values: np.ndarray, grid: Grid, q: float, p: float, r: float, tau: float,
+                nu_range: tuple[int, int] | None = None) -> np.ndarray:
+    """:func:`bbm_morrey_norm` of each row of ``values``, shape ``(B, *grid.shape)``,
+    zero outside the domain."""
+    prefix = _prefix(np.abs(values) ** q * grid.cell_volume, 1)
+    levels = _dyadic_boxes(grid, None if nu_range is None else tuple(nu_range))
+    terms = np.zeros((len(values), len(levels)))  # per row, each level's l^r sum
+    for k, (side, a, b) in enumerate(levels):
+        # C order: with the batch axis innermost a row's sum would depend on the others
+        s = np.ascontiguousarray(_box_sums(prefix, a, b).reshape(len(values), -1))
         # in 2D and up a cube of zeros sums to a rounding residue of either
         # sign; a negative one would make the q-th root NaN
-        s = s[s > 0.0]
-        if s.size == 0:
-            level_terms.append(0.0)
-            continue
-        vals = (side ** grid.dim) ** (1.0 / p - 1.0 / q) * s ** (1.0 / q)
-        if math.isinf(r):
-            level_terms.append(float(np.max(vals)))
-        else:
-            level_terms.append(float(np.sum(vals ** r)) ** (1.0 / r))
-    terms = np.asarray(level_terms)
-    if math.isinf(tau):
-        return float(np.max(terms)) if terms.size else 0.0
-    return float(np.sum(terms ** tau)) ** (1.0 / tau)
+        vals = (side ** grid.dim) ** (1.0 / p - 1.0 / q) * np.where(s > 0.0, s, 0.0) ** (1.0 / q)
+        terms[:, k] = vals.max(axis=1) if math.isinf(r) else _root(np.sum(vals ** r, axis=1), r)
+    return terms.max(axis=1) if math.isinf(tau) else _root(np.sum(terms ** tau, axis=1), tau)
 
 
 # ---------------------------------------------------------------------------

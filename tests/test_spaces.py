@@ -73,7 +73,8 @@ def test_catalog_1d_holds_every_kind():
     assert sorted(parse_space(text).tag for text in CATALOG_1D) == sorted(SpaceSpec.kinds)
 
 
-@pytest.mark.parametrize("dim, text", [(1, t) for t in CATALOG_1D] + [(2, "mixed:r=2.5;3")])
+@pytest.mark.parametrize("dim, text", [(1, t) for t in CATALOG_1D]
+                         + [(2, "mixed:r=2.5;3"), (2, "bbmorrey:p=3,q=2,r=4,tau=5")])
 @pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
 def test_norm_many_rows_equal_norm(dim, text, domain):
     g = make_grid(dim, -2.0, 2.0, 24 if dim == 1 else 12)
@@ -97,10 +98,14 @@ def test_norm_many_shape_mismatch_error_and_empty_batch():
         assert norm_many(np.zeros((0, 16)), g, parse_space(text)).shape == (0,)
 
 
-@pytest.mark.parametrize("space", [Orlicz(OrliczFunction("two-power", 1.5, 4.0)),
-                                   VariableLebesgue(base=2.5, slope=1.2, axis=0)])
+LUXEMBURG_SPACES = [Orlicz(OrliczFunction("two-power", 1.5, 4.0)),
+                    VariableLebesgue(base=2.5, slope=1.2, axis=0),
+                    Orlicz(OrliczFunction("two-power", 1.01, 40.0))]
+
+
+@pytest.mark.parametrize("space", LUXEMBURG_SPACES)
 def test_luxemburg_row_alone_equals_row_in_batch(space):
-    # rows of differing shapes need differing numbers of secant steps; a row
+    # rows of differing shapes need differing numbers of Newton steps; a row
     # that is done must not move while the others go on
     g = make_grid(1, -1.0, 1.0, 40)
     rng = np.random.default_rng(5)
@@ -284,6 +289,32 @@ def test_luxemburg_two_power_unit_mass():
     f = SampledField(g, np.ones(g.shape))
     phi = OrliczFunction("two-power", 1.5, 3.0)
     assert luxemburg_norm(f, phi) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("space", LUXEMBURG_SPACES + [Orlicz(OrliczFunction("power", 2.5)),
+                                                     Orlicz(OrliczFunction("two-power", 1.5, 300.0))])
+def test_luxemburg_modular_of_every_row_is_one(space):
+    # the defining equation, summed exactly: vol * sum phi(|v| / lam) = 1
+    g = make_grid(1, -1.0, 1.0, 40)
+    rng = np.random.default_rng(11)
+    rows = rng.random((60,) + g.shape) ** rng.uniform(0.2, 12.0, size=(60, 1))
+    rows[0] = 0.0
+    rows[0, 7] = 3.0  # a one-cell spike
+    for row, lam in zip(rows, norm_many(rows, g, space)):
+        u = row / lam
+        terms = space.phi(u) if isinstance(space, Orlicz) else u ** space.exponent_on(g)
+        assert abs(math.fsum((terms * g.cell_volume).tolist()) - 1.0) <= 1e-12
+
+
+def test_luxemburg_spike_at_extreme_exponents():
+    # one cell of height 1 on [0, 1] with N = 64: the modular at lam < 1 is
+    # (1 / lam)^q / 64, so lam = 64^(-1/q); the powers 64^q overflow a double
+    g = make_grid(1, 0.0, 1.0, 64)
+    f = SampledField(g, np.zeros(g.shape))
+    f.values[10] = 1.0
+    assert luxemburg_norm(f, OrliczFunction("two-power", 1.5, 300.0)) == pytest.approx(
+        64.0 ** (-1.0 / 300.0), rel=1e-14)
+    assert norm(f, VariableLebesgue(base=200.0)) == pytest.approx(64.0 ** (-1.0 / 200.0), rel=1e-14)
 
 
 def test_luxemburg_zero_function():
