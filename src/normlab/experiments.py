@@ -309,6 +309,8 @@ def run_morrey_duality_check(cfg: ExperimentConfig, theta: float | None = None,
 def run_weak_holder_suite(cfg: ExperimentConfig, instances: int = 100,
                           gamma: float = 1.0) -> tuple[dict, RatioTable]:
     """Random pair fields through the weak-type Hoelder inequality check."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     grid = cfg.grid
     omega = _domain_mask(cfg, grid)
     rng = np.random.default_rng(cfg.seed)

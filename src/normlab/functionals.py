@@ -127,6 +127,10 @@ TAIL_TOL = 1e-5  # a gamma < 0 sup stops after the grid when its tail bound is t
 # directly and the rest by FFT correlation, which loses digits to cancellation
 # near the diagonal
 NEAR_CELLS = 16
+# the pair walk's block budget: a block of b > 1 offsets on c cells has
+# b * c <= PAIR_BLOCK_CELLS, so one of its float stacks takes at most 256 KB
+# (the level-set kernel's boolean stacks hold up to eight times the entries)
+PAIR_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -181,21 +185,202 @@ def _half_offsets(grid: Grid, policy: KernelPolicy):
     return offs, dists, keep
 
 
-def _pair_walk(grid: Grid, mask: np.ndarray | None, half, radius: float = math.inf):
+class _Walk:
+    """The pair walk over the bounding box of the domain cells (the whole grid
+    without a mask), iterated in :class:`_Block` steps.
+
+    The walk keeps its arrays in one layout: the box, seen as (*outer, rows,
+    nb) with rows = 1 in 1D, with its last two axes merged into a flat axis
+    that holds ``reach`` zeros, then each row's nb cells followed by
+    ``reach`` zeros (a row takes W = nb + reach entries).  An offset (...,
+    r, c) with |c| <= reach then shifts the flat axis by r W + c, and a
+    partner x + o off its row lands on padding, not on the next row.
+    ``inside`` marks the domain cells in that layout, ``on`` is its 0/1 float
+    copy when there is a mask (``in_row`` marks the box's columns when there
+    is none), and ``fields`` are the walked fields in it, zero off the domain.
+    """
+
+    def __init__(self, first, last, reach: int, mask: np.ndarray | None, fields, offs, dists):
+        shape = [b + 1 - a for a, b in zip(first, last)]
+        self.cut, self.box = tuple(slice(a, b + 1) for a, b in zip(first, last)), shape
+        self.outer, self.rows, self.nb = shape[:-2], ([1] + shape)[-2], shape[-1]
+        self.reach, self.width = reach, shape[-1] + reach
+        # the flat index steps of the outer axes and of a row
+        self.strides = tuple(math.prod(self.outer[i + 1:]) * (reach + self.rows * self.width)
+                             for i in range(len(self.outer))) + (self.width,)
+        on = np.ones(shape, dtype=bool) if mask is None else mask[self.cut]
+        self.inside = self._pad(on)
+        self.masked = mask is not None
+        if self.masked:
+            self.on = self.inside.astype(float)
+        else:
+            self.in_row = np.pad(np.ones(self.nb), reach)
+        self.fields = [self._pad(np.asarray(f)[self.cut] if mask is None else np.where(on, f[self.cut], 0))
+                       for f in fields]
+        self._offs, self._dists = offs, dists
+
+    def _pad(self, a: np.ndarray) -> np.ndarray:
+        out = self.zeros(dtype=a.dtype)
+        rows = out[..., self.reach:].reshape(self.outer + [self.rows, self.width])
+        rows[..., :self.nb] = a.reshape(self.outer + [self.rows, self.nb])
+        return out
+
+    def zeros(self, lead=(), dtype=float) -> np.ndarray:
+        """A zero array of the layout with leading axes ``lead``."""
+        return np.zeros(tuple(lead) + tuple(self.outer) + (self.reach + self.rows * self.width,), dtype)
+
+    def unpad(self, acc: np.ndarray, grid_shape) -> np.ndarray:
+        """The grid array of an array of the layout (zero off the box)."""
+        lead = acc.shape[:acc.ndim - len(self.outer) - 1]
+        rows = acc[..., self.reach:].reshape(lead + tuple(self.outer) + (self.rows, self.width))
+        out = np.zeros(lead + tuple(grid_shape))
+        out[(Ellipsis,) + self.cut] = rows[..., :self.nb].reshape(lead + tuple(self.box))
+        return out
+
+    def __iter__(self):
+        offs, dists = self._offs, self._dists
+        dim = offs.shape[1]
+        span = [n - 1 for n in self.box]
+        nb, reach, width = self.nb, self.reach, self.width
+        # a run ends where the last component skips or the leading ones change,
+        # and before it reaches 0: the lengths in a block are then monotone,
+        # and the partners of one row of cells x never reach the next row
+        new = np.ones(len(offs), dtype=bool)
+        new[1:] = ((np.diff(offs[:, -1]) != 1) | (offs[1:, -1] == 0)
+                   | np.any(offs[1:, :-1] != offs[:-1, :-1], axis=1))
+        starts = np.flatnonzero(new).tolist() + [len(offs)]
+        for s, e in zip(starts, starts[1:]):
+            lead = offs[s, :-1].tolist()
+            r = lead.pop() if dim > 1 else 0
+            cells = tuple(n + 1 - abs(o) for o, n in zip(lead, span)) + (self.rows - abs(r),)
+            # the flat index of the first row of cells x, and of the same cells one
+            # row of the offsets further
+            xa = sum(max(0, -o) * t for o, t in zip(lead, self.strides)) + reach + max(0, -r) * width
+            ya = sum(max(0, o) * t for o, t in zip(lead, self.strides)) + reach + max(0, r) * width
+            while s < e:
+                c0 = int(offs[s, -1])
+                # a block from c0 covers at most nb - max(c0, 0) cells per row
+                # (fewer when c0 < 0)
+                cols = nb - max(c0, 0)
+                b = min(e - s, max(1, PAIR_BLOCK_CELLS // (math.prod(cells) * cols)))
+                x0, x1 = max(0, -(c0 + b - 1)), min(nb, nb - c0)
+                yield _Block(self, offs[s:s + b], dists[s:s + b].tolist(), cells + (x1 - x0,),
+                             x0, xa + x0, ya + x0 + c0)
+                s += b
+
+
+class _Block:
+    """One step of the pair walk: the offsets o = (lead, c) for c = c0, ...,
+    c0 + b - 1, which share every component but the last, on the cells x that
+    at least one of them pairs: the shared leading-axis slices by the union
+    of their slices along the last axis (``shape`` is (b, *cells)).
+
+    ``offs`` and ``dists`` are the offsets and their lengths (Python floats,
+    for scalar powers).  ``here(k)`` is walked field k on the cells x and
+    ``there(k)`` the stack of it at x + o, one row per offset: a sliding
+    window along the last axis of the walk's layout.  ``pm`` is true where x
+    and x + o are both domain cells; elsewhere (the block's ragged edge and
+    the cells off the domain) kernels zero a stack with :meth:`restrict`
+    before they sum it, and :meth:`add` accumulates a stack at both ends of
+    its pairs.
+    """
+
+    def __init__(self, walk: _Walk, offs, dists, cells, col: int, x: int, y: int):
+        self.offs, self.dists = offs, dists
+        self.shape = (len(dists),) + cells
+        # the column of the first cell x, and the layout's flat index of it
+        # and of its partner x + o_0
+        self._walk, self._col, self._x, self._y = walk, col, x, y
+
+    def _view(self, arr: np.ndarray, start: int, cols: int, stack: int = 0) -> np.ndarray:
+        # the block's cells from flat index start on, cols per row, in an array
+        # of the walk's layout after any leading axes; with stack > 0 the
+        # sliding window of ``stack`` such views, each one entry further
+        k, item = arr.ndim - len(self._walk.strides), arr.itemsize
+        shape = arr.shape[:k] + self.shape[1:-1] + (cols,)
+        strides = arr.strides[:k] + tuple(t * item for t in self._walk.strides) + (item,)
+        if stack:
+            shape, strides = (stack,) + shape, (item,) + strides
+        return np.ndarray(shape, arr.dtype, arr, start * item, strides)
+
+    def here(self, k: int = 0) -> np.ndarray:
+        return self._view(self._walk.fields[k], self._x, self.shape[-1])
+
+    def there(self, k: int = 0) -> np.ndarray:
+        return self._view(self._walk.fields[k], self._y, self.shape[-1], self.shape[0])
+
+    @property
+    def pm(self) -> np.ndarray:
+        inside, cols = self._walk.inside, self.shape[-1]
+        return self._view(inside, self._x, cols) & self._view(inside, self._y, cols, self.shape[0])
+
+    def restrict(self, stack: np.ndarray) -> np.ndarray:
+        """Zero a stack of finite entries off the block's pairs, in place."""
+        walk, cols = self._walk, self.shape[-1]
+        if walk.masked:
+            stack *= self._view(walk.on, self._y, cols, self.shape[0])
+            stack *= self._view(walk.on, self._x, cols)
+        else:
+            # every cell of the box is a domain cell, and the partners are in
+            # its rows: only a partner column off the box leaves no pair, the
+            # same pattern on every row
+            start, item = walk.reach + self._col + int(self.offs[0, -1]), walk.in_row.itemsize
+            stack *= np.ndarray((self.shape[0],) + (1,) * (stack.ndim - 2) + (cols,), float,
+                                walk.in_row, start * item, (item,) + (0,) * (stack.ndim - 2) + (item,))
+        return stack
+
+    def scratch(self, lead=(), count: int | None = None, dtype=float) -> np.ndarray:
+        """A zero stack of ``count`` offsets (all b by default) after leading
+        axes ``lead``, that :meth:`add` can take: a view into an array with
+        count - 1 more zeros along the last axis."""
+        b, *cells = self.shape
+        b = b if count is None else count
+        return np.zeros(list(lead) + [b] + cells[:-1] + [cells[-1] + b - 1], dtype)[..., :cells[-1]]
+
+    def add(self, target: np.ndarray, stack: np.ndarray, weights=None, first: int = 0):
+        """target[x] += sum_j w_j stack[j, x] and target[x + o_j] += w_j stack[j, x]
+        (w = 1 without weights) for a target of the walk's layout and a stack
+        from :meth:`scratch` that is zero off ``pm``, whose rows j are the
+        offsets first, first + 1, ...  The target and the stack may have the
+        same leading axes.
+
+        The second end reads the padded stack through a skewed view, row j
+        shifted by j entries along the last axis, whose sums over j are the
+        sums over the pairs ending at each cell.  Both sums run over the
+        offsets in order, cell by cell, so a cell's result depends only on the
+        block, its stack row and the weights.
+        """
+        k = stack.ndim - len(self.shape)
+        full = stack.base
+        st, cols = full.strides, full.shape[-1]
+        skew = np.ndarray(full.shape, full.dtype, full, 0, st[:k] + (st[k] - full.itemsize,) + st[k + 1:])
+        xs = self._view(target, self._x, self.shape[-1])
+        ys = self._view(target, self._y + first, cols)
+        if weights is None:
+            xs += stack.sum(axis=k)
+            ys += skew.sum(axis=k)
+        else:
+            w = np.asarray(weights, dtype=float)
+            subs = "j,ij...->i..." if k else "j,j...->..."
+            xs += np.einsum(subs, w, stack)
+            ys += np.einsum(subs, w, skew)
+
+
+def _pair_walk(grid: Grid, mask: np.ndarray | None, half, fields=(), radius: float = math.inf):
     """Walk the integer offsets of ``half`` (the :func:`_half_offsets` table)
-    that are at most ``radius`` on every axis.
+    that are at most ``radius`` on every axis, windowing the grid-shaped
+    arrays ``fields``.  Returns ``(removed, walk)``: the number of offsets
+    inside the policy's analytic near field (none under "exclude"), counted
+    on the whole grid's offset box, and the :class:`_Walk`.
 
     Each unordered cell pair {x, x+o} appears exactly once; callers accumulate
-    contributions at both ends.  Offsets inside the policy's analytic near
-    field (none under "exclude") are only counted, on the whole grid's offset
-    box.  Returns ``(removed, kept)`` where ``kept`` yields ``(offset,
-    distance, sa, sb, pair_mask)`` per remaining offset: the slices
-    ``sa``/``sb`` pick the cells x and x+o, and ``pair_mask`` is
-    ``mask[sa] & mask[sb]`` (None without a mask).
-
-    With a mask the walk stays in the bounding box of its cells: offsets
-    longer than the box on some axis and cells outside it hold no pair, so
-    they are skipped (they would only add exact zeros).
+    contributions at both ends.  A block is a run of consecutive walked
+    offsets that differ only in the last component, cut so that it covers at
+    most PAIR_BLOCK_CELLS offset-cell entries (or holds one offset).  The cuts
+    depend only on the walked box.  With a mask the walk stays in the
+    bounding box of its cells: offsets longer than the box on some axis and
+    cells outside it hold no pair, so they are skipped (they would only add
+    exact zeros).
     """
     offs, dists, keep = half
     walked = keep & (np.abs(offs).max(axis=1, initial=0) <= radius)
@@ -206,25 +391,34 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, half, radius: float = math.i
         first = [int(c.min()) for c in cells]
         last = [int(c.max()) for c in cells]
         walked &= np.all(np.abs(offs) <= np.subtract(last, first), axis=1)
-    cols = offs[walked].T.tolist()
-    kept_dists = dists[walked]
-    # per-axis (sa, sb) slice pairs indexed by the offset itself: entries for
-    # o >= 0 come first, so a negative o indexes from the end of the list
-    reach = [int(min(b - a, radius)) for a, b in zip(first, last)]
-    tables = [[(slice(a, b + 1 - o), slice(a + o, b + 1)) for o in range(r + 1)]
-              + [(slice(a - o, b + 1), slice(a, b + 1 + o)) for o in range(-r, 0)]
-              for a, b, r in zip(first, last, reach)]
+    idx = np.flatnonzero(walked)
+    reach = int(min(last[-1] - first[-1], radius))
+    return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, fields, offs[idx], dists[idx])
 
-    def kept():
-        # callers do scalar arithmetic on dist, which is faster on Python
-        # floats than on numpy scalars; per-axis columns and a lazy map keep
-        # the walk's own memory small
-        for dist, *off in zip(map(float, kept_dists), *cols):
-            sa, sb = zip(*[tab[o] for tab, o in zip(tables, off)])
-            pm = None if mask is None else mask[sa] & mask[sb]
-            yield off, dist, sa, sb, pm
 
-    return int(np.count_nonzero(~keep)), kept()
+def _row_groups(live: np.ndarray, cells: int, scale: int = 1):
+    """Row groups for a block's stacks, the rows ascending in lambda and
+    offset j holding a member on rows below live[j]: consecutive rows
+    l0 .. l1 - 1, as a slice, and the span j0 .. j1 - 1 of the offsets live
+    on row l0, with at most scale * PAIR_BLOCK_CELLS stack entries (or one
+    row)."""
+    l0, top = 0, int(live.max(initial=0))
+    while l0 < top:
+        on = np.flatnonzero(live > l0)
+        j0, j1 = int(on[0]), int(on[-1]) + 1
+        l1 = min(top, l0 + max(1, scale * PAIR_BLOCK_CELLS // ((j1 - j0) * cells)))
+        yield slice(l0, l1), j0, j1
+        l0 = l1
+
+
+def _increments(blk: _Block, p: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """|v(x+o) - v(x)|^p on a block's stack (v its walked field 0), zero off
+    its pairs, in ``out`` or a new array."""
+    d = blk.restrict(np.subtract(blk.there(), blk.here(), out=np.empty(blk.shape) if out is None else out))
+    if p == 2.0:
+        return np.square(d, out=d)  # the same bits as |d|^2
+    np.abs(d, out=d)
+    return d if p == 1.0 else np.power(d, p, out=d)
 
 
 def _far_offsets(half):
@@ -373,19 +567,16 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
     eq_ball = policy.diagonal == "equivalent-ball"
     fft = p == 2.0
     half = _half_offsets(grid, policy)
-    removed, walk = _pair_walk(grid, mask, half, NEAR_CELLS if fft else math.inf)
+    removed, walk = _pair_walk(grid, mask, half, [v], NEAR_CELLS if fft else math.inf)
     if fft:
         at, far_dists = _far_offsets(half)
     del half  # kept, the offset table would add to the peak of the walk and the FFT
-    dists, sums = [], []
-    for _, dist, sa, sb, pm in walk:
-        d = np.abs(v[sa] - v[sb]) ** p
-        if pm is not None:
-            d = d * pm
-        dists.append(dist)
-        sums.append(float(np.sum(d)))
+    dists, sums = [], [np.zeros(0)]
+    for blk in walk:
+        dists += blk.dists
+        sums.append(_increments(blk, p).reshape(len(blk.dists), -1).sum(axis=1))
     dists = np.asarray(dists)
-    sums = np.asarray(sums)
+    sums = np.concatenate(sums)
     if fft:
         dists = np.concatenate([dists, far_dists])
         sums = np.concatenate([sums, _fft_pair_terms(v, mask).ravel()[at]])
@@ -433,26 +624,22 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
     f = _scaled(f, e)
     v = f.values
     vol = grid.cell_volume
-    inner = np.zeros((len(s_values),) + grid.shape)
     if not s_values:
-        return inner
-    rows = (slice(None),)
+        return np.zeros((0,) + grid.shape)
     exps = [-(s * p + n) for s in s_values]
     fft = p == 2.0
     half = _half_offsets(grid, policy)
-    removed, walk = _pair_walk(grid, mask, half, NEAR_CELLS if fft else math.inf)
+    removed, walk = _pair_walk(grid, mask, half, [v], NEAR_CELLS if fft else math.inf)
     if fft:
         at, far_dists = _far_offsets(half)
     del half  # kept, the offset table would add to the peak of the walk and the FFT
-    for _, dist, sa, sb, pm in walk:
-        d = np.abs(v[sa] - v[sb]) ** p
-        if pm is not None:
-            d = d * pm
-        # Python-float powers: numpy's vector pow may differ in the last bit
-        ker = np.array([dist ** x * vol for x in exps]).reshape((-1,) + (1,) * n)
-        d = d * ker
-        inner[rows + sa] += d
-        inner[rows + sb] += d
+    acc = walk.zeros([len(s_values)])
+    for blk in walk:
+        d = _increments(blk, p, blk.scratch())
+        for row, x in zip(acc, exps):
+            # Python-float powers: numpy's vector pow may differ in the last bit
+            blk.add(row, d, [dist ** x * vol for dist in blk.dists])
+    inner = walk.unpad(acc, grid.shape)
     if fft:
         box = [2 * k - 1 for k in grid.shape]
         kernels = np.zeros((len(s_values), math.prod(box)))
@@ -633,49 +820,60 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     # would only add exact zeros)
     order = np.argsort(lams, kind="stable")
     lams = lams[order]
-    lam_col = lams.reshape((lams.size,) + (1,) * n)
     # no increment |f(x)-f(y)| on the domain exceeds the spread of f there
     on = v if mask is None else v[mask]
     spread = float(np.ptp(on)) if on.size else 0.0
-    inner = np.zeros((lams.size,) + grid.shape)
-    removed, walk = _pair_walk(grid, mask, _half_offsets(grid, policy))
-    for off, dist, sa, sb, pm in walk:
-        subsampled = sub_w > 0 and dist <= sub_w
-        if subsampled:
-            dsub = np.linalg.norm(np.asarray(off) * h + sub_shifts, axis=1)
-            thr = dsub ** expo
-            order_sub = np.argsort(thr)
-            thr = thr[order_sub]
-            if spread / lams[0] <= thr[0]:
-                continue  # the offset holds no member on any row
-        else:
-            thresh = lams * dist ** expo
-            if thresh[0] >= spread:
-                continue
-        delta = np.abs(v[sa] - v[sb])
-        if pm is not None:
-            delta = np.where(pm, delta, 0.0)  # a pair outside the domain is in no level set
-        dmax = np.maximum.reduce(delta, axis=None)
-        if subsampled:
-            # a row holds a member only where some delta / lam exceeds thr[0]
-            live = int(np.count_nonzero(dmax / lams > thr[0]))
-            if not live:
-                continue
+    removed, walk = _pair_walk(grid, mask, _half_offsets(grid, policy), [v])
+    acc = walk.zeros([lams.size])
+    for blk in walk:
+        # offsets in the subsampled shell, each with its sub-cell thresholds
+        # sorted, when some row can hold a member there
+        shell = {}
+        for j, dist in enumerate(blk.dists):
+            if sub_w > 0 and dist <= sub_w:
+                dsub = np.linalg.norm(blk.offs[j] * h + sub_shifts, axis=1)
+                thr = dsub ** expo
+                order_sub = np.argsort(thr)
+                if spread / lams[0] > thr[order_sub[0]]:
+                    shell[j] = dsub, order_sub, thr[order_sub]
+        # the other offsets compare delta with lam * dist^expo; a shell offset
+        # gets an infinite threshold and a zero weight there
+        scales = [math.inf if sub_w > 0 and dist <= sub_w else dist ** expo for dist in blk.dists]
+        thresh = lams[:, None] * np.array(scales)
+        if not shell and not thresh[0].min() < spread:
+            continue  # no offset of the block holds a member on any row
+        delta = _increments(blk)  # a pair outside the domain is in no level set
+        col = (-1,) + (1,) * (delta.ndim - 1)
+        dmax = delta.max(axis=tuple(range(1, delta.ndim)))
+        cells = delta[0].size
+        # the other offsets: membership delta > lam * dist^expo, weighted
+        ker = np.array([0.0 if math.isinf(x) else dist ** (gamma - n) * vol
+                        for x, dist in zip(scales, blk.dists)])
+        # (a boolean stack holds eight times the entries of a float one)
+        for rows, j0, j1 in _row_groups(np.count_nonzero(thresh < dmax, axis=0), cells, 8):
+            row_thresh = thresh[rows, j0:j1]
+            memb = blk.scratch([len(row_thresh)], j1 - j0, bool)
+            np.greater(delta[j0:j1], row_thresh.reshape(row_thresh.shape + col[1:]), out=memb)
+            blk.add(acc[rows], memb, ker[j0:j1], j0)
+        # the shell offsets: a row holds a member there only where some
+        # delta / lam exceeds the least sub-cell threshold
+        live = np.zeros(len(scales), dtype=int)
+        for j, (dsub, order_sub, thr) in shell.items():
+            live[j] = np.count_nonzero(dmax[j] / lams > thr[0])
             kersub = dsub ** (gamma - n) * vol / k ** n
-            cumker = np.concatenate(([0.0], np.cumsum(kersub[order_sub])))
-            # membership delta > lam * thr_j: prefix of the threshold-sorted
-            # subcells; one searchsorted replaces the per-subcell loop
-            ratio = delta[None] / lam_col[:live]
-            counts = np.searchsorted(thr, ratio.ravel(), side="left").reshape(ratio.shape)
-            contrib = cumker[counts]
-        else:
-            live = int(thresh.searchsorted(dmax))  # the rows with thresh < dmax
-            if not live:
-                continue
-            memb = delta[None] > thresh[:live].reshape(lam_col[:live].shape)
-            contrib = memb * (dist ** (gamma - n) * vol)
-        inner[(slice(0, live),) + sa] += contrib
-        inner[(slice(0, live),) + sb] += contrib
+            shell[j] = thr, np.concatenate(([0.0], np.cumsum(kersub[order_sub])))
+        for rows, j0, j1 in _row_groups(live, cells):
+            contrib = blk.scratch([rows.stop - rows.start], j1 - j0)
+            for j in range(j0, j1):
+                if live[j] > rows.start:
+                    thr, cumker = shell[j]
+                    # membership delta > lam * thr_i: a prefix of the
+                    # threshold-sorted sub-cells, so one searchsorted
+                    ratio = delta[j][None] / lams[rows.start:min(rows.stop, live[j])].reshape(col)
+                    counts = np.searchsorted(thr, ratio.ravel(), side="left").reshape(ratio.shape)
+                    contrib[:len(ratio), j - j0] = cumker[counts]
+            blk.add(acc[rows], contrib, first=j0)
+    inner = walk.unpad(acc, grid.shape)
     if policy.diagonal == "equivalent-ball":
         inner += _level_set_model(gradient_magnitude(f), lams, params, grid, mask, removed)[0]
     if mask is not None:
@@ -894,15 +1092,14 @@ def weak_product_quasinorm(f: SampledField, params: BsvyParams,
     vol = grid.cell_volume
     expo = 1.0 + gamma / p
     measures = np.zeros(lam.size)
-    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY))[1]
-    for _, dist, sa, sb, pm in walk:
-        delta = np.abs(v[sa] - v[sb])
-        if pm is not None:
-            delta = np.where(pm, delta, 0.0)
-        thresh = lam * dist ** expo
-        ordered = np.sort(delta.ravel())
-        counts = ordered.size - np.searchsorted(ordered, thresh, side="right")
-        measures += 2.0 * counts * dist ** (gamma - n) * vol * vol
+    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY), [v])[1]
+    for blk in walk:
+        # the block's entries off its pairs are zeros, which pass no threshold
+        ordered = np.sort(_increments(blk).reshape(len(blk.dists), -1), axis=1)
+        for row, dist in zip(ordered, blk.dists):
+            thresh = lam * dist ** expo
+            counts = row.size - np.searchsorted(row, thresh, side="right")
+            measures += 2.0 * counts * dist ** (gamma - n) * vol * vol
     vals = lam * measures ** (1.0 / p)
     return float(np.max(vals))
 
@@ -917,20 +1114,26 @@ def weighted_mu_measure(predicate, gamma: float, weight: np.ndarray,
     w = np.asarray(weight, dtype=float)
     if w.shape != grid.shape:
         raise ValueError("weight must match the grid shape")
-    mesh = grid.meshgrid()
     vol = grid.cell_volume
     n = grid.dim
     total = 0.0
-    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY))[1]
-    for _, dist, sa, sb, pm in walk:
-        xa = np.column_stack([m[sa].ravel() for m in mesh])
-        xb = np.column_stack([m[sb].ravel() for m in mesh])
-        ker = dist ** (gamma - n) * vol * vol
-        for first, second, wslice in ((xa, xb, w[sa]), (xb, xa, w[sb])):
-            memb = np.asarray(predicate(first, second), dtype=bool)
-            if pm is not None:
-                memb = memb & pm.ravel()
-            total += ker * float(np.sum(wslice.ravel()[memb]))
+    fields = list(grid.meshgrid()) + [w]
+    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY), fields)[1]
+    for blk in walk:
+        # the pairs of the block, flat, with the offset each belongs to
+        b = len(blk.dists)
+        pm = blk.pm.reshape(b, -1)
+        j = np.nonzero(pm)[0]
+        at = [np.broadcast_to(blk.here(k), blk.shape).reshape(b, -1)[pm] for k in range(n + 1)]
+        to = [blk.there(k).reshape(b, -1)[pm] for k in range(n + 1)]
+        xa, xb = np.column_stack(at[:n]), np.column_stack(to[:n])
+        sums = [np.bincount(j[memb], weights=wend[memb], minlength=b)
+                for memb, wend in ((np.asarray(predicate(xa, xb), dtype=bool), at[n]),
+                                   (np.asarray(predicate(xb, xa), dtype=bool), to[n]))]
+        for dist, wa, wb in zip(blk.dists, *sums):
+            ker = dist ** (gamma - n) * vol * vol
+            total += ker * float(wa)
+            total += ker * float(wb)
     return total
 
 

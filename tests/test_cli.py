@@ -183,6 +183,17 @@ def test_cli_weak_holder(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_cli_weak_holder_rejects_no_instances(tmp_path, capsys, instances):
+    rc = main(["--out", str(tmp_path), "--grid", "n=1,L=0.5,N=8", "weak-holder",
+               "--instances", instances])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"normlab: error: instances must be at least 1, got {instances}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_maximal_smoke(tmp_path):
     rc = main(["--out", str(tmp_path), "--grid", "n=1,L=2,N=64",
                "maximal", "--fn", "gaussian:sigma=1.0,center=0.0"])

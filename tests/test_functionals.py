@@ -34,6 +34,8 @@ from normlab.spaces import norm_many
 from normlab.functionals import (
     DEFAULT_POLICY,
     EXCLUDE_POLICY,
+    NEAR_CELLS,
+    PAIR_BLOCK_CELLS,
     TAIL_TOL,
     _directional_extent_1d,
     _half_offsets,
@@ -861,6 +863,22 @@ def test_pair_kernels_ignore_out_of_domain_padding(dim, npts, domain, policy):
         assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
+def _offset_pairs(cells, off):
+    """The slices of the cells x and x + off of the whole grid, computed apart
+    from the walk, and whether each such pair is a domain pair."""
+    sa = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, cells.shape))
+    sb = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, cells.shape))
+    return sa, sb, cells[sa] & cells[sb]
+
+
+def _block_pairs(blk):
+    """Per offset of a block walked with the cell numbers as its field: the
+    offset and the cell pairs (x, x + o) its pair mask marks."""
+    here, there, pm = np.broadcast_to(blk.here(), blk.shape), blk.there(), blk.pm
+    for j, off in enumerate(blk.offs.tolist()):
+        yield off, here[j][pm[j]].astype(int), there[j][pm[j]].astype(int)
+
+
 @pytest.mark.parametrize("policy", [DEFAULT_POLICY, EXCLUDE_POLICY], ids=["default", "exclude"])
 @pytest.mark.parametrize("dim, npts, domain", [
     (1, 40, "ball:center=0.7,radius=0.6"),
@@ -874,25 +892,139 @@ def test_masked_pair_walk_stays_in_the_domain_box(dim, npts, domain, policy):
     first = np.array([i.min() for i in idx])
     span = np.array([i.max() for i in idx]) - first
     assert np.any(span < np.array(g.shape) - 1)  # the crop does something
+    number = np.arange(cells.size, dtype=float).reshape(g.shape)
     removed_full, full = _pair_walk(g, None, _half_offsets(g, policy))
-    removed, walk = _pair_walk(g, cells, _half_offsets(g, policy))
+    removed, walk = _pair_walk(g, cells, _half_offsets(g, policy), [number])
     assert removed == removed_full
     walked = {}
-    for off, dist, sa, sb, pm in walk:
-        assert np.all(np.abs(off) <= span)
-        for ax, ends in enumerate(zip(sa, sb)):  # both ends inside the box
-            assert all(first[ax] <= e.start and e.stop <= first[ax] + span[ax] + 1 for e in ends)
-        assert [s.start for s in sa] == list(first + np.maximum(0, -np.array(off)))
-        assert np.array_equal(pm, cells[sa] & cells[sb])
-        walked[tuple(off)] = dist
+    for blk in walk:
+        for (off, x, y), dist in zip(_block_pairs(blk), blk.dists):
+            assert np.all(np.abs(off) <= span)
+            xs, ys = np.unravel_index(x, g.shape), np.unravel_index(y, g.shape)
+            for ax in range(dim):  # both ends inside the box, one offset apart
+                for ends in (xs[ax], ys[ax]):
+                    assert np.all((first[ax] <= ends) & (ends <= first[ax] + span[ax]))
+                assert np.array_equal(ys[ax] - xs[ax], np.full(x.size, off[ax]))
+            # the pair mask marks exactly the pairs of domain cells of the
+            # offset's slices, whose starts place them
+            sa, _, pm = _offset_pairs(cells, off)
+            pairs = [i + s.start for i, s in zip(np.nonzero(pm), sa)]
+            assert np.array_equal(np.sort(x), np.sort(np.ravel_multi_index(pairs, g.shape)))
+            assert np.all(cells.ravel()[x] & cells.ravel()[y])
+            walked[tuple(off)] = dist
     kept = 0
-    for off, dist, sa, sb, _ in full:
-        if tuple(off) in walked:
-            assert walked[tuple(off)] == dist
-            kept += 1
-        else:  # a skipped offset holds no pair of domain cells
-            assert not np.any(cells[sa] & cells[sb])
+    for blk in full:
+        for off, dist in zip(blk.offs.tolist(), blk.dists):
+            if tuple(off) in walked:
+                assert walked[tuple(off)] == dist
+                kept += 1
+            else:  # a skipped offset holds no pair of domain cells
+                assert not np.any(_offset_pairs(cells, off)[2])
     assert kept == len(walked)
+
+
+WALK_DOMAINS = {
+    1: [None, "ball:center=0.3,radius=1.1", "halfspace:axis=0,offset=-0.5",
+        "lshape:lo1=-1.5,hi1=-0.5,lo2=0.2,hi2=1.4"],
+    2: [None, "ball:center=0.3;-0.2,radius=1.1", "halfspace:axis=1,offset=0.4",
+        "lshape:lo1=-1.5;-1.5,hi1=1.5;0,lo2=-1.5;-1.5,hi2=0;1.5"],
+    3: [None, "ball:center=0.3;-0.2;0.1,radius=1.3", "halfspace:axis=2,offset=0.4",
+        "lshape:lo1=-1.5;-1.5;-1.5,hi1=1.5;0;1.5,lo2=-1.5;-1.5;-1.5,hi2=0;1.5;1.5"],
+}
+
+
+@pytest.mark.parametrize("budget", [PAIR_BLOCK_CELLS, 150])
+@pytest.mark.parametrize("radius", [math.inf, NEAR_CELLS], ids=["all", "near"])
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, EXCLUDE_POLICY], ids=["default", "exclude"])
+@pytest.mark.parametrize("dim, npts, domain", [
+    (dim, npts, d) for dim, npts in ((1, 70), (2, (20, 23)), (3, 7)) for d in WALK_DOMAINS[dim]])
+def test_blocked_walk_covers_every_offset_once(dim, npts, domain, policy, radius, budget,
+                                               monkeypatch):
+    # the offset set of the per-offset walk: kept, within the radius and, with
+    # a mask, within the domain's bounding box; each once, in blocks that stay
+    # under the cell budget (the default one, and one that cuts these grids'
+    # runs into many blocks)
+    import normlab.functionals as F
+
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", budget)
+    g = make_grid(dim, -2.0, 2.0, npts)
+    cells = None if domain is None else mask(parse_domain(domain, box=(g.lo, g.hi)), g).cells
+    offs, dists, keep = half = _half_offsets(g, policy)
+    expect = keep & (np.abs(offs).max(axis=1) <= radius)
+    if cells is not None:
+        idx = np.nonzero(cells)
+        expect &= np.all(np.abs(offs) <= np.array([i.max() - i.min() for i in idx]), axis=1)
+    seen = []
+    for blk in _pair_walk(g, cells, half, radius=radius)[1]:
+        assert len(blk.dists) == 1 or math.prod(blk.shape) <= budget
+        assert np.all(np.diff(blk.offs[:, -1]) == 1) and np.all(blk.offs[:, :-1] == blk.offs[0, :-1])
+        assert np.all(blk.offs[:, -1] >= 0) or np.all(blk.offs[:, -1] < 0)  # monotone lengths
+        seen += [tuple(o) for o in blk.offs.tolist()]
+    assert len(seen) == len(set(seen))
+    assert sorted(seen) == sorted(tuple(o) for o in offs[expect].tolist())
+
+
+# small cell budgets that split the walk's runs into several blocks of
+# several offsets on these grids
+MULTI_BLOCK = {
+    "1d": (make_grid(1, -2.0, 2.0, 64), None, 256),
+    "masked-2d": (make_grid(2, -2.0, 2.0, (14, 12)), "ball:center=0.3;-0.2,radius=1.7", 300),
+    "3d": (make_grid(3, -1.5, 1.5, 6), None, 400),
+}
+
+
+@pytest.fixture(params=MULTI_BLOCK, ids=MULTI_BLOCK)
+def multi_block(request, monkeypatch):
+    import normlab.functionals as F
+
+    g, domain, budget = MULTI_BLOCK[request.param]
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", budget)
+    omega = None if domain is None else mask(parse_domain(domain, box=(g.lo, g.hi)), g)
+    cells = None if omega is None else omega.cells
+    runs = {}
+    for blk in _pair_walk(g, cells, _half_offsets(g, EXCLUDE_POLICY))[1]:
+        run = (tuple(blk.offs[0, :-1]), blk.offs[0, -1] > 0)
+        runs[run] = runs.get(run, []) + [len(blk.dists)]
+    assert max(len(b) for b in runs.values()) >= 3 and max(max(b) for b in runs.values()) >= 2
+    f = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.2), g)
+    on = np.ones(g.shape, dtype=bool) if cells is None else cells
+    return g, f, omega, f.values[on], g.coords()[on.ravel()], on
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_multi_block_gagliardo_against_oracle(multi_block, p):
+    g, f, omega, v, x, _ = multi_block
+    mine = gagliardo_seminorm_sweep(f, [0.4, 0.8], p, omega, EXCLUDE_POLICY)
+    for s, val in zip([0.4, 0.8], mine):
+        assert val == pytest.approx(oracles.gagliardo(v, x, g.cell_volume, s, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_multi_block_fractional_inner_against_oracle(multi_block, p):
+    g, f, omega, v, x, on = multi_block
+    mine = fractional_inner_field(f, [0.7], p, omega, EXCLUDE_POLICY)[0]
+    ref = oracles.fractional_inner(v, x, g.cell_volume, 0.7, p)
+    assert np.all(mine[~on] == 0.0)
+    assert np.max(np.abs(mine[on] - ref)) <= 1e-12 * np.max(ref)
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+def test_multi_block_level_set_against_oracle(multi_block, gamma):
+    g, f, omega, v, x, on = multi_block
+    lams = [0.3, 1.1]
+    rows = bsvy_inner_profile(f, lams, BsvyParams(gamma, 2.0), omega, EXCLUDE_POLICY)
+    for lam, row in zip(lams, rows):
+        ref = oracles.level_set_inner(v, x, g.cell_volume, lam, gamma, 2.0)
+        assert np.all(row[~on] == 0.0)
+        assert np.max(np.abs(row[on] - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_multi_block_pair_measure_against_oracle(multi_block):
+    g, f, omega, v, x, _ = multi_block
+    lams = np.geomspace(0.05, 5.0, 5)
+    mine = weak_product_quasinorm(f, BsvyParams(1.0, 2.0), omega, lam_grid=lams)
+    ref = max(lam * oracles.pair_measure(v, x, g.cell_volume, lam, 1.0, 2.0) ** 0.5 for lam in lams)
+    assert mine == pytest.approx(ref, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
