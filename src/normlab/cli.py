@@ -152,7 +152,9 @@ def _run(args, cfg: ExperimentConfig) -> int:
         return _emit(run_morrey_duality_check(cfg, theta=args.theta), cfg,
                      "morrey_duality", args.plot_script)
     if args.command == "weak-holder":
-        summary, table = run_weak_holder_suite(cfg, instances=args.instances)
+        if len(args.gamma or ()) > 1:
+            raise ValueError("weak-holder takes one --gamma")
+        summary, table = run_weak_holder_suite(cfg, instances=args.instances, gamma=(args.gamma or [1.0])[0])
         print(f"passes {summary['passes']}/{summary['instances']}"
               f" (trivial {summary['trivial']}, min margin {summary['min_margin']})")
         _emit(table, cfg, "weak_holder", args.plot_script)

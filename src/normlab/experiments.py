@@ -311,6 +311,8 @@ def run_weak_holder_suite(cfg: ExperimentConfig, instances: int = 100,
     """Random pair fields through the weak-type Hoelder inequality check."""
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     grid = cfg.grid
     omega = _domain_mask(cfg, grid)
     rng = np.random.default_rng(cfg.seed)

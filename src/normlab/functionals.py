@@ -109,8 +109,10 @@ class KernelPolicy:
             raise ValueError("diagonal policy must be 'equivalent-ball' or 'exclude'")
         if self.subsample < 1:
             raise ValueError("subsample factor must be >= 1")
-        if self.near_window <= 0:
-            raise ValueError("near window must be positive")
+        if not 0 < self.near_window < math.inf:
+            raise ValueError(f"near window must be positive and finite, got {self.near_window}")
+        if not 0 <= self.subsample_window < math.inf:
+            raise ValueError(f"subsample window must be finite and >= 0, got {self.subsample_window}")
 
     def canonical(self) -> str:
         return (f"diagonal={self.diagonal},near_window={self.near_window!r},"
@@ -200,7 +202,7 @@ class _Walk:
     is none), and ``fields`` are the walked fields in it, zero off the domain.
     """
 
-    def __init__(self, first, last, reach: int, mask: np.ndarray | None, fields, offs, dists):
+    def __init__(self, first, last, reach: int, mask: np.ndarray | None, fields, offs, dists, index):
         shape = [b + 1 - a for a, b in zip(first, last)]
         self.cut, self.box = tuple(slice(a, b + 1) for a, b in zip(first, last)), shape
         self.outer, self.rows, self.nb = shape[:-2], ([1] + shape)[-2], shape[-1]
@@ -217,7 +219,7 @@ class _Walk:
             self.in_row = np.pad(np.ones(self.nb), reach)
         self.fields = [self._pad(np.asarray(f)[self.cut] if mask is None else np.where(on, f[self.cut], 0))
                        for f in fields]
-        self._offs, self._dists = offs, dists
+        self._offs, self._dists, self._index = offs, dists, index
 
     def _pad(self, a: np.ndarray) -> np.ndarray:
         out = self.zeros(dtype=a.dtype)
@@ -264,8 +266,8 @@ class _Walk:
                 cols = nb - max(c0, 0)
                 b = min(e - s, max(1, PAIR_BLOCK_CELLS // (math.prod(cells) * cols)))
                 x0, x1 = max(0, -(c0 + b - 1)), min(nb, nb - c0)
-                yield _Block(self, offs[s:s + b], dists[s:s + b].tolist(), cells + (x1 - x0,),
-                             x0, xa + x0, ya + x0 + c0)
+                yield _Block(self, offs[s:s + b], dists[s:s + b].tolist(), self._index[s:s + b],
+                             cells + (x1 - x0,), x0, xa + x0, ya + x0 + c0)
                 s += b
 
 
@@ -276,7 +278,8 @@ class _Block:
     of their slices along the last axis (``shape`` is (b, *cells)).
 
     ``offs`` and ``dists`` are the offsets and their lengths (Python floats,
-    for scalar powers).  ``here(k)`` is walked field k on the cells x and
+    for scalar powers), ``index`` their rows in the :func:`_half_offsets`
+    table.  ``here(k)`` is walked field k on the cells x and
     ``there(k)`` the stack of it at x + o, one row per offset: a sliding
     window along the last axis of the walk's layout.  ``pm`` is true where x
     and x + o are both domain cells; elsewhere (the block's ragged edge and
@@ -285,8 +288,8 @@ class _Block:
     its pairs.
     """
 
-    def __init__(self, walk: _Walk, offs, dists, cells, col: int, x: int, y: int):
-        self.offs, self.dists = offs, dists
+    def __init__(self, walk: _Walk, offs, dists, index, cells, col: int, x: int, y: int):
+        self.offs, self.dists, self.index = offs, dists, index
         self.shape = (len(dists),) + cells
         # the column of the first cell x, and the layout's flat index of it
         # and of its partner x + o_0
@@ -393,7 +396,7 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, half, fields=(), radius: flo
         walked &= np.all(np.abs(offs) <= np.subtract(last, first), axis=1)
     idx = np.flatnonzero(walked)
     reach = int(min(last[-1] - first[-1], radius))
-    return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, fields, offs[idx], dists[idx])
+    return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, fields, offs[idx], dists[idx], idx)
 
 
 def _row_groups(live: np.ndarray, cells: int, scale: int = 1):
@@ -696,19 +699,25 @@ def bbm_limit_extrapolate(pairs) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _subcells(grid: Grid, policy: KernelPolicy):
-    """The level-set kernel's subsampled shell: its radius (0 when there is
-    none) and the centres of a cell's policy.subsample^dim sub-cells, relative
-    to the cell centre.  Offsets in the shell are outside the analytic window
-    and at the membership handoff, where whole-cell granularity is worst;
-    oracle mode stays purely discrete."""
-    k = policy.subsample
-    if policy.diagonal != "equivalent-ball" or k == 1:
-        return 0.0, None
-    h = grid.cell_size
-    axes = [((np.arange(k) + 0.5) / k - 0.5) * h[i] for i in range(grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return policy.subsample_window * min(h), np.column_stack([m.ravel() for m in mesh])
+def _shell_table(grid: Grid, policy: KernelPolicy, half, expo: float, gamma: float):
+    """The level-set kernel's subsampled shell, just outside the analytic
+    window, where whole-cell membership is coarsest: the kept offsets o of
+    ``half`` with |o h| <= radius = subsample_window * min(h) (radius 0 in
+    oracle mode or with subsample k = 1).  Returns the radius, each half
+    offset's row (-1 off the shell), and per row the thresholds |o h + c|^expo
+    of o's k^dim sub-cells c, sorted ascending, and the running sums of their
+    weights |o h + c|^(gamma-n) vol / k^dim in that order, from 0."""
+    offs, dists, keep = half
+    k, n, h = policy.subsample, grid.dim, np.asarray(grid.cell_size)
+    radius = policy.subsample_window * min(h) if policy.diagonal == "equivalent-ball" and k > 1 else 0.0
+    shell = np.flatnonzero(keep & (dists <= radius))
+    row = np.full(len(dists), -1)
+    row[shell] = np.arange(shell.size)
+    centres = ((np.indices((k,) * n).reshape(n, -1).T + 0.5) / k - 0.5) * h
+    dsub = np.linalg.norm(offs[shell, None] * h + centres, axis=2)
+    dsub = np.take_along_axis(dsub, np.argsort(dsub ** expo, axis=1), axis=1)
+    cumker = np.cumsum(dsub ** (gamma - n) * grid.cell_volume / k ** n, axis=1)
+    return radius, row, dsub ** expo, np.concatenate([np.zeros((shell.size, 1)), cumker], axis=1)
 
 
 def _level_set_model(g: np.ndarray, lams: np.ndarray, params: BsvyParams, grid: Grid,
@@ -767,15 +776,11 @@ def _tail_bound(f: SampledField, params: BsvyParams, lam1: float, mask: np.ndarr
     gamma, p = params.gamma, params.p
     n = grid.dim
     vol = grid.cell_volume
-    offs, dists, keep = _half_offsets(grid, policy)
-    dists = dists[keep]
-    weights = dists ** (gamma - n) * vol
-    sub_w, shifts = _subcells(grid, policy)
-    shell = dists <= sub_w
-    if np.any(shell):
-        cells = offs[keep][shell][:, None] * np.asarray(grid.cell_size)
-        dsub = np.linalg.norm(cells + shifts, axis=2)
-        weights[shell] = np.sum(dsub ** (gamma - n), axis=1) * vol / policy.subsample ** n
+    half = _half_offsets(grid, policy)
+    keep = half[2]
+    weights = half[1][keep] ** (gamma - n) * vol
+    _, row, _, cumker = _shell_table(grid, policy, half, 1.0 + gamma / p, gamma)
+    weights[row[keep] >= 0] = cumker[:, -1]
     # the margin covers the walk summing the same weights in another order
     total = 2.0 * float(np.sum(weights)) * (1.0 + 1e-12)
     t1 = lam1 ** p
@@ -801,20 +806,17 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     Returns an array of shape (len(lams), *grid.shape).
     """
     lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 1 or np.any(lams <= 0):
+    if lams.ndim != 1 or not np.all(lams > 0):
         raise ValueError("lambda values must be positive")
     gamma, p = params.gamma, params.p
     grid = f.grid
     if not lams.size:
         return np.zeros((0,) + grid.shape)
     n = grid.dim
-    h = np.asarray(grid.cell_size)
     mask = mask_cells(omega, grid)
     v = f.values
     vol = grid.cell_volume
     expo = 1.0 + gamma / p
-    sub_w, sub_shifts = _subcells(grid, policy)
-    k = policy.subsample
     # rows in ascending lambda order: the rows on which a pair offset can hold
     # a level-set member are then a prefix, and the walk skips the rest (they
     # would only add exact zeros)
@@ -823,55 +825,46 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     # no increment |f(x)-f(y)| on the domain exceeds the spread of f there
     on = v if mask is None else v[mask]
     spread = float(np.ptp(on)) if on.size else 0.0
-    removed, walk = _pair_walk(grid, mask, _half_offsets(grid, policy), [v])
+    half = _half_offsets(grid, policy)
+    radius, table, shell_thr, shell_ker = _shell_table(grid, policy, half, expo, gamma)
+    removed, walk = _pair_walk(grid, mask, half, [v])
     acc = walk.zeros([lams.size])
     for blk in walk:
-        # offsets in the subsampled shell, each with its sub-cell thresholds
-        # sorted, when some row can hold a member there
-        shell = {}
-        for j, dist in enumerate(blk.dists):
-            if sub_w > 0 and dist <= sub_w:
-                dsub = np.linalg.norm(blk.offs[j] * h + sub_shifts, axis=1)
-                thr = dsub ** expo
-                order_sub = np.argsort(thr)
-                if spread / lams[0] > thr[order_sub[0]]:
-                    shell[j] = dsub, order_sub, thr[order_sub]
-        # the other offsets compare delta with lam * dist^expo; a shell offset
-        # gets an infinite threshold and a zero weight there
-        scales = [math.inf if sub_w > 0 and dist <= sub_w else dist ** expo for dist in blk.dists]
+        # the other offsets: membership delta > lam * dist^expo, weighted; a
+        # shell offset gets an infinite threshold and a zero weight there
+        sub = [dist <= radius for dist in blk.dists]
+        scales = [math.inf if s else dist ** expo for s, dist in zip(sub, blk.dists)]
         thresh = lams[:, None] * np.array(scales)
-        if not shell and not thresh[0].min() < spread:
+        # a shell offset (``at`` its row in the table) holds a member only
+        # where some delta / lam exceeds its least sub-cell threshold
+        at = table[blk.index] if any(sub) else None
+        shell_live = at is not None and spread / lams[0] > shell_thr[at[sub], 0].min()
+        if not shell_live and not thresh[0].min() < spread:
             continue  # no offset of the block holds a member on any row
         delta = _increments(blk)  # a pair outside the domain is in no level set
         col = (-1,) + (1,) * (delta.ndim - 1)
         dmax = delta.max(axis=tuple(range(1, delta.ndim)))
         cells = delta[0].size
-        # the other offsets: membership delta > lam * dist^expo, weighted
-        ker = np.array([0.0 if math.isinf(x) else dist ** (gamma - n) * vol
-                        for x, dist in zip(scales, blk.dists)])
+        ker = np.array([0.0 if s else dist ** (gamma - n) * vol for s, dist in zip(sub, blk.dists)])
         # (a boolean stack holds eight times the entries of a float one)
         for rows, j0, j1 in _row_groups(np.count_nonzero(thresh < dmax, axis=0), cells, 8):
             row_thresh = thresh[rows, j0:j1]
             memb = blk.scratch([len(row_thresh)], j1 - j0, bool)
             np.greater(delta[j0:j1], row_thresh.reshape(row_thresh.shape + col[1:]), out=memb)
             blk.add(acc[rows], memb, ker[j0:j1], j0)
-        # the shell offsets: a row holds a member there only where some
-        # delta / lam exceeds the least sub-cell threshold
+        if not shell_live:
+            continue
         live = np.zeros(len(scales), dtype=int)
-        for j, (dsub, order_sub, thr) in shell.items():
-            live[j] = np.count_nonzero(dmax[j] / lams > thr[0])
-            kersub = dsub ** (gamma - n) * vol / k ** n
-            shell[j] = thr, np.concatenate(([0.0], np.cumsum(kersub[order_sub])))
+        live[sub] = np.count_nonzero(dmax[sub, None] / lams > shell_thr[at[sub], :1], axis=1)
         for rows, j0, j1 in _row_groups(live, cells):
             contrib = blk.scratch([rows.stop - rows.start], j1 - j0)
             for j in range(j0, j1):
                 if live[j] > rows.start:
-                    thr, cumker = shell[j]
                     # membership delta > lam * thr_i: a prefix of the
                     # threshold-sorted sub-cells, so one searchsorted
                     ratio = delta[j][None] / lams[rows.start:min(rows.stop, live[j])].reshape(col)
-                    counts = np.searchsorted(thr, ratio.ravel(), side="left").reshape(ratio.shape)
-                    contrib[:len(ratio), j - j0] = cumker[counts]
+                    counts = np.searchsorted(shell_thr[at[j]], ratio.ravel(), side="left")
+                    contrib[:len(ratio), j - j0] = shell_ker[at[j]][counts.reshape(ratio.shape)]
             blk.add(acc[rows], contrib, first=j0)
     inner = walk.unpad(acc, grid.shape)
     if policy.diagonal == "equivalent-ball":
@@ -885,8 +878,6 @@ def bsvy_inner(f: SampledField, lam: float, params: BsvyParams,
                omega: DomainMask | None = None,
                policy: KernelPolicy = DEFAULT_POLICY) -> SampledField:
     """Level-set kernel integral field at a single lambda."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
     return SampledField(f.grid, bsvy_inner_profile(f, [lam], params, omega, policy)[0])
 
 
@@ -904,8 +895,6 @@ def bsvy_functional(f: SampledField, lam: float, params: BsvyParams, space: Spac
                     omega: DomainMask | None = None,
                     policy: KernelPolicy = DEFAULT_POLICY) -> float:
     """lam * || (level-set inner integral)^(1/p) ||_X(Omega)."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
     return float(bsvy_values(f, [lam], params, space, omega, policy)[0])
 
 
@@ -1081,27 +1070,12 @@ def weak_product_quasinorm(f: SampledField, params: BsvyParams,
     """sup over lambda of lam * [pair measure of the level set]^(1/p).
 
     The pair measure integrates |x-y|^(gamma-n) over ordered pairs x != y of
-    the level set; no diagonal model is applied, matching the exclude-policy
-    inner field summed over the domain.
+    the level set; no diagonal model is applied, so it is the exclude-policy
+    inner integral summed over the domain.
     """
     lam = np.asarray(default_lambda_grid(f, omega) if lam_grid is None else lam_grid, dtype=float)
-    gamma, p = params.gamma, params.p
-    grid = f.grid
-    n = grid.dim
-    v = f.values
-    vol = grid.cell_volume
-    expo = 1.0 + gamma / p
-    measures = np.zeros(lam.size)
-    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY), [v])[1]
-    for blk in walk:
-        # the block's entries off its pairs are zeros, which pass no threshold
-        ordered = np.sort(_increments(blk).reshape(len(blk.dists), -1), axis=1)
-        for row, dist in zip(ordered, blk.dists):
-            thresh = lam * dist ** expo
-            counts = row.size - np.searchsorted(row, thresh, side="right")
-            measures += 2.0 * counts * dist ** (gamma - n) * vol * vol
-    vals = lam * measures ** (1.0 / p)
-    return float(np.max(vals))
+    inner = bsvy_inner_profile(f, lam, params, omega, EXCLUDE_POLICY).reshape(lam.size, -1)
+    return float(np.max(lam * (np.sum(inner, axis=1) * f.grid.cell_volume) ** (1.0 / params.p)))
 
 
 def weighted_mu_measure(predicate, gamma: float, weight: np.ndarray,

@@ -7,13 +7,14 @@ and obvious.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-__all__ = ["gagliardo", "fractional_inner", "level_set_inner", "level_set_sup", "bbm_morrey", "herz_local",
-           "pair_measure", "morrey", "muckenhoupt", "luxemburg", "orlicz_slice", "lorentz",
-           "variable_lebesgue", "weak_holder"]
+__all__ = ["gagliardo", "fractional_inner", "level_set_inner", "level_set_shell_inner", "level_set_sup",
+           "bbm_morrey", "herz_local", "pair_measure", "morrey", "muckenhoupt", "luxemburg", "orlicz_slice",
+           "lorentz", "variable_lebesgue", "weak_holder"]
 
 
 def gagliardo(values, coords, vol, s, p):
@@ -72,6 +73,41 @@ def level_set_inner(values, coords, vol, lam, gamma, p):
     return out
 
 
+def level_set_shell_inner(values, index, h, vol, lam, gamma, p, near, shell, k):
+    """The pair part of the equivalent-ball level-set inner integral: per cell,
+    the sum over y of |x-y|^(gamma-n) vol where |f(x)-f(y)| > lam |x-y|^(1+gamma/p).
+
+    ``index`` holds each cell's integer grid position.  Pairs with |x-y| <= near
+    (the analytic window) are skipped.  Pairs with |x-y| <= shell (when k > 1)
+    are split into k^n sub-cells, centred at x-y + c_i inside y's cell, each
+    compared and weighted on its own with weight vol / k^n.  All other pairs
+    count whole.
+    """
+    n = len(h)
+    m = len(values)
+    out = np.zeros(m)
+    for i in range(m):
+        acc = 0.0
+        for j in range(m):
+            if i == j:
+                continue
+            diff = [(index[j][a] - index[i][a]) * h[a] for a in range(n)]
+            d = math.sqrt(sum(t * t for t in diff))
+            if d <= near:
+                continue
+            ratio = abs(values[i] - values[j]) / lam
+            if k > 1 and d <= shell:
+                for sub in itertools.product(range(k), repeat=n):
+                    ds = math.sqrt(sum((diff[a] + ((sub[a] + 0.5) / k - 0.5) * h[a]) ** 2
+                                       for a in range(n)))
+                    if ratio > ds ** (1.0 + gamma / p):
+                        acc += ds ** (gamma - n) * vol / k ** n
+            elif abs(values[i] - values[j]) > lam * d ** (1.0 + gamma / p):
+                acc += d ** (gamma - n) * vol
+        out[i] = acc
+    return out
+
+
 def level_set_sup(values, coords, vol, gamma, p):
     """Sup over all lam > 0 of lam * mu(lam)^(1/p), mu(lam) the kernel-weighted
     measure of the ordered pairs x != y with |f(x)-f(y)| > lam |x-y|^(1+gamma/p):
@@ -113,8 +149,6 @@ def bbm_morrey(values, coords, vol, q, p, r, tau, nu_range):
         maxs = coords.max(axis=0)
         ranges = [range(math.floor(mins[k] / side) - 1, math.ceil(maxs[k] / side) + 1)
                   for k in range(n)]
-        import itertools
-
         for m in itertools.product(*ranges):
             acc = 0.0
             for i in range(len(values)):

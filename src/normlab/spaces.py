@@ -204,6 +204,8 @@ class WeightedLebesgue(SpaceSpec):
         self.r = float(r)
         self.a = None if a is None else float(a)
         self.center = float(center) if np.isscalar(center) else center
+        if not (self.a is None or math.isfinite(self.a)) or not np.all(np.isfinite(self.center)):
+            raise ValueError("weight exponent and center must be finite")
         self.samples = None if samples is None else np.asarray(samples, dtype=float)
         if self.samples is None and self.a is None:
             raise ValueError("give either a power exponent or explicit weight samples")

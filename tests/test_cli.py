@@ -183,6 +183,20 @@ def test_cli_weak_holder(tmp_path):
     assert rc == 0
 
 
+def test_cli_weak_holder_honours_gamma(tmp_path):
+    # one --gamma reaches the suite; without it the run is the gamma = 1 one
+    runs = {}
+    for name, extra in [("none", []), ("one", ["--gamma", "1"]), ("half", ["--gamma", "0.5"])]:
+        out = tmp_path / name
+        assert main(["--out", str(out), "--seed", "4", "--grid", "n=1,L=0.5,N=8",
+                     "weak-holder", "--instances", "10"] + extra) == 0
+        runs[name] = json.loads((out / "weak_holder.json").read_text())
+    assert [r["value"] for r in runs["one"]["rows"]] == [r["value"] for r in runs["none"]["rows"]]
+    half = runs["half"]["rows"]
+    assert {r["gamma_or_s"] for r in half} == {0.5}
+    assert [r["value"] for r in half] != [r["value"] for r in runs["none"]["rows"]]
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_cli_weak_holder_rejects_no_instances(tmp_path, capsys, instances):
     rc = main(["--out", str(tmp_path), "--grid", "n=1,L=0.5,N=8", "weak-holder",
@@ -249,6 +263,12 @@ def test_cli_verify_subset(capsys):
      "expected 2 entries (one per axis), got 3"),
     (["--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian", "--domain", "ball:center=10,radius=0.1"],
      "domain ball:center=10.0,radius=0.1 holds no cell centre of this grid"),
+    (["norm", "--fn", "gaussian", "--space", "weighted:r=2,a=nan"],
+     "weight exponent and center must be finite"),
+    (["norm", "--fn", "gaussian", "--space", "weighted:r=2,a=0.5,center=inf"],
+     "weight exponent and center must be finite"),
+    (["weak-holder", "--instances", "2", "--gamma", "1", "--gamma", "2"], "weak-holder takes one --gamma"),
+    (["weak-holder", "--instances", "2", "--gamma", "nan"], "gamma must be finite, got nan"),
 ])
 def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert main(["--out", str(tmp_path)] + argv) == 2
@@ -286,6 +306,10 @@ def test_cli_config_driven_run(tmp_path):
 @pytest.mark.parametrize("old, new, message", [
     ("gammas = 1", "gamma = -1", "unknown config [sweeps] parameter 'gamma'; known: gammas, p, s_grid"),
     ("[output]", "[policy]\nnear_windw = 9\n\n[output]", "unknown config [policy] parameter 'near_windw'"),
+    ("[output]", "[policy]\nnear_window = nan\n\n[output]",
+     "near window must be positive and finite, got nan"),
+    ("[output]", "[policy]\nsubsample_window = nan\n\n[output]", "subsample window must be finite and >= 0"),
+    ("[output]", "[policy]\nsubsample_window = -1\n\n[output]", "subsample window must be finite and >= 0"),
     ("[output]", "[outptu]", "has unknown section [outptu]; known: experiment, grid,"),
     ("lo = -2.0\n", "", "config [grid] needs parameter 'lo'"),
     ("hi = 2.0\n", "", "config [grid] needs parameter 'hi'"),

@@ -29,6 +29,7 @@ from normlab import (
 )
 from normlab import oracles
 from normlab.domains import mask, parse_domain
+from normlab.grid import parse_function
 from normlab.experiments import load_config
 from normlab.spaces import norm_many
 from normlab.functionals import (
@@ -1074,3 +1075,22 @@ def test_inner_profile_rows_nonincreasing_in_lambda(gamma, dim, domain, policy):
     rows = bsvy_inner_profile(f, lams, BsvyParams(gamma, 2.0), omega, policy)
     assert np.all(np.diff(rows, axis=0) <= 0.0)
     assert np.any(np.diff(rows, axis=0) < 0.0)
+
+
+@pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
+@pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("fn", ["gaussian:sigma=0.7,center=0.2", "coordinate:axis=0"])
+@pytest.mark.parametrize("gamma, p", [(1.0, 1.0), (-0.5, 1.0), (-1.0, 1.5)])
+def test_inner_profile_rows_nonincreasing_for_smooth_and_linear_f(gamma, p, fn, dim, domain, policy):
+    # a linear f gives every pair of an offset the same increment, so whole
+    # offsets and sub-cell prefixes enter the level sets at once; the rows
+    # must not depend on the order of the lambda batch either
+    g = make_grid(dim, -2.0, 2.0, 64 if dim == 1 else 16)
+    f = sample(parse_function(fn), g)
+    omega = None if domain is None else mask(parse_domain(domain), g)
+    lams = np.geomspace(1e-4, 1e4, 57)
+    rows = bsvy_inner_profile(f, lams, BsvyParams(gamma, p), omega, policy)
+    assert np.all(np.diff(rows, axis=0) <= 0.0)
+    assert np.any(np.diff(rows, axis=0) < 0.0)
+    assert np.array_equal(bsvy_inner_profile(f, lams[::-1], BsvyParams(gamma, p), omega, policy), rows[::-1])

@@ -12,6 +12,7 @@ import pytest
 from normlab import (
     BsvyParams,
     HerzWeight,
+    KernelPolicy,
     SampledField,
     TestFunctionSpec,
     explicit_weight,
@@ -468,3 +469,40 @@ def test_weak_holder_matches_level_loop_oracle(case):
     assert res.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
     assert res.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
     assert (rhs == 0.0) == (case == "zero-g")
+
+
+# --------------------------------------------------------------------------
+# the equivalent-ball level-set kernel: analytic window and subsampled shell
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+@pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level_set_shell_pairs_match_oracle(dim, domain, gamma):
+    # the profile minus its analytic near field is the pair part: whole pairs
+    # outside the shell, sub-cell pairs inside it, nothing in the window
+    from normlab.functionals import _half_offsets, _level_set_model, bsvy_inner_profile
+    from normlab.grid import gradient_magnitude
+
+    policy = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
+    g = make_grid(dim, -2.0, 2.0, 32 if dim == 1 else 8)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.1), g)
+    omega = None if domain is None else mask(parse_domain(domain), g)
+    cells = np.ones(g.shape, dtype=bool) if omega is None else omega.cells
+    params = BsvyParams(gamma, 2.0)
+    lams = np.array([0.03, 0.3, 0.6])
+    rows = bsvy_inner_profile(f, lams, params, omega, policy)
+    removed = int(np.count_nonzero(~_half_offsets(g, policy)[2]))
+    model = _level_set_model(gradient_magnitude(f), lams, params, g, None if omega is None else omega.cells,
+                             removed)[0]
+    on = cells.ravel()
+    hmin = min(g.cell_size)
+    for lam, row, mod in zip(lams, rows, model):
+        ref = oracles.level_set_shell_inner(f.values.ravel()[on], _cell_positions(g)[on], g.cell_size,
+                                            g.cell_volume, lam, gamma, 2.0, policy.near_window * hmin,
+                                            policy.subsample_window * hmin, policy.subsample)
+        mine = (row - mod)[cells]
+        assert np.all(row[~cells] == 0.0)
+        assert np.max(ref) > 0.0
+        assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(ref)
