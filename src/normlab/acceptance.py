@@ -19,6 +19,7 @@ from .functionals import (
     KernelPolicy,
     bbm_constant,
     bbm_limit_extrapolate,
+    bsvy_inner_profile,
     bsvy_sup,
     bsvy_values,
     gagliardo_seminorm_sweep,
@@ -229,11 +230,9 @@ def criterion_9() -> AcceptanceResult:
     ref = oracles.gagliardo(f.values.ravel(), grid.coords(), grid.cell_volume, 0.25, 1.0)
     devs["gagliardo"] = abs(mine - ref) / ref
     # level-set inner field, gaussian
-    from .functionals import bsvy_inner
-
     gridb = make_grid(1, -2.0, 2.0, 64)
     fb = sample(TestFunctionSpec("gaussian", sigma=1.0, center=0.0), gridb)
-    inner = bsvy_inner(fb, 1.0, BsvyParams(2.0, 2.0), None, KernelPolicy(diagonal="exclude")).values
+    inner = bsvy_inner_profile(fb, [1.0], BsvyParams(2.0, 2.0), None, KernelPolicy(diagonal="exclude"))[0]
     oin = oracles.level_set_inner(fb.values.ravel(), gridb.coords(), gridb.cell_volume,
                                   1.0, 2.0, 2.0)
     scale = float(np.max(np.abs(oin)))

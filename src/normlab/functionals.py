@@ -29,13 +29,11 @@ __all__ = [
     "bbm_constant",
     "sphere_area",
     "sphere_moment",
-    "gagliardo_seminorm",
     "gagliardo_seminorm_sweep",
     "fractional_inner_field",
     "bbm_scaled_sweep",
     "bbm_scaled_value",
     "bbm_limit_extrapolate",
-    "bsvy_inner",
     "bsvy_inner_profile",
     "bsvy_values",
     "bsvy_functional",
@@ -107,8 +105,9 @@ class KernelPolicy:
     def __post_init__(self):
         if self.diagonal not in ("equivalent-ball", "exclude"):
             raise ValueError("diagonal policy must be 'equivalent-ball' or 'exclude'")
-        if self.subsample < 1:
-            raise ValueError("subsample factor must be >= 1")
+        if not (float(self.subsample).is_integer() and self.subsample >= 1):
+            raise ValueError(f"subsample factor must be a whole number >= 1, got {self.subsample}")
+        object.__setattr__(self, "subsample", int(self.subsample))
         if not 0 < self.near_window < math.inf:
             raise ValueError(f"near window must be positive and finite, got {self.near_window}")
         if not 0 <= self.subsample_window < math.inf:
@@ -197,12 +196,11 @@ class _Walk:
     ``reach`` zeros (a row takes W = nb + reach entries).  An offset (...,
     r, c) with |c| <= reach then shifts the flat axis by r W + c, and a
     partner x + o off its row lands on padding, not on the next row.
-    ``inside`` marks the domain cells in that layout, ``on`` is its 0/1 float
-    copy when there is a mask (``in_row`` marks the box's columns when there
-    is none), and ``fields`` are the walked fields in it, zero off the domain.
+    ``on`` is 1 on the domain cells in that layout and 0 elsewhere, and
+    ``field`` the walked field in it, zero off the domain.
     """
 
-    def __init__(self, first, last, reach: int, mask: np.ndarray | None, fields, offs, dists, index):
+    def __init__(self, first, last, reach: int, mask: np.ndarray | None, field, offs, dists, index):
         shape = [b + 1 - a for a, b in zip(first, last)]
         self.cut, self.box = tuple(slice(a, b + 1) for a, b in zip(first, last)), shape
         self.outer, self.rows, self.nb = shape[:-2], ([1] + shape)[-2], shape[-1]
@@ -210,15 +208,11 @@ class _Walk:
         # the flat index steps of the outer axes and of a row
         self.strides = tuple(math.prod(self.outer[i + 1:]) * (reach + self.rows * self.width)
                              for i in range(len(self.outer))) + (self.width,)
-        on = np.ones(shape, dtype=bool) if mask is None else mask[self.cut]
-        self.inside = self._pad(on)
         self.masked = mask is not None
-        if self.masked:
-            self.on = self.inside.astype(float)
-        else:
-            self.in_row = np.pad(np.ones(self.nb), reach)
-        self.fields = [self._pad(np.asarray(f)[self.cut] if mask is None else np.where(on, f[self.cut], 0))
-                       for f in fields]
+        self.on = self._pad(mask[self.cut].astype(float) if self.masked else np.ones(shape))
+        if field is not None:
+            self.field = self._pad(np.where(mask[self.cut], field[self.cut], 0) if self.masked
+                                   else np.asarray(field)[self.cut])
         self._offs, self._dists, self._index = offs, dists, index
 
     def _pad(self, a: np.ndarray) -> np.ndarray:
@@ -267,7 +261,7 @@ class _Walk:
                 b = min(e - s, max(1, PAIR_BLOCK_CELLS // (math.prod(cells) * cols)))
                 x0, x1 = max(0, -(c0 + b - 1)), min(nb, nb - c0)
                 yield _Block(self, offs[s:s + b], dists[s:s + b].tolist(), self._index[s:s + b],
-                             cells + (x1 - x0,), x0, xa + x0, ya + x0 + c0)
+                             cells + (x1 - x0,), xa + x0, ya + x0 + c0)
                 s += b
 
 
@@ -279,21 +273,19 @@ class _Block:
 
     ``offs`` and ``dists`` are the offsets and their lengths (Python floats,
     for scalar powers), ``index`` their rows in the :func:`_half_offsets`
-    table.  ``here(k)`` is walked field k on the cells x and
-    ``there(k)`` the stack of it at x + o, one row per offset: a sliding
-    window along the last axis of the walk's layout.  ``pm`` is true where x
-    and x + o are both domain cells; elsewhere (the block's ragged edge and
-    the cells off the domain) kernels zero a stack with :meth:`restrict`
-    before they sum it, and :meth:`add` accumulates a stack at both ends of
-    its pairs.
+    table.  ``here()`` is the walked field on the cells x and ``there()``
+    the stack of it at x + o, one row per offset: a sliding window along the
+    last axis of the walk's layout.  A pair of the block joins two domain
+    cells; kernels zero a stack off the pairs (the block's ragged edge and
+    the cells off the domain) with :meth:`restrict` before they sum it, and
+    :meth:`add` accumulates a stack at both ends of its pairs.
     """
 
-    def __init__(self, walk: _Walk, offs, dists, index, cells, col: int, x: int, y: int):
+    def __init__(self, walk: _Walk, offs, dists, index, cells, x: int, y: int):
         self.offs, self.dists, self.index = offs, dists, index
         self.shape = (len(dists),) + cells
-        # the column of the first cell x, and the layout's flat index of it
-        # and of its partner x + o_0
-        self._walk, self._col, self._x, self._y = walk, col, x, y
+        # the layout's flat index of the first cell x and of its partner x + o_0
+        self._walk, self._x, self._y = walk, x, y
 
     def _view(self, arr: np.ndarray, start: int, cols: int, stack: int = 0) -> np.ndarray:
         # the block's cells from flat index start on, cols per row, in an array
@@ -306,30 +298,19 @@ class _Block:
             shape, strides = (stack,) + shape, (item,) + strides
         return np.ndarray(shape, arr.dtype, arr, start * item, strides)
 
-    def here(self, k: int = 0) -> np.ndarray:
-        return self._view(self._walk.fields[k], self._x, self.shape[-1])
+    def here(self) -> np.ndarray:
+        return self._view(self._walk.field, self._x, self.shape[-1])
 
-    def there(self, k: int = 0) -> np.ndarray:
-        return self._view(self._walk.fields[k], self._y, self.shape[-1], self.shape[0])
-
-    @property
-    def pm(self) -> np.ndarray:
-        inside, cols = self._walk.inside, self.shape[-1]
-        return self._view(inside, self._x, cols) & self._view(inside, self._y, cols, self.shape[0])
+    def there(self) -> np.ndarray:
+        return self._view(self._walk.field, self._y, self.shape[-1], self.shape[0])
 
     def restrict(self, stack: np.ndarray) -> np.ndarray:
-        """Zero a stack of finite entries off the block's pairs, in place."""
+        """Zero a stack of finite entries off the block's pairs, in place.
+        Without a mask every cell x of the block is a domain cell."""
         walk, cols = self._walk, self.shape[-1]
+        stack *= self._view(walk.on, self._y, cols, self.shape[0])
         if walk.masked:
-            stack *= self._view(walk.on, self._y, cols, self.shape[0])
             stack *= self._view(walk.on, self._x, cols)
-        else:
-            # every cell of the box is a domain cell, and the partners are in
-            # its rows: only a partner column off the box leaves no pair, the
-            # same pattern on every row
-            start, item = walk.reach + self._col + int(self.offs[0, -1]), walk.in_row.itemsize
-            stack *= np.ndarray((self.shape[0],) + (1,) * (stack.ndim - 2) + (cols,), float,
-                                walk.in_row, start * item, (item,) + (0,) * (stack.ndim - 2) + (item,))
         return stack
 
     def scratch(self, lead=(), count: int | None = None, dtype=float) -> np.ndarray:
@@ -343,7 +324,7 @@ class _Block:
     def add(self, target: np.ndarray, stack: np.ndarray, weights=None, first: int = 0):
         """target[x] += sum_j w_j stack[j, x] and target[x + o_j] += w_j stack[j, x]
         (w = 1 without weights) for a target of the walk's layout and a stack
-        from :meth:`scratch` that is zero off ``pm``, whose rows j are the
+        from :meth:`scratch` that is zero off the pairs, whose rows j are the
         offsets first, first + 1, ...  The target and the stack may have the
         same leading axes.
 
@@ -369,10 +350,10 @@ class _Block:
             ys += np.einsum(subs, w, skew)
 
 
-def _pair_walk(grid: Grid, mask: np.ndarray | None, half, fields=(), radius: float = math.inf):
+def _pair_walk(grid: Grid, mask: np.ndarray | None, half, field=None, radius: float = math.inf):
     """Walk the integer offsets of ``half`` (the :func:`_half_offsets` table)
-    that are at most ``radius`` on every axis, windowing the grid-shaped
-    arrays ``fields``.  Returns ``(removed, walk)``: the number of offsets
+    that are at most ``radius`` on every axis, windowing the grid array
+    ``field``.  Returns ``(removed, walk)``: the number of offsets
     inside the policy's analytic near field (none under "exclude"), counted
     on the whole grid's offset box, and the :class:`_Walk`.
 
@@ -396,7 +377,7 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, half, fields=(), radius: flo
         walked &= np.all(np.abs(offs) <= np.subtract(last, first), axis=1)
     idx = np.flatnonzero(walked)
     reach = int(min(last[-1] - first[-1], radius))
-    return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, fields, offs[idx], dists[idx], idx)
+    return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, field, offs[idx], dists[idx], idx)
 
 
 def _row_groups(live: np.ndarray, cells: int, scale: int = 1):
@@ -415,7 +396,7 @@ def _row_groups(live: np.ndarray, cells: int, scale: int = 1):
 
 
 def _increments(blk: _Block, p: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """|v(x+o) - v(x)|^p on a block's stack (v its walked field 0), zero off
+    """|v(x+o) - v(x)|^p on a block's stack (v its walked field), zero off
     its pairs, in ``out`` or a new array."""
     d = blk.restrict(np.subtract(blk.there(), blk.here(), out=np.empty(blk.shape) if out is None else out))
     if p == 2.0:
@@ -549,6 +530,32 @@ def _unscale(x, e: int, p: float = 1.0):
     return np.ldexp(x * 2.0 ** (e * p - k), k)
 
 
+def _gagliardo_setup(f: SampledField, s_values, p: float, omega: DomainMask | None,
+                     policy: KernelPolicy):
+    """What both Gagliardo kernels start from: the checked s values, the
+    domain cells, f scaled by 2^-e into the safe band with e, the pair walk
+    of the scaled values (the offsets up to NEAR_CELLS at p = 2, all others
+    otherwise), the :func:`_far_offsets` left to the FFT (None unless p = 2)
+    and the near-field model: the per-cell |grad f|^p on the domain and the
+    removed ball's radius (None under "exclude")."""
+    s_values = [float(s) for s in s_values]
+    for s in s_values:
+        GagliardoParams(s, p)
+    grid = f.grid
+    mask = mask_cells(omega, grid)
+    e = _scale_exponent(f, mask, p)
+    f = _scaled(f, e)
+    fft = p == 2.0
+    half = _half_offsets(grid, policy)
+    removed, walk = _pair_walk(grid, mask, half, f.values, NEAR_CELLS if fft else math.inf)
+    far = _far_offsets(half) if fft else None
+    model = None
+    if policy.diagonal == "equivalent-ball":
+        gradp = gradient_magnitude(f) ** p
+        model = gradp if mask is None else np.where(mask, gradp, 0.0), _equivalent_radius(removed, grid)
+    return s_values, mask, f, e, walk, far, model
+
+
 def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
                              omega: DomainMask | None = None,
                              policy: KernelPolicy = DEFAULT_POLICY) -> list[float]:
@@ -558,51 +565,25 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
     with the near-field handled per policy.  At p = 2 the offsets beyond
     NEAR_CELLS on some axis get their sums from one FFT correlation.
     """
-    s_values = [float(s) for s in s_values]
-    for s in s_values:
-        GagliardoParams(s, p)
+    s_values, mask, f, e, walk, far, model = _gagliardo_setup(f, s_values, p, omega, policy)
     grid = f.grid
-    n = grid.dim
-    mask = mask_cells(omega, grid)
-    e = _scale_exponent(f, mask, p)
-    f = _scaled(f, e)
-    v = f.values
-    eq_ball = policy.diagonal == "equivalent-ball"
-    fft = p == 2.0
-    half = _half_offsets(grid, policy)
-    removed, walk = _pair_walk(grid, mask, half, [v], NEAR_CELLS if fft else math.inf)
-    if fft:
-        at, far_dists = _far_offsets(half)
-    del half  # kept, the offset table would add to the peak of the walk and the FFT
+    n, vol = grid.dim, grid.cell_volume
     dists, sums = [], [np.zeros(0)]
     for blk in walk:
         dists += blk.dists
         sums.append(_increments(blk, p).reshape(len(blk.dists), -1).sum(axis=1))
     dists = np.asarray(dists)
     sums = np.concatenate(sums)
-    if fft:
-        dists = np.concatenate([dists, far_dists])
-        sums = np.concatenate([sums, _fft_pair_terms(v, mask).ravel()[at]])
-    vol = grid.cell_volume
-    if eq_ball:
-        g = gradient_magnitude(f)
-        if mask is not None:
-            g = np.where(mask, g, 0.0)
-        gradp = float(np.sum(g ** p)) * vol
-        r_eq = _equivalent_radius(removed, grid)
+    if far is not None:
+        dists = np.concatenate([dists, far[1]])
+        sums = np.concatenate([sums, _fft_pair_terms(f.values, mask).ravel()[far[0]]])
     out = []
     for s in s_values:
         total = 2.0 * vol * vol * float(np.sum(sums * dists ** (-(s * p + n))))
-        if eq_ball:
-            total += _frozen_gradient_term(gradp, s, p, n, r_eq)
+        if model is not None:
+            total += _frozen_gradient_term(float(np.sum(model[0])) * vol, s, p, n, model[1])
         out.append(float(_unscale(total ** (1.0 / p), e)))
     return out
-
-
-def gagliardo_seminorm(f: SampledField, s: float, p: float,
-                       omega: DomainMask | None = None,
-                       policy: KernelPolicy = DEFAULT_POLICY) -> float:
-    return gagliardo_seminorm_sweep(f, [s], p, omega, policy)[0]
 
 
 def fractional_inner_field(f: SampledField, s_values, p: float,
@@ -617,25 +598,12 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
     At p = 2 the offsets beyond NEAR_CELLS on some axis come from one FFT
     convolution per s with their kernel.
     """
-    s_values = [float(s) for s in s_values]
-    for s in s_values:
-        GagliardoParams(s, p)
+    s_values, mask, f, e, walk, far, model = _gagliardo_setup(f, s_values, p, omega, policy)
     grid = f.grid
-    n = grid.dim
-    mask = mask_cells(omega, grid)
-    e = _scale_exponent(f, mask, p)
-    f = _scaled(f, e)
-    v = f.values
-    vol = grid.cell_volume
+    n, vol = grid.dim, grid.cell_volume
     if not s_values:
         return np.zeros((0,) + grid.shape)
     exps = [-(s * p + n) for s in s_values]
-    fft = p == 2.0
-    half = _half_offsets(grid, policy)
-    removed, walk = _pair_walk(grid, mask, half, [v], NEAR_CELLS if fft else math.inf)
-    if fft:
-        at, far_dists = _far_offsets(half)
-    del half  # kept, the offset table would add to the peak of the walk and the FFT
     acc = walk.zeros([len(s_values)])
     for blk in walk:
         d = _increments(blk, p, blk.scratch())
@@ -643,18 +611,17 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
             # Python-float powers: numpy's vector pow may differ in the last bit
             blk.add(row, d, [dist ** x * vol for dist in blk.dists])
     inner = walk.unpad(acc, grid.shape)
-    if fft:
+    if far is not None:
+        at, far_dists = far
         box = [2 * k - 1 for k in grid.shape]
         kernels = np.zeros((len(s_values), math.prod(box)))
         # offset o sits at flat index i, -o at size - 1 - i
         for kernel, x in zip(kernels, exps):
             kernel[at] = kernel[kernel.size - 1 - at] = far_dists ** x * vol
-        inner += _fft_pair_terms(v, mask, kernels.reshape([-1] + box))
-    if policy.diagonal == "equivalent-ball":
-        gradp = gradient_magnitude(f) ** p
-        r_eq = _equivalent_radius(removed, grid)
+        inner += _fft_pair_terms(f.values, mask, kernels.reshape([-1] + box))
+    if model is not None:
         for row, s in zip(inner, s_values):
-            row += _frozen_gradient_term(gradp, s, p, n, r_eq)
+            row += _frozen_gradient_term(model[0], s, p, n, model[1])
     if mask is not None:
         inner = np.where(mask, inner, 0.0)
     return _unscale(inner, e, p)
@@ -806,8 +773,8 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     Returns an array of shape (len(lams), *grid.shape).
     """
     lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 1 or not np.all(lams > 0):
-        raise ValueError("lambda values must be positive")
+    if lams.ndim != 1 or not np.all((lams > 0) & (lams < math.inf)):
+        raise ValueError("lambda values must be positive and finite")
     gamma, p = params.gamma, params.p
     grid = f.grid
     if not lams.size:
@@ -827,7 +794,7 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     spread = float(np.ptp(on)) if on.size else 0.0
     half = _half_offsets(grid, policy)
     radius, table, shell_thr, shell_ker = _shell_table(grid, policy, half, expo, gamma)
-    removed, walk = _pair_walk(grid, mask, half, [v])
+    removed, walk = _pair_walk(grid, mask, half, v)
     acc = walk.zeros([lams.size])
     for blk in walk:
         # the other offsets: membership delta > lam * dist^expo, weighted; a
@@ -872,13 +839,6 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     if mask is not None:
         inner = np.where(mask[None], inner, 0.0)
     return inner[np.argsort(order)]  # back to the caller's lambda order
-
-
-def bsvy_inner(f: SampledField, lam: float, params: BsvyParams,
-               omega: DomainMask | None = None,
-               policy: KernelPolicy = DEFAULT_POLICY) -> SampledField:
-    """Level-set kernel integral field at a single lambda."""
-    return SampledField(f.grid, bsvy_inner_profile(f, [lam], params, omega, policy)[0])
 
 
 def bsvy_values(f: SampledField, lams, params: BsvyParams, space: SpaceSpec,
@@ -1091,19 +1051,21 @@ def weighted_mu_measure(predicate, gamma: float, weight: np.ndarray,
     vol = grid.cell_volume
     n = grid.dim
     total = 0.0
-    fields = list(grid.meshgrid()) + [w]
-    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY), fields)[1]
+    coords, w = grid.coords(), w.ravel()
+    number = np.arange(grid.total_cells, dtype=float).reshape(grid.shape)
+    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY), number)[1]
     for blk in walk:
-        # the pairs of the block, flat, with the offset each belongs to
+        # the pairs of the block, flat, by the cell numbers of their ends, with
+        # the offset each belongs to
         b = len(blk.dists)
-        pm = blk.pm.reshape(b, -1)
-        j = np.nonzero(pm)[0]
-        at = [np.broadcast_to(blk.here(k), blk.shape).reshape(b, -1)[pm] for k in range(n + 1)]
-        to = [blk.there(k).reshape(b, -1)[pm] for k in range(n + 1)]
-        xa, xb = np.column_stack(at[:n]), np.column_stack(to[:n])
-        sums = [np.bincount(j[memb], weights=wend[memb], minlength=b)
-                for memb, wend in ((np.asarray(predicate(xa, xb), dtype=bool), at[n]),
-                                   (np.asarray(predicate(xb, xa), dtype=bool), to[n]))]
+        pairs = blk.restrict(np.ones(blk.shape)).reshape(b, -1) > 0
+        j = np.nonzero(pairs)[0]
+        ia = np.broadcast_to(blk.here(), blk.shape).reshape(b, -1)[pairs].astype(int)
+        ib = blk.there().reshape(b, -1)[pairs].astype(int)
+        xa, xb = coords[ia], coords[ib]
+        sums = [np.bincount(j[memb], weights=w[ends][memb], minlength=b)
+                for memb, ends in ((np.asarray(predicate(xa, xb), dtype=bool), ia),
+                                   (np.asarray(predicate(xb, xa), dtype=bool), ib))]
         for dist, wa, wb in zip(blk.dists, *sums):
             ker = dist ** (gamma - n) * vol * vol
             total += ker * float(wa)

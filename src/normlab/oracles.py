@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 __all__ = ["gagliardo", "fractional_inner", "level_set_inner", "level_set_shell_inner", "level_set_sup",
-           "bbm_morrey", "herz_local", "pair_measure", "morrey", "muckenhoupt", "luxemburg", "orlicz_slice",
-           "lorentz", "variable_lebesgue", "weak_holder"]
+           "bbm_morrey", "herz_local", "pair_measure", "weighted_pair_measure", "morrey", "muckenhoupt",
+           "luxemburg", "orlicz_slice", "lorentz", "variable_lebesgue", "weak_holder"]
 
 
 def gagliardo(values, coords, vol, s, p):
@@ -208,6 +208,20 @@ def pair_measure(values, coords, vol, lam, gamma, p):
             d = float(np.linalg.norm(coords[i] - coords[j]))
             if abs(values[i] - values[j]) > lam * d ** (1.0 + gamma / p):
                 total += d ** (gamma - n) * vol * vol
+    return total
+
+
+def weighted_pair_measure(predicate, coords, weight, vol, gamma):
+    """Sum over ordered pairs x != y of cells with predicate(x, y) of
+    |x-y|^(gamma-n) w(x) vol^2; the predicate is asked one pair at a time."""
+    m, n = coords.shape
+    total = 0.0
+    for i in range(m):
+        for j in range(m):
+            if i == j or not predicate(coords[i:i + 1], coords[j:j + 1])[0]:
+                continue
+            d = math.sqrt(sum((coords[i, k] - coords[j, k]) ** 2 for k in range(n)))
+            total += d ** (gamma - n) * weight[i] * vol * vol
     return total
 
 

@@ -392,6 +392,8 @@ class HerzLocal(_Herz):
 
     def __init__(self, p: float, q: float, a: float, xi=0.0):
         super().__init__(p, q, a)
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("Herz centre xi must be finite")
         self.xi = float(xi) if np.isscalar(xi) else xi
 
     def evaluate(self, values, grid):
@@ -612,6 +614,8 @@ class _BallStencil:
 
 @lru_cache(maxsize=128)
 def _ball_stencil(grid: Grid, radius: float) -> _BallStencil:
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"ball radius must be finite and >= 0, got {radius}")
     h = grid.cell_size
     # radius // h can round down, so reach one offset further on each side
     half = tuple(int(radius // h[i]) + 1 for i in range(grid.dim))

@@ -269,6 +269,10 @@ def test_cli_verify_subset(capsys):
      "weight exponent and center must be finite"),
     (["weak-holder", "--instances", "2", "--gamma", "1", "--gamma", "2"], "weak-holder takes one --gamma"),
     (["weak-holder", "--instances", "2", "--gamma", "nan"], "gamma must be finite, got nan"),
+    (["norm", "--fn", "gaussian", "--space", "herzlocal:p=2,q=2,a=0,xi=nan"],
+     "Herz centre xi must be finite"),
+    (["norm", "--fn", "gaussian", "--space", "orliczslice:p=2,r=2,t=inf"],
+     "ball radius must be finite and >= 0, got inf"),
 ])
 def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert main(["--out", str(tmp_path)] + argv) == 2

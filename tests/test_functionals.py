@@ -16,9 +16,7 @@ from normlab import (
     bbm_limit_extrapolate,
     bbm_scaled_value,
     bsvy_functional,
-    bsvy_inner,
     bsvy_sup,
-    gagliardo_seminorm,
     make_grid,
     parse_space,
     sample,
@@ -80,6 +78,13 @@ def test_param_validation():
     assert not BsvyParams(-0.5, 2.0).theorem_conditional
 
 
+@pytest.mark.parametrize("k", [2.5, 0, -1, math.nan, math.inf])
+def test_kernel_policy_subsample_is_a_whole_number(k):
+    with pytest.raises(ValueError, match="subsample factor must be a whole number >= 1"):
+        KernelPolicy(subsample=k)
+    assert KernelPolicy(subsample=8.0) == KernelPolicy(subsample=8)
+
+
 # --------------------------------------------------------------------------
 # Gagliardo seminorm
 # --------------------------------------------------------------------------
@@ -88,15 +93,15 @@ def test_param_validation():
 def test_gagliardo_zero_for_constant():
     g = make_grid(1, 0.0, 1.0, 32)
     f = SampledField(g, np.full(g.shape, 2.0))
-    assert gagliardo_seminorm(f, 0.5, 2.0, policy=EXCLUDE_POLICY) == 0.0
+    assert gagliardo_seminorm_sweep(f, [0.5], 2.0, policy=EXCLUDE_POLICY)[0] == 0.0
 
 
 def test_gagliardo_homogeneous_p1():
     g = make_grid(1, -2.0, 2.0, 32)
     f = sample(TestFunctionSpec("gaussian"), g)
     f2 = SampledField(g, 2.0 * f.values, 2.0 * f.analytic_gradient)
-    a = gagliardo_seminorm(f, 0.4, 1.0)
-    b = gagliardo_seminorm(f2, 0.4, 1.0)
+    a = gagliardo_seminorm_sweep(f, [0.4], 1.0)[0]
+    b = gagliardo_seminorm_sweep(f2, [0.4], 1.0)[0]
     assert b == pytest.approx(2.0 * a, rel=1e-13)
 
 
@@ -110,8 +115,26 @@ def test_bbm_scaled_fubini_identity():
             for p in (1.0, 2.0):
                 s = 0.7
                 lhs = bbm_scaled_value(f, s, p, Lebesgue(p), None, policy)
-                rhs = (1.0 - s) ** (1.0 / p) * gagliardo_seminorm(f, s, p, None, policy)
+                rhs = (1.0 - s) ** (1.0 / p) * gagliardo_seminorm_sweep(f, [s], p, None, policy)[0]
                 assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, EXCLUDE_POLICY], ids=["default", "exclude"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+@pytest.mark.parametrize("dim, npts", [(1, 64), (2, 16), (2, 40)])
+def test_seminorm_is_the_summed_inner_field(dim, npts, masked, p, policy):
+    # the two kernels share the walked pair sums, the FFT far field (2D 40^2
+    # at p = 2 reaches it) and the frozen-gradient model, so |f|^p = vol sum_x inner
+    g = make_grid(dim, -2.0, 2.0, npts)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.2), g)
+    centre = ";".join(["0.3"] * dim)
+    omega = mask(parse_domain(f"ball:center={centre},radius=1.5"), g) if masked else None
+    s_values = [0.3, 0.7, 0.95]
+    semi = gagliardo_seminorm_sweep(f, s_values, p, omega, policy)
+    inner = fractional_inner_field(f, s_values, p, omega, policy)
+    for val, row in zip(semi, inner):
+        assert val ** p == pytest.approx(g.cell_volume * np.sum(row), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("dim,npts", [(1, 256), (2, 48)])
@@ -162,8 +185,8 @@ def test_gagliardo_domain_restriction():
     g = make_grid(1, -2.0, 2.0, 32)
     f = sample(TestFunctionSpec("gaussian"), g)
     omega = DomainMask(g, (g.coords()[:, 0] > 0).reshape(g.shape))
-    full = gagliardo_seminorm(f, 0.5, 1.0, policy=EXCLUDE_POLICY)
-    part = gagliardo_seminorm(f, 0.5, 1.0, omega, EXCLUDE_POLICY)
+    full = gagliardo_seminorm_sweep(f, [0.5], 1.0, policy=EXCLUDE_POLICY)[0]
+    part = gagliardo_seminorm_sweep(f, [0.5], 1.0, omega, EXCLUDE_POLICY)[0]
     assert 0.0 < part < full
 
 
@@ -205,8 +228,8 @@ def test_extrapolate_needs_three_points():
 def test_bsvy_inner_constant_is_zero():
     g = make_grid(1, 0.0, 1.0, 32)
     f = SampledField(g, np.full(g.shape, 1.3))
-    inner = bsvy_inner(f, 1.0, BsvyParams(1.0, 1.0), policy=EXCLUDE_POLICY)
-    assert np.all(inner.values == 0.0)
+    inner = bsvy_inner_profile(f, [1.0], BsvyParams(1.0, 1.0), policy=EXCLUDE_POLICY)[0]
+    assert np.all(inner == 0.0)
 
 
 def test_bsvy_inner_desk_geometry():
@@ -214,10 +237,10 @@ def test_bsvy_inner_desk_geometry():
     g = make_grid(1, 0.0, 1.0, 512)
     f = sample(TestFunctionSpec("coordinate", axis=0), g)
     lam = 4.0
-    inner = bsvy_inner(f, lam, BsvyParams(1.0, 1.0), policy=KernelPolicy(near_window=24.0))
+    inner = bsvy_inner_profile(f, [lam], BsvyParams(1.0, 1.0), policy=KernelPolicy(near_window=24.0))[0]
     x = g.axis_centers(0)
     ref = np.minimum(x, 1 / lam) + np.minimum(1 - x, 1 / lam)
-    assert np.max(np.abs(inner.values - ref)) <= 3.0 * g.cell_size[0]
+    assert np.max(np.abs(inner - ref)) <= 3.0 * g.cell_size[0]
 
 
 def test_bsvy_level_set_monotone_in_lambda():
@@ -360,7 +383,15 @@ def test_bsvy_functional_rejects_bad_lambda():
     g = make_grid(1, 0.0, 1.0, 16)
     f = sample(TestFunctionSpec("coordinate", axis=0), g)
     with pytest.raises(ValueError):
-        bsvy_inner(f, -1.0, BsvyParams(1.0, 1.0))
+        bsvy_inner_profile(f, [-1.0], BsvyParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_bsvy_values_rejects_non_finite_lambda(lam):
+    g = make_grid(1, 0.0, 1.0, 16)
+    f = sample(TestFunctionSpec("coordinate", axis=0), g)
+    with pytest.raises(ValueError, match="lambda values must be positive and finite"):
+        bsvy_values(f, [1.0, lam], BsvyParams(1.0, 1.0), Lebesgue(2.0))
 
 
 def test_bsvy_sup_constant_degenerate():
@@ -399,8 +430,8 @@ def test_translation_invariance_whole_cells():
     a = bsvy_functional(f1, 1.0, params, Lebesgue(2.0), m1)
     b = bsvy_functional(f2, 1.0, params, Lebesgue(2.0), m2)
     assert a == pytest.approx(b, rel=1e-12)
-    assert gagliardo_seminorm(f1, 0.5, 2.0, m1) == pytest.approx(
-        gagliardo_seminorm(f2, 0.5, 2.0, m2), rel=1e-12)
+    assert gagliardo_seminorm_sweep(f1, [0.5], 2.0, m1)[0] == pytest.approx(
+        gagliardo_seminorm_sweep(f2, [0.5], 2.0, m2)[0], rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -874,8 +905,9 @@ def _offset_pairs(cells, off):
 
 def _block_pairs(blk):
     """Per offset of a block walked with the cell numbers as its field: the
-    offset and the cell pairs (x, x + o) its pair mask marks."""
-    here, there, pm = np.broadcast_to(blk.here(), blk.shape), blk.there(), blk.pm
+    offset and the cell pairs (x, x + o) that ``restrict`` keeps."""
+    here, there = np.broadcast_to(blk.here(), blk.shape), blk.there()
+    pm = blk.restrict(np.ones(blk.shape)) > 0
     for j, off in enumerate(blk.offs.tolist()):
         yield off, here[j][pm[j]].astype(int), there[j][pm[j]].astype(int)
 
@@ -895,7 +927,7 @@ def test_masked_pair_walk_stays_in_the_domain_box(dim, npts, domain, policy):
     assert np.any(span < np.array(g.shape) - 1)  # the crop does something
     number = np.arange(cells.size, dtype=float).reshape(g.shape)
     removed_full, full = _pair_walk(g, None, _half_offsets(g, policy))
-    removed, walk = _pair_walk(g, cells, _half_offsets(g, policy), [number])
+    removed, walk = _pair_walk(g, cells, _half_offsets(g, policy), number)
     assert removed == removed_full
     walked = {}
     for blk in walk:
@@ -1018,6 +1050,21 @@ def test_multi_block_level_set_against_oracle(multi_block, gamma):
         ref = oracles.level_set_inner(v, x, g.cell_volume, lam, gamma, 2.0)
         assert np.all(row[~on] == 0.0)
         assert np.max(np.abs(row[on] - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_multi_block_weighted_mu_measure_against_oracle(multi_block):
+    # a non-uniform weight and a predicate that is not symmetric in its ends,
+    # so each ordered pair must meet the predicate and weight of its own x
+    g, _, omega, _, x, on = multi_block
+    w = 1.0 + np.sum(g.coords() ** 2, axis=1).reshape(g.shape)
+
+    def pred(xa, xb):
+        return xa[:, 0] + 0.3 * xa[:, -1] < 0.8 * xb[:, 0] + 0.1
+
+    mine = weighted_mu_measure(pred, 1.5, w, omega, g)
+    ref = oracles.weighted_pair_measure(pred, x, w[on], g.cell_volume, 1.5)
+    assert ref > 0.0
+    assert mine == pytest.approx(ref, rel=1e-12)
 
 
 def test_multi_block_pair_measure_against_oracle(multi_block):

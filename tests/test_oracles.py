@@ -24,9 +24,9 @@ from normlab import oracles
 from normlab.domains import mask, parse_domain
 from normlab.functionals import (
     EXCLUDE_POLICY,
-    bsvy_inner,
+    bsvy_inner_profile,
     fractional_inner_field,
-    gagliardo_seminorm,
+    gagliardo_seminorm_sweep,
     weak_holder_check,
     weak_product_quasinorm,
 )
@@ -37,7 +37,7 @@ def test_gagliardo_indicator_1d():
     g = make_grid(1, -2.0, 3.0, 64)
     ind = ((g.coords()[:, 0] > 0) & (g.coords()[:, 0] < 1)).astype(float)
     f = SampledField(g, ind.reshape(g.shape))
-    mine = gagliardo_seminorm(f, 0.25, 1.0, policy=EXCLUDE_POLICY)
+    mine = gagliardo_seminorm_sweep(f, [0.25], 1.0, policy=EXCLUDE_POLICY)[0]
     ref = oracles.gagliardo(ind, g.coords(), g.cell_volume, 0.25, 1.0)
     assert mine == pytest.approx(ref, rel=1e-13)
 
@@ -45,7 +45,7 @@ def test_gagliardo_indicator_1d():
 def test_gagliardo_gaussian_2d():
     g = make_grid(2, -1.0, 1.0, 8)
     f = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.1), g)
-    mine = gagliardo_seminorm(f, 0.6, 2.0, policy=EXCLUDE_POLICY)
+    mine = gagliardo_seminorm_sweep(f, [0.6], 2.0, policy=EXCLUDE_POLICY)[0]
     ref = oracles.gagliardo(f.values.ravel(), g.coords(), g.cell_volume, 0.6, 2.0)
     assert mine == pytest.approx(ref, rel=1e-13)
 
@@ -53,7 +53,7 @@ def test_gagliardo_gaussian_2d():
 def test_bsvy_inner_gaussian_1d():
     g = make_grid(1, -2.0, 2.0, 64)
     f = sample(TestFunctionSpec("gaussian"), g)
-    mine = bsvy_inner(f, 1.0, BsvyParams(2.0, 2.0), policy=EXCLUDE_POLICY).values
+    mine = bsvy_inner_profile(f, [1.0], BsvyParams(2.0, 2.0), policy=EXCLUDE_POLICY)[0]
     ref = oracles.level_set_inner(f.values.ravel(), g.coords(), g.cell_volume, 1.0, 2.0, 2.0)
     assert np.max(np.abs(mine.ravel() - ref)) <= 1e-12 * max(np.max(ref), 1e-300)
 
@@ -61,7 +61,7 @@ def test_bsvy_inner_gaussian_1d():
 def test_bsvy_inner_negative_gamma_2d():
     g = make_grid(2, -1.0, 1.0, 8)
     f = sample(TestFunctionSpec("gaussian", sigma=0.5, center=0.1), g)
-    mine = bsvy_inner(f, 0.7, BsvyParams(-1.0, 2.0), policy=EXCLUDE_POLICY).values
+    mine = bsvy_inner_profile(f, [0.7], BsvyParams(-1.0, 2.0), policy=EXCLUDE_POLICY)[0]
     ref = oracles.level_set_inner(f.values.ravel(), g.coords(), g.cell_volume, 0.7, -1.0, 2.0)
     scale = max(np.max(np.abs(ref)), 1e-300)
     assert np.max(np.abs(mine.ravel() - ref)) / scale <= 1e-12
@@ -77,14 +77,14 @@ MASKED_X = MASKED_GRID.coords()[MASKED_OMEGA.cells.ravel()]
 
 
 def test_gagliardo_masked_nonsquare_cells():
-    mine = gagliardo_seminorm(MASKED_F, 0.7, 1.5, MASKED_OMEGA, EXCLUDE_POLICY)
+    mine = gagliardo_seminorm_sweep(MASKED_F, [0.7], 1.5, MASKED_OMEGA, EXCLUDE_POLICY)[0]
     ref = oracles.gagliardo(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.7, 1.5)
     assert mine == pytest.approx(ref, rel=1e-12)
 
 
 def test_gagliardo_masked_nonsquare_cells_p2():
     # the offsets beyond 16 cells along the long axis come from the FFT
-    mine = gagliardo_seminorm(MASKED_F, 0.7, 2.0, MASKED_OMEGA, EXCLUDE_POLICY)
+    mine = gagliardo_seminorm_sweep(MASKED_F, [0.7], 2.0, MASKED_OMEGA, EXCLUDE_POLICY)[0]
     ref = oracles.gagliardo(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.7, 2.0)
     assert mine == pytest.approx(ref, rel=1e-12)
 
@@ -94,7 +94,7 @@ def test_gagliardo_fft_offsets_1d():
     g = make_grid(1, -3.0, 3.0, 512)
     f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.3), g)
     for s in (0.3, 0.9):
-        mine = gagliardo_seminorm(f, s, 2.0, policy=EXCLUDE_POLICY)
+        mine = gagliardo_seminorm_sweep(f, [s], 2.0, policy=EXCLUDE_POLICY)[0]
         ref = oracles.gagliardo(f.values.ravel(), g.coords(), g.cell_volume, s, 2.0)
         assert mine == pytest.approx(ref, rel=1e-12)
 
@@ -110,7 +110,7 @@ def test_fractional_inner_masked_nonsquare_cells(p):
 
 @pytest.mark.parametrize("gamma", [1.0, -1.0])
 def test_bsvy_inner_masked_nonsquare_cells(gamma):
-    mine = bsvy_inner(MASKED_F, 0.8, BsvyParams(gamma, 2.0), MASKED_OMEGA, EXCLUDE_POLICY).values
+    mine = bsvy_inner_profile(MASKED_F, [0.8], BsvyParams(gamma, 2.0), MASKED_OMEGA, EXCLUDE_POLICY)[0]
     ref = oracles.level_set_inner(MASKED_V, MASKED_X, MASKED_GRID.cell_volume, 0.8, gamma, 2.0)
     inside = MASKED_OMEGA.cells
     assert np.all(mine[~inside] == 0.0)

@@ -379,6 +379,22 @@ def test_morrey_zero_and_empty_family():
                     ball_family=BallFamily(np.empty((0, 1)), np.array([1.0])))
 
 
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_ball_radius_must_be_finite_and_nonnegative(radius):
+    from normlab.spaces import BallFamily
+
+    g = make_grid(1, 0.0, 1.0, 8)
+    f = SampledField(g, np.ones(g.shape))
+    with pytest.raises(ValueError, match="ball radius must be finite and >= 0"):
+        morrey_norm(f, 2.0, 3.0, ball_family=BallFamily(g.coords(), np.array([radius])))
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, [0.1, math.nan]])
+def test_herz_local_rejects_non_finite_centre(xi):
+    with pytest.raises(ValueError, match="Herz centre xi must be finite"):
+        HerzLocal(2.0, 2.0, 0.0, xi)
+
+
 # --------------------------------------------------------------------------
 # dyadic cubes
 # --------------------------------------------------------------------------

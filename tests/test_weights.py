@@ -34,6 +34,14 @@ def test_power_weight_samples():
     assert np.allclose(w.samples, x ** -0.5)
 
 
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_hl_maximal_rejects_bad_radius(radius):
+    g = make_grid(2, -1.0, 1.0, 8)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    with pytest.raises(ValueError, match="ball radius must be finite and >= 0"):
+        hl_maximal(f, radii=[0.5, radius])
+
+
 def test_weight_rejects_negative_and_zero_field():
     g = make_grid(1, 0.0, 1.0, 8)
     with pytest.raises(ValueError):
