@@ -1,8 +1,9 @@
 """The acceptance suite: every exit criterion as a callable check.
 
 Each criterion pins its own grid, parameters, and tolerance; ``run_acceptance``
-executes a selection and prints one pass/fail line per criterion.  The CLI
-``verify`` subcommand and ``tests/test_acceptance.py`` both drive this module.
+executes a selection and prints one pass/fail line per criterion, timed by the
+registrar ``_criterion``.  The CLI ``verify`` subcommand and
+``tests/test_acceptance.py`` both drive this module.
 """
 
 from __future__ import annotations
@@ -13,45 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracles  # independent naive-loop implementations
 from .domains import DomainSpec, epsilon_falsifier, parse_domain
-from .functionals import (
-    BsvyParams,
-    KernelPolicy,
-    bbm_constant,
-    bbm_limit_extrapolate,
-    bsvy_inner_profile,
-    bsvy_sup,
-    bsvy_values,
-    gagliardo_seminorm_sweep,
-)
+from .functionals import (BsvyParams, KernelPolicy, bbm_constant, bbm_limit_extrapolate,
+                          bsvy_inner_profile, bsvy_sup, bsvy_values, gagliardo_seminorm_sweep)
 from .grid import SampledField, TestFunctionSpec, make_grid, sample
-from .spaces import (
-    HerzLocal,
-    HerzWeight,
-    Lebesgue,
-    Lorentz,
-    MixedNorm,
-    Morrey,
-    Orlicz,
-    OrliczFunction,
-    WeightedLebesgue,
-    dyadic_cover,
-    herz_local_norm,
-    lorentz_norm,
-    luxemburg_norm,
-    mixed_norm,
-    morrey_norm,
-    norm,
-)
-from .weights import (
-    anchored_cube_family,
-    estimate_maximal_opnorm,
-    explicit_weight,
-    hl_maximal,
-    muckenhoupt_constant,
-    power_weight,
-    rubio_de_francia,
-)
+from .spaces import (HerzLocal, HerzWeight, Lebesgue, Lorentz, MixedNorm, Morrey, Orlicz, OrliczFunction,
+                     WeightedLebesgue, _unit_ball_volume, bbm_morrey_norm, dyadic_cover, herz_local_norm,
+                     lorentz_norm, luxemburg_norm, mixed_norm, morrey_norm, norm)
+from .weights import (anchored_cube_family, estimate_maximal_opnorm, explicit_weight, hl_maximal,
+                      muckenhoupt_constant, power_weight, rubio_de_francia)
 from .experiments import DEFAULT_S_GRID, ExperimentConfig, run_bsvy_experiment, run_weak_holder_suite
 
 __all__ = ["AcceptanceResult", "CRITERIA", "run_acceptance"]
@@ -72,49 +44,53 @@ class AcceptanceResult:
                 f" | tolerance {self.tolerance} | {self.seconds:.1f}s")
 
 
-def _bbm_limit(dim: int, npts: int, half: float, p: float) -> tuple[float, float]:
+CRITERIA: dict = {}  # key -> callable returning an AcceptanceResult, in registration order
+
+
+def _criterion(key: str, name: str, description: str, tolerance: str, seconds: float = math.inf):
+    """Register a check returning ``(passed, measured)`` as criterion ``key``.
+
+    The registered callable times the check and builds its result; the
+    criterion passes only when the check passes within ``seconds``."""
+    def register(check):
+        def run() -> AcceptanceResult:
+            t0 = time.perf_counter()
+            passed, measured = check()
+            dt = time.perf_counter() - t0
+            return AcceptanceResult(name, description, bool(passed) and dt <= seconds, measured,
+                                    tolerance, dt)
+
+        CRITERIA[key] = run
+        return run
+    return register
+
+
+def _bbm_limit(dim: int, npts: int, half: float, p: float, tol: float):
     """Extrapolated s -> 1 limit of (1-s) |f|_{W^{s,p}}^p for a unit gaussian on
-    the box [-half, half]^dim, and its target bbm_constant * || |grad f| ||_p^p."""
+    the box [-half, half]^dim against its target bbm_constant * || |grad f| ||_p^p,
+    within the relative tolerance ``tol``."""
     grid = make_grid(dim, -half, half, npts)
     f = sample(TestFunctionSpec("gaussian", sigma=1.0, center=0.0), grid)
     semis = gagliardo_seminorm_sweep(f, DEFAULT_S_GRID, p)
     pairs = [(s, (1.0 - s) * g ** p) for s, g in zip(DEFAULT_S_GRID, semis)]
     est, _ = bbm_limit_extrapolate(pairs)
     gradp = float(np.sum(np.sum(f.analytic_gradient ** 2, axis=0) ** (p / 2)) * grid.cell_volume)
-    return est, bbm_constant(p, dim) * gradp
-
-
-def criterion_1() -> AcceptanceResult:
-    t0 = time.time()
-    est, ref = _bbm_limit(1, 4096, 8.0, 1.0)
+    ref = bbm_constant(p, dim) * gradp
     rel = abs(est - ref) / ref
-    dt = time.time() - t0
-    return AcceptanceResult(
-        "bbm-1d-p1", "gradient-limit constant, n=1 p=1 (target 2 ||f'||_1)",
-        rel <= 0.03 and dt <= 60.0, f"rel err {rel:.4f}, {dt:.1f}s", "3% and 60 s", dt)
+    return rel <= tol, f"rel err {rel:.4f}"
 
 
-def criterion_2() -> AcceptanceResult:
-    t0 = time.time()
-    est, ref = _bbm_limit(1, 4096, 8.0, 2.0)
-    rel = abs(est - ref) / ref
-    return AcceptanceResult(
-        "bbm-1d-p2", "gradient-limit constant, n=1 p=2 (target ||f'||_2^2)",
-        rel <= 0.03, f"rel err {rel:.4f}", "3%", time.time() - t0)
+_criterion("1", "bbm-1d-p1", "gradient-limit constant, n=1 p=1 (target 2 ||f'||_1)",
+           "3% and 60 s", seconds=60.0)(lambda: _bbm_limit(1, 4096, 8.0, 1.0, 0.03))
+_criterion("2", "bbm-1d-p2", "gradient-limit constant, n=1 p=2 (target ||f'||_2^2)",
+           "3%")(lambda: _bbm_limit(1, 4096, 8.0, 2.0, 0.03))
+_criterion("3", "bbm-2d-p2", "gradient-limit constant, n=2 p=2 (target pi/2 ||grad f||_2^2)",
+           "5% and 10 min", seconds=600.0)(lambda: _bbm_limit(2, 128, 5.0, 2.0, 0.05))
 
 
-def criterion_3() -> AcceptanceResult:
-    t0 = time.time()
-    est, ref = _bbm_limit(2, 128, 5.0, 2.0)
-    rel = abs(est - ref) / ref
-    dt = time.time() - t0
-    return AcceptanceResult(
-        "bbm-2d-p2", "gradient-limit constant, n=2 p=2 (target pi/2 ||grad f||_2^2)",
-        rel <= 0.05 and dt <= 600.0, f"rel err {rel:.4f}, {dt:.1f}s", "5% and 10 min", dt)
-
-
-def criterion_4() -> AcceptanceResult:
-    t0 = time.time()
+@_criterion("4", "bsvy-desk", "level-set functional closed form 2 - 1/lambda on (0,1)",
+            "1% profile, sup >= 1.99")
+def criterion_4():
     grid = make_grid(1, 0.0, 1.0, 8192)
     f = sample(TestFunctionSpec("coordinate", axis=0), grid)
     params = BsvyParams(1.0, 1.0)
@@ -124,42 +100,35 @@ def criterion_4() -> AcceptanceResult:
     ref = 2.0 - 1.0 / lams
     worst = float(np.max(np.abs(bsvy_values(f, lams, params, space, None, policy) - ref) / ref))
     rep = bsvy_sup(f, params, space, None, policy)
-    ok = worst <= 0.01 and rep.sup >= 1.99
-    return AcceptanceResult(
-        "bsvy-desk", "level-set functional closed form 2 - 1/lambda on (0,1)",
-        ok, f"max profile err {worst:.4f}, sup {rep.sup:.4f}", "1% profile, sup >= 1.99",
-        time.time() - t0)
+    return worst <= 0.01 and rep.sup >= 1.99, f"max profile err {worst:.4f}, sup {rep.sup:.4f}"
 
 
-def criterion_5() -> AcceptanceResult:
-    t0 = time.time()
+@_criterion("5", "lorentz-indicator", "Lorentz norm of a measure-1/2 indicator, (r,tau)=(2,3)", "1%")
+def criterion_5():
     grid = make_grid(1, 0.0, 1.0, 64)
     ind = (grid.coords()[:, 0] < 0.5).astype(float).reshape(grid.shape)
     f = SampledField(grid, ind)
     val = lorentz_norm(f, 2.0, 3.0)
     ref = (2.0 / 3.0) ** (1.0 / 3.0) * 0.5 ** 0.5
     rel = abs(val - ref) / ref
-    return AcceptanceResult(
-        "lorentz-indicator", "Lorentz norm of a measure-1/2 indicator, (r,tau)=(2,3)",
-        rel <= 0.01, f"rel err {rel:.2e}", "1%", time.time() - t0)
+    return rel <= 0.01, f"rel err {rel:.2e}"
 
 
-def criterion_6() -> AcceptanceResult:
-    t0 = time.time()
+@_criterion("6", "muckenhoupt", "constant weight gives exactly 1; |x|^-1/2 gives 2", "exact and 2%")
+def criterion_6():
     grid = make_grid(1, -2.0, 2.0, 4096)
     ones = explicit_weight(grid, np.ones(grid.shape))
     exact = all(muckenhoupt_constant(ones, p) == 1.0 for p in (1.0, 2.0, 3.0))
     w = power_weight(grid, -0.5, center=0.0)
     a1 = muckenhoupt_constant(w, 1.0, family=anchored_cube_family(grid, 0.0))
     rel = abs(a1 - 2.0) / 2.0
-    return AcceptanceResult(
-        "muckenhoupt", "constant weight gives exactly 1; |x|^-1/2 gives 2",
-        exact and rel <= 0.02, f"unit exact: {exact}, power rel err {rel:.4f}",
-        "exact and 2%", time.time() - t0)
+    return exact and rel <= 0.02, f"unit exact: {exact}, power rel err {rel:.4f}"
 
 
-def criterion_7() -> AcceptanceResult:
-    t0 = time.time()
+@_criterion("7", "majorant-iteration",
+            "R_K g >= |g| and M(R_K g) <= 2c R_K g + eps_K, K=12, 5 probes",
+            "cell-wise, eps_K <= 2^-(K+1) running norm")
+def criterion_7():
     grid = make_grid(1, -4.0, 4.0, 256)
     probes = [
         TestFunctionSpec("gaussian", sigma=1.0, center=0.0),
@@ -185,13 +154,13 @@ def criterion_7() -> AcceptanceResult:
         tailok = bool(res.eps_tail <= 2.0 ** (-(depth + 1)) * res.running_norm + 1e-300)
         ok = ok and dom and bound and tailok
         details.append(f"{spec.tag}:{'ok' if dom and bound and tailok else 'bad'}")
-    return AcceptanceResult(
-        "majorant-iteration", "R_K g >= |g| and M(R_K g) <= 2c R_K g + eps_K, K=12, 5 probes",
-        ok, ",".join(details), "cell-wise, eps_K <= 2^-(K+1) running norm", time.time() - t0)
+    return ok, ",".join(details)
 
 
-def criterion_8() -> AcceptanceResult:
-    t0 = time.time()
+@_criterion("8", "collapse-identities",
+            "Orlicz power/Morrey(r,r)/Herz(p,p,0)/Lorentz(p,p)/uniform mixed all equal L^p",
+            "1e-10 relative")
+def criterion_8():
     checks = {}
     grid = make_grid(1, -2.0, 2.0, 32)
     f = sample(TestFunctionSpec("gaussian", sigma=1.0, center=0.1), grid)
@@ -211,16 +180,12 @@ def criterion_8() -> AcceptanceResult:
     lp2 = norm(f2, Lebesgue(3.0))
     checks["mixed"] = abs(mixed_norm(f2, (3.0, 3.0)) - lp2) / lp2
     worst = max(checks.values())
-    return AcceptanceResult(
-        "collapse-identities",
-        "Orlicz power/Morrey(r,r)/Herz(p,p,0)/Lorentz(p,p)/uniform mixed all equal L^p",
-        worst <= 1e-10, f"worst rel dev {worst:.2e}", "1e-10 relative", time.time() - t0)
+    return worst <= 1e-10, f"worst rel dev {worst:.2e}"
 
 
-def criterion_9() -> AcceptanceResult:
-    from . import oracles  # independent naive-loop implementations
-
-    t0 = time.time()
+@_criterion("9", "oracle-equivalence", "evaluators match naive double-loop oracles on small grids",
+            "1e-12")
+def criterion_9():
     devs = {}
     # Gagliardo seminorm, indicator on [-2, 3]
     grid = make_grid(1, -2.0, 3.0, 64)
@@ -241,8 +206,6 @@ def criterion_9() -> AcceptanceResult:
     gridc = make_grid(1, 0.0, 1.0, 32)
     indc = (gridc.coords()[:, 0] > 0.0).astype(float).reshape(gridc.shape)
     fc = SampledField(gridc, indc)
-    from .spaces import bbm_morrey_norm
-
     mine_c = bbm_morrey_norm(fc, 2.0, 3.0, 4.0, math.inf, nu_range=(-3, 3))
     ref_c = oracles.bbm_morrey(fc.values.ravel(), gridc.coords(), gridc.cell_volume,
                                2.0, 3.0, 4.0, math.inf, (-3, 3))
@@ -256,29 +219,28 @@ def criterion_9() -> AcceptanceResult:
                                2.0, 2.0, 1.0, 0.0)
     devs["herz"] = abs(mine_h - ref_h) / ref_h
     worst = max(devs.values())
-    detail = ",".join(f"{k}={v:.1e}" for k, v in devs.items())
-    return AcceptanceResult(
-        "oracle-equivalence", "evaluators match naive double-loop oracles on small grids",
-        worst <= 1e-12, detail, "1e-12", time.time() - t0)
+    return worst <= 1e-12, ",".join(f"{k}={v:.1e}" for k, v in devs.items())
 
 
-def criterion_10() -> AcceptanceResult:
-    t0 = time.time()
+@_criterion("10", "weak-holder", "100 random pair-field instances satisfy the weak Hoelder bound",
+            "100 passes")
+def criterion_10():
     cfg = ExperimentConfig(kind="weak-holder", grid=make_grid(1, 0.0, 1.0, 16), seed=20260809)
     summary, _ = run_weak_holder_suite(cfg, instances=100, gamma=1.0)
-    ok = summary["passes"] == summary["instances"]
-    return AcceptanceResult(
-        "weak-holder", "100 random pair-field instances satisfy the weak Hoelder bound",
-        ok, f"{summary['passes']}/{summary['instances']} (trivial {summary['trivial']})",
-        "100 passes", time.time() - t0)
+    return (summary["passes"] == summary["instances"],
+            f"{summary['passes']}/{summary['instances']} (trivial {summary['trivial']})")
 
 
-def criterion_11() -> AcceptanceResult:
-    t0 = time.time()
+_COVER_DIM = 2
+_COVER_BOUND = (6.0 * math.sqrt(_COVER_DIM)) ** _COVER_DIM  # |Q|/|B| <= (6 sqrt(n))^n for a shifted dyadic cube
+
+
+@_criterion("11", "dyadic-cover", "200 random balls each inside a shifted dyadic cube of bounded volume",
+            f"|Q|/|B| <= {_COVER_BOUND:.1f}, zero failures")
+def criterion_11():
     rng = np.random.default_rng(11)
-    n = 2
-    bound = (6.0 * math.sqrt(n)) ** n
-    vball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    n = _COVER_DIM
+    vball = _unit_ball_volume(n)
     failures = 0
     worst = 0.0
     for _ in range(200):
@@ -290,12 +252,9 @@ def criterion_11() -> AcceptanceResult:
             continue
         ratio = hit[1].volume / (vball * r ** n)
         worst = max(worst, ratio)
-        if ratio > bound:
+        if ratio > _COVER_BOUND:
             failures += 1
-    return AcceptanceResult(
-        "dyadic-cover", "200 random balls each inside a shifted dyadic cube of bounded volume",
-        failures == 0, f"failures {failures}, worst |Q|/|B| {worst:.2f}",
-        f"|Q|/|B| <= {bound:.1f}, zero failures", time.time() - t0)
+    return failures == 0, f"failures {failures}, worst |Q|/|B| {worst:.2f}"
 
 
 _EQ_FUNCTIONS_1D = (
@@ -317,13 +276,13 @@ _EQ_SPACES_1D = (
 
 _EQ_DOMAINS = ("full", "ball:radius=1.3", "halfspace:axis=0,offset=-0.4")
 _EQ_GAMMAS = (1.0, 2.0, -1.0)
-
-
 _EQ_POLICY = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
 
 
-def criterion_12() -> AcceptanceResult:
-    t0 = time.time()
+@_criterion("12", "equivalence-bracket",
+            "sup/gradient-norm ratios bracketed (width <= 10) and refinement-stable (10%)",
+            "c2/c1 <= 10 and 10% under N -> 2N")
+def criterion_12():
     worst_width = worst_delta = 0.0
     failures = []
     for dim, npts, spaces in ((1, 64, _EQ_SPACES_1D), (2, 16, (MixedNorm((2.5, 3.0)),))):
@@ -340,16 +299,13 @@ def criterion_12() -> AcceptanceResult:
                 worst_delta = max(worst_delta, agg["delta"])
                 if agg["width"] > 10.0 or agg["delta"] > 0.10:
                     failures.append(f"width {agg['width']:.1f}, delta {agg['delta']:.2f} @ {key},{dom_txt}")
-    return AcceptanceResult(
-        "equivalence-bracket",
-        "sup/gradient-norm ratios bracketed (width <= 10) and refinement-stable (10%)",
-        not failures, f"worst width {worst_width:.2f}, worst refine delta {worst_delta:.3f};"
-        + ("; ".join(failures[:3]) if failures else ""),
-        "c2/c1 <= 10 and 10% under N -> 2N", time.time() - t0)
+    return not failures, (f"worst width {worst_width:.2f}, worst refine delta {worst_delta:.3f};"
+                          + ("; ".join(failures[:3]) if failures else ""))
 
 
-def criterion_13() -> AcceptanceResult:
-    t0 = time.time()
+@_criterion("13", "epsilon-falsifier", "slit box refuted at eps in {0.1,0.5,1}; ball and half-space clean",
+            "refuted / not-refuted at 1e4 samples")
+def criterion_13():
     box = ((-1.0, -1.0), (1.0, 1.0))
     slit = DomainSpec("slitbox", box=box, axis=0, pos=0.1234, start=0.0)
     refuted = all(
@@ -360,27 +316,7 @@ def criterion_13() -> AcceptanceResult:
     clean = all(
         epsilon_falsifier(dom, 0.5, 10_000, seed=13).verdict == "not-refuted"
         for dom in (ball, half))
-    return AcceptanceResult(
-        "epsilon-falsifier", "slit box refuted at eps in {0.1,0.5,1}; ball and half-space clean",
-        refuted and clean, f"slit refuted: {refuted}, convex clean: {clean}",
-        "refuted / not-refuted at 1e4 samples", time.time() - t0)
-
-
-CRITERIA = {
-    "1": criterion_1,
-    "2": criterion_2,
-    "3": criterion_3,
-    "4": criterion_4,
-    "5": criterion_5,
-    "6": criterion_6,
-    "7": criterion_7,
-    "8": criterion_8,
-    "9": criterion_9,
-    "10": criterion_10,
-    "11": criterion_11,
-    "12": criterion_12,
-    "13": criterion_13,
-}
+    return refuted and clean, f"slit refuted: {refuted}, convex clean: {clean}"
 
 
 def run_acceptance(keys=None, verbose: bool = True) -> list[AcceptanceResult]:

@@ -8,6 +8,7 @@ byte-identical CSV/JSON output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .domains import epsilon_falsifier, parse_domain
@@ -111,24 +112,35 @@ def main(argv=None) -> int:
     sp.add_argument("--criteria", nargs="*", help="subset of criterion numbers")
 
     args = ap.parse_args(argv)
+    try:
+        code = _verify(args.criteria) if args.command == "verify" else _run_reporting_errors(args)
+        sys.stdout.flush()  # a closed pipe fails here, inside the try, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
-    if args.command == "verify":
-        from .acceptance import CRITERIA, run_acceptance
 
-        if args.criteria:
-            unknown = [k for k in args.criteria if k not in CRITERIA]
-            if unknown:
-                print(f"unknown criteria {unknown}; known: {sorted(CRITERIA)}",
-                      file=sys.stderr)
-                return 2
-        results = run_acceptance(args.criteria or None)
-        failed = [r for r in results if not r.passed]
-        print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-        return 1 if failed else 0
+def _verify(criteria) -> int:
+    from .acceptance import CRITERIA, run_acceptance
 
+    unknown = [k for k in criteria or () if k not in CRITERIA]
+    if unknown:
+        print(f"unknown criteria {unknown}; known: {sorted(CRITERIA)}", file=sys.stderr)
+        return 2
+    results = run_acceptance(criteria or None)
+    failed = [r for r in results if not r.passed]
+    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    return 1 if failed else 0
+
+
+def _run_reporting_errors(args) -> int:
+    """Run a subcommand; bad input, or arithmetic that extreme input overflows, ends in one
+    line on stderr and exit code 2."""
     try:
         return _run(args, _base_config(args))
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"normlab: error: {exc}", file=sys.stderr)
         return 2
 

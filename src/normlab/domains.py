@@ -232,6 +232,12 @@ class Lshape(DomainSpec):
     tag = "lshape"
     keys = vectors = ("lo1", "hi1", "lo2", "hi2")
 
+    def __init__(self, *args, **params):
+        super().__init__(*args, **params)
+        dim = max(np.size(getattr(self, k)) for k in self.keys)
+        if any(np.any(lo >= hi) for lo, hi in self._boxes(dim)):
+            raise ValueError("lshape needs lo < hi on every axis of both boxes")
+
     def _boxes(self, dim):
         lo1, hi1, lo2, hi2 = (np.asarray(_as_tuple(getattr(self, k), dim)) for k in self.keys)
         return [(lo1, hi1), (lo2, hi2)]

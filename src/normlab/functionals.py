@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import DomainMask, Grid, SampledField, gradient_magnitude, mask_cells, safe_exponent
-from .spaces import SpaceSpec, norm, norm_many
+from .spaces import SpaceSpec, _unit_ball_volume, norm, norm_many
 
 __all__ = [
     "KernelPolicy",
@@ -477,8 +477,7 @@ def _equivalent_radius(n_removed_offsets: int, grid: Grid) -> float:
     """Radius of the ball whose volume matches the removed near-field cells."""
     cells = 2 * n_removed_offsets + 1
     vol = cells * grid.cell_volume
-    vball = math.pi ** (grid.dim / 2.0) / math.gamma(grid.dim / 2.0 + 1.0)
-    return (vol / vball) ** (1.0 / grid.dim)
+    return (vol / _unit_ball_volume(grid.dim)) ** (1.0 / grid.dim)
 
 
 def _directional_extent_1d(grid: Grid, mask: np.ndarray | None):
@@ -1118,7 +1117,7 @@ def weak_holder_check(F: np.ndarray, G: np.ndarray, gamma: float, weight: np.nda
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff ** 2, axis=2))
     w = np.asarray(weight, dtype=float).ravel()
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # an overflow fails the finite-lhs check below
         kern = dist ** (gamma - grid.dim)
     np.fill_diagonal(kern, 0.0)
     kern = kern * w[:, None] * grid.cell_volume ** 2

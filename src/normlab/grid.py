@@ -282,7 +282,7 @@ class Spec:
     says otherwise); only ``vectors`` take ``;``-separated values.  Kinds that
     declare ``defaults`` for their optional keys use the constructor here:
     whole numbers for ``integers``, float tuples for sequences, floats else,
-    ``positive`` keys > 0.  Space kinds define their own.
+    all finite, ``positive`` keys > 0.  Space kinds define their own.
     """
 
     tag = ""
@@ -318,6 +318,8 @@ class Spec:
                     raise ValueError(f"{self.tag} {key} must be > 0")
             else:
                 value = tuple(float(v) for v in value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{self.tag} {key} must be finite, got {value!r}")
             setattr(self, key, value)
 
     @classmethod

@@ -638,13 +638,18 @@ def _ball_stencil(grid: Grid, radius: float) -> _BallStencil:
         rows.append((w, dst, src))
         ends[w] = (np.clip(cells - w, 0, n_last), np.clip(cells + w + 1, 0, n_last))
     stencil = _BallStencil(half, inside, tuple(rows), ends, np.zeros(grid.shape))
-    _add_ball_sums(_last_axis_prefix(np.ones(grid.shape)), stencil, stencil.count)
+    _add_ball_sums(_prefix(np.ones(grid.shape), grid.dim - 1), stencil, stencil.count)
     stencil.count.setflags(write=False)  # shared by every caller of the cache
     return stencil
 
 
-def _last_axis_prefix(values: np.ndarray) -> np.ndarray:
-    return np.concatenate((np.zeros(values.shape[:-1] + (1,)), np.cumsum(values, axis=-1)), axis=-1)
+def _prefix(arr: np.ndarray, batch: int = 0) -> np.ndarray:
+    """Cumulative sums along the axes after the first ``batch``, each padded with a leading zero."""
+    pre = arr
+    for ax in range(batch, arr.ndim):
+        pre = np.cumsum(pre, axis=ax)
+        pre = np.concatenate((np.zeros(pre.shape[:ax] + (1,) + pre.shape[ax + 1:]), pre), axis=ax)
+    return pre
 
 
 def _add_ball_sums(prefix: np.ndarray, stencil: _BallStencil, out: np.ndarray) -> None:
@@ -665,7 +670,7 @@ def ball_sums(values: np.ndarray, grid: Grid, radii) -> np.ndarray:
     values the prefix sums never decrease, so the sums are nonnegative.
     """
     values = np.asarray(values, dtype=float)
-    prefix = _last_axis_prefix(values)
+    prefix = _prefix(values, values.ndim - 1)
     out = np.zeros((len(radii),) + values.shape)
     for acc, rad in zip(out, radii):
         _add_ball_sums(prefix, _ball_stencil(grid, float(rad)), acc)
@@ -846,14 +851,6 @@ def dyadic_cover(center, radius: float):
                     best = (shift, cube)
                 break  # larger nu only gives bigger cubes for this shift
     return best
-
-
-def _prefix(arr: np.ndarray, batch: int = 0) -> np.ndarray:
-    """Cumulative sums along the axes after the first ``batch``, each padded with a leading zero."""
-    pre = arr
-    for ax in range(batch, arr.ndim):
-        pre = np.cumsum(pre, axis=ax)
-    return np.pad(pre, [(0, 0)] * batch + [(1, 0)] * (arr.ndim - batch))
 
 
 def _cell_ranges(grid: Grid, axis: int, lo, hi, lo_side: str):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normlab
 from normlab.cli import main
 from normlab.experiments import load_config, run_bsvy_experiment
 from normlab.reports import COLUMNS, RatioTable, emit_report
@@ -230,6 +235,18 @@ def test_cli_verify_subset(capsys):
     assert "[PASS] lorentz-indicator" in out
 
 
+def test_cli_closed_stdout_pipe_ends_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(normlab.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "normlab.cli", "verify", "--criteria", "5"],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    os.close(read_end)  # the reader goes before the child has imported numpy, let alone printed
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["norm", "--space", "lebesgue:q=2", "--fn", "gaussian:sigma=1"],
      "space 'lebesgue' needs parameter 'p'"),
@@ -273,6 +290,14 @@ def test_cli_verify_subset(capsys):
      "Herz centre xi must be finite"),
     (["norm", "--fn", "gaussian", "--space", "orliczslice:p=2,r=2,t=inf"],
      "ball radius must be finite and >= 0, got inf"),
+    (["--grid", "n=2,L=1,N=8", "epsilon-check", "--domain", "slitbox:start=nan"],
+     "slitbox start must be finite, got nan"),
+    (["norm", "--fn", "gaussian:sigma=inf"], "gaussian sigma must be finite, got inf"),
+    # arithmetic that extreme parameters overflow
+    (["norm", "--fn", "gaussian", "--space", "bbmorrey:q=1e-300,p=2,r=3,tau=4"],
+     "Numerical result out of range"),
+    (["norm", "--fn", "gaussian", "--space", "weighted:r=1e-300,a=1"], "Numerical result out of range"),
+    (["weak-holder", "--instances", "1", "--gamma", "1e308"], "non-finite left-hand side"),
 ])
 def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert main(["--out", str(tmp_path)] + argv) == 2

@@ -210,6 +210,13 @@ def test_domain_spec_equality_follows_canonical_text():
     ("halfspace", None, "halfspace domain needs the ambient box"),
     ("slitbox:axis=-1", BOX2, "slitbox axis must be a whole number >= 0"),
     ("disc:radius=1", None, "unknown domain kind 'disc'"),
+    ("slitbox:pos=nan", BOX2, "slitbox pos must be finite, got nan"),
+    ("lshape:lo1=0,hi1=1,lo2=0,hi2=nan", None, "lshape hi2 must be finite, got nan"),
+    ("lshape:lo1=0;0,hi1=1;1,lo2=0;nan,hi2=1;1", None, "lshape lo2 must be finite, got (0.0, nan)"),
+    ("lshape:lo1=0,hi1=1,lo2=2,hi2=1", None, "lshape needs lo < hi on every axis of both boxes"),
+    ("lshape:lo1=0;0,hi1=1;1,lo2=0;1,hi2=1;1", None, "lshape needs lo < hi on every axis of both boxes"),
+    ("lshape:lo1=0;0,hi1=1;1;1,lo2=0;0,hi2=1;1", None, "expected 3 entries (one per axis), got 2"),
+    ("ball:radius=inf", None, "ball radius must be finite, got inf"),
 ])
 def test_domain_spec_rejects_bad_values(text, box, message):
     with pytest.raises(ValueError, match=re.escape(message)):

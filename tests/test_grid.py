@@ -181,6 +181,8 @@ def test_coordinate_axis_outside_grid():
     ("polygauss:degree=-1", "polygauss degree must be a whole number >= 0"),
     ("coordinate:axis=-1", "coordinate axis must be a whole number >= 0"),
     ("sine:period=1", "unknown function kind 'sine'"),
+    ("gaussian:sigma=inf", "gaussian sigma must be finite, got inf"),
+    ("tent:center=nan", "tent center must be finite, got nan"),
 ])
 def test_function_spec_rejects_bad_values(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
