@@ -361,8 +361,11 @@ def run_norm_table(cfg: ExperimentConfig) -> RatioTable:
     for fn in cfg.functions:
         f = sample(fn, cfg.grid)
         for space in cfg.spaces:
-            _add_row(table, cfg, cfg.grid, experiment="norm", function=fn.canonical(),
-                     space=space.canonical(), value=norm(f, space, omega))
+            try:
+                _add_row(table, cfg, cfg.grid, experiment="norm", function=fn.canonical(),
+                         space=space.canonical(), value=norm(f, space, omega))
+            except ArithmeticError as exc:  # name the space whose parameters overflowed
+                raise type(exc)(f"{space.canonical()}: {exc}") from exc
     return table
 
 

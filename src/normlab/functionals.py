@@ -313,6 +313,14 @@ class _Block:
             stack *= self._view(walk.on, self._x, cols)
         return stack
 
+    def pairs(self) -> np.ndarray:
+        """The boolean stack of the block's pairs, from :meth:`scratch`."""
+        on, cols = self._walk.on, self.shape[-1]
+        out = np.not_equal(self._view(on, self._y, cols, self.shape[0]), 0, out=self.scratch(dtype=bool))
+        if self._walk.masked:
+            out &= self._view(on, self._x, cols) != 0
+        return out
+
     def scratch(self, lead=(), count: int | None = None, dtype=float) -> np.ndarray:
         """A zero stack of ``count`` offsets (all b by default) after leading
         axes ``lead``, that :meth:`add` can take: a view into an array with
@@ -380,13 +388,13 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, half, field=None, radius: fl
     return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, field, offs[idx], dists[idx], idx)
 
 
-def _row_groups(live: np.ndarray, cells: int, scale: int = 1):
-    """Row groups for a block's stacks, the rows ascending in lambda and
-    offset j holding a member on rows below live[j]: consecutive rows
-    l0 .. l1 - 1, as a slice, and the span j0 .. j1 - 1 of the offsets live
-    on row l0, with at most scale * PAIR_BLOCK_CELLS stack entries (or one
-    row)."""
-    l0, top = 0, int(live.max(initial=0))
+def _row_groups(live: np.ndarray, cells: int, scale: int = 1, l0: int = 0):
+    """Row groups for a block's stacks from row l0 on, the rows ascending in
+    lambda and offset j holding a member on rows below live[j]: consecutive
+    rows l0 .. l1 - 1, as a slice, and the span j0 .. j1 - 1 of the offsets
+    live on row l0, with at most scale * PAIR_BLOCK_CELLS stack entries (or
+    one row)."""
+    top = int(live.max(initial=0))
     while l0 < top:
         on = np.flatnonzero(live > l0)
         j0, j1 = int(on[0]), int(on[-1]) + 1
@@ -678,6 +686,8 @@ def _shell_table(grid: Grid, policy: KernelPolicy, half, expo: float, gamma: flo
     radius = policy.subsample_window * min(h) if policy.diagonal == "equivalent-ball" and k > 1 else 0.0
     shell = np.flatnonzero(keep & (dists <= radius))
     row = np.full(len(dists), -1)
+    if not shell.size:
+        return radius, row, np.zeros((0, 1)), np.zeros((0, 1))
     row[shell] = np.arange(shell.size)
     centres = ((np.indices((k,) * n).reshape(n, -1).T + 0.5) / k - 0.5) * h
     dsub = np.linalg.norm(offs[shell, None] * h + centres, axis=2)
@@ -812,8 +822,20 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
         dmax = delta.max(axis=tuple(range(1, delta.ndim)))
         cells = delta[0].size
         ker = np.array([0.0 if s else dist ** (gamma - n) * vol for s, dist in zip(sub, blk.dists)])
+        live, shared = np.count_nonzero(thresh < dmax, axis=0), 0
+        # the leading rows on which each offset holds all its pairs take one sum of the pair stack,
+        # their membership stack there (same terms, same order); sought for a batch of two or more
+        # on a block without shell offsets where each offset is live on two rows or more and no
+        # nonzero, so paired, increment is at most its lowest threshold
+        if (lams.size > 1 and at is None and live.min() > 1
+                and np.count_nonzero(delta > thresh[0].reshape(col)) == np.count_nonzero(delta)):
+            pairs = blk.pairs()
+            dmin = np.minimum.reduce(delta, tuple(range(1, delta.ndim)), where=pairs, initial=math.inf)
+            shared = int(np.count_nonzero(thresh < dmin, axis=0).min())
+            if shared:
+                blk.add(acc[:shared], pairs, ker)
         # (a boolean stack holds eight times the entries of a float one)
-        for rows, j0, j1 in _row_groups(np.count_nonzero(thresh < dmax, axis=0), cells, 8):
+        for rows, j0, j1 in _row_groups(live, cells, 8, shared):
             row_thresh = thresh[rows, j0:j1]
             memb = blk.scratch([len(row_thresh)], j1 - j0, bool)
             np.greater(delta[j0:j1], row_thresh.reshape(row_thresh.shape + col[1:]), out=memb)

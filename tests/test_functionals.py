@@ -1076,6 +1076,72 @@ def test_multi_block_pair_measure_against_oracle(multi_block):
 
 
 # --------------------------------------------------------------------------
+# the level-set kernel's shared all-member rows
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def level_set_adds(monkeypatch):
+    """Each boolean stack the level-set kernel adds, in order: its block and
+    the number of leading rows one shared pair-stack sum went to (0 for the
+    membership stack of a row group)."""
+    import normlab.functionals as F
+
+    calls = []
+    add = F._Block.add
+
+    def spy(self, target, stack, weights=None, first=0):
+        if stack.dtype == bool:
+            calls.append((self, len(target) if stack.ndim == len(self.shape) else 0))
+        return add(self, target, stack, weights, first)
+
+    monkeypatch.setattr(F._Block, "add", spy)
+    return calls
+
+
+def _check_linear_f_against_oracle(g, omega, on, adds):
+    # f = x: the pairs of an offset share one increment up to rounding, so each
+    # block's leading rows hold all of them, and the rows after that only some
+    f = sample(parse_function("coordinate:axis=0"), g)
+    lams = np.geomspace(0.02, 20.0, 8)
+    rows = bsvy_inner_profile(f, lams, BsvyParams(1.0, 2.0), omega, EXCLUDE_POLICY)
+    for lam, row in zip(lams, rows):
+        ref = oracles.level_set_inner(f.values[on], g.coords()[on.ravel()], g.cell_volume, lam, 1.0, 2.0)
+        assert np.all(row[~on] == 0.0)
+        assert np.max(np.abs(row[on] - ref)) <= 1e-12 * np.max(ref)
+    # some block adds shared rows, then row groups
+    assert any(a[0] is b[0] and a[1] and not b[1] for a, b in zip(adds, adds[1:]))
+
+
+@pytest.mark.parametrize("dim, npts", [(1, 48), (2, 12)])
+@pytest.mark.parametrize("domain", ["full", "ball:radius=1.3"])
+def test_shared_rows_of_linear_f_match_oracle(level_set_adds, dim, npts, domain):
+    g = make_grid(dim, -2.0, 2.0, npts)
+    omega = None if domain == "full" else mask(parse_domain(domain), g)
+    on = np.ones(g.shape, dtype=bool) if omega is None else omega.cells
+    _check_linear_f_against_oracle(g, omega, on, level_set_adds)
+
+
+def test_multi_block_shared_rows_match_oracle(multi_block, level_set_adds):
+    g, _, omega, _, _, on = multi_block
+    _check_linear_f_against_oracle(g, omega, on, level_set_adds)
+
+
+def test_criterion_4_batch_rows_equal_single_lambda_rows(level_set_adds):
+    g = make_grid(1, 0.0, 1.0, 2048)
+    f = sample(TestFunctionSpec("coordinate", axis=0), g)
+    params, policy = BsvyParams(1.0, 1.0), KernelPolicy(near_window=160.0)
+    lams = default_lambda_grid(f)
+    rows = bsvy_inner_profile(f, lams, params, None, policy)
+    assert any(n for _, n in level_set_adds)
+    level_set_adds.clear()
+    for lam, row in zip(lams, rows):
+        assert np.array_equal(row, bsvy_inner_profile(f, [lam], params, None, policy)[0])
+    # a one-lambda batch never looks for shared rows
+    assert level_set_adds and not any(n for _, n in level_set_adds)
+
+
+# --------------------------------------------------------------------------
 # the gamma < 0 tail bound of the lambda search
 # --------------------------------------------------------------------------
 
