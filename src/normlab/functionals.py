@@ -696,75 +696,250 @@ def _shell_table(grid: Grid, policy: KernelPolicy, half, expo: float, gamma: flo
     return radius, row, dsub ** expo, np.concatenate([np.zeros((shell.size, 1)), cumker], axis=1)
 
 
-def _level_set_model(g: np.ndarray, lams: np.ndarray, params: BsvyParams, grid: Grid,
-                     mask: np.ndarray | None, removed: int):
-    """The frozen-gradient analytic near field of the level-set inner integral
-    over the removed ball, one row per lambda, and its limit constant c.
+class _LevelSetBlock:
+    """A walk block's lambda-free data in a :class:`_LevelSetKernel`: each
+    offset's threshold scale |o|^(1+gamma/p) (infinite on shell offsets) and
+    their least, ``ker`` the weights |o|^(gamma-n) vol (zero on shell
+    offsets), and for the shell offsets their first and last sub-cell
+    thresholds and total weight from the table.  Once a batch has computed
+    the block's increments, ``dmax`` holds each offset's largest and
+    ``dmin`` its least over its pairs (0 for all when some pair's increment
+    is 0: such a block shares no row)."""
 
-    The inclusion radius rho(x) = (|grad f(x)| / lam)^(p/gamma) is a ceiling
-    for gamma > 0 and a floor for gamma < 0; each direction integrates
-    z^(gamma-1) up to its cap, the removed ball's radius (in 1D the free
-    distance to the domain boundary when that is shorter).  For gamma < 0,
-    with t = lam^p, t times a direction's term is (g^p - t cap^gamma)_+ / |gamma|:
-    convex in t, and the row tends to c g^p / |gamma| as lam -> 0.
-    """
-    gamma, p = params.gamma, params.p
-    r_cap = _equivalent_radius(removed, grid)
-    # where grad f = 0 the power yields the right inclusion sentinel for
-    # either sign of gamma: ceiling 0 (gamma > 0) or floor inf (gamma < 0)
-    with np.errstate(divide="ignore", over="ignore"):
-        rho = (g[None] / lams.reshape((lams.size,) + (1,) * grid.dim)) ** (p / gamma)
+    def __init__(self, blk: _Block, kernel: "_LevelSetKernel"):
+        # no reference to the kernel: it holds this block, and a cycle would
+        # keep both alive until the garbage collector runs
+        self.blk, self._weight = blk, kernel.weight
+        self.sub = [dist <= kernel.radius for dist in blk.dists]
+        self.scales = np.array([math.inf if s else dist ** kernel.expo for s, dist in zip(self.sub, blk.dists)])
+        self.least = self.scales.min()
+        self.at = self.dmax = self.dmin = None
+        if any(self.sub):
+            # off the shell ``at`` is -1 and the columns hold unused entries
+            self.sub, self.at = np.array(self.sub), kernel.table[blk.index]
+            thr, cum = kernel.shell_thr, kernel.shell_ker
+            self.first, self.last, self.total = thr[self.at, :1], thr[self.at, -1:], cum[self.at, -1:]
+            self.shell_least = self.first[self.sub].min()
 
-    def radial(cap):
-        # integral of z^(gamma-1) over the included part of (0, cap]:
-        # (0, min(rho, cap)] when gamma > 0, (min(rho, cap), cap] otherwise
-        cap = cap[None] * np.ones_like(rho)
-        a = np.minimum(rho, cap)
-        if gamma > 0:
-            return a ** gamma / gamma
-        return (cap ** gamma - a ** gamma) / gamma
-
-    if grid.dim == 1:
-        # the two axis directions, each with its own cap
-        lo_ext, hi_ext = _directional_extent_1d(grid, mask)
-        c = 2.0
-        rows = radial(np.minimum(r_cap, hi_ext)) + radial(np.minimum(r_cap, lo_ext))
-    else:
-        c = sphere_area(grid.dim)
-        rows = c * radial(np.full(grid.shape, r_cap))
-    if mask is not None:
-        rows = np.where(mask[None], rows, 0.0)
-    return rows, c
+    @functools.cached_property
+    def ker(self) -> np.ndarray:
+        x, vol = self._weight
+        return np.array([0.0 if s else dist ** x * vol for s, dist in zip(self.sub, self.blk.dists)])
 
 
-def _tail_bound(f: SampledField, params: BsvyParams, lam1: float, mask: np.ndarray | None,
-                policy: KernelPolicy):
+class _LevelSetKernel:
+    """The level-set inner integral of one f on one domain under one policy,
+    for any lambda batch.  What does not depend on lambda is built once: the
+    offset and shell tables, the pair walk, the spread of f, |grad f| and the
+    analytic model's caps, and each block's :class:`_LevelSetBlock` on its
+    first visit.  :meth:`profile` runs the block loop for one batch."""
+
+    def __init__(self, f: SampledField, params: BsvyParams, omega: DomainMask | None,
+                 policy: KernelPolicy):
+        grid = self.grid = f.grid
+        self.params, self.mask = params, mask_cells(omega, grid)
+        # the exponents of the thresholds |o|^expo and of the weights |o|^x vol
+        self.expo, self.weight = 1.0 + params.gamma / params.p, (params.gamma - grid.dim, grid.cell_volume)
+        v = f.values
+        # no increment |f(x)-f(y)| on the domain exceeds the spread of f there
+        on = v if self.mask is None else v[self.mask]
+        self.spread = float(np.ptp(on)) if on.size else 0.0
+        self.half = _half_offsets(grid, policy)
+        self.radius, self.table, self.shell_thr, self.shell_ker = _shell_table(
+            grid, policy, self.half, self.expo, params.gamma)
+        removed, self.walk = _pair_walk(grid, self.mask, self.half, v)
+        self.blocks = list(self.walk)
+        self._sets = [None] * len(self.blocks)  # each block's _LevelSetBlock, from its first visit
+        self.grad = None
+        if policy.diagonal == "equivalent-ball":
+            self.grad = gradient_magnitude(f)
+            r_cap = _equivalent_radius(removed, grid)
+            if grid.dim == 1:
+                # the two axis directions, each with its own cap
+                lo_ext, hi_ext = _directional_extent_1d(grid, self.mask)
+                self.sphere, self.caps = 2.0, (np.minimum(r_cap, hi_ext), np.minimum(r_cap, lo_ext))
+            else:
+                self.sphere, self.caps = sphere_area(grid.dim), (np.full(grid.shape, r_cap),)
+
+    @functools.cached_property
+    def pair_counts(self) -> np.ndarray:
+        """The number of domain cell pairs {x, x + o} of each half offset o:
+        the domain's autocorrelation, by real FFTs under a mask (rounded;
+        exact while the counts are far below 2^52)."""
+        grid, offs = self.grid, self.half[0]
+        if self.mask is None:
+            return np.prod(np.asarray(grid.shape) - np.abs(offs), axis=1)
+        lengths, axes = [_fast_length(2 * n - 1) for n in grid.shape], tuple(range(grid.dim))
+        corr = np.fft.irfftn(np.abs(np.fft.rfftn(self.mask, s=lengths, axes=axes)) ** 2, s=lengths, axes=axes)
+        at = [np.arange(1 - n, n) % size for n, size in zip(grid.shape, lengths)]
+        return np.rint(corr[np.ix_(*at)].ravel()[len(offs) + 1:]).astype(int)
+
+    def model(self, lams: np.ndarray) -> np.ndarray:
+        """The frozen-gradient analytic near field of the inner integral over
+        the removed ball, one row per lambda (zero under "exclude").
+
+        The inclusion radius rho(x) = (|grad f(x)| / lam)^(p/gamma) is a ceiling
+        for gamma > 0 and a floor for gamma < 0; each direction integrates
+        z^(gamma-1) up to its cap, the removed ball's radius (in 1D the free
+        distance to the domain boundary when that is shorter).  For gamma < 0,
+        with t = lam^p, t times a direction's term is (g^p - t cap^gamma)_+ / |gamma|:
+        convex in t, and the row tends to c g^p / |gamma| as lam -> 0 with c
+        = ``sphere`` (2 in 1D).
+        """
+        grid, gamma, p = self.grid, self.params.gamma, self.params.p
+        if self.grad is None:
+            return np.zeros((lams.size,) + grid.shape)
+        # where grad f = 0 the power yields the right inclusion sentinel for
+        # either sign of gamma: ceiling 0 (gamma > 0) or floor inf (gamma < 0)
+        with np.errstate(divide="ignore", over="ignore"):
+            rho = (self.grad[None] / lams.reshape((lams.size,) + (1,) * grid.dim)) ** (p / gamma)
+
+        def radial(cap):
+            # integral of z^(gamma-1) over the included part of (0, cap]:
+            # (0, min(rho, cap)] when gamma > 0, (min(rho, cap), cap] otherwise
+            cap = cap[None] * np.ones_like(rho)
+            a = np.minimum(rho, cap)
+            if gamma > 0:
+                return a ** gamma / gamma
+            return (cap ** gamma - a ** gamma) / gamma
+
+        if grid.dim == 1:
+            rows = radial(self.caps[0]) + radial(self.caps[1])
+        else:
+            rows = self.sphere * radial(self.caps[0])
+        return rows if self.mask is None else np.where(self.mask[None], rows, 0.0)
+
+    def profile(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """The pair part D and the model part A of the inner integral for a
+        lambda batch, each of shape (len(lams), *grid.shape) in the batch's
+        order and zero off the domain; the integral is D + A."""
+        lams = np.asarray(lams, dtype=float)
+        if lams.ndim != 1 or not np.all((lams > 0) & (lams < math.inf)):
+            raise ValueError("lambda values must be positive and finite")
+        # rows in ascending lambda order: the rows on which a pair offset can hold
+        # a level-set member are then a prefix, and the walk skips the rest (they
+        # would only add exact zeros)
+        order = np.argsort(lams, kind="stable")
+        back = np.argsort(order)  # back to the caller's lambda order
+        lams = lams[order]
+        pair = self.walk.unpad(self._pair_sums(lams), self.grid.shape)
+        if self.mask is not None:
+            pair = np.where(self.mask[None], pair, 0.0)
+        return pair[back], self.model(lams)[back]
+
+    def _pair_sums(self, lams: np.ndarray) -> np.ndarray:
+        # the pair part of ascending lams, in the walk's layout
+        acc = self.walk.zeros([lams.size])
+        if not lams.size:
+            return acc
+        spread = self.spread
+        for i, blk in enumerate(self.blocks):
+            c = self._sets[i]
+            if c is None:
+                c = self._sets[i] = _LevelSetBlock(blk, self)
+            # membership delta > lam * dist^expo, weighted; a shell offset gets
+            # an infinite threshold and a zero weight there, and holds a member
+            # only where some delta / lam exceeds its least sub-cell threshold
+            shell_live = c.at is not None and spread / lams[0] > c.shell_least
+            if not shell_live and not lams[0] * c.least < spread:
+                continue  # no offset of the block holds a member on any row
+            delta = None
+            if c.dmax is None:
+                delta = _increments(blk)  # a pair outside the domain is in no level set
+                c.dmax = delta.max(axis=tuple(range(1, delta.ndim)))
+            thresh = lams[:, None] * c.scales
+            live = np.count_nonzero(thresh < c.dmax, axis=0)
+            if shell_live:
+                shell = np.zeros(len(live), dtype=int)
+                shell[c.sub] = np.count_nonzero(c.dmax[c.sub, None] / lams > c.first[c.sub], axis=1)
+                shell_live = shell.any()
+            if not shell_live and not live.any():
+                continue  # nor does any pair increment reach a threshold
+            if delta is None:
+                delta = _increments(blk)
+            self._add_rows(c, delta, lams, thresh, live, acc)
+            if shell_live:
+                self._add_shell(c, delta, lams, shell, acc)
+        return acc
+
+    def _add_rows(self, c: _LevelSetBlock, delta, lams, thresh, live, acc):
+        # the whole pairs of a block's non-shell offsets
+        blk = c.blk
+        col = (-1,) + (1,) * (delta.ndim - 1)
+        cells, shared = delta[0].size, 0
+        # the leading rows on which each offset holds all its pairs take one sum of the pair stack,
+        # their membership stack there (same terms, same order); sought for a batch of two or more
+        # on a block without shell offsets where each offset is live on two rows or more
+        if lams.size > 1 and c.at is None and live.min() > 1:
+            if c.dmin is None:
+                # a pair of zero increment would share no row: so the least
+                # increments are only sought where the nonzero increments
+                # are the pairs
+                axes = tuple(range(1, delta.ndim))
+                c.dmin = np.zeros(len(live))
+                if np.count_nonzero(delta) == self.pair_counts[blk.index].sum():
+                    c.dmin = np.minimum.reduce(delta, axes, where=delta != 0, initial=math.inf)
+            shared = int(np.count_nonzero(thresh < c.dmin, axis=0).min())
+            if shared:
+                blk.add(acc[:shared], blk.pairs(), c.ker)
+        # (a boolean stack holds eight times the entries of a float one)
+        for rows, j0, j1 in _row_groups(live, cells, 8, shared):
+            row_thresh = thresh[rows, j0:j1]
+            memb = blk.scratch([len(row_thresh)], j1 - j0, bool)
+            np.greater(delta[j0:j1], row_thresh.reshape(row_thresh.shape + col[1:]), out=memb)
+            blk.add(acc[rows], memb, c.ker[j0:j1], j0)
+
+    def _add_shell(self, c: _LevelSetBlock, delta, lams, live, acc):
+        # the sub-cell pairs of a block's shell offsets, a contiguous run (the
+        # lengths in a block are monotone): membership delta > lam * thr_i is a
+        # prefix of the threshold-sorted sub-cells, whose weights sum to the
+        # table's running sum at the prefix's length
+        blk, thr = c.blk, self.shell_thr
+        for rows, j0, j1 in _row_groups(live, delta[0].size):
+            size = j1 - j0
+            contrib = blk.scratch([rows.stop - rows.start], size)
+            np.divide(delta[j0:j1], lams[rows].reshape((-1,) + (1,) * delta.ndim), out=contrib)
+            # the ratios delta / lam, with the zero padding of the stack's rows
+            ratio = contrib.base.reshape(contrib.shape[:2] + (-1,))
+            # above the last threshold every sub-cell counts, at or below the
+            # first none (so do an offset's rows from its live count on): only
+            # the band between needs a search
+            above = ratio > c.last[j0:j1]
+            band = ratio > c.first[j0:j1]
+            band ^= above
+            band = np.flatnonzero(band)
+            x = ratio.ravel()[band]
+            np.multiply(above, c.total[j0:j1], out=ratio)
+            if band.size:
+                # complex keys j + i x sort by offset, then ratio: one
+                # searchsorted places each band ratio among its offset's thresholds
+                at, j = c.at[j0:j1], band // ratio.shape[2] % size
+                keys = (thr[at] * 1j + np.arange(size)[:, None]).ravel()
+                ratio.ravel()[band] = self.shell_ker[at[j], np.searchsorted(keys, x * 1j + j) - j * thr.shape[1]]
+            blk.add(acc[rows], contrib, first=j0)
+
+
+def _tail_bound(kernel: _LevelSetKernel, lam1: float):
     """Per-cell fields M and B for gamma < 0: lam^p times the level-set inner
     integral tends to M as lam -> 0 and is at most B for every lam <= lam1.
 
     The inner integral is D(lam) + A(lam), the pair sum and the analytic near
     field.  No cell's D exceeds K, the kernel weights of every kept offset of
     both signs summed (a subsampled offset weighs its sub-cells' sum), and with
-    t = lam^p, t A is convex in t with limit M (:func:`_level_set_model`).  So
-    t (K + A) is convex on (0, t1] and at most B = max(M, t1 (K + A(lam1))).
+    t = lam^p, t A is convex in t with limit M (:meth:`_LevelSetKernel.model`).
+    So t (K + A) is convex on (0, t1] and at most B = max(M, t1 (K + A(lam1))).
     """
-    grid = f.grid
-    gamma, p = params.gamma, params.p
-    n = grid.dim
-    vol = grid.cell_volume
-    half = _half_offsets(grid, policy)
-    keep = half[2]
-    weights = half[1][keep] ** (gamma - n) * vol
-    _, row, _, cumker = _shell_table(grid, policy, half, 1.0 + gamma / p, gamma)
-    weights[row[keep] >= 0] = cumker[:, -1]
+    grid, mask = kernel.grid, kernel.mask
+    gamma, p = kernel.params.gamma, kernel.params.p
+    _, dists, keep = kernel.half
+    weights = dists[keep] ** (gamma - grid.dim) * grid.cell_volume
+    weights[kernel.table[keep] >= 0] = kernel.shell_ker[:, -1]
     # the margin covers the walk summing the same weights in another order
     total = 2.0 * float(np.sum(weights)) * (1.0 + 1e-12)
     t1 = lam1 ** p
-    if policy.diagonal == "equivalent-ball":
-        g = gradient_magnitude(f)
-        model, c = _level_set_model(g, np.array([lam1]), params, grid, mask, np.count_nonzero(~keep))
-        limit = c * g ** p / -gamma
-        bound = np.maximum(limit, t1 * (total + model[0]))
+    if kernel.grad is not None:
+        limit = kernel.sphere * kernel.grad ** p / -gamma
+        bound = np.maximum(limit, t1 * (total + kernel.model(np.array([lam1]))[0]))
     else:
         limit, bound = np.zeros(grid.shape), np.full(grid.shape, t1 * total)
     if mask is not None:
@@ -781,85 +956,7 @@ def bsvy_inner_profile(f: SampledField, lams, params: BsvyParams,
     of |x-y|^(gamma-n) vol, handled per policy near the diagonal.
     Returns an array of shape (len(lams), *grid.shape).
     """
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 1 or not np.all((lams > 0) & (lams < math.inf)):
-        raise ValueError("lambda values must be positive and finite")
-    gamma, p = params.gamma, params.p
-    grid = f.grid
-    if not lams.size:
-        return np.zeros((0,) + grid.shape)
-    n = grid.dim
-    mask = mask_cells(omega, grid)
-    v = f.values
-    vol = grid.cell_volume
-    expo = 1.0 + gamma / p
-    # rows in ascending lambda order: the rows on which a pair offset can hold
-    # a level-set member are then a prefix, and the walk skips the rest (they
-    # would only add exact zeros)
-    order = np.argsort(lams, kind="stable")
-    lams = lams[order]
-    # no increment |f(x)-f(y)| on the domain exceeds the spread of f there
-    on = v if mask is None else v[mask]
-    spread = float(np.ptp(on)) if on.size else 0.0
-    half = _half_offsets(grid, policy)
-    radius, table, shell_thr, shell_ker = _shell_table(grid, policy, half, expo, gamma)
-    removed, walk = _pair_walk(grid, mask, half, v)
-    acc = walk.zeros([lams.size])
-    for blk in walk:
-        # the other offsets: membership delta > lam * dist^expo, weighted; a
-        # shell offset gets an infinite threshold and a zero weight there
-        sub = [dist <= radius for dist in blk.dists]
-        scales = [math.inf if s else dist ** expo for s, dist in zip(sub, blk.dists)]
-        thresh = lams[:, None] * np.array(scales)
-        # a shell offset (``at`` its row in the table) holds a member only
-        # where some delta / lam exceeds its least sub-cell threshold
-        at = table[blk.index] if any(sub) else None
-        shell_live = at is not None and spread / lams[0] > shell_thr[at[sub], 0].min()
-        if not shell_live and not thresh[0].min() < spread:
-            continue  # no offset of the block holds a member on any row
-        delta = _increments(blk)  # a pair outside the domain is in no level set
-        col = (-1,) + (1,) * (delta.ndim - 1)
-        dmax = delta.max(axis=tuple(range(1, delta.ndim)))
-        cells = delta[0].size
-        ker = np.array([0.0 if s else dist ** (gamma - n) * vol for s, dist in zip(sub, blk.dists)])
-        live, shared = np.count_nonzero(thresh < dmax, axis=0), 0
-        # the leading rows on which each offset holds all its pairs take one sum of the pair stack,
-        # their membership stack there (same terms, same order); sought for a batch of two or more
-        # on a block without shell offsets where each offset is live on two rows or more and no
-        # nonzero, so paired, increment is at most its lowest threshold
-        if (lams.size > 1 and at is None and live.min() > 1
-                and np.count_nonzero(delta > thresh[0].reshape(col)) == np.count_nonzero(delta)):
-            pairs = blk.pairs()
-            dmin = np.minimum.reduce(delta, tuple(range(1, delta.ndim)), where=pairs, initial=math.inf)
-            shared = int(np.count_nonzero(thresh < dmin, axis=0).min())
-            if shared:
-                blk.add(acc[:shared], pairs, ker)
-        # (a boolean stack holds eight times the entries of a float one)
-        for rows, j0, j1 in _row_groups(live, cells, 8, shared):
-            row_thresh = thresh[rows, j0:j1]
-            memb = blk.scratch([len(row_thresh)], j1 - j0, bool)
-            np.greater(delta[j0:j1], row_thresh.reshape(row_thresh.shape + col[1:]), out=memb)
-            blk.add(acc[rows], memb, ker[j0:j1], j0)
-        if not shell_live:
-            continue
-        live = np.zeros(len(scales), dtype=int)
-        live[sub] = np.count_nonzero(dmax[sub, None] / lams > shell_thr[at[sub], :1], axis=1)
-        for rows, j0, j1 in _row_groups(live, cells):
-            contrib = blk.scratch([rows.stop - rows.start], j1 - j0)
-            for j in range(j0, j1):
-                if live[j] > rows.start:
-                    # membership delta > lam * thr_i: a prefix of the
-                    # threshold-sorted sub-cells, so one searchsorted
-                    ratio = delta[j][None] / lams[rows.start:min(rows.stop, live[j])].reshape(col)
-                    counts = np.searchsorted(shell_thr[at[j]], ratio.ravel(), side="left")
-                    contrib[:len(ratio), j - j0] = shell_ker[at[j]][counts.reshape(ratio.shape)]
-            blk.add(acc[rows], contrib, first=j0)
-    inner = walk.unpad(acc, grid.shape)
-    if policy.diagonal == "equivalent-ball":
-        inner += _level_set_model(gradient_magnitude(f), lams, params, grid, mask, removed)[0]
-    if mask is not None:
-        inner = np.where(mask[None], inner, 0.0)
-    return inner[np.argsort(order)]  # back to the caller's lambda order
+    return np.add(*_LevelSetKernel(f, params, omega, policy).profile(lams))  # D + A
 
 
 def bsvy_values(f: SampledField, lams, params: BsvyParams, space: SpaceSpec,
@@ -969,8 +1066,8 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
               lam_grid=None) -> list[FunctionalReport]:
     """:func:`bsvy_sup` for several spaces X at once, one report per space.
 
-    The inner integral does not depend on X, so the searches run in lockstep:
-    each round makes one :func:`bsvy_inner_profile` call on the distinct
+    The inner integral does not depend on X, so the searches run in lockstep
+    on one level-set kernel: each round evaluates one batch of the distinct
     lambdas the spaces ask for (no round repeats an earlier one's: extensions
     lie outside the grid, refinements strictly between the argmax's
     neighbours).  Each space's values come from :func:`norm_many` on the rows
@@ -994,10 +1091,12 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
         extra={"grid": f.grid.describe(), "policy": policy.canonical()},
     ) for space in spaces]
 
+    kernel = _LevelSetKernel(f, params, omega, policy)
+
     @functools.cache
     def tail_root():
         # B^(1/p) of the gamma < 0 tail bound, built for the first space that asks
-        return _tail_bound(f, params, lam[1], mask, policy)[1] ** (1.0 / params.p)
+        return _tail_bound(kernel, lam[1])[1] ** (1.0 / params.p)
 
     def tail(space):
         return float(norm_many(tail_root()[None], f.grid, space, omega)[0])
@@ -1010,7 +1109,7 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
     asks = [next(search) for search in searches]
     while any(ask is not None for ask in asks):
         lams = np.unique(np.concatenate([ask for ask in asks if ask is not None]))
-        rows = bsvy_inner_profile(f, lams, params, omega, policy)
+        rows = np.add(*kernel.profile(lams))  # D + A; the parts go before the norms run
         for i, ask in enumerate(asks):
             if ask is None:
                 continue

@@ -341,8 +341,7 @@ class Morrey(SpaceSpec):
         self.alpha = float(alpha)
 
     def evaluate(self, values, grid):
-        radii = default_ball_family(grid).radii
-        return _morrey(values, grid, self.r, self.alpha, radii).max(axis=(0, 2))
+        return _morrey(values, grid, self.r, self.alpha, _clipped_radii(grid)).max(axis=(0, 2))
 
 
 class BesovBourgainMorrey(SpaceSpec):
@@ -697,12 +696,16 @@ def default_radii(grid: Grid) -> np.ndarray:
     return np.array(radii)
 
 
-def default_ball_family(grid: Grid) -> BallFamily:
-    """Balls at every cell center with the dyadic radii, the last one clipped
-    to the box diameter."""
+def _clipped_radii(grid: Grid) -> np.ndarray:
+    """The dyadic radii with the last one clipped to the box diameter."""
     radii = default_radii(grid)
     radii[-1] = grid.diameter()
-    return BallFamily(grid.coords(), radii)
+    return radii
+
+
+def default_ball_family(grid: Grid) -> BallFamily:
+    """Balls at every cell center with the :func:`_clipped_radii`."""
+    return BallFamily(grid.coords(), _clipped_radii(grid))
 
 
 def _unit_ball_volume(n: int) -> float:

@@ -39,6 +39,7 @@ from normlab.functionals import (
     _directional_extent_1d,
     _half_offsets,
     _pair_walk,
+    _LevelSetKernel,
     _tail_bound,
     bsvy_inner_profile,
     bsvy_values,
@@ -699,13 +700,13 @@ def test_bsvy_sups_equal_per_space_sups(dim, texts, domain, gamma, monkeypatch):
     params, spaces = BsvyParams(gamma, 2.0), [parse_space(t) for t in texts]
     alone = [bsvy_sup(f, params, space, omega, policy) for space in spaces]
     batches = []
-    profile = F.bsvy_inner_profile
+    profile = F._LevelSetKernel.profile
 
-    def counted(f, lams, *args):
+    def counted(kernel, lams):
         batches.append(list(lams))
-        return profile(f, lams, *args)
+        return profile(kernel, lams)
 
-    monkeypatch.setattr(F, "bsvy_inner_profile", counted)
+    monkeypatch.setattr(F._LevelSetKernel, "profile", counted)
     shared = F.bsvy_sups(f, params, spaces, omega, policy)
     assert [r.__dict__ for r in shared] == [r.__dict__ for r in alone]
     # grid, extension, refinement: at most three rounds, no lambda computed twice
@@ -724,13 +725,13 @@ def test_bsvy_sups_shared_extension_requested_once(monkeypatch):
     params, spaces = BsvyParams(-1.0, 2.0), [parse_space(t) for t in CATALOG_1D]
     grid0 = 10.0 * default_lambda_grid(f)
     batches = []
-    profile = F.bsvy_inner_profile
+    profile = F._LevelSetKernel.profile
 
-    def counted(f, lams, *args):
+    def counted(kernel, lams):
         batches.append(np.asarray(lams))
-        return profile(f, lams, *args)
+        return profile(kernel, lams)
 
-    monkeypatch.setattr(F, "bsvy_inner_profile", counted)
+    monkeypatch.setattr(F._LevelSetKernel, "profile", counted)
     reps = F.bsvy_sups(f, params, spaces, lam_grid=grid0)
     assert not any("sup_upper" in r.extra for r in reps)
     low = [r for r in reps if r.extended and r.lam_grid[0] < grid0[0]]
@@ -763,13 +764,13 @@ def test_bsvy_sups_certified_tail_stops_after_the_grid(monkeypatch):
             assert rep.endpoint and not rep.extended and "endpoint-argmax" in rep.flags
     assert [r.__dict__ for r in reps] == [bsvy_sup(f, params, s).__dict__ for s in spaces]
     batches = []
-    profile = F.bsvy_inner_profile
+    profile = F._LevelSetKernel.profile
 
-    def counted(f, lams, *args):
+    def counted(kernel, lams):
         batches.append(np.asarray(lams))
-        return profile(f, lams, *args)
+        return profile(kernel, lams)
 
-    monkeypatch.setattr(F, "bsvy_inner_profile", counted)
+    monkeypatch.setattr(F._LevelSetKernel, "profile", counted)
     again = F.bsvy_sups(f, params, certified)
     assert len(batches) == 1 and np.array_equal(batches[0], grid0)
     assert all("sup_upper" in rep.extra for rep in again)
@@ -1162,7 +1163,7 @@ def test_tail_bound_covers_every_lambda_below_the_second_grid_point(gamma, p, di
     omega = None if domain is None else mask(parse_domain(domain), g)
     params = BsvyParams(gamma, p)
     lam1 = default_lambda_grid(f, omega)[1]
-    limit, bound = _tail_bound(f, params, lam1, None if omega is None else omega.cells, policy)
+    limit, bound = _tail_bound(_LevelSetKernel(f, params, omega, policy), lam1)
     lams = np.geomspace(lam1 * 1e-4, lam1, 200)
     # what bsvy_values computes, with one profile for every space
     roots = bsvy_inner_profile(f, lams, params, omega, policy) ** (1.0 / p)
@@ -1207,3 +1208,82 @@ def test_inner_profile_rows_nonincreasing_for_smooth_and_linear_f(gamma, p, fn, 
     assert np.all(np.diff(rows, axis=0) <= 0.0)
     assert np.any(np.diff(rows, axis=0) < 0.0)
     assert np.array_equal(bsvy_inner_profile(f, lams[::-1], BsvyParams(gamma, p), omega, policy), rows[::-1])
+
+
+# --------------------------------------------------------------------------
+# one level-set kernel per sup
+# --------------------------------------------------------------------------
+
+KERNEL_GRIDS = {1: make_grid(1, -2.0, 2.0, 40), 2: make_grid(2, -2.0, 2.0, 12), 3: make_grid(3, -1.5, 1.5, 6)}
+
+
+@pytest.mark.parametrize("budget", [PAIR_BLOCK_CELLS, 150], ids=["default-budget", "small-budget"])
+@pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
+@pytest.mark.parametrize("domain", ["full", "ball:radius=1.3", "halfspace:axis=0,offset=0.3"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_batches_equal_fresh_profiles(dim, domain, policy, budget, monkeypatch):
+    # one kernel serves several batches: a high unsorted one that visits few
+    # blocks, an overlapping wider one, and one lambda; each batch's rows are
+    # the bits of a fresh profile of that batch
+    import normlab.functionals as F
+
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", budget)
+    g = KERNEL_GRIDS[dim]
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    omega = None if domain == "full" else mask(parse_domain(domain, box=(g.lo, g.hi)), g)
+    lam = default_lambda_grid(f, omega)
+    batches = [lam[[30, 22, 26, 22]], lam[::4][::-1], lam[17:18]]
+    for gamma in (1.0, 2.0, -1.0):
+        params = BsvyParams(gamma, 2.0)
+        kernel = F._LevelSetKernel(f, params, omega, policy)
+        for batch in batches:
+            pair, model = kernel.profile(batch)
+            assert np.array_equal(pair + model, bsvy_inner_profile(f, batch, params, omega, policy))
+
+
+def test_one_kernel_set_up_per_sup(monkeypatch):
+    # a gamma < 0 sup with an extension, a refinement and a tail bound builds
+    # the offset table, the shell table and the pair walk once
+    import normlab.functionals as F
+
+    calls = {"_half_offsets": 0, "_shell_table": 0, "_pair_walk": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(F, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(F, name, counted)
+    rounds, tails = [], []
+    profile, tail_bound = F._LevelSetKernel.profile, F._tail_bound
+    monkeypatch.setattr(F._LevelSetKernel, "profile", lambda k, lams: rounds.append(k) or profile(k, lams))
+    monkeypatch.setattr(F, "_tail_bound", lambda k, lam1: tails.append(k) or tail_bound(k, lam1))
+    g = make_grid(1, -2.0, 2.0, 32)
+    f = sample(TestFunctionSpec("tent", width=1.5, center=0.1), g)
+    policy = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
+    reps = F.bsvy_sups(f, BsvyParams(-1.0, 2.0), [parse_space(t) for t in CATALOG_1D], None, policy,
+                       10.0 * default_lambda_grid(f))
+    assert any(r.extended for r in reps) and len(rounds) == 3 and tails
+    assert len({id(k) for k in rounds + tails}) == 1
+    assert calls == {"_half_offsets": 1, "_shell_table": 1, "_pair_walk": 1}
+
+
+@pytest.mark.parametrize("fn", ["tent:width=1.5", "gaussian:sigma=0.5"])
+def test_blocks_with_zero_increment_pairs_build_no_pair_stack(fn, monkeypatch):
+    # a tent's flat tails and a centred gaussian's mirror pairs have exactly
+    # zero increments: their blocks share no row, and the per-offset pair
+    # counts turn them away before any pair stack is built
+    import normlab.functionals as F
+
+    built = []
+    pairs = F._Block.pairs
+    monkeypatch.setattr(F._Block, "pairs", lambda blk: built.append(blk) or pairs(blk))
+    g = make_grid(1, -2.0, 2.0, 1024)
+    f = sample(parse_function(fn), g)
+    params = BsvyParams(1.0, 2.0)
+    value = weak_product_quasinorm(f, params)
+    assert built == []
+    lams = default_lambda_grid(f)
+    rows = bsvy_inner_profile(f, lams, params, None, EXCLUDE_POLICY)
+    assert value == float(np.max(lams * (np.sum(rows, axis=1) * g.cell_volume) ** 0.5))
+    for i in (0, 9, 19):
+        assert np.array_equal(rows[i], bsvy_inner_profile(f, lams[i:i + 1], params, None, EXCLUDE_POLICY)[0])

@@ -480,10 +480,9 @@ def test_weak_holder_matches_level_loop_oracle(case):
 @pytest.mark.parametrize("domain", [None, "ball:radius=1.3"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_level_set_shell_pairs_match_oracle(dim, domain, gamma):
-    # the profile minus its analytic near field is the pair part: whole pairs
-    # outside the shell, sub-cell pairs inside it, nothing in the window
-    from normlab.functionals import _half_offsets, _level_set_model, bsvy_inner_profile
-    from normlab.grid import gradient_magnitude
+    # the pair part of the profile: whole pairs outside the shell, sub-cell
+    # pairs inside it, nothing in the window
+    from normlab.functionals import _LevelSetKernel
 
     policy = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
     g = make_grid(dim, -2.0, 2.0, 32 if dim == 1 else 8)
@@ -492,17 +491,52 @@ def test_level_set_shell_pairs_match_oracle(dim, domain, gamma):
     cells = np.ones(g.shape, dtype=bool) if omega is None else omega.cells
     params = BsvyParams(gamma, 2.0)
     lams = np.array([0.03, 0.3, 0.6])
-    rows = bsvy_inner_profile(f, lams, params, omega, policy)
-    removed = int(np.count_nonzero(~_half_offsets(g, policy)[2]))
-    model = _level_set_model(gradient_magnitude(f), lams, params, g, None if omega is None else omega.cells,
-                             removed)[0]
+    rows = _LevelSetKernel(f, params, omega, policy).profile(lams)[0]
     on = cells.ravel()
     hmin = min(g.cell_size)
-    for lam, row, mod in zip(lams, rows, model):
+    for lam, row in zip(lams, rows):
         ref = oracles.level_set_shell_inner(f.values.ravel()[on], _cell_positions(g)[on], g.cell_size,
                                             g.cell_volume, lam, gamma, 2.0, policy.near_window * hmin,
                                             policy.subsample_window * hmin, policy.subsample)
-        mine = (row - mod)[cells]
+        mine = row[cells]
         assert np.all(row[~cells] == 0.0)
         assert np.max(ref) > 0.0
         assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_level_set_shell_band_lookups_match_oracle(monkeypatch):
+    # a small block budget splits the walk's runs and the shell's row groups;
+    # the shell ratios that fall strictly between an offset's first and last
+    # sub-cell threshold get their count from one complex-keyed searchsorted
+    import normlab.functionals as F
+
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", 96)
+    policy = KernelPolicy(near_window=1.2, subsample=4, subsample_window=3.5)
+    g = make_grid(2, -2.0, 2.0, (9, 8))
+    f = sample(TestFunctionSpec("gaussian", sigma=0.9, center=(0.1, -0.2)), g)
+    omega = mask(parse_domain("ball:center=0.2;0.0,radius=1.9"), g)
+    kernel = F._LevelSetKernel(f, BsvyParams(1.0, 2.0), omega, policy)
+    assert max(len(blk.dists) for blk in kernel.blocks) >= 2
+    band = []
+    search = np.searchsorted
+
+    def spy(keys, x, *args, **kwargs):
+        at = search(keys, x, *args, **kwargs)
+        if np.iscomplexobj(keys):
+            # each result's count among its own offset's k^n thresholds
+            band.extend((at - x.real * policy.subsample ** 2).tolist())
+        return at
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    lams = np.array([0.35, 0.1])
+    rows = kernel.profile(lams)[0]
+    monkeypatch.undo()
+    assert band and all(0 < count < policy.subsample ** 2 for count in band)
+    on = omega.cells.ravel()
+    hmin = min(g.cell_size)
+    for lam, row in zip(lams, rows):
+        ref = oracles.level_set_shell_inner(f.values.ravel()[on], _cell_positions(g)[on], g.cell_size,
+                                            g.cell_volume, lam, 1.0, 2.0, policy.near_window * hmin,
+                                            policy.subsample_window * hmin, policy.subsample)
+        assert np.all(row[~omega.cells] == 0.0)
+        assert np.max(np.abs(row[omega.cells] - ref)) <= 1e-12 * np.max(ref)
