@@ -319,11 +319,10 @@ def criterion_13():
     return refuted and clean, f"slit refuted: {refuted}, convex clean: {clean}"
 
 
-def run_acceptance(keys=None, verbose: bool = True) -> list[AcceptanceResult]:
+def run_acceptance(keys=None) -> list[AcceptanceResult]:
     results = []
     for key in (keys or CRITERIA.keys()):
         res = CRITERIA[str(key)]()
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

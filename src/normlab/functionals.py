@@ -313,14 +313,6 @@ class _Block:
             stack *= self._view(walk.on, self._x, cols)
         return stack
 
-    def pairs(self) -> np.ndarray:
-        """The boolean stack of the block's pairs, from :meth:`scratch`."""
-        on, cols = self._walk.on, self.shape[-1]
-        out = np.not_equal(self._view(on, self._y, cols, self.shape[0]), 0, out=self.scratch(dtype=bool))
-        if self._walk.masked:
-            out &= self._view(on, self._x, cols) != 0
-        return out
-
     def scratch(self, lead=(), count: int | None = None, dtype=float) -> np.ndarray:
         """A zero stack of ``count`` offsets (all b by default) after leading
         axes ``lead``, that :meth:`add` can take: a view into an array with
@@ -703,8 +695,8 @@ class _LevelSetBlock:
     offsets), and for the shell offsets their first and last sub-cell
     thresholds and total weight from the table.  Once a batch has computed
     the block's increments, ``dmax`` holds each offset's largest and
-    ``dmin`` its least over its pairs (0 for all when some pair's increment
-    is 0: such a block shares no row)."""
+    ``dmin`` its least nonzero one (an entry off the pairs is 0, and a pair
+    of zero increment is a member on no row, so neither counts)."""
 
     def __init__(self, blk: _Block, kernel: "_LevelSetKernel"):
         # no reference to the kernel: it holds this block, and a cycle would
@@ -731,8 +723,8 @@ class _LevelSetKernel:
     """The level-set inner integral of one f on one domain under one policy,
     for any lambda batch.  What does not depend on lambda is built once: the
     offset and shell tables, the pair walk, the spread of f, |grad f| and the
-    analytic model's caps, and each block's :class:`_LevelSetBlock` on its
-    first visit.  :meth:`profile` runs the block loop for one batch."""
+    analytic model's caps, and each block's :class:`_LevelSetBlock`.
+    :meth:`profile` runs the block loop for one batch."""
 
     def __init__(self, f: SampledField, params: BsvyParams, omega: DomainMask | None,
                  policy: KernelPolicy):
@@ -748,8 +740,7 @@ class _LevelSetKernel:
         self.radius, self.table, self.shell_thr, self.shell_ker = _shell_table(
             grid, policy, self.half, self.expo, params.gamma)
         removed, self.walk = _pair_walk(grid, self.mask, self.half, v)
-        self.blocks = list(self.walk)
-        self._sets = [None] * len(self.blocks)  # each block's _LevelSetBlock, from its first visit
+        self.blocks = [_LevelSetBlock(blk, self) for blk in self.walk]
         self.grad = None
         if policy.diagonal == "equivalent-ball":
             self.grad = gradient_magnitude(f)
@@ -760,19 +751,6 @@ class _LevelSetKernel:
                 self.sphere, self.caps = 2.0, (np.minimum(r_cap, hi_ext), np.minimum(r_cap, lo_ext))
             else:
                 self.sphere, self.caps = sphere_area(grid.dim), (np.full(grid.shape, r_cap),)
-
-    @functools.cached_property
-    def pair_counts(self) -> np.ndarray:
-        """The number of domain cell pairs {x, x + o} of each half offset o:
-        the domain's autocorrelation, by real FFTs under a mask (rounded;
-        exact while the counts are far below 2^52)."""
-        grid, offs = self.grid, self.half[0]
-        if self.mask is None:
-            return np.prod(np.asarray(grid.shape) - np.abs(offs), axis=1)
-        lengths, axes = [_fast_length(2 * n - 1) for n in grid.shape], tuple(range(grid.dim))
-        corr = np.fft.irfftn(np.abs(np.fft.rfftn(self.mask, s=lengths, axes=axes)) ** 2, s=lengths, axes=axes)
-        at = [np.arange(1 - n, n) % size for n, size in zip(grid.shape, lengths)]
-        return np.rint(corr[np.ix_(*at)].ravel()[len(offs) + 1:]).astype(int)
 
     def model(self, lams: np.ndarray) -> np.ndarray:
         """The frozen-gradient analytic near field of the inner integral over
@@ -833,10 +811,8 @@ class _LevelSetKernel:
         if not lams.size:
             return acc
         spread = self.spread
-        for i, blk in enumerate(self.blocks):
-            c = self._sets[i]
-            if c is None:
-                c = self._sets[i] = _LevelSetBlock(blk, self)
+        for c in self.blocks:
+            blk = c.blk
             # membership delta > lam * dist^expo, weighted; a shell offset gets
             # an infinite threshold and a zero weight there, and holds a member
             # only where some delta / lam exceeds its least sub-cell threshold
@@ -857,31 +833,27 @@ class _LevelSetKernel:
                 continue  # nor does any pair increment reach a threshold
             if delta is None:
                 delta = _increments(blk)
-            self._add_rows(c, delta, lams, thresh, live, acc)
+            self._add_rows(c, delta, thresh, live, acc)
             if shell_live:
                 self._add_shell(c, delta, lams, shell, acc)
         return acc
 
-    def _add_rows(self, c: _LevelSetBlock, delta, lams, thresh, live, acc):
+    def _add_rows(self, c: _LevelSetBlock, delta, thresh, live, acc):
         # the whole pairs of a block's non-shell offsets
         blk = c.blk
         col = (-1,) + (1,) * (delta.ndim - 1)
         cells, shared = delta[0].size, 0
-        # the leading rows on which each offset holds all its pairs take one sum of the pair stack,
-        # their membership stack there (same terms, same order); sought for a batch of two or more
-        # on a block without shell offsets where each offset is live on two rows or more
-        if lams.size > 1 and c.at is None and live.min() > 1:
+        # on the leading rows where each offset's threshold lies below its least nonzero increment,
+        # the membership stack is delta != 0, the same on every row: they take one sum of it (same
+        # terms, same order); sought where each offset is live on two rows or more (so the batch
+        # has two rows or more, and the block no shell offset: their live counts are 0)
+        if live.min() > 1:
             if c.dmin is None:
-                # a pair of zero increment would share no row: so the least
-                # increments are only sought where the nonzero increments
-                # are the pairs
                 axes = tuple(range(1, delta.ndim))
-                c.dmin = np.zeros(len(live))
-                if np.count_nonzero(delta) == self.pair_counts[blk.index].sum():
-                    c.dmin = np.minimum.reduce(delta, axes, where=delta != 0, initial=math.inf)
+                c.dmin = np.minimum.reduce(delta, axes, where=delta != 0, initial=math.inf)
             shared = int(np.count_nonzero(thresh < c.dmin, axis=0).min())
             if shared:
-                blk.add(acc[:shared], blk.pairs(), c.ker)
+                blk.add(acc[:shared], np.not_equal(delta, 0, out=blk.scratch(dtype=bool)), c.ker)
         # (a boolean stack holds eight times the entries of a float one)
         for rows, j0, j1 in _row_groups(live, cells, 8, shared):
             row_thresh = thresh[rows, j0:j1]

@@ -326,9 +326,7 @@ def _default_probes(grid: Grid) -> list[tuple[str, np.ndarray]]:
     return probes
 
 
-def estimate_maximal_opnorm(space: SpaceSpec, grid: Grid,
-                            omega: DomainMask | None = None,
-                            probes=None, radii=None) -> OpnormEstimate:
+def estimate_maximal_opnorm(space: SpaceSpec, grid: Grid, probes=None) -> OpnormEstimate:
     """Lower bound on ||M||_{X -> X}: max over probes of norm(M g)/norm(g)."""
     if probes is None:
         probes = _default_probes(grid)
@@ -337,11 +335,11 @@ def estimate_maximal_opnorm(space: SpaceSpec, grid: Grid,
     best, label = -math.inf, ""
     for name, vals in probes:
         g = SampledField(grid, vals)
-        base = norm(g, space, omega)
+        base = norm(g, space)
         if base == 0.0:
             continue
-        mg = SampledField(grid, hl_maximal(g, radii=radii))
-        ratio = norm(mg, space, omega) / base
+        mg = SampledField(grid, hl_maximal(g))
+        ratio = norm(mg, space) / base
         if ratio > best:
             best, label = ratio, name
     return OpnormEstimate(best, label)
@@ -364,7 +362,7 @@ class RubioResult:
 
 
 def rubio_de_francia(g: SampledField, space: SpaceSpec | None, opnorm_bound: float,
-                     depth: int = 12, radii=None) -> RubioResult:
+                     depth: int = 12) -> RubioResult:
     """R_K g = sum_{k<=K} M^k g / (2 c)^k with M^0 g = |g|.
 
     Satisfies R_K g >= |g| cell-wise and, by sublinearity of M,
@@ -382,11 +380,11 @@ def rubio_de_francia(g: SampledField, space: SpaceSpec | None, opnorm_bound: flo
     term = np.abs(g.values)
     acc = term.copy()
     for k in range(1, depth + 1):
-        term = hl_maximal(term, g.grid, radii=radii)
+        term = hl_maximal(term, g.grid)
         if not np.all(np.isfinite(term)):
             raise FloatingPointError("maximal iterate overflowed")
         acc = acc + term / (2.0 * c) ** k
-    tail_field = hl_maximal(term, g.grid, radii=radii) / (2.0 ** depth * c ** depth)
+    tail_field = hl_maximal(term, g.grid) / (2.0 ** depth * c ** depth)
     eps_tail = float(np.max(tail_field))
     running = eps_tail * 2.0 ** (depth + 1)
     ratio = ok = None
@@ -402,8 +400,7 @@ def rubio_de_francia(g: SampledField, space: SpaceSpec | None, opnorm_bound: flo
 def weighted_norm_duality_bound(f: SampledField, space: SpaceSpec, p: float,
                                 omega: DomainMask | None, witness: SampledField,
                                 opnorm_bound: float, depth: int = 12,
-                                dual_space: SpaceSpec | None = None,
-                                radii=None) -> tuple[float, float]:
+                                dual_space: SpaceSpec | None = None) -> tuple[float, float]:
     """Pair |f|^p against the majorant of a unit dual-norm witness.
 
     Returns ``((integral of |f|^p R g over the domain)^(1/p), norm(f, X))``.
@@ -417,7 +414,7 @@ def weighted_norm_duality_bound(f: SampledField, space: SpaceSpec, p: float,
         if abs(wn - 1.0) > 1e-6:
             raise ValueError(f"witness is not normalized in the dual space (norm {wn})")
     res = rubio_de_francia(SampledField(witness.grid, np.abs(witness.values)),
-                           dual_space, opnorm_bound, depth=depth, radii=radii)
+                           dual_space, opnorm_bound, depth=depth)
     fv = restrict_values(f, omega)
     pairing = float(np.sum(np.abs(fv) ** p * res.weight.samples) * f.grid.cell_volume) ** (1.0 / p)
     return pairing, norm(f, space, omega)

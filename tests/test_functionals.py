@@ -1084,8 +1084,8 @@ def test_multi_block_pair_measure_against_oracle(multi_block):
 @pytest.fixture
 def level_set_adds(monkeypatch):
     """Each boolean stack the level-set kernel adds, in order: its block and
-    the number of leading rows one shared pair-stack sum went to (0 for the
-    membership stack of a row group)."""
+    the number of leading rows one shared sum of its nonzero-increment stack
+    went to (0 for the membership stack of a row group)."""
     import normlab.functionals as F
 
     calls = []
@@ -1100,10 +1100,11 @@ def level_set_adds(monkeypatch):
     return calls
 
 
-def _check_linear_f_against_oracle(g, omega, on, adds):
+def _check_linear_f_against_oracle(g, omega, on, adds, fn):
     # f = x: the pairs of an offset share one increment up to rounding, so each
-    # block's leading rows hold all of them, and the rows after that only some
-    f = sample(parse_function("coordinate:axis=0"), g)
+    # block's leading rows hold all of them, and the rows after that only some;
+    # a tent's flat tails give pairs of zero increment, members on no row
+    f = sample(parse_function(fn), g)
     lams = np.geomspace(0.02, 20.0, 8)
     rows = bsvy_inner_profile(f, lams, BsvyParams(1.0, 2.0), omega, EXCLUDE_POLICY)
     for lam, row in zip(lams, rows):
@@ -1116,16 +1117,24 @@ def _check_linear_f_against_oracle(g, omega, on, adds):
 
 @pytest.mark.parametrize("dim, npts", [(1, 48), (2, 12)])
 @pytest.mark.parametrize("domain", ["full", "ball:radius=1.3"])
-def test_shared_rows_of_linear_f_match_oracle(level_set_adds, dim, npts, domain):
+def test_shared_rows_of_linear_f_match_oracle(level_set_adds, monkeypatch, dim, npts, domain):
+    import normlab.functionals as F
+
     g = make_grid(dim, -2.0, 2.0, npts)
     omega = None if domain == "full" else mask(parse_domain(domain), g)
     on = np.ones(g.shape, dtype=bool) if omega is None else omega.cells
-    _check_linear_f_against_oracle(g, omega, on, level_set_adds)
+    _check_linear_f_against_oracle(g, omega, on, level_set_adds, "coordinate:axis=0")
+    # the tent's runs of offsets share rows once cut into small blocks
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", 60)
+    level_set_adds.clear()
+    _check_linear_f_against_oracle(g, omega, on, level_set_adds, "tent:width=1.5")
 
 
 def test_multi_block_shared_rows_match_oracle(multi_block, level_set_adds):
     g, _, omega, _, _, on = multi_block
-    _check_linear_f_against_oracle(g, omega, on, level_set_adds)
+    for fn in ("coordinate:axis=0", "tent:width=1.5"):
+        level_set_adds.clear()
+        _check_linear_f_against_oracle(g, omega, on, level_set_adds, fn)
 
 
 def test_criterion_4_batch_rows_equal_single_lambda_rows(level_set_adds):
@@ -1268,20 +1277,15 @@ def test_one_kernel_set_up_per_sup(monkeypatch):
 
 
 @pytest.mark.parametrize("fn", ["tent:width=1.5", "gaussian:sigma=0.5"])
-def test_blocks_with_zero_increment_pairs_build_no_pair_stack(fn, monkeypatch):
+def test_blocks_with_zero_increment_pairs_share_rows(fn, level_set_adds):
     # a tent's flat tails and a centred gaussian's mirror pairs have exactly
-    # zero increments: their blocks share no row, and the per-offset pair
-    # counts turn them away before any pair stack is built
-    import normlab.functionals as F
-
-    built = []
-    pairs = F._Block.pairs
-    monkeypatch.setattr(F._Block, "pairs", lambda blk: built.append(blk) or pairs(blk))
+    # zero increments, members on no row: their blocks still share the rows
+    # below each offset's least nonzero increment
     g = make_grid(1, -2.0, 2.0, 1024)
     f = sample(parse_function(fn), g)
     params = BsvyParams(1.0, 2.0)
     value = weak_product_quasinorm(f, params)
-    assert built == []
+    assert sum(1 for _, n in level_set_adds if n) == {"tent:width=1.5": 10, "gaussian:sigma=0.5": 3}[fn]
     lams = default_lambda_grid(f)
     rows = bsvy_inner_profile(f, lams, params, None, EXCLUDE_POLICY)
     assert value == float(np.max(lams * (np.sum(rows, axis=1) * g.cell_volume) ** 0.5))
