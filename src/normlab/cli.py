@@ -1,8 +1,8 @@
 """Command-line experiment harness.
 
-Subcommands mirror the experiment runners; ``verify`` runs the acceptance
-suite and exits nonzero on any failure.  Identical config + seed yields
-byte-identical CSV/JSON output.
+Subcommands mirror the experiment runners, and each takes only the options its
+runner reads; ``verify`` runs the acceptance suite and exits nonzero on any
+failure.  Identical config + seed yields byte-identical CSV/JSON output.
 """
 
 from __future__ import annotations
@@ -67,53 +67,70 @@ def _base_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _emit(table: RatioTable, cfg: ExperimentConfig, name: str, plot: bool) -> int:
-    paths = emit_report(table, cfg.outdir, name, cfg.formats, plot_script=plot)
-    for p in paths:
+def _emit(table: RatioTable, cfg: ExperimentConfig, name: str) -> int:
+    for p in emit_report(table, cfg.outdir, name):
         print(f"wrote {p}")
     return 0
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="normlab",
-                                 description="function-space norm and functional laboratory")
+# the options that follow a subcommand; per subcommand, its help and the options
+# its runner reads, and no others
+_OPTIONS = {
+    "--fn": dict(action="append", help="test function spec (repeatable)"),
+    "--space": dict(action="append", help="space spec (repeatable)"),
+    "--domain": dict(help="domain spec"),
+    "--p": dict(type=float),
+    "--gamma": dict(type=float, action="append"),
+    "--no-refine": dict(action="store_true"),
+    "--weight": dict(action="append", help="weight spec power:a=...,center=..."),
+    "--theta": dict(type=float),
+    "--instances": dict(type=int, default=100),
+    "--eps": dict(type=float, default=0.5),
+    "--samples": dict(type=int, default=1000),
+    "--criteria": dict(nargs="*", help="subset of criterion numbers"),
+}
+_SUBCOMMANDS = {
+    "norm": ("evaluate norms for functions x spaces", ("--fn", "--space", "--domain")),
+    "bbm": ("scaled fractional seminorm limit vs gradient norm",
+            ("--fn", "--space", "--domain", "--p", "--no-refine")),
+    "bsvy": ("level-set functional sup vs gradient norm",
+             ("--fn", "--space", "--domain", "--p", "--gamma", "--no-refine")),
+    "maximal": ("maximal-function table for test functions", ("--fn",)),
+    "apconst": ("Muckenhoupt constants", ("--weight",)),
+    "morrey-duality": ("Morrey norm vs maximal-weighted cube suprema",
+                       ("--fn", "--space", "--domain", "--theta")),
+    "weak-holder": ("random weak-Hoelder property suite", ("--domain", "--gamma", "--instances")),
+    "epsilon-check": ("uniform-domain curve-condition falsifier", ("--domain", "--eps", "--samples")),
+    "verify": ("run the acceptance suite", ("--criteria",)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors as ValueErrors, and so do its subcommand parsers
+    (argparse builds them of the parent's class): they end like every other
+    bad input, in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _parser() -> _Parser:
+    ap = _Parser(prog="normlab", description="function-space norm and functional laboratory")
     ap.add_argument("--config", help="INI experiment config")
     ap.add_argument("--out", help="output directory", default=None)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--grid", help="grid spec, e.g. n=1,L=8,N=4096")
-    ap.add_argument("--plot-script", action="store_true", help="emit a plot helper script")
     sub = ap.add_subparsers(dest="command", required=True)
+    for name, (text, options) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for option in options:
+            sp.add_argument(option, **_OPTIONS[option])
+    return ap
 
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.add_argument("--fn", action="append", help="test function spec (repeatable)")
-        sp.add_argument("--space", action="append", help="space spec (repeatable)")
-        sp.add_argument("--domain", help="domain spec")
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--gamma", type=float, action="append")
-        sp.add_argument("--no-refine", action="store_true")
-        return sp
 
-    add("norm", help="evaluate norms for functions x spaces")
-    add("bbm", help="scaled fractional seminorm limit vs gradient norm")
-    add("bsvy", help="level-set functional sup vs gradient norm")
-    sp = add("maximal", help="maximal-function table for test functions")
-    sp = add("apconst", help="Muckenhoupt constants")
-    sp.add_argument("--weight", action="append", required=False,
-                    help="weight spec power:a=...,center=...")
-    sp = add("morrey-duality", help="Morrey norm vs maximal-weighted cube suprema")
-    sp.add_argument("--theta", type=float, default=None)
-    sp = add("weak-holder", help="random weak-Hoelder property suite")
-    sp.add_argument("--instances", type=int, default=100)
-    sp = add("epsilon-check", help="uniform-domain curve-condition falsifier")
-    sp.add_argument("--eps", type=float, default=0.5)
-    sp.add_argument("--samples", type=int, default=1000)
-    sp = sub.add_parser("verify", help="run the acceptance suite")
-    sp.add_argument("--criteria", nargs="*", help="subset of criterion numbers")
-
-    args = ap.parse_args(argv)
+def main(argv=None) -> int:
     try:
-        code = _verify(args.criteria) if args.command == "verify" else _run_reporting_errors(args)
+        code = _main(argv)
         sys.stdout.flush()  # a closed pipe fails here, inside the try, not at exit
         return code
     except BrokenPipeError:
@@ -122,59 +139,55 @@ def main(argv=None) -> int:
         return 1
 
 
-def _verify(criteria) -> int:
-    from .acceptance import CRITERIA, run_acceptance
+def _main(argv) -> int:
+    """Bad input, or arithmetic that extreme input overflows, ends in one line on
+    stderr and exit code 2; the acceptance suite runs outside that net."""
+    try:
+        args = _parser().parse_args(argv)
+        if args.command != "verify":
+            return _run(args, _base_config(args))
+        from .acceptance import CRITERIA, run_acceptance
 
-    unknown = [k for k in criteria or () if k not in CRITERIA]
-    if unknown:
-        print(f"unknown criteria {unknown}; known: {sorted(CRITERIA)}", file=sys.stderr)
+        unknown = [k for k in args.criteria or () if k not in CRITERIA]
+        if unknown:
+            raise ValueError(f"unknown criteria {unknown}; known: {sorted(CRITERIA)}")
+    except (ValueError, ArithmeticError) as exc:
+        print(f"normlab: error: {exc}", file=sys.stderr)
         return 2
-    results = run_acceptance(criteria or None)
+    results = run_acceptance(args.criteria or None)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0
 
 
-def _run_reporting_errors(args) -> int:
-    """Run a subcommand; bad input, or arithmetic that extreme input overflows, ends in one
-    line on stderr and exit code 2."""
-    try:
-        return _run(args, _base_config(args))
-    except (ValueError, ArithmeticError) as exc:
-        print(f"normlab: error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _run(args, cfg: ExperimentConfig) -> int:
     if args.command == "norm":
-        return _emit(run_norm_table(cfg), cfg, "norms", args.plot_script)
+        return _emit(run_norm_table(cfg), cfg, "norms")
     if args.command == "bbm":
-        return _emit(run_bbm_experiment(cfg), cfg, "bbm", args.plot_script)
+        return _emit(run_bbm_experiment(cfg), cfg, "bbm")
     if args.command == "bsvy":
         table, summary = run_bsvy_experiment(cfg)
         for key, agg in summary.items():
             print(f"{key}: bracket [{agg['c1']:.4g}, {agg['c2']:.4g}] width {agg['width']:.3g}")
-        return _emit(table, cfg, "bsvy", args.plot_script)
+        return _emit(table, cfg, "bsvy")
     if args.command == "maximal":
-        return _emit(run_maximal_table(cfg), cfg, "maximal", args.plot_script)
+        return _emit(run_maximal_table(cfg), cfg, "maximal")
     if args.command == "apconst":
         weights = args.weight or ["power:a=-0.5,center=0.0"]
-        return _emit(run_apconst_table(cfg, weights), cfg, "apconst", args.plot_script)
+        return _emit(run_apconst_table(cfg, weights), cfg, "apconst")
     if args.command == "morrey-duality":
-        return _emit(run_morrey_duality_check(cfg, theta=args.theta), cfg,
-                     "morrey_duality", args.plot_script)
+        return _emit(run_morrey_duality_check(cfg, theta=args.theta), cfg, "morrey_duality")
     if args.command == "weak-holder":
         if len(args.gamma or ()) > 1:
             raise ValueError("weak-holder takes one --gamma")
         summary, table = run_weak_holder_suite(cfg, instances=args.instances, gamma=(args.gamma or [1.0])[0])
         print(f"passes {summary['passes']}/{summary['instances']}"
               f" (trivial {summary['trivial']}, min margin {summary['min_margin']})")
-        _emit(table, cfg, "weak_holder", args.plot_script)
+        _emit(table, cfg, "weak_holder")
         return 0 if summary["passes"] == summary["instances"] else 1
     if args.command == "epsilon-check":
         if cfg.domain is None:
-            print("epsilon-check needs --domain", file=sys.stderr)
-            return 2
+            raise ValueError("epsilon-check needs --domain")
         cert = epsilon_falsifier(cfg.domain, args.eps, args.samples, seed=cfg.seed)
         print(cert.to_json())
         return 0

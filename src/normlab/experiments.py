@@ -60,7 +60,6 @@ class ExperimentConfig:
     policy: KernelPolicy = DEFAULT_POLICY
     seed: int = 0
     outdir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
     refine: bool = True
 
     def provenance(self) -> dict:
@@ -87,7 +86,7 @@ CONFIG_SECTIONS = {
     "domain": ((), ("spec",)),
     "sweeps": ((), ("gammas", "p", "s_grid")),
     "policy": ((), tuple(f.name for f in fields(KernelPolicy))),
-    "output": ((), ("dir", "formats", "refine")),
+    "output": ((), ("dir", "refine")),
 }
 
 
@@ -141,8 +140,6 @@ def load_config(path) -> ExperimentConfig:
     if "output" in cp:
         ou = cp["output"]
         cfg.outdir = ou.get("dir", cfg.outdir)
-        if "formats" in ou:
-            cfg.formats = tuple(ou["formats"].split())
         cfg.refine = ou.getboolean("refine", fallback=cfg.refine)
     return cfg
 
@@ -370,23 +367,26 @@ def run_norm_table(cfg: ExperimentConfig) -> RatioTable:
 
 
 def run_apconst_table(cfg: ExperimentConfig, weight_specs: list[str], ps=(1.0, 2.0)) -> RatioTable:
+    if cfg.domain is not None:
+        raise ValueError(f"apconst runs on the whole grid, not on domain {cfg.domain.canonical()}")
     table = RatioTable(provenance=cfg.provenance())
     for wtxt in weight_specs:
         w = parse_weight(wtxt, cfg.grid)
         for p in ps:
             est = muckenhoupt_constant(w, p, return_witness=True)
             _add_row(table, cfg, cfg.grid, experiment="apconst", function=w.source,
-                     space=f"Ap:p={p!r}", domain="full-grid", p=p, value=est.value,
+                     space=f"Ap:p={p!r}", p=p, value=est.value,
                      flags=_flags([f"cube={est.cube_lo}..{est.cube_hi}"]))
     return table
 
 
 def run_maximal_table(cfg: ExperimentConfig) -> RatioTable:
     """Per function: max of the maximal function M f against max |f|."""
+    if cfg.domain is not None:
+        raise ValueError(f"maximal runs on the whole grid, not on domain {cfg.domain.canonical()}")
     table = RatioTable(provenance=cfg.provenance())
     for fn in cfg.functions:
         f = sample(fn, cfg.grid)
         _add_row(table, cfg, cfg.grid, experiment="maximal", function=fn.canonical(),
-                 domain="full-grid", value=float(np.max(hl_maximal(f))),
-                 reference=float(np.max(np.abs(f.values))))
+                 value=float(np.max(hl_maximal(f))), reference=float(np.max(np.abs(f.values))))
     return table

@@ -682,7 +682,8 @@ def _shell_table(grid: Grid, policy: KernelPolicy, half, expo: float, gamma: flo
         return radius, row, np.zeros((0, 1)), np.zeros((0, 1))
     row[shell] = np.arange(shell.size)
     centres = ((np.indices((k,) * n).reshape(n, -1).T + 0.5) / k - 0.5) * h
-    dsub = np.linalg.norm(offs[shell, None] * h + centres, axis=2)
+    # axis by axis, summed in np.linalg.norm's order: no (shell, k^dim, dim) temporaries
+    dsub = np.sqrt(sum((offs[shell, i, None] * h[i] + centres[:, i]) ** 2 for i in range(n)))
     dsub = np.take_along_axis(dsub, np.argsort(dsub ** expo, axis=1), axis=1)
     cumker = np.cumsum(dsub ** (gamma - n) * grid.cell_volume / k ** n, axis=1)
     return radius, row, dsub ** expo, np.concatenate([np.zeros((shell.size, 1)), cumker], axis=1)
@@ -1174,10 +1175,6 @@ class WeakHolderResult:
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else 0.0
 
 
 def _upper_level_measures(levels: np.ndarray, weights: np.ndarray):

@@ -171,9 +171,6 @@ class DomainMask:
     def measure(self) -> float:
         return float(np.count_nonzero(self.cells)) * self.grid.cell_volume
 
-    def full(self) -> bool:
-        return bool(self.cells.all())
-
 
 def mask_cells(omega: DomainMask | None, grid: Grid) -> np.ndarray | None:
     """The cells of ``omega`` (None for the whole box), checked to lie on ``grid``."""

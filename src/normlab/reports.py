@@ -84,32 +84,7 @@ class RatioTable:
         return cls(provenance=payload["provenance"], rows=payload["rows"])
 
 
-_PLOT_TEMPLATE = """\
-#!/usr/bin/env python3
-# Plot helper generated alongside {csv_name}; reads the CSV it references.
-import csv
-from pathlib import Path
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-rows = list(csv.DictReader(open(Path(__file__).with_name({csv_name!r}))))
-fig, ax = plt.subplots()
-for row in rows:
-    label = f"{{row['function']}} | {{row['space']}}"
-    ax.scatter([float(row["gamma_or_s"])], [float(row["ratio"])], label=label, s=12)
-ax.set_xlabel("gamma or s")
-ax.set_ylabel("value / reference")
-ax.set_title(rows[0]["experiment"] if rows else "empty")
-ax.legend(fontsize=5)
-fig.savefig(Path(__file__).with_suffix(".png"), dpi=150)
-print("wrote", Path(__file__).with_suffix(".png"))
-"""
-
-
-def emit_report(table: RatioTable, outdir, basename: str,
-                formats=("csv", "json"), plot_script: bool = False) -> list[Path]:
+def emit_report(table: RatioTable, outdir, basename: str, formats=("csv", "json")) -> list[Path]:
     """Write the table; returns the created paths.  Raises on empty tables."""
     if not table.rows:
         raise ValueError("refusing to emit an empty table")
@@ -123,9 +98,5 @@ def emit_report(table: RatioTable, outdir, basename: str,
     if "json" in formats:
         p = out / f"{basename}.json"
         p.write_text(table.to_json_text())
-        written.append(p)
-    if plot_script:
-        p = out / f"{basename}_plot.py"
-        p.write_text(_PLOT_TEMPLATE.format(csv_name=f"{basename}.csv"))
         written.append(p)
     return written

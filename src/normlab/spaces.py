@@ -120,9 +120,6 @@ class HerzWeight:
         if not math.isfinite(self.a):
             raise ValueError("weight exponent must be finite")
 
-    def __call__(self, s):
-        return np.asarray(s, dtype=float) ** self.a
-
 
 def mo_indices(weight: HerzWeight) -> tuple[float, float, float, float]:
     """Growth indices (m0, M0, m_inf, M_inf); all equal the exponent for s^a."""

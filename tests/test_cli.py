@@ -104,15 +104,6 @@ def test_emit_rejects_empty(tmp_path):
         emit_report(RatioTable(), tmp_path, "empty")
 
 
-def test_plot_script_emitted(tmp_path):
-    t = RatioTable()
-    t.add_row(experiment="norm", function="f", space="s", domain="d", n=1, p=1.0,
-              gamma_or_s=0.5, value=1.0, reference=2.0, grid="g", seed=0)
-    paths = emit_report(t, tmp_path, "plotted", plot_script=True)
-    names = {p.name for p in paths}
-    assert "plotted_plot.py" in names
-
-
 def test_config_load(tmp_path):
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(CONFIG_TEXT.format(out=tmp_path))
@@ -299,12 +290,76 @@ def test_cli_closed_stdout_pipe_ends_quietly():
     (["norm", "--fn", "gaussian", "--space", "weighted:r=1e-300,a=1"],
      "weighted:a=1.0,center=0.0,r=1e-300: (34, 'Numerical result out of range')"),
     (["weak-holder", "--instances", "1", "--gamma", "1e308"], "non-finite left-hand side"),
+    # command-line errors, epsilon-check without a domain and an unknown criterion
+    (["norm", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "norm"], "unrecognized arguments: --bogus"),
+    (["--plot-script", "norm"], "unrecognized arguments: --plot-script"),
+    (["norm", "--fn"], "argument --fn: expected one argument"),
+    (["--seed", "x", "norm"], "argument --seed: invalid int value: 'x'"),
+    (["frob"], "argument command: invalid choice: 'frob'"),
+    ([], "the following arguments are required: command"),
+    (["epsilon-check"], "epsilon-check needs --domain"),
+    (["verify", "--criteria", "99"], "unknown criteria ['99']; known: ['1', '10', '11', '12', '13',"
+                                     " '2', '3', '4', '5', '6', '7', '8', '9']"),
 ])
 def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert main(["--out", str(tmp_path)] + argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("normlab: error: ") and message in err
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("normlab: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+# a value for every per-run option, and the options each subcommand reads
+OPTION_VALUES = {"--fn": "gaussian", "--space": "lebesgue:p=2", "--domain": "ball:radius=1",
+                 "--p": "2", "--gamma": "1", "--no-refine": None, "--weight": "power:a=-0.5",
+                 "--theta": "0.75", "--instances": "3", "--eps": "0.5", "--samples": "10",
+                 "--criteria": "5"}
+READS = {
+    "norm": {"--fn", "--space", "--domain"},
+    "bbm": {"--fn", "--space", "--domain", "--p", "--no-refine"},
+    "bsvy": {"--fn", "--space", "--domain", "--p", "--gamma", "--no-refine"},
+    "maximal": {"--fn"},
+    "apconst": {"--weight"},
+    "morrey-duality": {"--fn", "--space", "--domain", "--theta"},
+    "weak-holder": {"--domain", "--gamma", "--instances"},
+    "epsilon-check": {"--domain", "--eps", "--samples"},
+    "verify": {"--criteria"},
+}
+
+
+def _option(name):
+    value = OPTION_VALUES[name]
+    return [name] if value is None else [name, value]
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c, reads in READS.items()
+                                             for o in OPTION_VALUES if o not in reads])
+def test_cli_option_a_subcommand_does_not_read_is_refused(tmp_path, capsys, command, option):
+    assert main(["--out", str(tmp_path), command] + _option(option)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"normlab: error: unrecognized arguments: {' '.join(_option(option))}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c, reads in READS.items() for o in sorted(reads)])
+def test_cli_subcommand_takes_the_options_it_reads(command, option):
+    from normlab.cli import _parser
+
+    assert _parser().parse_args([command] + _option(option)).command == command
+
+
+@pytest.mark.parametrize("command, argv", [("maximal", ["--fn", "gaussian"]),
+                                           ("apconst", ["--weight", "power:a=-0.5"])])
+def test_cli_whole_grid_runner_refuses_a_config_domain(tmp_path, capsys, command, argv):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))  # a ball domain
+    assert main(["--config", str(cfg_path), command] + argv) == 2
+    assert capsys.readouterr().err == (f"normlab: error: {command} runs on the whole grid,"
+                                       " not on domain ball:center=0.0,radius=1.3\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_config_without_experiment_section(tmp_path, capsys):
@@ -341,6 +396,7 @@ def test_cli_config_driven_run(tmp_path):
     ("[output]", "[policy]\nsubsample_window = nan\n\n[output]", "subsample window must be finite and >= 0"),
     ("[output]", "[policy]\nsubsample_window = -1\n\n[output]", "subsample window must be finite and >= 0"),
     ("[output]", "[outptu]", "has unknown section [outptu]; known: experiment, grid,"),
+    ("refine = false", "refine = false\nformats = csv", "unknown config [output] parameter 'formats'"),
     ("lo = -2.0\n", "", "config [grid] needs parameter 'lo'"),
     ("hi = 2.0\n", "", "config [grid] needs parameter 'hi'"),
     ("points = 32\n", "", "config [grid] needs parameter 'points'"),

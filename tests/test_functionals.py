@@ -39,6 +39,7 @@ from normlab.functionals import (
     _directional_extent_1d,
     _half_offsets,
     _pair_walk,
+    _shell_table,
     _LevelSetKernel,
     _tail_bound,
     bsvy_inner_profile,
@@ -1274,6 +1275,25 @@ def test_one_kernel_set_up_per_sup(monkeypatch):
     assert any(r.extended for r in reps) and len(rounds) == 3 and tails
     assert len({id(k) for k in rounds + tails}) == 1
     assert calls == {"_half_offsets": 1, "_shell_table": 1, "_pair_walk": 1}
+
+
+def test_shell_table_peak_memory_3d():
+    # the sub-cell distances are summed axis by axis: at 3D 12^3 under
+    # criterion 12's policy the (shell offsets x k^3) tables peak near 17 MB,
+    # where one (shell offsets x k^3 x 3) stack took twice that
+    import tracemalloc
+
+    g = make_grid(3, -1.0, 1.0, 12)
+    policy = KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)
+    half = _half_offsets(g, policy)
+    tracemalloc.start()
+    try:
+        thr = _shell_table(g, policy, half, 1.5, 1.0)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert thr.shape == (1014, 512)
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("fn", ["tent:width=1.5", "gaussian:sigma=0.5"])
