@@ -151,6 +151,9 @@ def _main(argv) -> int:
         unknown = [k for k in args.criteria or () if k not in CRITERIA]
         if unknown:
             raise ValueError(f"unknown criteria {unknown}; known: {sorted(CRITERIA)}")
+        # the criteria fix their own grids, seeds and outputs
+        if any(v is not None for v in (args.config, args.out, args.seed, args.grid)):
+            raise ValueError("verify takes none of --config, --out, --seed, --grid")
     except (ValueError, ArithmeticError) as exc:
         print(f"normlab: error: {exc}", file=sys.stderr)
         return 2

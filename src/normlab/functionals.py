@@ -132,6 +132,9 @@ NEAR_CELLS = 16
 # b * c <= PAIR_BLOCK_CELLS, so one of its float stacks takes at most 256 KB
 # (the level-set kernel's boolean stacks hold up to eight times the entries)
 PAIR_BLOCK_CELLS = 1 << 15
+# the entries each geometry cache keeps (walks; level-set geometries): one
+# pass of perfbench's levelset-bracket workload uses 21 level-set geometries
+GEOMETRY_CACHE = 32
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def _half_offsets(grid: Grid, policy: KernelPolicy):
 
 class _Walk:
     """The pair walk over the bounding box of the domain cells (the whole grid
-    without a mask), iterated in :class:`_Block` steps.
+    without a mask), cut into :class:`_Block` steps (``blocks``).
 
     The walk keeps its arrays in one layout: the box, seen as (*outer, rows,
     nb) with rows = 1 in 1D, with its last two axes merged into a flat axis
@@ -196,11 +199,13 @@ class _Walk:
     ``reach`` zeros (a row takes W = nb + reach entries).  An offset (...,
     r, c) with |c| <= reach then shifts the flat axis by r W + c, and a
     partner x + o off its row lands on padding, not on the next row.
-    ``on`` is 1 on the domain cells in that layout and 0 elsewhere, and
-    ``field`` the walked field in it, zero off the domain.
+    ``on`` is 1 on the domain cells in that layout and 0 elsewhere; a walked
+    field is a grid array put in it by :meth:`field`.  Nothing in a walk
+    depends on a field, and its arrays are read-only: a cached walk serves
+    every field on its domain.
     """
 
-    def __init__(self, first, last, reach: int, mask: np.ndarray | None, field, offs, dists, index):
+    def __init__(self, first, last, reach: int, mask: np.ndarray | None, offs, dists, index):
         shape = [b + 1 - a for a, b in zip(first, last)]
         self.cut, self.box = tuple(slice(a, b + 1) for a, b in zip(first, last)), shape
         self.outer, self.rows, self.nb = shape[:-2], ([1] + shape)[-2], shape[-1]
@@ -210,16 +215,20 @@ class _Walk:
                              for i in range(len(self.outer))) + (self.width,)
         self.masked = mask is not None
         self.on = self._pad(mask[self.cut].astype(float) if self.masked else np.ones(shape))
-        if field is not None:
-            self.field = self._pad(np.where(mask[self.cut], field[self.cut], 0) if self.masked
-                                   else np.asarray(field)[self.cut])
-        self._offs, self._dists, self._index = offs, dists, index
+        _read_only(self.on, offs, dists, index)
+        self.blocks = list(self._cut(offs, dists, index))
 
     def _pad(self, a: np.ndarray) -> np.ndarray:
         out = self.zeros(dtype=a.dtype)
         rows = out[..., self.reach:].reshape(self.outer + [self.rows, self.width])
         rows[..., :self.nb] = a.reshape(self.outer + [self.rows, self.nb])
         return out
+
+    def field(self, values: np.ndarray) -> np.ndarray:
+        """The walked field of a grid array: its values on the domain cells in
+        the layout, zero elsewhere."""
+        out = self._pad(np.asarray(values)[self.cut])
+        return np.where(self.on != 0, out, 0) if self.masked else out
 
     def zeros(self, lead=(), dtype=float) -> np.ndarray:
         """A zero array of the layout with leading axes ``lead``."""
@@ -234,7 +243,9 @@ class _Walk:
         return out
 
     def __iter__(self):
-        offs, dists = self._offs, self._dists
+        return iter(self.blocks)
+
+    def _cut(self, offs, dists, index):
         dim = offs.shape[1]
         span = [n - 1 for n in self.box]
         nb, reach, width = self.nb, self.reach, self.width
@@ -260,7 +271,7 @@ class _Walk:
                 cols = nb - max(c0, 0)
                 b = min(e - s, max(1, PAIR_BLOCK_CELLS // (math.prod(cells) * cols)))
                 x0, x1 = max(0, -(c0 + b - 1)), min(nb, nb - c0)
-                yield _Block(self, offs[s:s + b], dists[s:s + b].tolist(), self._index[s:s + b],
+                yield _Block(self, offs[s:s + b], dists[s:s + b].tolist(), index[s:s + b],
                              cells + (x1 - x0,), xa + x0, ya + x0 + c0)
                 s += b
 
@@ -273,12 +284,13 @@ class _Block:
 
     ``offs`` and ``dists`` are the offsets and their lengths (Python floats,
     for scalar powers), ``index`` their rows in the :func:`_half_offsets`
-    table.  ``here()`` is the walked field on the cells x and ``there()``
-    the stack of it at x + o, one row per offset: a sliding window along the
-    last axis of the walk's layout.  A pair of the block joins two domain
-    cells; kernels zero a stack off the pairs (the block's ragged edge and
-    the cells off the domain) with :meth:`restrict` before they sum it, and
-    :meth:`add` accumulates a stack at both ends of its pairs.
+    table.  ``here(field)`` is a walked field (:meth:`_Walk.field`) on the
+    cells x and ``there(field)`` the stack of it at x + o, one row per
+    offset: a sliding window along the last axis of the walk's layout.  A
+    pair of the block joins two domain cells; kernels zero a stack off the
+    pairs (the block's ragged edge and the cells off the domain) with
+    :meth:`restrict` before they sum it, and :meth:`add` accumulates a stack
+    at both ends of its pairs.
     """
 
     def __init__(self, walk: _Walk, offs, dists, index, cells, x: int, y: int):
@@ -298,11 +310,11 @@ class _Block:
             shape, strides = (stack,) + shape, (item,) + strides
         return np.ndarray(shape, arr.dtype, arr, start * item, strides)
 
-    def here(self) -> np.ndarray:
-        return self._view(self._walk.field, self._x, self.shape[-1])
+    def here(self, field: np.ndarray) -> np.ndarray:
+        return self._view(field, self._x, self.shape[-1])
 
-    def there(self) -> np.ndarray:
-        return self._view(self._walk.field, self._y, self.shape[-1], self.shape[0])
+    def there(self, field: np.ndarray) -> np.ndarray:
+        return self._view(field, self._y, self.shape[-1], self.shape[0])
 
     def restrict(self, stack: np.ndarray) -> np.ndarray:
         """Zero a stack of finite entries off the block's pairs, in place.
@@ -350,12 +362,11 @@ class _Block:
             ys += np.einsum(subs, w, skew)
 
 
-def _pair_walk(grid: Grid, mask: np.ndarray | None, half, field=None, radius: float = math.inf):
+def _pair_walk(grid: Grid, mask: np.ndarray | None, half, radius: float = math.inf):
     """Walk the integer offsets of ``half`` (the :func:`_half_offsets` table)
-    that are at most ``radius`` on every axis, windowing the grid array
-    ``field``.  Returns ``(removed, walk)``: the number of offsets
-    inside the policy's analytic near field (none under "exclude"), counted
-    on the whole grid's offset box, and the :class:`_Walk`.
+    that are at most ``radius`` on every axis.  Returns ``(removed, walk)``:
+    the number of offsets inside the policy's analytic near field (none under
+    "exclude"), counted on the whole grid's offset box, and the :class:`_Walk`.
 
     Each unordered cell pair {x, x+o} appears exactly once; callers accumulate
     contributions at both ends.  A block is a run of consecutive walked
@@ -377,7 +388,34 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, half, field=None, radius: fl
         walked &= np.all(np.abs(offs) <= np.subtract(last, first), axis=1)
     idx = np.flatnonzero(walked)
     reach = int(min(last[-1] - first[-1], radius))
-    return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, field, offs[idx], dists[idx], idx)
+    return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, offs[idx], dists[idx], idx)
+
+
+def _read_only(*arrays):
+    """Set arrays read-only: a cached geometry is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _cells_key(mask: np.ndarray | None):
+    """The domain cells as a cache key: their bytes (None for the whole grid)."""
+    return None if mask is None else mask.tobytes()
+
+
+def _cells_of(key, grid: Grid) -> np.ndarray | None:
+    """The domain cells of a :func:`_cells_key`, read-only."""
+    return None if key is None else np.frombuffer(key, dtype=bool).reshape(grid.shape)
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE)
+def _walk_geometry(grid: Grid, policy: KernelPolicy, cells, radius: float, budget: int):
+    """The :func:`_half_offsets` table of ``grid`` and ``policy``, read-only,
+    and :func:`_pair_walk`'s (removed, walk) of the domain cells ``cells`` (a
+    :func:`_cells_key`) up to ``radius``.  ``budget`` is PAIR_BLOCK_CELLS at
+    the call, which the walk's cuts depend on."""
+    half = _half_offsets(grid, policy)
+    _read_only(*half)
+    return (half,) + _pair_walk(grid, _cells_of(cells, grid), half, radius)
 
 
 def _row_groups(live: np.ndarray, cells: int, scale: int = 1, l0: int = 0):
@@ -395,10 +433,11 @@ def _row_groups(live: np.ndarray, cells: int, scale: int = 1, l0: int = 0):
         l0 = l1
 
 
-def _increments(blk: _Block, p: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """|v(x+o) - v(x)|^p on a block's stack (v its walked field), zero off
+def _increments(blk: _Block, field: np.ndarray, p: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """|v(x+o) - v(x)|^p on a block's stack for a walked field v, zero off
     its pairs, in ``out`` or a new array."""
-    d = blk.restrict(np.subtract(blk.there(), blk.here(), out=np.empty(blk.shape) if out is None else out))
+    d = blk.restrict(np.subtract(blk.there(field), blk.here(field),
+                                 out=np.empty(blk.shape) if out is None else out))
     if p == 2.0:
         return np.square(d, out=d)  # the same bits as |d|^2
     np.abs(d, out=d)
@@ -532,11 +571,11 @@ def _unscale(x, e: int, p: float = 1.0):
 def _gagliardo_setup(f: SampledField, s_values, p: float, omega: DomainMask | None,
                      policy: KernelPolicy):
     """What both Gagliardo kernels start from: the checked s values, the
-    domain cells, f scaled by 2^-e into the safe band with e, the pair walk
-    of the scaled values (the offsets up to NEAR_CELLS at p = 2, all others
-    otherwise), the :func:`_far_offsets` left to the FFT (None unless p = 2)
-    and the near-field model: the per-cell |grad f|^p on the domain and the
-    removed ball's radius (None under "exclude")."""
+    domain cells, f scaled by 2^-e into the safe band with e, the shared pair
+    walk (the offsets up to NEAR_CELLS at p = 2, all others otherwise) and
+    the scaled values walked on it, the :func:`_far_offsets` left to the FFT
+    (None unless p = 2) and the near-field model: the per-cell |grad f|^p on
+    the domain and the removed ball's radius (None under "exclude")."""
     s_values = [float(s) for s in s_values]
     for s in s_values:
         GagliardoParams(s, p)
@@ -545,14 +584,14 @@ def _gagliardo_setup(f: SampledField, s_values, p: float, omega: DomainMask | No
     e = _scale_exponent(f, mask, p)
     f = _scaled(f, e)
     fft = p == 2.0
-    half = _half_offsets(grid, policy)
-    removed, walk = _pair_walk(grid, mask, half, f.values, NEAR_CELLS if fft else math.inf)
+    half, removed, walk = _walk_geometry(grid, policy, _cells_key(mask), NEAR_CELLS if fft else math.inf,
+                                         PAIR_BLOCK_CELLS)
     far = _far_offsets(half) if fft else None
     model = None
     if policy.diagonal == "equivalent-ball":
         gradp = gradient_magnitude(f) ** p
         model = gradp if mask is None else np.where(mask, gradp, 0.0), _equivalent_radius(removed, grid)
-    return s_values, mask, f, e, walk, far, model
+    return s_values, mask, f, e, walk, walk.field(f.values), far, model
 
 
 def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
@@ -564,13 +603,13 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
     with the near-field handled per policy.  At p = 2 the offsets beyond
     NEAR_CELLS on some axis get their sums from one FFT correlation.
     """
-    s_values, mask, f, e, walk, far, model = _gagliardo_setup(f, s_values, p, omega, policy)
+    s_values, mask, f, e, walk, v, far, model = _gagliardo_setup(f, s_values, p, omega, policy)
     grid = f.grid
     n, vol = grid.dim, grid.cell_volume
     dists, sums = [], [np.zeros(0)]
     for blk in walk:
         dists += blk.dists
-        sums.append(_increments(blk, p).reshape(len(blk.dists), -1).sum(axis=1))
+        sums.append(_increments(blk, v, p).reshape(len(blk.dists), -1).sum(axis=1))
     dists = np.asarray(dists)
     sums = np.concatenate(sums)
     if far is not None:
@@ -597,7 +636,7 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
     At p = 2 the offsets beyond NEAR_CELLS on some axis come from one FFT
     convolution per s with their kernel.
     """
-    s_values, mask, f, e, walk, far, model = _gagliardo_setup(f, s_values, p, omega, policy)
+    s_values, mask, f, e, walk, v, far, model = _gagliardo_setup(f, s_values, p, omega, policy)
     grid = f.grid
     n, vol = grid.dim, grid.cell_volume
     if not s_values:
@@ -605,7 +644,7 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
     exps = [-(s * p + n) for s in s_values]
     acc = walk.zeros([len(s_values)])
     for blk in walk:
-        d = _increments(blk, p, blk.scratch())
+        d = _increments(blk, v, p, blk.scratch())
         for row, x in zip(acc, exps):
             # Python-float powers: numpy's vector pow may differ in the last bit
             blk.add(row, d, [dist ** x * vol for dist in blk.dists])
@@ -690,68 +729,93 @@ def _shell_table(grid: Grid, policy: KernelPolicy, half, expo: float, gamma: flo
 
 
 class _LevelSetBlock:
-    """A walk block's lambda-free data in a :class:`_LevelSetKernel`: each
+    """A walk block's lambda-free data in a :class:`_LevelSetGeometry`: each
     offset's threshold scale |o|^(1+gamma/p) (infinite on shell offsets) and
     their least, ``ker`` the weights |o|^(gamma-n) vol (zero on shell
     offsets), and for the shell offsets their first and last sub-cell
-    thresholds and total weight from the table.  Once a batch has computed
-    the block's increments, ``dmax`` holds each offset's largest and
-    ``dmin`` its least nonzero one (an entry off the pairs is 0, and a pair
-    of zero increment is a member on no row, so neither counts)."""
+    thresholds and total weight from the table.  Its arrays are read-only."""
 
-    def __init__(self, blk: _Block, kernel: "_LevelSetKernel"):
-        # no reference to the kernel: it holds this block, and a cycle would
+    def __init__(self, blk: _Block, geo: "_LevelSetGeometry"):
+        # no reference to the geometry: it holds this block, and a cycle would
         # keep both alive until the garbage collector runs
-        self.blk, self._weight = blk, kernel.weight
-        self.sub = [dist <= kernel.radius for dist in blk.dists]
-        self.scales = np.array([math.inf if s else dist ** kernel.expo for s, dist in zip(self.sub, blk.dists)])
+        self.blk, self._weight = blk, geo.weight
+        self.sub = [dist <= geo.radius for dist in blk.dists]
+        self.scales = np.array([math.inf if s else dist ** geo.expo for s, dist in zip(self.sub, blk.dists)])
         self.least = self.scales.min()
-        self.at = self.dmax = self.dmin = None
+        self.at = None
         if any(self.sub):
             # off the shell ``at`` is -1 and the columns hold unused entries
-            self.sub, self.at = np.array(self.sub), kernel.table[blk.index]
-            thr, cum = kernel.shell_thr, kernel.shell_ker
+            self.sub, self.at = np.array(self.sub), geo.table[blk.index]
+            thr, cum = geo.shell_thr, geo.shell_ker
             self.first, self.last, self.total = thr[self.at, :1], thr[self.at, -1:], cum[self.at, -1:]
             self.shell_least = self.first[self.sub].min()
+            _read_only(self.sub, self.at, self.first, self.last, self.total)
+        _read_only(self.scales)
 
     @functools.cached_property
     def ker(self) -> np.ndarray:
         x, vol = self._weight
-        return np.array([0.0 if s else dist ** x * vol for s, dist in zip(self.sub, self.blk.dists)])
+        ker = np.array([0.0 if s else dist ** x * vol for s, dist in zip(self.sub, self.blk.dists)])
+        _read_only(ker)
+        return ker
+
+
+class _LevelSetGeometry:
+    """What the level-set inner integral needs that depends on the grid, the
+    domain, the policy, gamma and p, and on no f or lambda: the offset and
+    shell tables, the pair walk, each walk block's :class:`_LevelSetBlock`
+    and the analytic model's sphere measure and caps (``caps`` is None under
+    "exclude").  ``cells`` are the domain cells as a :func:`_cells_key`, and
+    ``budget`` is PAIR_BLOCK_CELLS at the call, which the walk's cuts depend
+    on.  :func:`_level_set_geometry` builds one per key and shares it among
+    every kernel, so its arrays are read-only."""
+
+    def __init__(self, grid: Grid, policy: KernelPolicy, gamma: float, p: float, cells, budget: int):
+        # the exponents of the thresholds |o|^expo and of the weights |o|^x vol
+        self.expo, self.weight = 1.0 + gamma / p, (gamma - grid.dim, grid.cell_volume)
+        self.half, removed, self.walk = _walk_geometry(grid, policy, cells, math.inf, budget)
+        self.radius, self.table, self.shell_thr, self.shell_ker = _shell_table(
+            grid, policy, self.half, self.expo, gamma)
+        _read_only(self.table, self.shell_thr, self.shell_ker)
+        self.blocks = [_LevelSetBlock(blk, self) for blk in self.walk]
+        self.caps = None
+        if policy.diagonal == "equivalent-ball":
+            r_cap = _equivalent_radius(removed, grid)
+            if grid.dim == 1:
+                # the two axis directions, each with its own cap
+                lo_ext, hi_ext = _directional_extent_1d(grid, _cells_of(cells, grid))
+                self.sphere, self.caps = 2.0, (np.minimum(r_cap, hi_ext), np.minimum(r_cap, lo_ext))
+            else:
+                self.sphere, self.caps = sphere_area(grid.dim), (np.full(grid.shape, r_cap),)
+            _read_only(*self.caps)
+
+
+_level_set_geometry = functools.lru_cache(maxsize=GEOMETRY_CACHE)(_LevelSetGeometry)
 
 
 class _LevelSetKernel:
     """The level-set inner integral of one f on one domain under one policy,
-    for any lambda batch.  What does not depend on lambda is built once: the
-    offset and shell tables, the pair walk, the spread of f, |grad f| and the
-    analytic model's caps, and each block's :class:`_LevelSetBlock`.
+    for any lambda batch.  What depends on neither f nor lambda is the shared
+    :class:`_LevelSetGeometry` ``geo``.  The kernel adds what depends on f:
+    the walked field, the spread of f and |grad f|, and per block, once a
+    batch has computed its increments, each offset's largest (``dmax``) and
+    least nonzero (``dmin``) one (an entry off the pairs is 0, and a pair of
+    zero increment is a member on no row, so neither counts).
     :meth:`profile` runs the block loop for one batch."""
 
     def __init__(self, f: SampledField, params: BsvyParams, omega: DomainMask | None,
                  policy: KernelPolicy):
         grid = self.grid = f.grid
         self.params, self.mask = params, mask_cells(omega, grid)
-        # the exponents of the thresholds |o|^expo and of the weights |o|^x vol
-        self.expo, self.weight = 1.0 + params.gamma / params.p, (params.gamma - grid.dim, grid.cell_volume)
+        geo = self.geo = _level_set_geometry(grid, policy, params.gamma, params.p,
+                                             _cells_key(self.mask), PAIR_BLOCK_CELLS)
         v = f.values
         # no increment |f(x)-f(y)| on the domain exceeds the spread of f there
         on = v if self.mask is None else v[self.mask]
         self.spread = float(np.ptp(on)) if on.size else 0.0
-        self.half = _half_offsets(grid, policy)
-        self.radius, self.table, self.shell_thr, self.shell_ker = _shell_table(
-            grid, policy, self.half, self.expo, params.gamma)
-        removed, self.walk = _pair_walk(grid, self.mask, self.half, v)
-        self.blocks = [_LevelSetBlock(blk, self) for blk in self.walk]
-        self.grad = None
-        if policy.diagonal == "equivalent-ball":
-            self.grad = gradient_magnitude(f)
-            r_cap = _equivalent_radius(removed, grid)
-            if grid.dim == 1:
-                # the two axis directions, each with its own cap
-                lo_ext, hi_ext = _directional_extent_1d(grid, self.mask)
-                self.sphere, self.caps = 2.0, (np.minimum(r_cap, hi_ext), np.minimum(r_cap, lo_ext))
-            else:
-                self.sphere, self.caps = sphere_area(grid.dim), (np.full(grid.shape, r_cap),)
+        self.field = geo.walk.field(v)
+        self.dmax, self.dmin = [None] * len(geo.blocks), [None] * len(geo.blocks)
+        self.grad = None if geo.caps is None else gradient_magnitude(f)
 
     def model(self, lams: np.ndarray) -> np.ndarray:
         """The frozen-gradient analytic near field of the inner integral over
@@ -765,7 +829,7 @@ class _LevelSetKernel:
         convex in t, and the row tends to c g^p / |gamma| as lam -> 0 with c
         = ``sphere`` (2 in 1D).
         """
-        grid, gamma, p = self.grid, self.params.gamma, self.params.p
+        grid, gamma, p, geo = self.grid, self.params.gamma, self.params.p, self.geo
         if self.grad is None:
             return np.zeros((lams.size,) + grid.shape)
         # where grad f = 0 the power yields the right inclusion sentinel for
@@ -783,9 +847,9 @@ class _LevelSetKernel:
             return (cap ** gamma - a ** gamma) / gamma
 
         if grid.dim == 1:
-            rows = radial(self.caps[0]) + radial(self.caps[1])
+            rows = radial(geo.caps[0]) + radial(geo.caps[1])
         else:
-            rows = self.sphere * radial(self.caps[0])
+            rows = geo.sphere * radial(geo.caps[0])
         return rows if self.mask is None else np.where(self.mask[None], rows, 0.0)
 
     def profile(self, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -801,18 +865,18 @@ class _LevelSetKernel:
         order = np.argsort(lams, kind="stable")
         back = np.argsort(order)  # back to the caller's lambda order
         lams = lams[order]
-        pair = self.walk.unpad(self._pair_sums(lams), self.grid.shape)
+        pair = self.geo.walk.unpad(self._pair_sums(lams), self.grid.shape)
         if self.mask is not None:
             pair = np.where(self.mask[None], pair, 0.0)
         return pair[back], self.model(lams)[back]
 
     def _pair_sums(self, lams: np.ndarray) -> np.ndarray:
         # the pair part of ascending lams, in the walk's layout
-        acc = self.walk.zeros([lams.size])
+        acc = self.geo.walk.zeros([lams.size])
         if not lams.size:
             return acc
         spread = self.spread
-        for c in self.blocks:
+        for i, c in enumerate(self.geo.blocks):
             blk = c.blk
             # membership delta > lam * dist^expo, weighted; a shell offset gets
             # an infinite threshold and a zero weight there, and holds a member
@@ -821,26 +885,27 @@ class _LevelSetKernel:
             if not shell_live and not lams[0] * c.least < spread:
                 continue  # no offset of the block holds a member on any row
             delta = None
-            if c.dmax is None:
-                delta = _increments(blk)  # a pair outside the domain is in no level set
-                c.dmax = delta.max(axis=tuple(range(1, delta.ndim)))
+            if self.dmax[i] is None:
+                delta = _increments(blk, self.field)  # a pair outside the domain is in no level set
+                self.dmax[i] = delta.max(axis=tuple(range(1, delta.ndim)))
+            dmax = self.dmax[i]
             thresh = lams[:, None] * c.scales
-            live = np.count_nonzero(thresh < c.dmax, axis=0)
+            live = np.count_nonzero(thresh < dmax, axis=0)
             if shell_live:
                 shell = np.zeros(len(live), dtype=int)
-                shell[c.sub] = np.count_nonzero(c.dmax[c.sub, None] / lams > c.first[c.sub], axis=1)
+                shell[c.sub] = np.count_nonzero(dmax[c.sub, None] / lams > c.first[c.sub], axis=1)
                 shell_live = shell.any()
             if not shell_live and not live.any():
                 continue  # nor does any pair increment reach a threshold
             if delta is None:
-                delta = _increments(blk)
-            self._add_rows(c, delta, thresh, live, acc)
+                delta = _increments(blk, self.field)
+            self._add_rows(i, c, delta, thresh, live, acc)
             if shell_live:
                 self._add_shell(c, delta, lams, shell, acc)
         return acc
 
-    def _add_rows(self, c: _LevelSetBlock, delta, thresh, live, acc):
-        # the whole pairs of a block's non-shell offsets
+    def _add_rows(self, i: int, c: _LevelSetBlock, delta, thresh, live, acc):
+        # the whole pairs of block i's non-shell offsets
         blk = c.blk
         col = (-1,) + (1,) * (delta.ndim - 1)
         cells, shared = delta[0].size, 0
@@ -849,10 +914,10 @@ class _LevelSetKernel:
         # terms, same order); sought where each offset is live on two rows or more (so the batch
         # has two rows or more, and the block no shell offset: their live counts are 0)
         if live.min() > 1:
-            if c.dmin is None:
+            if self.dmin[i] is None:
                 axes = tuple(range(1, delta.ndim))
-                c.dmin = np.minimum.reduce(delta, axes, where=delta != 0, initial=math.inf)
-            shared = int(np.count_nonzero(thresh < c.dmin, axis=0).min())
+                self.dmin[i] = np.minimum.reduce(delta, axes, where=delta != 0, initial=math.inf)
+            shared = int(np.count_nonzero(thresh < self.dmin[i], axis=0).min())
             if shared:
                 blk.add(acc[:shared], np.not_equal(delta, 0, out=blk.scratch(dtype=bool)), c.ker)
         # (a boolean stack holds eight times the entries of a float one)
@@ -867,7 +932,7 @@ class _LevelSetKernel:
         # lengths in a block are monotone): membership delta > lam * thr_i is a
         # prefix of the threshold-sorted sub-cells, whose weights sum to the
         # table's running sum at the prefix's length
-        blk, thr = c.blk, self.shell_thr
+        blk, thr = c.blk, self.geo.shell_thr
         for rows, j0, j1 in _row_groups(live, delta[0].size):
             size = j1 - j0
             contrib = blk.scratch([rows.stop - rows.start], size)
@@ -888,7 +953,7 @@ class _LevelSetKernel:
                 # searchsorted places each band ratio among its offset's thresholds
                 at, j = c.at[j0:j1], band // ratio.shape[2] % size
                 keys = (thr[at] * 1j + np.arange(size)[:, None]).ravel()
-                ratio.ravel()[band] = self.shell_ker[at[j], np.searchsorted(keys, x * 1j + j) - j * thr.shape[1]]
+                ratio.ravel()[band] = self.geo.shell_ker[at[j], np.searchsorted(keys, x * 1j + j) - j * thr.shape[1]]
             blk.add(acc[rows], contrib, first=j0)
 
 
@@ -902,16 +967,16 @@ def _tail_bound(kernel: _LevelSetKernel, lam1: float):
     t = lam^p, t A is convex in t with limit M (:meth:`_LevelSetKernel.model`).
     So t (K + A) is convex on (0, t1] and at most B = max(M, t1 (K + A(lam1))).
     """
-    grid, mask = kernel.grid, kernel.mask
+    grid, mask, geo = kernel.grid, kernel.mask, kernel.geo
     gamma, p = kernel.params.gamma, kernel.params.p
-    _, dists, keep = kernel.half
+    _, dists, keep = geo.half
     weights = dists[keep] ** (gamma - grid.dim) * grid.cell_volume
-    weights[kernel.table[keep] >= 0] = kernel.shell_ker[:, -1]
+    weights[geo.table[keep] >= 0] = geo.shell_ker[:, -1]
     # the margin covers the walk summing the same weights in another order
     total = 2.0 * float(np.sum(weights)) * (1.0 + 1e-12)
     t1 = lam1 ** p
     if kernel.grad is not None:
-        limit = kernel.sphere * kernel.grad ** p / -gamma
+        limit = geo.sphere * kernel.grad ** p / -gamma
         bound = np.maximum(limit, t1 * (total + kernel.model(np.array([lam1]))[0]))
     else:
         limit, bound = np.zeros(grid.shape), np.full(grid.shape, t1 * total)
@@ -1145,16 +1210,17 @@ def weighted_mu_measure(predicate, gamma: float, weight: np.ndarray,
     n = grid.dim
     total = 0.0
     coords, w = grid.coords(), w.ravel()
-    number = np.arange(grid.total_cells, dtype=float).reshape(grid.shape)
-    walk = _pair_walk(grid, mask_cells(omega, grid), _half_offsets(grid, EXCLUDE_POLICY), number)[1]
+    walk = _walk_geometry(grid, EXCLUDE_POLICY, _cells_key(mask_cells(omega, grid)), math.inf,
+                          PAIR_BLOCK_CELLS)[2]
+    number = walk.field(np.arange(grid.total_cells, dtype=float).reshape(grid.shape))
     for blk in walk:
         # the pairs of the block, flat, by the cell numbers of their ends, with
         # the offset each belongs to
         b = len(blk.dists)
         pairs = blk.restrict(np.ones(blk.shape)).reshape(b, -1) > 0
         j = np.nonzero(pairs)[0]
-        ia = np.broadcast_to(blk.here(), blk.shape).reshape(b, -1)[pairs].astype(int)
-        ib = blk.there().reshape(b, -1)[pairs].astype(int)
+        ia = np.broadcast_to(blk.here(number), blk.shape).reshape(b, -1)[pairs].astype(int)
+        ib = blk.there(number).reshape(b, -1)[pairs].astype(int)
         xa, xb = coords[ia], coords[ib]
         sums = [np.bincount(j[memb], weights=w[ends][memb], minlength=b)
                 for memb, ends in ((np.asarray(predicate(xa, xb), dtype=bool), ia),

@@ -344,6 +344,21 @@ def test_cli_option_a_subcommand_does_not_read_is_refused(tmp_path, capsys, comm
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grid", "n=1,L=2,N=1", "--config", "/nonexistent.ini"],
+    ["--config", "exp.ini"], ["--out", "out"], ["--seed", "3"], ["--grid", "n=1,L=2,N=16"],
+])
+def test_cli_verify_refuses_the_global_flags(tmp_path, capsys, monkeypatch, argv):
+    # no criterion reads them, so none is silently ignored; the first row
+    # names a config that does not exist and a grid that _parse_grid rejects
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["verify", "--criteria", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "normlab: error: verify takes none of --config, --out, --seed, --grid\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, option", [(c, o) for c, reads in READS.items() for o in sorted(reads)])
 def test_cli_subcommand_takes_the_options_it_reads(command, option):
     from normlab.cli import _parser

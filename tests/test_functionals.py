@@ -905,10 +905,10 @@ def _offset_pairs(cells, off):
     return sa, sb, cells[sa] & cells[sb]
 
 
-def _block_pairs(blk):
-    """Per offset of a block walked with the cell numbers as its field: the
+def _block_pairs(blk, number):
+    """Per offset of a block, with the cell numbers walked as ``number``: the
     offset and the cell pairs (x, x + o) that ``restrict`` keeps."""
-    here, there = np.broadcast_to(blk.here(), blk.shape), blk.there()
+    here, there = np.broadcast_to(blk.here(number), blk.shape), blk.there(number)
     pm = blk.restrict(np.ones(blk.shape)) > 0
     for j, off in enumerate(blk.offs.tolist()):
         yield off, here[j][pm[j]].astype(int), there[j][pm[j]].astype(int)
@@ -927,13 +927,13 @@ def test_masked_pair_walk_stays_in_the_domain_box(dim, npts, domain, policy):
     first = np.array([i.min() for i in idx])
     span = np.array([i.max() for i in idx]) - first
     assert np.any(span < np.array(g.shape) - 1)  # the crop does something
-    number = np.arange(cells.size, dtype=float).reshape(g.shape)
     removed_full, full = _pair_walk(g, None, _half_offsets(g, policy))
-    removed, walk = _pair_walk(g, cells, _half_offsets(g, policy), number)
+    removed, walk = _pair_walk(g, cells, _half_offsets(g, policy))
+    number = walk.field(np.arange(cells.size, dtype=float).reshape(g.shape))
     assert removed == removed_full
     walked = {}
     for blk in walk:
-        for (off, x, y), dist in zip(_block_pairs(blk), blk.dists):
+        for (off, x, y), dist in zip(_block_pairs(blk, number), blk.dists):
             assert np.all(np.abs(off) <= span)
             xs, ys = np.unravel_index(x, g.shape), np.unravel_index(y, g.shape)
             for ax in range(dim):  # both ends inside the box, one offset apart
@@ -1252,10 +1252,13 @@ def test_kernel_batches_equal_fresh_profiles(dim, domain, policy, budget, monkey
 
 
 def test_one_kernel_set_up_per_sup(monkeypatch):
-    # a gamma < 0 sup with an extension, a refinement and a tail bound builds
-    # the offset table, the shell table and the pair walk once
+    # on cold caches, a gamma < 0 sup with an extension, a refinement and a
+    # tail bound builds the offset table, the shell table and the pair walk
+    # once; a second f on the same geometry builds none of them
     import normlab.functionals as F
 
+    F._walk_geometry.cache_clear()
+    F._level_set_geometry.cache_clear()
     calls = {"_half_offsets": 0, "_shell_table": 0, "_pair_walk": 0}
     for name in calls:
         def counted(*args, _fn=getattr(F, name), _name=name, **kwargs):
@@ -1275,6 +1278,171 @@ def test_one_kernel_set_up_per_sup(monkeypatch):
     assert any(r.extended for r in reps) and len(rounds) == 3 and tails
     assert len({id(k) for k in rounds + tails}) == 1
     assert calls == {"_half_offsets": 1, "_shell_table": 1, "_pair_walk": 1}
+    geo = rounds[0].geo
+    rounds.clear()
+    f2 = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.2), g)
+    F.bsvy_sups(f2, BsvyParams(-1.0, 2.0), [parse_space(t) for t in CATALOG_1D], None, policy)
+    assert rounds and all(k.geo is geo for k in rounds)
+    assert calls == {"_half_offsets": 1, "_shell_table": 1, "_pair_walk": 1}
+
+
+# --------------------------------------------------------------------------
+# the geometry cache: one walk and one level-set geometry per key, shared by
+# every f; a warm cache gives the bits of a cold one
+# --------------------------------------------------------------------------
+
+
+def _cold(fn, *args):
+    import normlab.functionals as F
+
+    F._walk_geometry.cache_clear()
+    F._level_set_geometry.cache_clear()
+    return fn(*args)
+
+
+def _arrays(obj, path="geo", seen=None):
+    """Every array reachable from obj through attributes, tuples and lists, by path."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return {}
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return {path: obj}
+    items = (enumerate(obj) if isinstance(obj, (tuple, list))
+             else vars(obj).items() if hasattr(obj, "__dict__") else ())
+    out = {}
+    for key, value in items:
+        out.update(_arrays(value, f"{path}.{key}", seen))
+    return out
+
+
+CACHE_CASES = [(1, None), (1, "ball:center=0.3,radius=1.1"), (2, None), (2, "ball:center=0.3;-0.2,radius=1.3")]
+
+
+def _cache_case(dim, domain):
+    g = KERNEL_GRIDS[dim]
+    omega = None if domain is None else mask(parse_domain(domain, box=(g.lo, g.hi)), g)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    # the same shape with four times the increments: on a block where f's
+    # largest increments reach no threshold, this f's may
+    big = SampledField(g, 4.0 * f.values, 4.0 * f.analytic_gradient)
+    return g, omega, f, big
+
+
+@pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
+@pytest.mark.parametrize("dim, domain", CACHE_CASES)
+def test_warm_level_set_geometry_gives_cold_bits(dim, domain, policy):
+    # the second f on a shared geometry has larger increments, so a largest
+    # increment kept on the shared blocks from the first would skip blocks
+    import normlab.functionals as F
+
+    g, omega, f, big = _cache_case(dim, domain)
+    lams = default_lambda_grid(big, omega)
+    for gamma in (1.0, -1.0):
+        params = BsvyParams(gamma, 2.0)
+        cold = _cold(lambda: F._LevelSetKernel(big, params, omega, policy).profile(lams))
+        small = _cold(F._LevelSetKernel, f, params, omega, policy)
+        small.profile(lams)
+        warm = F._LevelSetKernel(big, params, omega, policy)
+        assert warm.geo is small.geo
+        for a, b in zip(warm.profile(lams), cold):
+            assert np.array_equal(a, b)
+        assert np.any(cold[0] > 0)
+
+
+@pytest.mark.parametrize("dim, domain", CACHE_CASES[1::2])
+def test_masks_one_cell_apart_share_no_geometry(dim, domain):
+    import normlab.functionals as F
+
+    g, omega, f, _ = _cache_case(dim, domain)
+    cells = omega.cells.copy()
+    cells[np.unravel_index(np.flatnonzero(cells)[0], g.shape)] = False  # one domain cell off
+    other = DomainMask(g, cells)
+    params, lams = BsvyParams(1.0, 2.0), default_lambda_grid(f, omega)
+    cold = _cold(bsvy_inner_profile, f, lams, params, other, EXCLUDE_POLICY)
+    cold_inner = _cold(fractional_inner_field, f, [0.5], 1.0, other, EXCLUDE_POLICY)
+    first = F._LevelSetKernel(f, params, omega, EXCLUDE_POLICY)
+    fractional_inner_field(f, [0.5], 1.0, omega, EXCLUDE_POLICY)
+    second = F._LevelSetKernel(f, params, other, EXCLUDE_POLICY)
+    assert second.geo is not first.geo
+    assert np.array_equal(np.add(*second.profile(lams)), cold)
+    assert np.array_equal(fractional_inner_field(f, [0.5], 1.0, other, EXCLUDE_POLICY), cold_inner)
+    assert not np.array_equal(cold, bsvy_inner_profile(f, lams, params, omega, EXCLUDE_POLICY))
+
+
+@pytest.mark.parametrize("dim, domain", CACHE_CASES)
+def test_block_budget_lowered_after_the_cache_is_warm(dim, domain, monkeypatch):
+    # the budget is part of the key: a lowered one walks several blocks of
+    # several offsets, with the bits of a cold walk at that budget
+    import normlab.functionals as F
+
+    g, omega, f, _ = _cache_case(dim, domain)
+    params, lams = BsvyParams(1.0, 2.0), default_lambda_grid(f, omega)
+    wide = F._LevelSetKernel(f, params, omega, CRIT12_POLICY)
+    gagliardo_seminorm_sweep(f, [0.5], 1.0, omega, CRIT12_POLICY)
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", 60)
+    cold = _cold(bsvy_inner_profile, f, lams, params, omega, CRIT12_POLICY)
+    cold_sweep = _cold(gagliardo_seminorm_sweep, f, [0.5], 1.0, omega, CRIT12_POLICY)
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", PAIR_BLOCK_CELLS)
+    F._LevelSetKernel(f, params, omega, CRIT12_POLICY)
+    gagliardo_seminorm_sweep(f, [0.5], 1.0, omega, CRIT12_POLICY)
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", 60)
+    narrow = F._LevelSetKernel(f, params, omega, CRIT12_POLICY)
+    sizes = [len(c.blk.dists) for c in narrow.geo.blocks]
+    assert len(sizes) > len(wide.geo.blocks) and max(sizes) >= 2
+    assert np.array_equal(np.add(*narrow.profile(lams)), cold)
+    assert gagliardo_seminorm_sweep(f, [0.5], 1.0, omega, CRIT12_POLICY) == cold_sweep
+
+
+@pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
+@pytest.mark.parametrize("dim, domain", CACHE_CASES)
+def test_cached_geometry_is_read_only_and_free_of_f(dim, domain, policy):
+    # after two functions ran on it, the shared geometry holds the arrays of
+    # one built without any f, and none of them can be written
+    import normlab.functionals as F
+
+    g, omega, f, big = _cache_case(dim, domain)
+    params = BsvyParams(-1.0, 2.0)
+    _cold(lambda: None)
+    for fn in (f, big):
+        kernel = F._LevelSetKernel(fn, params, omega, policy)
+        kernel.profile(default_lambda_grid(fn, omega))
+        _tail_bound(kernel, 1.0)
+    geo = kernel.geo
+    fresh = _cold(F._level_set_geometry, g, policy, -1.0, 2.0, F._cells_key(kernel.mask), PAIR_BLOCK_CELLS)
+    assert fresh is not geo
+    for c in geo.blocks + fresh.blocks:
+        c.ker  # built on a block's first use
+    shared, built = _arrays(geo), _arrays(fresh)
+    assert shared.keys() == built.keys() and len(shared) > 3 * len(geo.blocks)
+    for key, arr in shared.items():
+        assert not arr.flags.writeable, key
+        assert arr.dtype == built[key].dtype and np.array_equal(arr, built[key]), key
+    assert not {"field", "dmax", "dmin", "grad", "spread"} & {k.rsplit(".", 1)[-1] for k in shared}
+    with pytest.raises(ValueError):
+        geo.shell_thr[...] = 0.0
+
+
+@pytest.mark.parametrize("dim, domain", CACHE_CASES)
+def test_warm_walks_give_cold_bits(dim, domain):
+    # the Gagliardo kernels and the weighted pair measure take their walks
+    # from the cache too
+    g, omega, f, big = _cache_case(dim, domain)
+    w = 1.0 + np.sum(g.coords() ** 2, axis=1).reshape(g.shape)
+
+    def pred(xa, xb):
+        return xa[:, 0] + 0.3 * xa[:, -1] < 0.8 * xb[:, 0] + 0.1
+
+    calls = [(gagliardo_seminorm_sweep, big, [0.3, 0.9], 1.5, omega, DEFAULT_POLICY),
+             (gagliardo_seminorm_sweep, big, [0.3, 0.9], 2.0, omega, EXCLUDE_POLICY)]
+    calls += [(fractional_inner_field, big, [0.3, 0.9], p, omega, pol)
+              for p in (1.0, 2.0) for pol in (DEFAULT_POLICY, EXCLUDE_POLICY)]
+    calls += [(weighted_mu_measure, pred, gamma, w, omega, g) for gamma in (1.5, -0.5)]
+    cold = [_cold(*call) for call in calls]
+    for call in calls:  # warm every walk with the other f
+        call[0](*[f if a is big else a for a in call[1:]])
+    for call, ref in zip(calls, cold):
+        assert np.array_equal(call[0](*call[1:]), ref)
 
 
 def test_shell_table_peak_memory_3d():

@@ -516,7 +516,7 @@ def test_level_set_shell_band_lookups_match_oracle(monkeypatch):
     f = sample(TestFunctionSpec("gaussian", sigma=0.9, center=(0.1, -0.2)), g)
     omega = mask(parse_domain("ball:center=0.2;0.0,radius=1.9"), g)
     kernel = F._LevelSetKernel(f, BsvyParams(1.0, 2.0), omega, policy)
-    assert max(len(c.blk.dists) for c in kernel.blocks) >= 2
+    assert max(len(c.blk.dists) for c in kernel.geo.blocks) >= 2
     band = []
     search = np.searchsorted
 
