@@ -361,8 +361,10 @@ def run_norm_table(cfg: ExperimentConfig) -> RatioTable:
             try:
                 _add_row(table, cfg, cfg.grid, experiment="norm", function=fn.canonical(),
                          space=space.canonical(), value=norm(f, space, omega))
-            except ArithmeticError as exc:  # name the space whose parameters overflowed
-                raise type(exc)(f"{space.canonical()}: {exc}") from exc
+            except ArithmeticError as exc:  # name the space and the key that overflowed
+                key = space.extreme_exponent()
+                raise type(exc)(f"{space.canonical()}: " + (f"{key} is out of range: the arithmetic overflows"
+                                                              if key else str(exc))) from exc
     return table
 
 

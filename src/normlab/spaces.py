@@ -164,6 +164,17 @@ class SpaceSpec(Spec):
         outside the domain; :func:`norm_many` scales each row's max |v| to about 1."""
         raise NotImplementedError
 
+    def extreme_exponent(self) -> str | None:
+        """``key=value`` of the finite positive exponent (a ``divided`` key)
+        farthest from 1 by ratio: the one to name when arithmetic overflows,
+        as powers and roots of extreme exponents do.  None without one."""
+        values = {k: v for k, v in self.params().items()
+                  if k in self.divided and np.isscalar(v) and 0 < v < math.inf}
+        if not values:
+            return None
+        key = max(values, key=lambda k: abs(math.log(values[k])))
+        return f"{key}={values[key]!r}"
+
     def associate(self, values: np.ndarray, grid: Grid) -> float | None:
         """The closed-form associate (Koethe dual) norm of the zero-extended
         ``values``, or None where the space has none."""

@@ -286,9 +286,11 @@ def test_cli_closed_stdout_pipe_ends_quietly():
     (["norm", "--fn", "gaussian:sigma=inf"], "gaussian sigma must be finite, got inf"),
     # arithmetic that extreme parameters overflow
     (["norm", "--fn", "gaussian", "--space", "bbmorrey:q=1e-300,p=2,r=3,tau=4"],
-     "bbmorrey:p=2.0,q=1e-300,r=3.0,tau=4.0: (34, 'Numerical result out of range')"),
+     "bbmorrey:p=2.0,q=1e-300,r=3.0,tau=4.0: q=1e-300 is out of range: the arithmetic overflows\n"),
+    (["norm", "--fn", "gaussian", "--space", "bbmorrey:q=1e-300,p=2,r=3,tau=inf"],
+     "bbmorrey:p=2.0,q=1e-300,r=3.0,tau=inf: q=1e-300 is out of range: the arithmetic overflows\n"),
     (["norm", "--fn", "gaussian", "--space", "weighted:r=1e-300,a=1"],
-     "weighted:a=1.0,center=0.0,r=1e-300: (34, 'Numerical result out of range')"),
+     "weighted:a=1.0,center=0.0,r=1e-300: r=1e-300 is out of range: the arithmetic overflows\n"),
     (["weak-holder", "--instances", "1", "--gamma", "1e308"], "non-finite left-hand side"),
     # command-line errors, epsilon-check without a domain and an unknown criterion
     (["norm", "--bogus"], "unrecognized arguments: --bogus"),

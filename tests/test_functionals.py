@@ -1479,3 +1479,160 @@ def test_blocks_with_zero_increment_pairs_share_rows(fn, level_set_adds):
     assert value == float(np.max(lams * (np.sum(rows, axis=1) * g.cell_volume) ** 0.5))
     for i in (0, 9, 19):
         assert np.array_equal(rows[i], bsvy_inner_profile(f, lams[i:i + 1], params, None, EXCLUDE_POLICY)[0])
+
+
+# --------------------------------------------------------------------------
+# the block loop does only the work that can change a result: the ragged
+# edge of an unmasked walk, the level-set block ceilings, one weighted sum
+# for all s
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default-budget", "small-budget"])
+@pytest.mark.parametrize("radius", [math.inf, NEAR_CELLS], ids=["all", "near"])
+@pytest.mark.parametrize("grid", [make_grid(1, -2.0, 2.0, 70), make_grid(2, -2.0, 2.0, (20, 23)),
+                                  make_grid(3, -1.5, 1.5, (5, 6, 7))], ids=["1d", "2d", "3d"])
+def test_unmasked_walk_edge_holds_every_off_pair_entry(grid, radius, small, monkeypatch):
+    # the entries whose partner is not the cell x + o (it lies on the padding
+    # past a row's end) fill exactly the first a and last b columns of a
+    # block's stack on some leading cell, and restrict zeroes exactly them;
+    # the small budget cuts the runs into blocks of a few offsets
+    import normlab.functionals as F
+
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", 3 * grid.total_cells if small else PAIR_BLOCK_CELLS)
+    walk = _pair_walk(grid, None, _half_offsets(grid, EXCLUDE_POLICY), radius)[1]
+    number = walk.field(np.arange(1, grid.total_cells + 1, dtype=float).reshape(grid.shape))
+    cells = np.stack(np.unravel_index(np.arange(grid.total_cells), grid.shape), axis=-1)
+    negative = multi = 0
+    for blk in walk:
+        here, there = np.broadcast_to(blk.here(number), blk.shape), blk.there(number)
+        x, y = cells[here.astype(int) - 1], cells[np.maximum(there.astype(int), 1) - 1]
+        pairs = (there > 0) & np.all(y - x == blk.offs.reshape((-1,) + (1,) * (here.ndim - 1) + (grid.dim,)),
+                                     axis=-1)
+        off = ~pairs.reshape(-1, blk.shape[-1]).all(axis=0)  # the columns with an off-pair entry
+        cols, (a, b) = blk.shape[-1], blk.edge
+        assert np.array_equal(np.flatnonzero(off), np.r_[0:a, cols - b:cols])
+        assert np.array_equal(blk.restrict(np.ones(blk.shape)), pairs.astype(float))
+        negative += blk.offs[0, -1] < 0 and a > 0
+        multi += len(blk.dists) > 1 and (a or b)
+    assert multi and (negative or grid.dim == 1)
+
+
+def _no_ceilings(monkeypatch):
+    import normlab.functionals as F
+
+    monkeypatch.setattr(F._LevelSetGeometry, "ceilings", lambda geo, spread, steps: (
+        [math.inf] * len(geo.blocks), [math.inf] * len(geo.blocks)))
+
+
+def _x(g):
+    return g.coords()[:, 0].reshape(g.shape)
+
+
+BOUND_CASES = {
+    "step-1d": (make_grid(1, -2.0, 2.0, 64), None, lambda g: np.where(_x(g) > 0.1, 1.0, 0.0)),
+    "noise-2d": (make_grid(2, -2.0, 2.0, 12), None,
+                 lambda g: np.random.default_rng(5).standard_normal(g.shape)),
+    # a steep kink outside the ball: steps there bound nothing inside it but
+    # lie in its bounding box
+    "kink-ball-2d": (make_grid(2, -2.0, 2.0, 14), "ball:center=0.2;0.1,radius=1.2",
+                     lambda g: np.exp(-_x(g) ** 2) + 40.0 * np.abs(_x(g)) * (np.abs(_x(g)) > 1.5)),
+    "tent-lshape-2d": (make_grid(2, -2.0, 2.0, 14), "lshape:lo1=-1.5;-1.5,hi1=1.5;0,lo2=-1.5;-1.5,hi2=0;1.5",
+                       lambda g: np.maximum(1.0 - np.abs(_x(g)) / 1.5, 0.0)),
+    "big-1d": (make_grid(1, -2.0, 2.0, 48), "ball:center=0.3,radius=1.1", lambda g: 1e200 * np.exp(-_x(g) ** 2)),
+    "small-3d": (make_grid(3, -1.5, 1.5, 6), None, lambda g: 1e-200 * np.sin(2.0 * _x(g))),
+}
+
+
+@pytest.mark.parametrize("policy", [EXCLUDE_POLICY, KernelPolicy(near_window=2.5, subsample=8, subsample_window=8.0)],
+                         ids=["exclude", "criterion-12"])
+@pytest.mark.parametrize("case", BOUND_CASES, ids=BOUND_CASES)
+def test_block_ceilings_skip_only_dead_blocks(case, policy, monkeypatch):
+    # profiles with the ceilings equal those without any, bit for bit (gamma
+    # < 0 keeps the shell under criterion 12's policy), on batches from
+    # three first lambdas at which the ceilings skip some blocks
+    import normlab.functionals as F
+
+    g, domain, values = BOUND_CASES[case]
+    f = SampledField(g, values(g))
+    omega = None if domain is None else mask(parse_domain(domain, box=(g.lo, g.hi)), g)
+    lams = float(np.max(np.abs(f.values))) * np.geomspace(1e-2, 1e2, 9)
+    params = [BsvyParams(gamma, p) for gamma, p in ((1.0, 2.0), (2.0, 1.0), (-1.0, 2.0))]
+    kernels = [F._LevelSetKernel(f, par, omega, policy) for par in params]
+    starts, skips = (0, 4, 7), 0
+    for kernel in kernels:
+        for lam0 in lams[list(starts)]:
+            skips += sum(lam0 >= w and not (c.at is not None and lam0 < s)
+                         for w, s, c in zip(*kernel.ceil, kernel.geo.blocks))
+    assert skips
+    with_ceilings = [np.add(*k.profile(lams[i:])) for k in kernels for i in starts]
+    _no_ceilings(monkeypatch)
+    without = [np.add(*F._LevelSetKernel(f, par, omega, policy).profile(lams[i:])) for par in params for i in starts]
+    for a, b in zip(with_ceilings, without):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("expo", [1.5, 3.0])
+def test_block_ceiling_margin_covers_a_tie(expo, monkeypatch):
+    # f = 0, 1, 2, ... gives offset o the increment o on every pair, the
+    # reach o exactly; at lam = fl(o * fl(1 / scale)) the product fl(lam *
+    # scale) rounds below o, so the offset holds all its pairs, though lam
+    # equals reach / scale up to rounding: the margin keeps its block
+    import normlab.functionals as F
+
+    monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", 1)  # one offset per block
+    g = make_grid(1, -2.0, 2.0, 48)
+    f = SampledField(g, np.arange(48.0))
+    params = BsvyParams(2.0 * (expo - 1.0), 2.0)
+    kernel = F._LevelSetKernel(f, params, None, EXCLUDE_POLICY)
+    ties = []
+    for c in kernel.geo.blocks:
+        o, scale = int(c.blk.offs[0, 0]), float(c.scales[0])
+        lam = o * (1.0 / scale)
+        if lam * scale < o:
+            ties.append(lam)
+    assert ties
+    got = [np.add(*kernel.profile([lam, 2.0 * lam])) for lam in ties]
+    _no_ceilings(monkeypatch)
+    for lam, rows in zip(ties, got):
+        assert np.array_equal(rows, bsvy_inner_profile(f, [lam, 2.0 * lam], params, None, EXCLUDE_POLICY))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("dim, npts, domain", [(1, 300, None), (2, 40, "ball:center=0.3;-0.2,radius=1.5"),
+                                               (3, 7, None)])
+def test_inner_field_rows_equal_each_s_alone(dim, npts, domain, p):
+    # one weighted sum per block serves all six s; each row is the bits of
+    # that s alone (at p = 2 in 2D with the FFT's far offsets too)
+    g = make_grid(dim, -2.0, 2.0, npts)
+    omega = None if domain is None else mask(parse_domain(domain), g)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.2), g)
+    s_values = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
+    rows = fractional_inner_field(f, s_values, p, omega)
+    for s, row in zip(s_values, rows):
+        assert np.array_equal(row, fractional_inner_field(f, [s], p, omega)[0])
+    assert len({r.tobytes() for r in rows}) == len(s_values)
+
+
+def test_geometry_cache_evicts_by_bytes(monkeypatch):
+    # a budget below two 3D geometries: each new one evicts the one used
+    # longest ago, the kept bytes stay within the budget, and a geometry
+    # built again gives the bits of the first build
+    import normlab.functionals as F
+
+    g = KERNEL_GRIDS[3]
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    lams = default_lambda_grid(f)
+    params = [BsvyParams(gamma, 2.0) for gamma in (1.0, 2.0, -1.0)]
+    _cold(lambda: None)
+    first = F._LevelSetKernel(f, params[0], None, CRIT12_POLICY)
+    cold = np.add(*first.profile(lams))
+    size = sum(n for _, n in F._GEOMETRIES.values())  # the geometry and its walk
+    monkeypatch.setattr(F, "GEOMETRY_BYTES", int(1.5 * size))
+    for par in params[1:]:
+        F._LevelSetKernel(f, par, None, CRIT12_POLICY).profile(lams)
+        assert sum(n for _, n in F._GEOMETRIES.values()) <= F.GEOMETRY_BYTES
+    again = F._LevelSetKernel(f, params[0], None, CRIT12_POLICY)
+    assert again.geo is not first.geo
+    assert np.array_equal(np.add(*again.profile(lams)), cold)
+    assert F._level_set_geometry(g, CRIT12_POLICY, 1.0, 2.0, None, PAIR_BLOCK_CELLS) is again.geo
