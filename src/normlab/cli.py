@@ -8,6 +8,7 @@ failure.  Identical config + seed yields byte-identical CSV/JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -114,7 +115,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _parser() -> _Parser:
+    """The command-line parser, built once per process (parsing leaves it as it is)."""
     ap = _Parser(prog="normlab", description="function-space norm and functional laboratory")
     ap.add_argument("--config", help="INI experiment config")
     ap.add_argument("--out", help="output directory", default=None)

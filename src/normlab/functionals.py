@@ -15,6 +15,7 @@ import collections
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,10 +134,10 @@ NEAR_CELLS = 16
 # b * c <= PAIR_BLOCK_CELLS, so one of its float stacks takes at most 256 KB
 # (the level-set kernel's boolean stacks hold up to eight times the entries)
 PAIR_BLOCK_CELLS = 1 << 15
-# the bytes of arrays the geometry caches keep, walks and level-set geometries
-# together (see _geometry_cache): one pass of perfbench's levelset-bracket
-# workload keeps 0.52 MB, of pair-kernel-large 1.65 MB, and a 3D 12^3
-# geometry under criterion 12's policy 8.8 MB with its walk
+# the bytes the geometry caches keep, walks and level-set geometries together
+# (see _geometry_cache): one pass of perfbench's levelset-bracket workload
+# keeps 0.74 MB, of pair-kernel-large 2.5 MB, and a 3D 12^3 geometry under
+# criterion 12's policy 10.1 MB with its walk
 GEOMETRY_BYTES = 16 << 20
 
 
@@ -230,8 +231,8 @@ class _Walk:
 
     @property
     def nbytes(self) -> int:
-        """The bytes of the walk's arrays (its blocks hold views of them)."""
-        return self.on.nbytes + self.offs.nbytes + self.index.nbytes
+        """The bytes the walk keeps: its arrays and its blocks' records."""
+        return _footprint([self])
 
     def field(self, values: np.ndarray) -> np.ndarray:
         """The walked field of a grid array: its values on the domain cells in
@@ -307,6 +308,8 @@ class _Block:
     every leading cell: ``edge`` is (a, b).
     """
 
+    __slots__ = ("offs", "dists", "index", "edge", "shape", "_walk", "_x", "_y")
+
     def __init__(self, walk: _Walk, offs, dists, index, cells, x: int, y: int, edge):
         self.offs, self.dists, self.index, self.edge = offs, dists, index, edge
         self.shape = (len(dists),) + cells
@@ -335,14 +338,17 @@ class _Block:
         multiplying it with the domain indicator at both ends.  Without a mask
         every cell x of the block is a domain cell and so is every partner
         x + o off the ragged edge: only the ``edge`` columns are multiplied,
-        the same products on the same entries (the others would be times 1)."""
+        the same products on the same entries (the others would be times 1),
+        unless they are more than half the columns, where one multiply of the
+        whole stack takes less time than the two strided ones."""
         walk, cols = self._walk, self.shape[-1]
         on = self._view(walk.on, self._y, cols, self.shape[0])
-        if walk.masked:
-            stack *= on
-            stack *= self._view(walk.on, self._x, cols)
-            return stack
         a, b = self.edge
+        if walk.masked or 2 * (a + b) > cols:
+            stack *= on
+            if walk.masked:
+                stack *= self._view(walk.on, self._x, cols)
+            return stack
         if a:
             stack[..., :a] *= on[..., :a]
         if b:
@@ -416,6 +422,35 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, half, radius: float = math.i
     return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, offs[idx], dists[idx], idx)
 
 
+def _footprint(roots, shared=()) -> int:
+    """The bytes that ``roots`` keep, by sys.getsizeof: each object once,
+    with what it holds in its attributes, lists and tuples, and the arrays
+    its array views look into; ``shared`` objects and what only they hold
+    are another owner's."""
+    seen = {id(x) for x in shared}
+    todo, total = list(roots), 0
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        total += sys.getsizeof(x)  # an array's own data included
+        if type(x) is float or type(x) is int:
+            continue
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, np.ndarray):
+            if x.base is not None:
+                todo.append(x.base)
+        elif hasattr(type(x), "__slots__"):
+            todo.extend(getattr(x, name, None) for name in type(x).__slots__)
+        elif hasattr(x, "__dict__"):
+            todo.append(vars(x))
+    return total
+
+
 def _read_only(*arrays):
     """Set arrays read-only: a cached geometry is shared by every caller."""
     for a in arrays:
@@ -438,8 +473,8 @@ _GEOMETRIES = collections.OrderedDict()  # (builder, *args) -> (geometry, bytes)
 def _geometry_cache(nbytes):
     """A least-recently-used cache of a geometry builder by its arguments.
     Every cache made here shares one store: after each build, the entries
-    used longest ago go until the bytes of the arrays the entries keep
-    (``nbytes(geometry)`` each) fit in GEOMETRY_BYTES; the newest stays."""
+    used longest ago go until the bytes the entries keep (``nbytes(geometry)``
+    each) fit in GEOMETRY_BYTES; the newest stays."""
 
     def wrap(build):
         @functools.wraps(build)
@@ -789,6 +824,8 @@ class _LevelSetBlock:
     offsets), and for the shell offsets their first and last sub-cell
     thresholds and total weight from the table.  Its arrays are read-only."""
 
+    __slots__ = ("blk", "sub", "scales", "ker", "at", "first", "last", "total")
+
     def __init__(self, blk: _Block, geo: "_LevelSetGeometry"):
         # no reference to the geometry: it holds this block, and a cycle would
         # keep both alive until the garbage collector runs
@@ -856,11 +893,9 @@ class _LevelSetGeometry:
 
     @property
     def nbytes(self) -> int:
-        """The bytes of the geometry's own arrays and its blocks' (the walk and
-        the offset table are the walk cache's)."""
-        own = [a for a in vars(self).values() if isinstance(a, np.ndarray)] + list(self.caps or ())
-        own += [a for c in self.blocks for a in vars(c).values() if isinstance(a, np.ndarray)]
-        return sum(a.nbytes for a in own)
+        """The bytes the geometry keeps: its arrays and its blocks' records (the
+        walk and the offset table are the walk cache's)."""
+        return _footprint([self], [self.half, self.walk] + self.walk.blocks)
 
     def ceilings(self, spread: float, steps) -> tuple[list, list]:
         """Per block, the lambda from which none of its whole offsets (first
@@ -897,11 +932,11 @@ class _LevelSetKernel:
     """The level-set inner integral of one f on one domain under one policy,
     for any lambda batch.  What depends on neither f nor lambda is the shared
     :class:`_LevelSetGeometry` ``geo``.  The kernel adds what depends on f:
-    the walked field, |grad f|, each block's ceilings (``ceil``, from
-    :meth:`_LevelSetGeometry.ceilings`) and per block, once a
-    batch has computed its increments, each offset's largest (``dmax``) and
-    least nonzero (``dmin``) one (an entry off the pairs is 0, and a pair of
-    zero increment is a member on no row, so neither counts).
+    the walked field, |grad f| (``grad``, on first use), each block's
+    ceilings (``ceil``, from :meth:`_LevelSetGeometry.ceilings`) and per
+    block, once a batch has computed its increments, each offset's largest
+    (``dmax``) and least nonzero (``dmin``) one (an entry off the pairs is 0,
+    and a pair of zero increment is a member on no row, so neither counts).
     :meth:`profile` runs the block loop for one batch."""
 
     def __init__(self, f: SampledField, params: BsvyParams, omega: DomainMask | None,
@@ -911,16 +946,25 @@ class _LevelSetKernel:
         geo = self.geo = _level_set_geometry(grid, policy, params.gamma, params.p,
                                              _cells_key(self.mask), PAIR_BLOCK_CELLS)
         v = f.values
-        # no increment |f(x)-f(y)| on the domain exceeds the spread of f there,
-        # nor the steps of f along a lattice path in the domain's bounding box
-        on = v if self.mask is None else v[self.mask]
-        box, cut = v[geo.walk.cut], (slice(None),) * grid.dim
-        steps = [float(np.abs(box[cut[:i] + (slice(1, None),)] - box[cut[:i] + (slice(-1),)]).max(initial=0.0))
-                 for i in range(grid.dim)]
-        self.ceil = geo.ceilings(float(on.max() - on.min()) if on.size else 0.0, steps)
+        self.ceil = [math.inf] * len(geo.blocks), [math.inf] * len(geo.blocks)
+        # a walk of one block gets no ceilings: its one ceiling lies above every
+        # increment of every offset, so it would skip only an all-zero profile
+        if len(geo.blocks) > 1:
+            # no increment |f(x)-f(y)| on the domain exceeds the spread of f there,
+            # nor the steps of f along a lattice path in the domain's bounding box
+            on = v if self.mask is None else v[self.mask]
+            box, cut = v[geo.walk.cut], (slice(None),) * grid.dim
+            steps = [float(np.abs(box[cut[:i] + (slice(1, None),)] - box[cut[:i] + (slice(-1),)]).max(initial=0.0))
+                     for i in range(grid.dim)]
+            self.ceil = geo.ceilings(float(on.max() - on.min()) if on.size else 0.0, steps)
         self.field = geo.walk.field(v)
         self.dmax, self.dmin = [None] * len(geo.blocks), [None] * len(geo.blocks)
-        self.grad = None if geo.caps is None else gradient_magnitude(f)
+        self._f = f
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        """|grad f| per cell: the analytic model's and the default lambda grid's."""
+        return gradient_magnitude(self._f)
 
     def model(self, lams: np.ndarray) -> np.ndarray:
         """The frozen-gradient analytic near field of the inner integral over
@@ -935,7 +979,7 @@ class _LevelSetKernel:
         = ``sphere`` (2 in 1D).
         """
         grid, gamma, p, geo = self.grid, self.params.gamma, self.params.p, self.geo
-        if self.grad is None:
+        if geo.caps is None:
             return np.zeros((lams.size,) + grid.shape)
         # where grad f = 0 the power yields the right inclusion sentinel for
         # either sign of gamma: ceiling 0 (gamma > 0) or floor inf (gamma < 0)
@@ -945,7 +989,6 @@ class _LevelSetKernel:
         def radial(cap):
             # integral of z^(gamma-1) over the included part of (0, cap]:
             # (0, min(rho, cap)] when gamma > 0, (min(rho, cap), cap] otherwise
-            cap = cap[None] * np.ones_like(rho)
             a = np.minimum(rho, cap)
             if gamma > 0:
                 return a ** gamma / gamma
@@ -966,14 +1009,18 @@ class _LevelSetKernel:
             raise ValueError("lambda values must be positive and finite")
         # rows in ascending lambda order: the rows on which a pair offset can hold
         # a level-set member are then a prefix, and the walk skips the rest (they
-        # would only add exact zeros)
-        order = np.argsort(lams, kind="stable")
-        back = np.argsort(order)  # back to the caller's lambda order
-        lams = lams[order]
+        # would only add exact zeros); the stable sort of a batch already in
+        # order, as every round of bsvy_sups is, would leave it as it is
+        back = None
+        if np.any(lams[1:] < lams[:-1]):
+            order = np.argsort(lams, kind="stable")
+            back = np.argsort(order)  # back to the caller's lambda order
+            lams = lams[order]
         pair = self.geo.walk.unpad(self._pair_sums(lams), self.grid.shape)
         if self.mask is not None:
             pair = np.where(self.mask[None], pair, 0.0)
-        return pair[back], self.model(lams)[back]
+        model = self.model(lams)
+        return (pair, model) if back is None else (pair[back], model[back])
 
     def _pair_sums(self, lams: np.ndarray) -> np.ndarray:
         # the pair part of ascending lams, in the walk's layout
@@ -1053,12 +1100,31 @@ class _LevelSetKernel:
             x = ratio.ravel()[band]
             np.multiply(above, c.total[j0:j1], out=ratio)
             if band.size:
-                # complex keys j + i x sort by offset, then ratio: one
-                # searchsorted places each band ratio among its offset's thresholds
-                at, j = c.at[j0:j1], band // ratio.shape[2] % size
-                keys = (thr[at] * 1j + np.arange(size)[:, None]).ravel()
-                ratio.ravel()[band] = self.geo.shell_ker[at[j], np.searchsorted(keys, x * 1j + j) - j * thr.shape[1]]
+                at = c.at[j0:j1][band // ratio.shape[2] % size]
+                ratio.ravel()[band] = self.geo.shell_ker[at, _count_below(thr, at, x)]
             blk.add(acc[rows], contrib, first=j0)
+
+
+def _count_below(thr: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per entry i, how many thresholds of the row thr[rows[i]] (each row
+    ascending) lie strictly below x[i], for an x[i] above the row's first
+    threshold and at most its last: a bisection of fixed depth on the row,
+    the count a search would give."""
+    width = thr.shape[1]
+    flat = thr.ravel()
+    # pos: the flat index of the row's first threshold not yet known below x;
+    # the count lies in [1, width - 1], and each step of size s checks whether
+    # the s thresholds from pos on are all below x by the last of them
+    start = rows * width
+    pos = start + 1
+    depth = max(width - 2, 0).bit_length()
+    last = start + (width - 1) if 1 << depth > width else None
+    for s in (1 << i for i in reversed(range(depth))):
+        probe = pos + (s - 1)
+        if last is not None:  # a probe past the row reads its last threshold, not below x
+            np.minimum(probe, last, out=probe)
+        pos += s * (flat[probe] < x)
+    return pos - start
 
 
 def _tail_bound(kernel: _LevelSetKernel, lam1: float):
@@ -1079,7 +1145,7 @@ def _tail_bound(kernel: _LevelSetKernel, lam1: float):
     # the margin covers the walk summing the same weights in another order
     total = 2.0 * float(np.sum(weights)) * (1.0 + 1e-12)
     t1 = lam1 ** p
-    if kernel.grad is not None:
+    if geo.caps is not None:
         limit = geo.sphere * kernel.grad ** p / -gamma
         bound = np.maximum(limit, t1 * (total + kernel.model(np.array([lam1]))[0]))
     else:
@@ -1118,12 +1184,37 @@ def bsvy_functional(f: SampledField, lam: float, params: BsvyParams, space: Spac
     return float(bsvy_values(f, [lam], params, space, omega, policy)[0])
 
 
+def _geomspace(start: float, stop: float, num: int, endpoint: bool = True) -> np.ndarray:
+    """``np.geomspace(start, stop, num, endpoint=endpoint)`` bit for bit: the
+    same operations on the same values (the logarithms, an evenly spaced ramp
+    between them, its powers of ten, the ends set exactly) without numpy's
+    handling of array, negative and complex endpoints, which costs more than
+    the arithmetic on the short grids of a lambda search.  Other than
+    positive finite endpoints, or fewer than two points, go to numpy."""
+    if not (num >= 2 and 0.0 < start < math.inf and 0.0 < stop < math.inf):
+        return np.geomspace(start, stop, num, endpoint=endpoint)
+    a, b = np.log10(start), np.log10(stop)
+    y = np.arange(num, dtype=float)
+    y *= (b - a) / (num - 1 if endpoint else num)
+    y += a
+    if endpoint:
+        y[-1] = b
+    out = np.power(10.0, y)
+    out[0] = start
+    if endpoint:
+        out[-1] = stop
+    return out
+
+
 def default_lambda_grid(f: SampledField, omega: DomainMask | None = None) -> np.ndarray:
     """Log-spaced lambdas over LAMBDA_DECADES * max |grad f| (the natural slope scale)."""
-    cells = mask_cells(omega, f.grid)
-    g = gradient_magnitude(f) if cells is None else np.where(cells, gradient_magnitude(f), 0.0)
-    scale = float(np.max(g)) or 1.0
-    return np.geomspace(LAMBDA_DECADES[0] * scale, LAMBDA_DECADES[1] * scale, LAMBDA_POINTS)
+    return _lambda_grid(gradient_magnitude(f), mask_cells(omega, f.grid))
+
+
+def _lambda_grid(grad: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
+    """:func:`default_lambda_grid` from |grad f| and the domain cells."""
+    scale = float(np.max(grad if cells is None else np.where(cells, grad, 0.0))) or 1.0
+    return _geomspace(LAMBDA_DECADES[0] * scale, LAMBDA_DECADES[1] * scale, LAMBDA_POINTS)
 
 
 @dataclass
@@ -1183,12 +1274,12 @@ def _sup_search(lam: np.ndarray, report: FunctionalReport, e: int, tail=None):
         else:
             if k in (0, lam.size - 1):
                 report.extended = True
-                ext = (np.geomspace(lam[0] / 100.0, lam[0], REFINE_POINTS, endpoint=False) if k == 0
-                       else np.geomspace(lam[-1], lam[-1] * 100.0, REFINE_POINTS + 1)[1:])
+                ext = (_geomspace(lam[0] / 100.0, lam[0], REFINE_POINTS, endpoint=False) if k == 0
+                       else _geomspace(lam[-1], lam[-1] * 100.0, REFINE_POINTS + 1)[1:])
                 lam, vals, k = yield from merge(lam, vals, ext)
             lo, hi = lam[max(k - 1, 0)], lam[min(k + 1, lam.size - 1)]
             if hi > lo:
-                fine = np.geomspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+                fine = _geomspace(lo, hi, REFINE_POINTS + 2)[1:-1]
                 lam, vals, k = yield from merge(lam, vals, fine)
         report.sup = float(_unscale(vals[k], e))
         report.argmax_lam = float(_unscale(lam[k], e))
@@ -1219,10 +1310,10 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
     together.
     """
     spaces = list(spaces)
-    mask = mask_cells(omega, f.grid)
-    e = _scale_exponent(f, mask, params.p)
+    e = _scale_exponent(f, mask_cells(omega, f.grid), params.p)
     f = _scaled(f, e)
-    lam = (default_lambda_grid(f, omega) if lam_grid is None
+    kernel = _LevelSetKernel(f, params, omega, policy)
+    lam = (_lambda_grid(kernel.grad, kernel.mask) if lam_grid is None
            else np.ldexp(np.asarray(lam_grid, dtype=float), -e))
     if lam.size < 25 or lam[-1] / lam[0] < 10 ** 6:
         raise ValueError("lambda grid must span >= 6 decades with >= 25 points")
@@ -1232,8 +1323,6 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
         flags=["theorem-conditional"] if params.theorem_conditional else [],
         extra={"grid": f.grid.describe(), "policy": policy.canonical()},
     ) for space in spaces]
-
-    kernel = _LevelSetKernel(f, params, omega, policy)
 
     @functools.cache
     def tail_root():
@@ -1250,12 +1339,13 @@ def bsvy_sups(f: SampledField, params: BsvyParams, spaces,
                 for rep, space in zip(reports, spaces)]
     asks = [next(search) for search in searches]
     while any(ask is not None for ask in asks):
-        lams = np.unique(np.concatenate([ask for ask in asks if ask is not None]))
+        live = [ask for ask in asks if ask is not None]
+        lams = live[0] if len(live) == 1 else np.unique(np.concatenate(live))
         rows = np.add(*kernel.profile(lams))  # D + A; the parts go before the norms run
         for i, ask in enumerate(asks):
             if ask is None:
                 continue
-            inner = rows[np.searchsorted(lams, ask)]
+            inner = rows if ask is lams else rows[np.searchsorted(lams, ask)]
             vals = ask * norm_many(inner ** (1.0 / params.p), f.grid, spaces[i], omega)
             try:
                 asks[i] = searches[i].send(vals)

@@ -507,10 +507,16 @@ parse_function = TestFunctionSpec.parse
 
 
 def sample(spec: TestFunctionSpec, grid: Grid) -> SampledField:
-    """Evaluate a test function and its closed-form gradient at cell centers."""
+    """Evaluate a test function and its closed-form gradient at cell centers.
+    A spec whose values or gradient are not finite there (a width so small
+    that 1/sigma^2 overflows) is refused."""
     pts = grid.coords()
-    values = spec.evaluate(pts).reshape(grid.shape)
-    grad = spec.gradient(pts).T.reshape((grid.dim,) + grid.shape)
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        values = spec.evaluate(pts).reshape(grid.shape)
+        grad = spec.gradient(pts).T.reshape((grid.dim,) + grid.shape)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grad))):
+        raise ValueError(f"function {spec.canonical()} is out of range: its values or gradient"
+                         " on the grid are not finite")
     return SampledField(grid, values, grad)
 
 

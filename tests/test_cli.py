@@ -284,6 +284,12 @@ def test_cli_closed_stdout_pipe_ends_quietly():
     (["--grid", "n=2,L=1,N=8", "epsilon-check", "--domain", "slitbox:start=nan"],
      "slitbox start must be finite, got nan"),
     (["norm", "--fn", "gaussian:sigma=inf"], "gaussian sigma must be finite, got inf"),
+    (["--grid", "n=1,N=64", "bsvy", "--fn", "gaussian:sigma=1e-300", "--space", "lebesgue:p=2"],
+     "function gaussian:center=0.0,sigma=1e-300 is out of range: its values or gradient on the grid"
+     " are not finite\n"),
+    (["--grid", "n=1,N=64", "bsvy", "--fn", "gaussian:sigma=1e-160", "--space", "lebesgue:p=2"],
+     "function gaussian:center=0.0,sigma=1e-160 is out of range: its values or gradient on the grid"
+     " are not finite\n"),
     # arithmetic that extreme parameters overflow
     (["norm", "--fn", "gaussian", "--space", "bbmorrey:q=1e-300,p=2,r=3,tau=4"],
      "bbmorrey:p=2.0,q=1e-300,r=3.0,tau=4.0: q=1e-300 is out of range: the arithmetic overflows\n"),

@@ -1,3 +1,4 @@
+import functools
 import math
 from pathlib import Path
 
@@ -640,6 +641,36 @@ def test_default_lambda_grid_scale():
     assert lam.size == 40
 
 
+def test_geomspace_equals_numpy_bit_for_bit():
+    import normlab.functionals as F
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        start, stop = 10.0 ** rng.uniform(-300, 300, 2)
+        num, endpoint = int(rng.integers(2, 50)), bool(rng.integers(2))
+        assert np.array_equal(F._geomspace(start, stop, num, endpoint),
+                              np.geomspace(start, stop, num, endpoint=endpoint))
+    for args in ((2.5, 2.5, 7), (1.0, 100.0, 1), (1.0, 100.0, 0), (5e-324, 1.0, 12)):
+        assert np.array_equal(F._geomspace(*args), np.geomspace(*args))
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 6, 7, 8, 9, 16, 25, 27, 64])
+def test_count_below_equals_a_search(width):
+    # each x above its row's first threshold and at most its last, ties
+    # included: the count of thresholds strictly below x, as a left search
+    import normlab.functionals as F
+
+    rng = np.random.default_rng(width)
+    thr = np.sort(rng.integers(0, 4 * width, (6, width)).astype(float), axis=1)
+    thr[:, -1] += 1.0  # room above the first threshold
+    rows = rng.integers(0, 6, 400)
+    x = rng.uniform(thr[rows, 0], thr[rows, -1])
+    x[::3] = thr[rows[::3], rng.integers(1, width, x[::3].size)]
+    x = np.where(x > thr[rows, 0], x, thr[rows, -1])
+    want = [np.searchsorted(thr[r], v) for r, v in zip(rows, x)]
+    assert np.array_equal(F._count_below(thr, rows, x), want)
+
+
 @pytest.mark.parametrize("c", [1 + 2.0 ** -40, 1 + 3 * 2.0 ** -40, 1 - 1e-9, 1.5, 3.0])
 def test_bsvy_sup_homogeneous_on_flat_profile(c):
     # the profile is flat up to rounding over four decades of lambda; the
@@ -1251,6 +1282,24 @@ def test_kernel_batches_equal_fresh_profiles(dim, domain, policy, budget, monkey
             assert np.array_equal(pair + model, bsvy_inner_profile(f, batch, params, omega, policy))
 
 
+@pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
+@pytest.mark.parametrize("dim", [1, 2])
+def test_profile_of_a_shuffled_batch_equals_the_ascending_rows(dim, policy):
+    # an ascending batch skips the sort; a shuffled one is sorted and put
+    # back: both parts of each row are the bits of the ascending batch's
+    import normlab.functionals as F
+
+    g = KERNEL_GRIDS[dim]
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    omega = mask(parse_domain("ball:radius=1.3", box=(g.lo, g.hi)), g)
+    lams = default_lambda_grid(f, omega)
+    perm = np.random.default_rng(7).permutation(lams.size)
+    for gamma in (1.0, -1.0):
+        kernel = F._LevelSetKernel(f, BsvyParams(gamma, 2.0), omega, policy)
+        for part, shuffled in zip(kernel.profile(lams), kernel.profile(lams[perm])):
+            assert np.array_equal(shuffled, part[perm])
+
+
 def test_one_kernel_set_up_per_sup(monkeypatch):
     # on cold caches, a gamma < 0 sup with an extension, a refinement and a
     # tail bound builds the offset table, the shell table and the pair walk
@@ -1301,7 +1350,7 @@ def _cold(fn, *args):
 
 
 def _arrays(obj, path="geo", seen=None):
-    """Every array reachable from obj through attributes, tuples and lists, by path."""
+    """Every array reachable from obj through attributes (slots too), tuples and lists, by path."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return {}
@@ -1309,7 +1358,8 @@ def _arrays(obj, path="geo", seen=None):
     if isinstance(obj, np.ndarray):
         return {path: obj}
     items = (enumerate(obj) if isinstance(obj, (tuple, list))
-             else vars(obj).items() if hasattr(obj, "__dict__") else ())
+             else vars(obj).items() if hasattr(obj, "__dict__")
+             else [(k, getattr(obj, k)) for k in getattr(type(obj), "__slots__", ()) if hasattr(obj, k)])
     out = {}
     for key, value in items:
         out.update(_arrays(value, f"{path}.{key}", seen))
@@ -1554,6 +1604,8 @@ def test_block_ceilings_skip_only_dead_blocks(case, policy, monkeypatch):
     import normlab.functionals as F
 
     g, domain, values = BOUND_CASES[case]
+    if g.dim == 1:  # at the default budget a 1D walk is one block, which gets no ceilings
+        monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", 256)
     f = SampledField(g, values(g))
     omega = None if domain is None else mask(parse_domain(domain, box=(g.lo, g.hi)), g)
     lams = float(np.max(np.abs(f.values))) * np.geomspace(1e-2, 1e2, 9)
@@ -1570,6 +1622,50 @@ def test_block_ceilings_skip_only_dead_blocks(case, policy, monkeypatch):
     without = [np.add(*F._LevelSetKernel(f, par, omega, policy).profile(lams[i:])) for par in params for i in starts]
     for a, b in zip(with_ceilings, without):
         assert np.array_equal(a, b)
+
+
+def test_one_block_walk_gets_no_ceilings():
+    import normlab.functionals as F
+
+    g = make_grid(1, -2.0, 2.0, 64)
+    kernel = F._LevelSetKernel(sample(TestFunctionSpec("tent", width=1.5), g), BsvyParams(1.0, 2.0), None,
+                               CRIT12_POLICY)
+    assert len(kernel.geo.blocks) == 1 and kernel.ceil == ([math.inf], [math.inf])
+
+
+def _edge_restrict(blk, stack):
+    # _Block.restrict without a mask by the two edge column slices alone
+    cols, (a, b) = blk.shape[-1], blk.edge
+    on = blk._view(blk._walk.on, blk._y, cols, blk.shape[0])
+    stack[..., :a] *= on[..., :a]
+    stack[..., cols - b:] *= on[..., cols - b:]
+    return stack
+
+
+@pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
+def test_whole_stack_restrict_equals_the_edge_slices(policy, monkeypatch):
+    # the one block of a 1D walk has an edge of more than half its columns, so
+    # restrict multiplies its whole stack; profiles and inner fields equal
+    # those from the edge slices alone, bit for bit
+    import normlab.functionals as F
+
+    g = make_grid(1, -2.0, 2.0, 64)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.2), g)
+    lams = default_lambda_grid(f)
+    params = [BsvyParams(gamma, p) for gamma in (1.0, 2.0, -1.0) for p in (1.0, 2.0)]
+
+    def run():
+        profiles = [F._LevelSetKernel(f, par, None, policy).profile(lams) for par in params]
+        return profiles, fractional_inner_field(f, [0.3, 0.9], 1.5, None, policy)
+
+    (blk,) = F._LevelSetKernel(f, params[0], None, policy).geo.walk.blocks
+    assert 2 * sum(blk.edge) > blk.shape[-1]
+    whole = run()
+    monkeypatch.setattr(F._Block, "restrict", _edge_restrict)
+    sliced = run()
+    for (d, a), (d2, a2) in zip(whole[0], sliced[0]):
+        assert np.array_equal(d, d2) and np.array_equal(a, a2)
+    assert np.array_equal(whole[1], sliced[1])
 
 
 @pytest.mark.parametrize("expo", [1.5, 3.0])
@@ -1612,6 +1708,34 @@ def test_inner_field_rows_equal_each_s_alone(dim, npts, domain, p):
     for s, row in zip(s_values, rows):
         assert np.array_equal(row, fractional_inner_field(f, [s], p, omega)[0])
     assert len({r.tobytes() for r in rows}) == len(s_values)
+
+
+@pytest.mark.parametrize("case", ["walk-2d-128", "level-set-3d-12"])
+def test_geometry_cache_counts_what_it_keeps(case):
+    # the bytes the cache counts for a cold build, Python block records
+    # included, lie within 25% of what tracemalloc sees the build keep
+    import gc
+    import tracemalloc
+
+    import normlab.functionals as F
+
+    if case == "walk-2d-128":  # every offset: 7,283 blocks
+        build = functools.partial(F._walk_geometry, make_grid(2, -2.0, 2.0, 128), DEFAULT_POLICY, None,
+                                  math.inf, PAIR_BLOCK_CELLS)
+    else:
+        build = functools.partial(F._level_set_geometry, make_grid(3, -1.5, 1.5, 12), CRIT12_POLICY, 1.0, 2.0,
+                                  None, PAIR_BLOCK_CELLS)
+    _cold(gc.collect)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    counted = sum(n for _, n in F._GEOMETRIES.values())
+    assert kept is not None and abs(counted - held) <= 0.25 * held
 
 
 def test_geometry_cache_evicts_by_bytes(monkeypatch):

@@ -507,7 +507,8 @@ def test_level_set_shell_pairs_match_oracle(dim, domain, gamma):
 def test_level_set_shell_band_lookups_match_oracle(monkeypatch):
     # a small block budget splits the walk's runs and the shell's row groups;
     # the shell ratios that fall strictly between an offset's first and last
-    # sub-cell threshold get their count from one complex-keyed searchsorted
+    # sub-cell threshold get their count from a bisection of their offset's
+    # sorted thresholds
     import normlab.functionals as F
 
     monkeypatch.setattr(F, "PAIR_BLOCK_CELLS", 96)
@@ -518,16 +519,14 @@ def test_level_set_shell_band_lookups_match_oracle(monkeypatch):
     kernel = F._LevelSetKernel(f, BsvyParams(1.0, 2.0), omega, policy)
     assert max(len(c.blk.dists) for c in kernel.geo.blocks) >= 2
     band = []
-    search = np.searchsorted
+    count_below = F._count_below
 
-    def spy(keys, x, *args, **kwargs):
-        at = search(keys, x, *args, **kwargs)
-        if np.iscomplexobj(keys):
-            # each result's count among its own offset's k^n thresholds
-            band.extend((at - x.real * policy.subsample ** 2).tolist())
-        return at
+    def spy(thr, rows, x):
+        counts = count_below(thr, rows, x)
+        band.extend(counts.tolist())  # each one's count among its own offset's k^n thresholds
+        return counts
 
-    monkeypatch.setattr(np, "searchsorted", spy)
+    monkeypatch.setattr(F, "_count_below", spy)
     lams = np.array([0.35, 0.1])
     rows = kernel.profile(lams)[0]
     monkeypatch.undo()
