@@ -231,8 +231,16 @@ class _Walk:
 
     @property
     def nbytes(self) -> int:
-        """The bytes the walk keeps: its arrays and its blocks' records."""
-        return _footprint([self])
+        """The bytes the walk keeps: its arrays and its blocks' records, each
+        record counted from the first one's layout (the record, its views,
+        tuples and positions, the header of its list of lengths) plus, per
+        walked offset, a float and its list entry."""
+        total = self.on.nbytes + self.offs.nbytes + self.index.nbytes + sys.getsizeof(self.blocks)
+        if self.blocks:
+            b = self.blocks[0]
+            record = sum(map(sys.getsizeof, (b, b.offs, b.index, b.edge, b.shape, b._x, b._y, [])))
+            total += len(self.blocks) * record + len(self.offs) * _LENGTH_BYTES
+        return total
 
     def field(self, values: np.ndarray) -> np.ndarray:
         """The walked field of a grid array: its values on the domain cells in
@@ -422,33 +430,8 @@ def _pair_walk(grid: Grid, mask: np.ndarray | None, half, radius: float = math.i
     return int(np.count_nonzero(~keep)), _Walk(first, last, reach, mask, offs[idx], dists[idx], idx)
 
 
-def _footprint(roots, shared=()) -> int:
-    """The bytes that ``roots`` keep, by sys.getsizeof: each object once,
-    with what it holds in its attributes, lists and tuples, and the arrays
-    its array views look into; ``shared`` objects and what only they hold
-    are another owner's."""
-    seen = {id(x) for x in shared}
-    todo, total = list(roots), 0
-    while todo:
-        x = todo.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        total += sys.getsizeof(x)  # an array's own data included
-        if type(x) is float or type(x) is int:
-            continue
-        if isinstance(x, (list, tuple)):
-            todo.extend(x)
-        elif isinstance(x, dict):
-            todo.extend(x.values())
-        elif isinstance(x, np.ndarray):
-            if x.base is not None:
-                todo.append(x.base)
-        elif hasattr(type(x), "__slots__"):
-            todo.extend(getattr(x, name, None) for name in type(x).__slots__)
-        elif hasattr(x, "__dict__"):
-            todo.append(vars(x))
-    return total
+# a float in a list of block lengths: the float object and the list's pointer
+_LENGTH_BYTES = sys.getsizeof(0.0) + 8
 
 
 def _read_only(*arrays):
@@ -533,13 +516,11 @@ def _increments(blk: _Block, field: np.ndarray, p: float = 1.0, out: np.ndarray 
     return d if p == 1.0 else np.power(d, p, out=d)
 
 
-def _far_offsets(half):
-    """The kept offsets of ``half`` that ``_pair_walk(..., radius=NEAR_CELLS)``
-    leaves out: their flat indices in the offset box [-(n-1), n-1]^dim and
-    their lengths."""
-    offs, dists, keep = half
-    far = keep & (np.abs(offs).max(axis=1, initial=0) > NEAR_CELLS)
-    return np.flatnonzero(far) + (offs.shape[0] + 1), dists[far]
+def _far_offsets(half) -> np.ndarray:
+    """The rows of ``half`` that ``_pair_walk(..., radius=NEAR_CELLS)`` leaves
+    out and the policy keeps."""
+    offs, _, keep = half
+    return np.flatnonzero(keep & (np.abs(offs).max(axis=1, initial=0) > NEAR_CELLS))
 
 
 def _fast_length(n: int) -> int:
@@ -558,47 +539,79 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _fft_pair_terms(v: np.ndarray, mask: np.ndarray | None, kernels: np.ndarray | None = None):
-    """p = 2 pair sums for all offsets at once, from zero-padded real FFTs.
+class _FarField:
+    """The f-free half of the p = 2 far field (:func:`_fft_pair_terms`) on one
+    grid and domain: the real-FFT ``lengths`` that zero-pad each axis past
+    2n - 1 and the spectrum ``mspec`` of the domain indicator m.
+
+    For the seminorm (``exps`` None) ``at`` holds the flat index of each far
+    offset o (``far``, rows of ``half``) in a padded correlation, o_i modulo
+    the length on each axis.  For the inner field, per exponent x, the far
+    kernel K(o) = |o|^x vol (zero off the far offsets) gives ``kspec``, the
+    conjugate of its spectrum, and ``km``, the correlation K*m on the grid
+    cells, which the np.ix_ tuple ``at`` picks from a padded one.  The arrays
+    are read-only: a cached far field serves every f on its domain."""
+
+    def __init__(self, grid: Grid, mask: np.ndarray | None, half, far: np.ndarray, exps, vol: float):
+        offs, dists, _ = half
+        self.lengths, self.axes = [_fast_length(2 * n - 1) for n in grid.shape], tuple(range(-grid.dim, 0))
+        self.mspec = np.fft.rfftn(np.ones(grid.shape) if mask is None else mask.astype(float),
+                                  s=self.lengths, axes=self.axes)
+        self.kspec = self.km = None
+        if exps is None:
+            self.at = (np.ravel_multi_index(tuple((offs[far] % self.lengths).T), self.lengths).astype(np.int32),)
+        else:
+            box = [2 * n - 1 for n in grid.shape]
+            kernels = np.zeros((len(exps), math.prod(box)))
+            # offset o sits at flat index i of the box, -o at size - 1 - i
+            at = far + (offs.shape[0] + 1)
+            for kernel, x in zip(kernels, exps):
+                kernel[at] = kernel[kernel.size - 1 - at] = dists[far] ** x * vol
+            self.kspec = np.conj(np.fft.rfftn(kernels.reshape([-1] + box), s=self.lengths, axes=self.axes))
+            # corr(K, g)(t) at t = x - (n-1) is sum_o K(o) g(x+o)
+            self.at = np.ix_(*[np.arange(1 - n, 1, dtype=np.int32) % size for n, size in zip(grid.shape, self.lengths)])
+            self.km = np.fft.irfftn(self.kspec * self.mspec, s=self.lengths, axes=self.axes)[(Ellipsis,) + self.at]
+        _read_only(*self.arrays())
+
+    def arrays(self) -> list:
+        """The arrays it keeps."""
+        return [a for a in (self.mspec, self.kspec, self.km) + self.at if a is not None]
+
+
+def _fft_pair_terms(v: np.ndarray, mask: np.ndarray | None, far: _FarField) -> np.ndarray:
+    """p = 2 pair sums for all far offsets at once, from zero-padded real FFTs.
 
     With m the domain indicator, sum_x a(x) b(x+o) is the inverse transform of
-    conj(A) B.  Without kernels the result is, on the offset box
-    [-(n-1), n-1]^dim (C order),
+    conj(A) B.  For the seminorm the result is, per far offset (in ``far``'s
+    order),
 
         S(o) = sum_x m(x) m(x+o) (v(x) - v(x+o))^2 = A(o) + A(-o) - 2 B(o),
 
-    A = corr(v^2 m, m), B = corr(v m, v m).  With a stack of kernels K on that
-    box (K(o) = K(-o)) it is, per kernel, the per-cell field
+    A = corr(v^2 m, m), B = corr(v m, v m).  For the inner field it is, per
+    far kernel K (K(o) = K(-o)), the per-cell field
 
         m(x) sum_o K(o) m(x+o) (v(x) - v(x+o))^2 = m [v^2 K*m - 2 v K*(vm) + K*(v^2 m)].
 
-    Each transform runs on its own, so a kernel's field does not depend on
-    the others in the stack.  v is first centred on the mid-range of its
-    domain values: the differences do not change, the terms that cancel are
-    smaller, and a field constant on the domain gives exact zeros.  Both
-    results are sums of squares, so rounding below zero is clamped.
+    What depends on no f (the spectra of m and of the kernels, and K*m) is
+    ``far``'s; only v m and v^2 m are transformed here.  Each transform runs
+    on its own, so a kernel's field does not depend on the others in the
+    stack.  v is first centred on the mid-range of its domain values: the
+    differences do not change, the terms that cancel are smaller, and a
+    field constant on the domain gives exact zeros.  Both results are sums of
+    squares, so rounding below zero is clamped.
     """
     m = np.ones(v.shape) if mask is None else mask.astype(float)
     on = v if mask is None else v[mask]
     mid = 0.5 * (float(np.max(on)) + float(np.min(on)))
     v = (v if mask is None else np.where(mask, v, mid)) - mid
-    axes = tuple(range(-v.ndim, 0))
-    lengths = [_fast_length(2 * n - 1) for n in v.shape]
+    lengths, axes = far.lengths, far.axes
     vm = v * m
-    spec = np.fft.rfftn(np.stack([m, vm, v * vm]), s=lengths, axes=axes)
-    if kernels is None:
-        prod = 2.0 * (np.conj(spec[2]) * spec[0]).real - 2.0 * np.abs(spec[1]) ** 2
-        at = [np.arange(1 - n, n) % size for n, size in zip(v.shape, lengths)]
-    else:
-        kspec = np.fft.rfftn(kernels, s=lengths, axes=axes)
-        prod = np.conj(kspec[:, None]) * spec
-        # corr(K, g)(t) at t = x - (n-1) is sum_o K(o) g(x+o)
-        at = [np.arange(1 - n, 1) % size for n, size in zip(v.shape, lengths)]
-    out = np.fft.irfftn(prod, s=lengths, axes=axes)[(Ellipsis,) + np.ix_(*at)]
-    if kernels is not None:
-        km, kvm, kv2m = out[:, 0], out[:, 1], out[:, 2]
-        out = m * (v * v * km - 2.0 * v * kvm + kv2m)
-    return np.maximum(out, 0.0)
+    spec = np.fft.rfftn(np.stack([vm, v * vm]), s=lengths, axes=axes)
+    if far.kspec is None:
+        prod = 2.0 * (np.conj(spec[1]) * far.mspec).real - 2.0 * np.abs(spec[0]) ** 2
+        return np.maximum(np.fft.irfftn(prod, s=lengths, axes=axes).ravel()[far.at], 0.0)
+    out = np.fft.irfftn(far.kspec[:, None] * spec, s=lengths, axes=axes)[(Ellipsis,) + far.at]
+    return np.maximum(m * (v * v * far.km - 2.0 * v * out[:, 0] + out[:, 1]), 0.0)
 
 
 def _equivalent_radius(n_removed_offsets: int, grid: Grid) -> float:
@@ -657,14 +670,68 @@ def _unscale(x, e: int, p: float = 1.0):
     return np.ldexp(x * 2.0 ** (e * p - k), k)
 
 
+class _GagliardoGeometry:
+    """What a Gagliardo kernel needs that depends on the grid, the domain,
+    the policy, p and the s values, and on no f: the shared pair walk (the
+    offsets up to NEAR_CELLS at p = 2, all others otherwise) with the
+    number of offsets in the analytic near field (``removed``), the pair
+    weights and at p = 2 the :class:`_FarField` ``fft`` (None otherwise).
+
+    With ``inner`` the weights are :func:`fractional_inner_field`'s: per
+    walk block, the (s, b) matrix of |o|^-(n+sp) vol as Python-float powers
+    (numpy's vector pow may differ in the last bit), and the far field holds
+    the kernels.  Otherwise they are :func:`gagliardo_seminorm_sweep`'s:
+    per s, |o|^-(n+sp) per distinct length, with ``at`` the index of each
+    offset's length, the walked offsets block after block, then the far
+    ones.  ``cells`` are the domain cells as a :func:`_cells_key`, and
+    ``budget`` is PAIR_BLOCK_CELLS at the call, which the walk's cuts depend
+    on.  :func:`_gagliardo_geometry` builds one per key and shares it among
+    every f, so its arrays are read-only."""
+
+    def __init__(self, grid: Grid, policy: KernelPolicy, p: float, s_values: tuple, cells, budget: int,
+                 inner: bool):
+        fft = p == 2.0
+        half, self.removed, self.walk = _walk_geometry(grid, policy, cells, NEAR_CELLS if fft else math.inf, budget)
+        n, vol, dists = grid.dim, grid.cell_volume, half[1]
+        exps = [-(s * p + n) for s in s_values]
+        far = _far_offsets(half) if fft else None
+        self.fft = None if far is None else _FarField(grid, _cells_of(cells, grid), half, far,
+                                                       exps if inner else None, vol)
+        if inner:
+            self.weights = [np.array([[dist ** x * vol for dist in blk.dists] for x in exps]) for blk in self.walk]
+            _read_only(*self.weights)
+        else:
+            walked = dists[self.walk.index] if far is None else np.concatenate([dists[self.walk.index], dists[far]])
+            # many offsets share a length ((a, b), (b, a), (a, -b), ... in 2D):
+            # at 2D 128^2 the 32,508 offsets have 5,836 lengths
+            lengths, at = np.unique(walked, return_inverse=True)
+            self.at = at.astype(np.int32)
+            self.weights = np.empty((len(exps), lengths.size))
+            for row, x in zip(self.weights, exps):
+                row[...] = lengths ** x
+            _read_only(self.weights, self.at)
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the entry keeps: its arrays, with the list and the headers
+        of the inner field's per-block weights (the walk and the offset table
+        are the walk cache's)."""
+        weights = (sys.getsizeof(self.weights) + sum(map(sys.getsizeof, self.weights))
+                   if isinstance(self.weights, list) else self.weights.nbytes + self.at.nbytes)
+        return weights + (0 if self.fft is None else sum(a.nbytes for a in self.fft.arrays()))
+
+
+_gagliardo_geometry = _geometry_cache(lambda geo: geo.nbytes)(_GagliardoGeometry)
+
+
 def _gagliardo_setup(f: SampledField, s_values, p: float, omega: DomainMask | None,
-                     policy: KernelPolicy):
+                     policy: KernelPolicy, inner: bool):
     """What both Gagliardo kernels start from: the checked s values, the
-    domain cells, f scaled by 2^-e into the safe band with e, the shared pair
-    walk (the offsets up to NEAR_CELLS at p = 2, all others otherwise) and
-    the scaled values walked on it, the :func:`_far_offsets` left to the FFT
-    (None unless p = 2) and the near-field model: the per-cell |grad f|^p on
-    the domain and the removed ball's radius (None under "exclude")."""
+    domain cells, f scaled by 2^-e into the safe band with e, the shared
+    :class:`_GagliardoGeometry` of the kernel (``inner`` for the inner field)
+    and f's scaled values walked on it, and the near-field model: the
+    per-cell |grad f|^p on the domain and the removed ball's radius (None
+    under "exclude")."""
     s_values = [float(s) for s in s_values]
     for s in s_values:
         GagliardoParams(s, p)
@@ -672,15 +739,12 @@ def _gagliardo_setup(f: SampledField, s_values, p: float, omega: DomainMask | No
     mask = mask_cells(omega, grid)
     e = _scale_exponent(f, mask, p)
     f = _scaled(f, e)
-    fft = p == 2.0
-    half, removed, walk = _walk_geometry(grid, policy, _cells_key(mask), NEAR_CELLS if fft else math.inf,
-                                         PAIR_BLOCK_CELLS)
-    far = _far_offsets(half) if fft else None
+    geo = _gagliardo_geometry(grid, policy, p, tuple(s_values), _cells_key(mask), PAIR_BLOCK_CELLS, inner)
     model = None
     if policy.diagonal == "equivalent-ball":
         gradp = gradient_magnitude(f) ** p
-        model = gradp if mask is None else np.where(mask, gradp, 0.0), _equivalent_radius(removed, grid)
-    return s_values, mask, f, e, walk, walk.field(f.values), far, model
+        model = gradp if mask is None else np.where(mask, gradp, 0.0), _equivalent_radius(geo.removed, grid)
+    return s_values, mask, f, e, geo, geo.walk.field(f.values), model
 
 
 def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
@@ -692,21 +756,16 @@ def gagliardo_seminorm_sweep(f: SampledField, s_values, p: float,
     with the near-field handled per policy.  At p = 2 the offsets beyond
     NEAR_CELLS on some axis get their sums from one FFT correlation.
     """
-    s_values, mask, f, e, walk, v, far, model = _gagliardo_setup(f, s_values, p, omega, policy)
+    s_values, mask, f, e, geo, v, model = _gagliardo_setup(f, s_values, p, omega, policy, False)
     grid = f.grid
     n, vol = grid.dim, grid.cell_volume
-    dists, sums = [], [np.zeros(0)]
-    for blk in walk:
-        dists += blk.dists
-        sums.append(_increments(blk, v, p).reshape(len(blk.dists), -1).sum(axis=1))
-    dists = np.asarray(dists)
+    sums = [np.zeros(0)] + [_increments(blk, v, p).reshape(len(blk.dists), -1).sum(axis=1) for blk in geo.walk]
+    if geo.fft is not None:
+        sums.append(_fft_pair_terms(f.values, mask, geo.fft))
     sums = np.concatenate(sums)
-    if far is not None:
-        dists = np.concatenate([dists, far[1]])
-        sums = np.concatenate([sums, _fft_pair_terms(f.values, mask).ravel()[far[0]]])
     out = []
-    for s in s_values:
-        total = 2.0 * vol * vol * float(np.sum(sums * dists ** (-(s * p + n))))
+    for s, weights in zip(s_values, geo.weights):
+        total = 2.0 * vol * vol * float(np.sum(sums * weights[geo.at]))
         if model is not None:
             total += _frozen_gradient_term(float(np.sum(model[0])) * vol, s, p, n, model[1])
         out.append(float(_unscale(total ** (1.0 / p), e)))
@@ -726,26 +785,17 @@ def fractional_inner_field(f: SampledField, s_values, p: float,
     At p = 2 the offsets beyond NEAR_CELLS on some axis come from one FFT
     convolution per s with their kernel.
     """
-    s_values, mask, f, e, walk, v, far, model = _gagliardo_setup(f, s_values, p, omega, policy)
+    s_values, mask, f, e, geo, v, model = _gagliardo_setup(f, s_values, p, omega, policy, True)
     grid = f.grid
-    n, vol = grid.dim, grid.cell_volume
+    n = grid.dim
     if not s_values:
         return np.zeros((0,) + grid.shape)
-    exps = [-(s * p + n) for s in s_values]
-    acc = walk.zeros([len(s_values)])
-    for blk in walk:
-        d = _increments(blk, v, p, blk.scratch())
-        # Python-float powers: numpy's vector pow may differ in the last bit
-        blk.add(acc, d, [[dist ** x * vol for dist in blk.dists] for x in exps])
-    inner = walk.unpad(acc, grid.shape)
-    if far is not None:
-        at, far_dists = far
-        box = [2 * k - 1 for k in grid.shape]
-        kernels = np.zeros((len(s_values), math.prod(box)))
-        # offset o sits at flat index i, -o at size - 1 - i
-        for kernel, x in zip(kernels, exps):
-            kernel[at] = kernel[kernel.size - 1 - at] = far_dists ** x * vol
-        inner += _fft_pair_terms(f.values, mask, kernels.reshape([-1] + box))
+    acc = geo.walk.zeros([len(s_values)])
+    for blk, weights in zip(geo.walk, geo.weights):
+        blk.add(acc, _increments(blk, v, p, blk.scratch()), weights)
+    inner = geo.walk.unpad(acc, grid.shape)
+    if geo.fft is not None:
+        inner += _fft_pair_terms(f.values, mask, geo.fft)
     if model is not None:
         for row, s in zip(inner, s_values):
             row += _frozen_gradient_term(model[0], s, p, n, model[1])
@@ -893,9 +943,21 @@ class _LevelSetGeometry:
 
     @property
     def nbytes(self) -> int:
-        """The bytes the geometry keeps: its arrays and its blocks' records (the
-        walk and the offset table are the walk cache's)."""
-        return _footprint([self], [self.half, self.walk] + self.walk.blocks)
+        """The bytes the geometry keeps: its arrays and its blocks' records, each
+        record counted from the first one's layout (the record, the headers
+        of its two arrays and of its list) plus, per offset, a scale, a
+        weight and a list entry, and the shell blocks' own arrays (the walk
+        and the offset table are the walk cache's)."""
+        arrays = (self.table, self.shell_thr, self.shell_ker, self.starts, self.axes, self.inv, self.open)
+        total = sum(a.nbytes for a in arrays + (self.caps or ())) + sys.getsizeof(self.blocks)
+        if self.blocks:
+            c, empty = self.blocks[0], sys.getsizeof([])
+            record = sys.getsizeof(c) + 2 * (sys.getsizeof(c.ker) - c.ker.nbytes) + empty
+            total += len(self.blocks) * record + len(self.walk.offs) * (2 * c.ker.itemsize + 8)
+            # a shell block's sub is an array, not a list
+            total += sum(sum(map(sys.getsizeof, (c.sub, c.at, c.first, c.last, c.total))) - empty - 8 * c.sub.size
+                         for c in self.blocks if c.at is not None)
+        return total
 
     def ceilings(self, spread: float, steps) -> tuple[list, list]:
         """Per block, the lambda from which none of its whole offsets (first

@@ -604,7 +604,8 @@ class _BallStencil:
     """Cells of the ball of one radius around a cell, as integer offsets.
 
     ``inside`` marks the offsets in the ball over the box of half-widths
-    ``half`` around the centre.  Each offset on the leading axes gives one
+    ``half`` around the centre, each at most n - 1: no offset past it joins
+    two cells of the grid.  Each offset on the leading axes gives one
     interval of half-width ``w`` along the last axis: ``rows`` holds
     ``(w, dst, src)`` with the slices that add the interval sums centred at
     ``src`` to the cells at ``dst``, and ``ends[w]`` the clipped last-axis
@@ -624,8 +625,9 @@ def _ball_stencil(grid: Grid, radius: float) -> _BallStencil:
     if not 0 <= radius < math.inf:
         raise ValueError(f"ball radius must be finite and >= 0, got {radius}")
     h = grid.cell_size
-    # radius // h can round down, so reach one offset further on each side
-    half = tuple(int(radius // h[i]) + 1 for i in range(grid.dim))
+    # radius // h can round down, so reach one offset further on each side;
+    # no two cells of the grid lie more than n - 1 offsets apart on an axis
+    half = tuple(min(int(radius // h[i]) + 1, n - 1) for i, n in enumerate(grid.shape))
     axes = [np.arange(-k, k + 1) * h[i] for i, k in enumerate(half)]
     mesh = np.meshgrid(*axes, indexing="ij")
     inside = np.sqrt(sum(m ** 2 for m in mesh)) <= radius

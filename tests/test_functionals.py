@@ -1367,10 +1367,16 @@ def _arrays(obj, path="geo", seen=None):
 
 
 CACHE_CASES = [(1, None), (1, "ball:center=0.3,radius=1.1"), (2, None), (2, "ball:center=0.3;-0.2,radius=1.3")]
+# grids on which p = 2 takes the FFT past NEAR_CELLS: 238 far offsets in 1D,
+# and h = (0.1, 0.07) with a mask in 2D
+FAR_CASES = [pytest.param(make_grid(1, -4.0, 4.0, 256), None, id="far-1d-256"),
+             pytest.param(make_grid(2, (-0.8, -0.84), (0.8, 0.84), (16, 24)), "ball:center=0.1;0.0,radius=0.75",
+                          id="far-masked-16x24")]
 
 
 def _cache_case(dim, domain):
-    g = KERNEL_GRIDS[dim]
+    # dim names a grid of KERNEL_GRIDS, or is the grid
+    g = KERNEL_GRIDS[dim] if isinstance(dim, int) else dim
     omega = None if domain is None else mask(parse_domain(domain, box=(g.lo, g.hi)), g)
     f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
     # the same shape with four times the increments: on a block where f's
@@ -1400,8 +1406,10 @@ def test_warm_level_set_geometry_gives_cold_bits(dim, domain, policy):
         assert np.any(cold[0] > 0)
 
 
-@pytest.mark.parametrize("dim, domain", CACHE_CASES[1::2])
+@pytest.mark.parametrize("dim, domain", CACHE_CASES[1::2] + FAR_CASES[1:])
 def test_masks_one_cell_apart_share_no_geometry(dim, domain):
+    # nor Gagliardo entries: at p = 2 each mask has its own domain spectrum
+    # and K*m
     import normlab.functionals as F
 
     g, omega, f, _ = _cache_case(dim, domain)
@@ -1409,14 +1417,20 @@ def test_masks_one_cell_apart_share_no_geometry(dim, domain):
     cells[np.unravel_index(np.flatnonzero(cells)[0], g.shape)] = False  # one domain cell off
     other = DomainMask(g, cells)
     params, lams = BsvyParams(1.0, 2.0), default_lambda_grid(f, omega)
+    gagliardo = [(fn, p) for fn in (fractional_inner_field, gagliardo_seminorm_sweep) for p in (1.0, 2.0)]
     cold = _cold(bsvy_inner_profile, f, lams, params, other, EXCLUDE_POLICY)
-    cold_inner = _cold(fractional_inner_field, f, [0.5], 1.0, other, EXCLUDE_POLICY)
+    cold_gagliardo = [_cold(fn, f, [0.5], p, other, EXCLUDE_POLICY) for fn, p in gagliardo]
     first = F._LevelSetKernel(f, params, omega, EXCLUDE_POLICY)
-    fractional_inner_field(f, [0.5], 1.0, omega, EXCLUDE_POLICY)
+    firsts = [fn(f, [0.5], p, omega, EXCLUDE_POLICY) for fn, p in gagliardo]
     second = F._LevelSetKernel(f, params, other, EXCLUDE_POLICY)
     assert second.geo is not first.geo
     assert np.array_equal(np.add(*second.profile(lams)), cold)
-    assert np.array_equal(fractional_inner_field(f, [0.5], 1.0, other, EXCLUDE_POLICY), cold_inner)
+    for (fn, p), ref, mine in zip(gagliardo, cold_gagliardo, firsts):
+        assert np.array_equal(fn(f, [0.5], p, other, EXCLUDE_POLICY), ref)
+        assert not np.array_equal(ref, mine)
+        entries = [F._gagliardo_geometry(g, EXCLUDE_POLICY, p, (0.5,), F._cells_key(m.cells), PAIR_BLOCK_CELLS,
+                                         fn is fractional_inner_field) for m in (omega, other)]
+        assert entries[0] is not entries[1] and (p == 1.0) == (entries[0].fft is None)
     assert not np.array_equal(cold, bsvy_inner_profile(f, lams, params, omega, EXCLUDE_POLICY))
 
 
@@ -1444,10 +1458,22 @@ def test_block_budget_lowered_after_the_cache_is_warm(dim, domain, monkeypatch):
     assert gagliardo_seminorm_sweep(f, [0.5], 1.0, omega, CRIT12_POLICY) == cold_sweep
 
 
+def _same_arrays(geo, fresh):
+    # the arrays of a shared geometry equal those of one built fresh, path by
+    # path, and none of them can be written
+    shared, built = _arrays(geo), _arrays(fresh)
+    assert shared.keys() == built.keys()
+    for key, arr in shared.items():
+        assert not arr.flags.writeable, key
+        assert arr.dtype == built[key].dtype and np.array_equal(arr, built[key]), key
+    assert not {"field", "dmax", "dmin", "grad", "spread", "spec"} & {k.rsplit(".", 1)[-1] for k in shared}
+    return shared
+
+
 @pytest.mark.parametrize("policy", TAIL_POLICIES.values(), ids=TAIL_POLICIES.keys())
-@pytest.mark.parametrize("dim, domain", CACHE_CASES)
+@pytest.mark.parametrize("dim, domain", CACHE_CASES + FAR_CASES)
 def test_cached_geometry_is_read_only_and_free_of_f(dim, domain, policy):
-    # after two functions ran on it, the shared geometry holds the arrays of
+    # after two functions ran on it, each shared geometry holds the arrays of
     # one built without any f, and none of them can be written
     import normlab.functionals as F
 
@@ -1458,41 +1484,60 @@ def test_cached_geometry_is_read_only_and_free_of_f(dim, domain, policy):
         kernel = F._LevelSetKernel(fn, params, omega, policy)
         kernel.profile(default_lambda_grid(fn, omega))
         _tail_bound(kernel, 1.0)
-    geo = kernel.geo
-    fresh = _cold(F._level_set_geometry, g, policy, -1.0, 2.0, F._cells_key(kernel.mask), PAIR_BLOCK_CELLS)
+        for p in (1.5, 2.0):
+            gagliardo_seminorm_sweep(fn, [0.3, 0.9], p, omega, policy)
+            fractional_inner_field(fn, [0.3, 0.9], p, omega, policy)
+    geo, cells = kernel.geo, F._cells_key(kernel.mask)
+    fresh = _cold(F._level_set_geometry, g, policy, -1.0, 2.0, cells, PAIR_BLOCK_CELLS)
     assert fresh is not geo
-    for c in geo.blocks + fresh.blocks:
-        c.ker  # built on a block's first use
-    shared, built = _arrays(geo), _arrays(fresh)
-    assert shared.keys() == built.keys() and len(shared) > 3 * len(geo.blocks)
-    for key, arr in shared.items():
-        assert not arr.flags.writeable, key
-        assert arr.dtype == built[key].dtype and np.array_equal(arr, built[key]), key
-    assert not {"field", "dmax", "dmin", "grad", "spread"} & {k.rsplit(".", 1)[-1] for k in shared}
+    assert len(_same_arrays(geo, fresh)) > 3 * len(geo.blocks)
     with pytest.raises(ValueError):
         geo.shell_thr[...] = 0.0
+    for p in (1.5, 2.0):
+        for inner in (False, True):
+            args = (g, policy, p, (0.3, 0.9), cells, PAIR_BLOCK_CELLS, inner)
+            entry = F._gagliardo_geometry(*args)
+            shared = _same_arrays(entry, _cold(F._gagliardo_geometry, *args))
+            assert (p == 2.0) == (entry.fft is not None) and any(".weights" in key for key in shared)
+            if p == 2.0:
+                assert inner == (entry.fft.km is not None) and ("geo.fft.km" in shared) == inner
+                with pytest.raises(ValueError):
+                    entry.fft.mspec[...] = 0.0
 
 
-@pytest.mark.parametrize("dim, domain", CACHE_CASES)
-def test_warm_walks_give_cold_bits(dim, domain):
+@pytest.mark.parametrize("dim, domain", CACHE_CASES + FAR_CASES)
+def test_warm_walks_give_cold_bits(dim, domain, monkeypatch):
     # the Gagliardo kernels and the weighted pair measure take their walks
-    # from the cache too
+    # (and the Gagliardo kernels their weights and far field) from the cache
+    # too; cold, warm and rebuilt-on-every-call runs give the same bits, and
+    # two s sets share no entry
+    import normlab.functionals as F
+
     g, omega, f, big = _cache_case(dim, domain)
     w = 1.0 + np.sum(g.coords() ** 2, axis=1).reshape(g.shape)
 
     def pred(xa, xb):
         return xa[:, 0] + 0.3 * xa[:, -1] < 0.8 * xb[:, 0] + 0.1
 
-    calls = [(gagliardo_seminorm_sweep, big, [0.3, 0.9], 1.5, omega, DEFAULT_POLICY),
-             (gagliardo_seminorm_sweep, big, [0.3, 0.9], 2.0, omega, EXCLUDE_POLICY)]
-    calls += [(fractional_inner_field, big, [0.3, 0.9], p, omega, pol)
-              for p in (1.0, 2.0) for pol in (DEFAULT_POLICY, EXCLUDE_POLICY)]
+    calls = [(gagliardo_seminorm_sweep, big, [0.3, 0.9], 1.5, omega, DEFAULT_POLICY)]
+    calls += [(fn, big, s_values, 2.0, omega, pol) for fn in (gagliardo_seminorm_sweep, fractional_inner_field)
+              for s_values in ([0.3, 0.9], [0.3, 0.6]) for pol in (DEFAULT_POLICY, EXCLUDE_POLICY)]
+    calls += [(fractional_inner_field, big, [0.3, 0.9], 1.0, omega, pol) for pol in (DEFAULT_POLICY, EXCLUDE_POLICY)]
     calls += [(weighted_mu_measure, pred, gamma, w, omega, g) for gamma in (1.5, -0.5)]
     cold = [_cold(*call) for call in calls]
-    for call in calls:  # warm every walk with the other f
+    for call in calls:  # warm every entry with the other f
         call[0](*[f if a is big else a for a in call[1:]])
     for call, ref in zip(calls, cold):
         assert np.array_equal(call[0](*call[1:]), ref)
+    cells = F._cells_key(F.mask_cells(omega, g))
+    for inner in (False, True):
+        a, b = (F._gagliardo_geometry(g, DEFAULT_POLICY, 2.0, s, cells, PAIR_BLOCK_CELLS, inner)
+                for s in ((0.3, 0.9), (0.3, 0.6)))
+        assert a is not b and a.walk is b.walk and not np.array_equal(a.weights[-1], b.weights[-1])
+    monkeypatch.setattr(F, "GEOMETRY_BYTES", 0)  # each build evicts every other entry
+    _cold(lambda: None)
+    for call, ref in zip(calls, cold):
+        assert np.array_equal(call[0](*call[1:]), ref) and len(F._GEOMETRIES) == 1
 
 
 def test_shell_table_peak_memory_3d():
@@ -1760,3 +1805,95 @@ def test_geometry_cache_evicts_by_bytes(monkeypatch):
     assert again.geo is not first.geo
     assert np.array_equal(np.add(*again.profile(lams)), cold)
     assert F._level_set_geometry(g, CRIT12_POLICY, 1.0, 2.0, None, PAIR_BLOCK_CELLS) is again.geo
+    # the same for the p = 2 inner field's entries (weights, kernel spectra
+    # and K*m), one per s, on a grid with far offsets
+    g = FAR_CASES[0].values[0]
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
+    monkeypatch.setattr(F, "GEOMETRY_BYTES", 16 << 20)
+    cold = _cold(fractional_inner_field, f, [0.3], 2.0)
+    (_, walk), (first, size) = F._GEOMETRIES.values()
+    monkeypatch.setattr(F, "GEOMETRY_BYTES", walk + int(1.5 * size))
+    for s in (0.6, 0.9):
+        fractional_inner_field(f, [s], 2.0)
+        assert sum(n for _, n in F._GEOMETRIES.values()) <= F.GEOMETRY_BYTES
+    assert np.array_equal(fractional_inner_field(f, [0.3], 2.0), cold)
+    again = F._gagliardo_geometry(g, DEFAULT_POLICY, 2.0, (0.3,), None, PAIR_BLOCK_CELLS, True)
+    assert again is not first and again.fft.km is not None
+
+
+def test_every_cached_geometry_is_read_only_and_counted():
+    # each pair kernel once, then every entry of the shared store: its arrays
+    # are read-only, and the bytes it counts lie within 25% of what
+    # tracemalloc sees a cold build of it keep (an entry's shared walk stays
+    # in the store), so no kind of entry escapes either rule
+    import gc
+    import tracemalloc
+
+    import normlab.functionals as F
+
+    g = make_grid(2, -2.0, 2.0, 32)
+    omega = mask(parse_domain("ball:center=0.3;-0.2,radius=1.5"), g)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=(0.2, -0.1)), g)
+    _cold(lambda: None)
+    for p in (1.0, 2.0):
+        gagliardo_seminorm_sweep(f, [0.3, 0.9], p, omega)
+        F.bbm_scaled_sweep(f, [0.3, 0.9], p, [Lebesgue(2.0)], omega)
+    fractional_inner_field(f, [0.5], 1.5, omega)
+    bsvy_inner_profile(f, [0.5, 1.0, 2.0], BsvyParams(1.0, 2.0), omega, CRIT12_POLICY)
+    weighted_mu_measure(lambda xa, xb: xa[:, 0] < xb[:, 0], 1.0, np.ones(g.shape), omega, g)
+    kinds = []
+    for key, (geo, counted) in list(F._GEOMETRIES.items()):
+        build = key[0]
+        kinds.append(build)
+        for path, arr in _arrays(geo).items():
+            assert not arr.flags.writeable, (build, path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fresh = build(*key[1:])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert fresh is not None and abs(counted - held) <= 0.25 * held, (build, counted, held)
+    assert set(kinds) == {F._walk_geometry.__wrapped__, F._LevelSetGeometry, F._GagliardoGeometry}
+
+
+# --------------------------------------------------------------------------
+# symmetry: transposing or reflecting f and the domain moves the Gagliardo
+# kernels' outputs with them, at a size no oracle reaches
+# --------------------------------------------------------------------------
+
+
+# each map: of a point (centres), and of a grid array's last two axes
+SYMMETRIES = {
+    "transpose": (lambda c: (c[1], c[0]), lambda a: np.swapaxes(a, -1, -2)),
+    "reflect-0": (lambda c: (-c[0], c[1]), lambda a: a[..., ::-1, :]),
+    "reflect-1": (lambda c: (c[0], -c[1]), lambda a: a[..., ::-1]),
+}
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("ball", [False, True], ids=["full", "ball"])
+def test_gagliardo_kernels_are_symmetric(ball, p):
+    # at 2D 48^2, where p = 2 takes the FFT past NEAR_CELLS; each moved f is
+    # sampled from its own spec, so the model reads its analytic gradient
+    g = make_grid(2, -2.0, 2.0, 48)
+    centre, ball_centre = (0.3, -0.2), (0.2, 0.35)
+    s_values = [0.3, 0.9]
+
+    def run(point):
+        f = sample(TestFunctionSpec("gaussian", sigma=0.6, center=point(centre)), g)
+        c = point(ball_centre)
+        omega = mask(parse_domain(f"ball:center={c[0]};{c[1]},radius=1.4"), g) if ball else None
+        return (None if omega is None else omega.cells, fractional_inner_field(f, s_values, p, omega),
+                gagliardo_seminorm_sweep(f, s_values, p, omega))
+
+    cells, inner, sweep = run(lambda c: c)
+    assert np.all(inner > 0) if not ball else np.all(inner[:, cells] > 0)
+    for point, move in SYMMETRIES.values():
+        moved_cells, moved_inner, moved_sweep = run(point)
+        assert not ball or np.array_equal(moved_cells, move(cells))
+        np.testing.assert_allclose(moved_inner, move(inner), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(moved_sweep, sweep, rtol=1e-12, atol=0)

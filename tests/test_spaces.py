@@ -350,6 +350,24 @@ def test_orlicz_slice_zero_and_small_t():
         orlicz_slice_norm(f, OrliczFunction("power", 2.0), 2.0, 1e-5)
 
 
+@pytest.mark.parametrize("g", [make_grid(1, -2.0, 2.0, 64), make_grid(2, (-2.0, -1.4), (2.0, 1.4), (16, 12))],
+                         ids=["1d", "2d"])
+def test_ball_stencil_stays_in_the_grid(g):
+    # a ball wider than the grid holds every cell whatever its radius: the
+    # stencil's box stops at n - 1 offsets per axis, so t = 1e300 gives the
+    # bits of ten grid diameters, as do the ball sums and counts
+    from normlab.spaces import _ball_stencil, ball_sums
+
+    ten = 10.0 * float(np.linalg.norm(np.subtract(g.hi, g.lo)))  # ten grid diameters
+    f = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.3 if g.dim == 1 else (0.3, -0.2)), g)
+    for phi in (OrliczFunction("power", 2.0), OrliczFunction("two-power", 2.0, 3.0)):
+        assert orlicz_slice_norm(f, phi, 2.5, 1e300) == orlicz_slice_norm(f, phi, 2.5, ten)
+    wide, far = _ball_stencil(g, 1e300), _ball_stencil(g, ten)
+    assert wide.half == far.half == tuple(n - 1 for n in g.shape) and wide.inside.all()
+    assert np.array_equal(wide.count, np.full(g.shape, float(g.total_cells)))
+    assert np.array_equal(ball_sums(f.values, g, [1e300]), ball_sums(f.values, g, [ten]))
+
+
 # --------------------------------------------------------------------------
 # Morrey
 # --------------------------------------------------------------------------
