@@ -26,7 +26,6 @@ from .spaces import SpaceSpec, _unit_ball_volume, norm, norm_many
 __all__ = [
     "KernelPolicy",
     "BsvyParams",
-    "GagliardoParams",
     "FunctionalReport",
     "bbm_constant",
     "sphere_area",
@@ -42,7 +41,6 @@ __all__ = [
     "bsvy_sup",
     "bsvy_sups",
     "default_lambda_grid",
-    "weak_product_quasinorm",
     "weighted_mu_measure",
     "weak_holder_check",
     "WeakHolderResult",
@@ -158,18 +156,6 @@ class BsvyParams:
     def theorem_conditional(self) -> bool:
         """p = 1 with gamma in [-1, 0) lies outside the classical hypothesis set."""
         return self.p == 1.0 and -1.0 <= self.gamma < 0.0
-
-
-@dataclass(frozen=True)
-class GagliardoParams:
-    s: float
-    p: float
-
-    def __post_init__(self):
-        if not (0 < self.s < 1):
-            raise ValueError("s must lie in (0, 1)")
-        if not (1 <= self.p < math.inf):
-            raise ValueError("p must lie in [1, inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +436,28 @@ def _cells_of(key, grid: Grid) -> np.ndarray | None:
     return None if key is None else np.frombuffer(key, dtype=bool).reshape(grid.shape)
 
 
-_GEOMETRIES = collections.OrderedDict()  # (builder, *args) -> (geometry, bytes), oldest use first
+# (builder, *args) -> (geometry, bytes, keys of the entries it was built on), oldest use first
+_GEOMETRIES = collections.OrderedDict()
+_BUILDING = []  # per build in progress, innermost last: the keys of the entries it used
+
+
+def _evict(key) -> int:
+    """Drop the entry ``key`` and every entry built on it, which holds it;
+    returns the bytes they counted."""
+    freed = _GEOMETRIES.pop(key)[1]
+    for other in [k for k, (_, _, uses) in _GEOMETRIES.items() if key in uses]:
+        if other in _GEOMETRIES:
+            freed += _evict(other)
+    return freed
 
 
 def _geometry_cache(nbytes):
     """A least-recently-used cache of a geometry builder by its arguments.
     Every cache made here shares one store: after each build, the entries
     used longest ago go until the bytes the entries keep (``nbytes(geometry)``
-    each) fit in GEOMETRY_BYTES; the newest stays."""
+    each) fit in GEOMETRY_BYTES.  An entry goes with every entry built on it
+    (a geometry holds its walk), so each entry a stored one holds is counted;
+    the newest stays with what it was built on."""
 
     def wrap(build):
         @functools.wraps(build)
@@ -465,11 +465,21 @@ def _geometry_cache(nbytes):
             key = (build,) + args
             hit = _GEOMETRIES.get(key)
             if hit is None:
-                geometry = build(*args)
-                hit = _GEOMETRIES[key] = geometry, nbytes(geometry)
-                total = sum(size for _, size in _GEOMETRIES.values())
-                while total > GEOMETRY_BYTES and len(_GEOMETRIES) > 1:
-                    total -= _GEOMETRIES.popitem(last=False)[1][1]
+                _BUILDING.append([])
+                try:
+                    geometry = build(*args)
+                finally:
+                    uses = frozenset(_BUILDING.pop())
+                hit = _GEOMETRIES[key] = geometry, nbytes(geometry), uses
+                keep = uses | {key}
+                total = sum(size for _, size, _ in _GEOMETRIES.values())
+                for old in [k for k in _GEOMETRIES if k not in keep]:
+                    if total <= GEOMETRY_BYTES:
+                        break
+                    if old in _GEOMETRIES:
+                        total -= _evict(old)
+            if _BUILDING:
+                _BUILDING[-1].append(key)
             _GEOMETRIES.move_to_end(key)
             return hit[0]
 
@@ -733,8 +743,10 @@ def _gagliardo_setup(f: SampledField, s_values, p: float, omega: DomainMask | No
     per-cell |grad f|^p on the domain and the removed ball's radius (None
     under "exclude")."""
     s_values = [float(s) for s in s_values]
-    for s in s_values:
-        GagliardoParams(s, p)
+    if not all(0 < s < 1 for s in s_values):
+        raise ValueError("s must lie in (0, 1)")
+    if not (1 <= p < math.inf):
+        raise ValueError("p must lie in [1, inf)")
     grid = f.grid
     mask = mask_cells(omega, grid)
     e = _scale_exponent(f, mask, p)
@@ -1436,20 +1448,6 @@ def bsvy_sup(f: SampledField, params: BsvyParams, space: SpaceSpec,
 # ---------------------------------------------------------------------------
 # pair measures and the weak Hoelder inequality
 # ---------------------------------------------------------------------------
-
-
-def weak_product_quasinorm(f: SampledField, params: BsvyParams,
-                           omega: DomainMask | None = None,
-                           lam_grid=None) -> float:
-    """sup over lambda of lam * [pair measure of the level set]^(1/p).
-
-    The pair measure integrates |x-y|^(gamma-n) over ordered pairs x != y of
-    the level set; no diagonal model is applied, so it is the exclude-policy
-    inner integral summed over the domain.
-    """
-    lam = np.asarray(default_lambda_grid(f, omega) if lam_grid is None else lam_grid, dtype=float)
-    inner = bsvy_inner_profile(f, lam, params, omega, EXCLUDE_POLICY).reshape(lam.size, -1)
-    return float(np.max(lam * (np.sum(inner, axis=1) * f.grid.cell_volume) ** (1.0 / params.p)))
 
 
 def weighted_mu_measure(predicate, gamma: float, weight: np.ndarray,

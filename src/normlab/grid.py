@@ -22,10 +22,8 @@ __all__ = [
     "TestFunctionSpec",
     "make_grid",
     "sample",
-    "truncate",
     "gradient_fd",
     "gradient_magnitude",
-    "auto_box",
     "parse_function",
     "split_params",
     "parse_params",
@@ -38,7 +36,6 @@ __all__ = [
     "safe_exponent",
 ]
 
-TAIL_TOL = 1e-8  # share of |f|'s mass that auto_box may leave outside the box
 # |f|^p and |grad f|^2 stay inside 2^(+-SAFE_EXP2) times the kernel factors; outside,
 # gradient_magnitude and the functionals' entry points divide by a power of two
 SAFE_EXP2 = 512
@@ -375,7 +372,7 @@ class TestFunctionSpec(Spec):
       polygauss   degree >= 0, sigma, center (x_0-c_0)^degree * gaussian
 
     All kinds have closed-form gradients.  A kind implements ``_value`` and
-    ``_gradient`` on an (M, dim) point array, and ``tail_width`` if it decays.
+    ``_gradient`` on an (M, dim) point array.
     """
 
     __test__ = False
@@ -389,10 +386,6 @@ class TestFunctionSpec(Spec):
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """Closed-form gradient at ``points``; shape (M, dim)."""
         return self._gradient(np.atleast_2d(np.asarray(points, dtype=float)))
-
-    def tail_width(self, dim: int) -> float:
-        """Half-width of a box around the centre outside which |f| has < TAIL_TOL of its mass."""
-        raise ValueError(f"{self.tag} has no decaying tail; give the box explicitly")
 
     def _rel(self, pts: np.ndarray) -> np.ndarray:
         return pts - np.asarray(_as_tuple(self.center, pts.shape[1]))
@@ -414,9 +407,6 @@ class Tent(TestFunctionSpec):
         on = (r > 0) & (r < half)
         out[on] = -rel[on] / (r[on, None] * half)
         return out
-
-    def tail_width(self, dim):
-        return self.width / 2.0 * 1.05
 
 
 class Coordinate(TestFunctionSpec):
@@ -455,9 +445,6 @@ class Bump(TestFunctionSpec):
         out[inside] = v[:, None] * (-2.0 * rel[inside] / R ** 2) / (1.0 - u2[inside])[:, None] ** 2
         return out
 
-    def tail_width(self, dim):
-        return self.radius * 1.05
-
 
 class Polygauss(TestFunctionSpec):
     tag = "polygauss"
@@ -477,22 +464,6 @@ class Polygauss(TestFunctionSpec):
         if d > 0:
             out[:, 0] += d * rel[:, 0] ** (d - 1) * g
         return out
-
-    def tail_width(self, dim):
-        # doubles 2 sigma until the radial tail of r^degree exp(-r^2/sigma^2) is below TAIL_TOL
-        sigma = self.sigma
-
-        def tail_fraction(L):
-            r = np.linspace(0, 8 * max(L, sigma), 20001)
-            prof = r ** self.degree * np.exp(-(r ** 2) / sigma ** 2) * r ** (dim - 1)
-            total = np.trapezoid(prof, r)
-            out = np.trapezoid(np.where(r > L, prof, 0.0), r)
-            return out / total
-
-        half = 2.0 * sigma
-        while tail_fraction(half) > TAIL_TOL:
-            half *= 2.0
-        return half
 
 
 class Gaussian(Polygauss):
@@ -520,13 +491,6 @@ def sample(spec: TestFunctionSpec, grid: Grid) -> SampledField:
     return SampledField(grid, values, grad)
 
 
-def truncate(f: SampledField, m: float) -> SampledField:
-    """Pointwise truncation at height ``m``: clamp to [-m, m].  Gradient dropped."""
-    if not m > 0:
-        raise ValueError("truncation level must be positive")
-    return SampledField(f.grid, np.clip(f.values, -m, m))
-
-
 def gradient_fd(f: SampledField) -> np.ndarray:
     """Finite-difference gradient: second-order central, one-sided at boundaries.
 
@@ -550,15 +514,3 @@ def gradient_magnitude(f: SampledField) -> np.ndarray:
     e = safe_exponent(g, 2.0)
     g = np.ldexp(g, -e)
     return np.ldexp(np.sqrt(np.sum(g * g, axis=0)), e)
-
-
-def auto_box(spec: TestFunctionSpec, dim: int) -> tuple[tuple, tuple]:
-    """Box half-width such that the tail of |f| outside carries < TAIL_TOL of its mass.
-
-    Compactly supported kinds get their support plus a small margin; decaying
-    kinds grow the box by doubling until the radial tail estimate drops below
-    TAIL_TOL.  The coordinate function has no decay and is rejected.
-    """
-    half = spec.tail_width(dim)
-    center = _as_tuple(spec.center, dim)
-    return tuple(c - half for c in center), tuple(c + half for c in center)

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 __all__ = ["gagliardo", "fractional_inner", "level_set_inner", "level_set_shell_inner", "level_set_sup",
-           "bbm_morrey", "herz_local", "pair_measure", "weighted_pair_measure", "morrey", "muckenhoupt",
-           "luxemburg", "orlicz_slice", "lorentz", "variable_lebesgue", "weak_holder"]
+           "bbm_morrey", "dyadic_cubes", "herz_local", "pair_measure", "weighted_pair_measure", "morrey",
+           "muckenhoupt", "luxemburg", "orlicz_slice", "lorentz", "variable_lebesgue", "weak_holder"]
 
 
 def gagliardo(values, coords, vol, s, p):
@@ -171,6 +171,30 @@ def bbm_morrey(values, coords, vol, q, p, r, tau, nu_range):
     if math.isinf(tau):
         return max(level_terms) if level_terms else 0.0
     return sum(t ** tau for t in level_terms) ** (1.0 / tau)
+
+
+def dyadic_cubes(shift, nu_min, nu_max, lo, hi):
+    """Every cube 2^nu (m + (0,1]^n + (-1)^nu shift) of the levels nu_min ..
+    nu_max that meets the open box (lo, hi), as (nu, m, cube lo, cube hi):
+    per axis one integer position m at a time, then every combination."""
+    cubes = []
+    for nu in range(nu_min, nu_max + 1):
+        side = 2.0 ** nu
+        sgn = -1.0 if nu % 2 else 1.0
+        per_axis = []
+        for a, b, s in zip(lo, hi, shift):
+            hits = []
+            m = math.floor(a / side) - 2  # its cube ends below a
+            while side * (m + sgn * s) < b:
+                start = side * (m + sgn * s)
+                if start + side > a:
+                    hits.append((m, start))
+                m += 1
+            per_axis.append(hits)
+        for cell in itertools.product(*per_axis):
+            cubes.append((nu, tuple(m for m, _ in cell), tuple(c for _, c in cell),
+                          tuple(c + side for _, c in cell)))
+    return cubes
 
 
 def herz_local(values, coords, vol, p, q, a, xi):

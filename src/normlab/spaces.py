@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (DomainMask, Grid, SampledField, Spec, _as_tuple, as_int, check_axis, check_params,
-                   mask_cells, restrict_values)
+                   mask_cells)
 
 __all__ = [
     "SpaceSpec",
@@ -42,7 +42,6 @@ __all__ = [
     "norm_many",
     "parse_space",
     "weighted_lebesgue_norm",
-    "decreasing_rearrangement",
     "lorentz_norm",
     "luxemburg_norm",
     "orlicz_slice_norm",
@@ -50,7 +49,6 @@ __all__ = [
     "ball_sums",
     "default_ball_family",
     "default_radii",
-    "dyadic_cubes",
     "dyadic_cover",
     "bbm_morrey_norm",
     "herz_local_norm",
@@ -58,11 +56,7 @@ __all__ = [
     "mixed_norm",
     "variable_lebesgue_norm",
     "convexify",
-    "mo_indices",
-    "herz_exponent_admissible",
-    "restriction_norm",
     "zero_extend",
-    "associate_norm_empirical",
 ]
 
 LUXEMBURG_REL_TOL = 1e-14  # Newton step in log lam at or below which the Luxemburg solver stops
@@ -121,16 +115,6 @@ class HerzWeight:
             raise ValueError("weight exponent must be finite")
 
 
-def mo_indices(weight: HerzWeight) -> tuple[float, float, float, float]:
-    """Growth indices (m0, M0, m_inf, M_inf); all equal the exponent for s^a."""
-    return (weight.a, weight.a, weight.a, weight.a)
-
-
-def herz_exponent_admissible(a: float, n: int, p: float, s: float) -> bool:
-    """Local-Herz hypothesis: -n/p < a and a < n(1/s - 1/p)."""
-    return -n / p < a < n * (1.0 / s - 1.0 / p)
-
-
 # ---------------------------------------------------------------------------
 # space specifications
 # ---------------------------------------------------------------------------
@@ -175,11 +159,6 @@ class SpaceSpec(Spec):
         key = max(values, key=lambda k: abs(math.log(values[k])))
         return f"{key}={values[key]!r}"
 
-    def associate(self, values: np.ndarray, grid: Grid) -> float | None:
-        """The closed-form associate (Koethe dual) norm of the zero-extended
-        ``values``, or None where the space has none."""
-        return None
-
 
 class Lebesgue(SpaceSpec):
     tag = "lebesgue"
@@ -192,10 +171,6 @@ class Lebesgue(SpaceSpec):
 
     def evaluate(self, values, grid):
         return _lebesgue(values, grid.cell_volume, self.p)
-
-    def associate(self, values, grid):
-        return None if self.p == 1 else float(_lebesgue(values[None], grid.cell_volume,
-                                                        self.p / (self.p - 1.0))[0])
 
 
 class WeightedLebesgue(SpaceSpec):
@@ -237,15 +212,6 @@ class WeightedLebesgue(SpaceSpec):
 
     def evaluate(self, values, grid):
         return _lebesgue(values, grid.cell_volume, self.r, self.weight_on(grid))
-
-    def associate(self, values, grid):
-        if self.r <= 1:
-            return None
-        rp = self.r / (self.r - 1.0)
-        w = self.weight_on(grid)
-        if np.any(w == 0):
-            raise ValueError("dual weight undefined where the weight vanishes")
-        return float(np.sum(np.abs(values) ** rp * w ** (1.0 - rp)) * grid.cell_volume) ** (1.0 / rp)
 
 
 def _power_samples(grid: Grid, a: float, center) -> tuple[tuple, np.ndarray]:
@@ -392,6 +358,11 @@ class _Herz(SpaceSpec):
     def a(self) -> float:
         return self.weight.a
 
+    def extreme_exponent(self):
+        """``a``: the Herz sums scale their terms into range before the q-th
+        power, so only the weight 2^(k a) itself can overflow."""
+        return f"a={self.a!r}"
+
 
 class HerzLocal(_Herz):
     tag = "herzlocal"
@@ -511,17 +482,6 @@ def weighted_lebesgue_norm(f: SampledField, r: float, weight: np.ndarray,
                            omega: DomainMask | None = None) -> float:
     """(sum |f|^r * weight * cellvol)^(1/r) over the domain."""
     return float(norm_many(f.values[None], f.grid, WeightedLebesgue(r, samples=weight), omega)[0])
-
-
-def decreasing_rearrangement(f: SampledField, omega: DomainMask | None = None):
-    """Step-function rearrangement: values sorted descending, cumulative measures.
-
-    Returns ``(cum_measure, values)`` where the rearrangement equals
-    ``values[k]`` on ``[cum_measure[k-1], cum_measure[k])``.
-    """
-    v = np.sort(np.abs(restrict_values(f, omega)).ravel())[::-1]
-    t = np.cumsum(np.full(v.size, f.grid.cell_volume))
-    return t, v
 
 
 def lorentz_norm(f: SampledField, r: float, tau: float, omega: DomainMask | None = None) -> float:
@@ -824,22 +784,6 @@ def _dyadic_axes(system: DyadicSystem, nu: int, lo, hi) -> list[tuple[np.ndarray
     return axes
 
 
-def dyadic_cubes(system: DyadicSystem, lo, hi) -> list[DyadicCube]:
-    """All cubes of the system intersecting the box [lo, hi], levels in range."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if len(system.shift) != lo.size:
-        raise ValueError("shift dimension mismatch")
-    cubes = []
-    for nu in range(system.nu_min, system.nu_max + 1):
-        side = 2.0 ** nu
-        axes = [zip(m.tolist(), clo.tolist()) for m, clo in _dyadic_axes(system, nu, lo, hi)]
-        for cell in product(*axes):
-            m, clo = zip(*cell)
-            cubes.append(DyadicCube(nu, m, clo, tuple(c + side for c in clo)))
-    return cubes
-
-
 def dyadic_cover(center, radius: float):
     """Smallest cube among the 3^n shifted systems containing the ball.
 
@@ -953,15 +897,28 @@ def _herz(pts, rows: np.ndarray, xi, p: float, q: float, weight: HerzWeight, vol
     if not cells.size:
         return np.zeros(len(rows))
     k = np.floor(np.log2(d[cells])).astype(int) + 1
-    k0 = k.min()
-    nk = int(k.max() - k0) + 1
+    k0 = int(k.min())
+    nk = int(k.max()) - k0 + 1
     mass = np.take(rows, cells, axis=1) ** p * vol
     # one bincount for all rows: annulus j of row b is bin b * nk + j, and
     # every bin adds its cells in cell order
     bins = (np.arange(len(rows))[:, None] * nk + (k - k0)).ravel()
     sums = np.bincount(bins, weights=mass.ravel(), minlength=len(rows) * nk).reshape(-1, nk)
-    wq = (2.0 ** np.arange(k0, k0 + nk)) ** weight.a
-    return _root(np.sum((wq * sums ** (1.0 / p)) ** q, axis=1), q)
+    # log2 bounds on a row's largest term w(2^k) r_k, r_k = ||f||_{L^p(annulus k)}:
+    # the rows come scaled to max |v| in [1/2, 1), so r_k <= (cells vol)^(1/p),
+    # and the annulus of that max (unless it sits at xi) has r_k >= vol^(1/p) / 2
+    ka = (k0 * weight.a, (k0 + nk - 1) * weight.a)
+    top = max(ka) + math.log2(cells.size * vol) / p
+    if top >= 1023:
+        raise OverflowError("the Herz weight 2^(k a) overflows")
+    terms = (2.0 ** np.arange(k0, k0 + nk)) ** weight.a * sums ** (1.0 / p)
+    if q * top < 1000 and q * (min(ka) + math.log2(vol) / p - 1) > -1000:
+        return _root(np.sum(terms ** q, axis=1), q)
+    # q-th powers that could leave the float range: each row is divided by the
+    # power of two 2^e just above its largest term, which is exact, and its
+    # result multiplied back
+    e = np.frexp(terms.max(axis=1))[1]
+    return np.ldexp(_root(np.sum(np.ldexp(terms, -e[:, None]) ** q, axis=1), q), e)
 
 
 def herz_local_norm(f: SampledField, p: float, q: float, weight: HerzWeight, xi,
@@ -1019,7 +976,7 @@ def mixed_norm(f: SampledField, rs, omega: DomainMask | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dispatcher, convexification, restriction, associate norm
+# dispatcher, convexification, zero extension
 # ---------------------------------------------------------------------------
 
 
@@ -1076,41 +1033,3 @@ def zero_extend(values_on_omega: np.ndarray, omega: DomainMask) -> SampledField:
     full[idx] = vals
     return SampledField(omega.grid, full.reshape(omega.grid.shape))
 
-
-def restriction_norm(values_on_omega: np.ndarray, space: SpaceSpec, omega: DomainMask) -> float:
-    """Norm of the zero extension on the full grid; equals the restriction norm."""
-    return norm(zero_extend(values_on_omega, omega), space, None)
-
-
-@dataclass(frozen=True)
-class AssociateEstimate:
-    lower: float          # certified lower bound from the witness family
-    exact: float | None   # closed-form dual value when available
-    witness_count: int
-
-
-def associate_norm_empirical(f: SampledField, space: SpaceSpec,
-                             omega: DomainMask | None = None,
-                             witness_count: int = 32, seed: int = 0) -> AssociateEstimate:
-    """Lower bound on the associate (Koethe dual) norm by pairing against
-    random unit-norm witnesses, with the space's closed form where it has one
-    (:meth:`SpaceSpec.associate`: (weighted) Lebesgue with exponent > 1).
-    """
-    if witness_count < 1:
-        raise ValueError("need at least one witness")
-    rng = np.random.default_rng(seed)
-    grid = f.grid
-    vol = grid.cell_volume
-    fv = restrict_values(f, omega)
-    best = 0.0
-    candidates = [fv.copy()]
-    for _ in range(witness_count - 1):
-        candidates.append(rng.standard_normal(grid.shape))
-    for g in candidates:
-        gf = SampledField(grid, np.where(omega.cells, g, 0.0) if omega is not None else g)
-        gn = norm(gf, space, omega)
-        if gn == 0.0:
-            continue
-        pairing = float(np.sum(np.abs(fv * gf.values)) * vol) / gn
-        best = max(best, pairing)
-    return AssociateEstimate(best, space.associate(fv, grid), witness_count)

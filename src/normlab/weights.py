@@ -14,8 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .grid import (DomainMask, Grid, SampledField, _as_tuple, check_params, format_params, parse_params,
-                   restrict_values)
+from .grid import Grid, SampledField, _as_tuple, check_params, format_params, parse_params
 from .spaces import (
     SpaceSpec,
     _ball_stencil,
@@ -36,14 +35,12 @@ __all__ = [
     "CubeFamily",
     "default_cube_family",
     "muckenhoupt_constant",
-    "dual_weight",
     "default_radii",
     "ball_sums",
     "hl_maximal",
     "estimate_maximal_opnorm",
     "rubio_de_francia",
     "RubioResult",
-    "weighted_norm_duality_bound",
 ]
 
 
@@ -257,20 +254,6 @@ def muckenhoupt_constant(weight: Weight, p: float, family: CubeFamily | None = N
     return best
 
 
-def dual_weight(weight: Weight, p: float) -> Weight:
-    """Cell-wise omega^(1-p') for p in (1, inf); power weights stay parametric."""
-    if not (1 < p < math.inf):
-        raise ValueError("p must lie in (1, inf)")
-    pp = p / (p - 1.0)
-    if np.any(weight.samples == 0):
-        raise ValueError("dual weight undefined where the weight vanishes")
-    samples = weight.samples ** (1.0 - pp)
-    if weight.power is not None:
-        a, c = weight.power[0] * (1.0 - pp), weight.power[1]
-        return Weight(weight.grid, samples, format_params("power", {"a": a, "center": c}), (a, c))
-    return Weight(weight.grid, samples, "explicit")
-
-
 # ---------------------------------------------------------------------------
 # Hardy-Littlewood maximal operator
 # ---------------------------------------------------------------------------
@@ -396,25 +379,3 @@ def rubio_de_francia(g: SampledField, space: SpaceSpec | None, opnorm_bound: flo
     return RubioResult(Weight(g.grid, acc, "majorant-iteration"), c, depth,
                        eps_tail, running, ratio, ok)
 
-
-def weighted_norm_duality_bound(f: SampledField, space: SpaceSpec, p: float,
-                                omega: DomainMask | None, witness: SampledField,
-                                opnorm_bound: float, depth: int = 12,
-                                dual_space: SpaceSpec | None = None) -> tuple[float, float]:
-    """Pair |f|^p against the majorant of a unit dual-norm witness.
-
-    Returns ``((integral of |f|^p R g over the domain)^(1/p), norm(f, X))``.
-    The caller normalizes the witness in the associate space of the
-    p-th convexification; when ``dual_space`` is given the normalization is
-    verified.  The sandwich  norm <= sup over witnesses <= 2^(1/p) norm
-    holds when ``opnorm_bound`` dominates the true operator norm there.
-    """
-    if dual_space is not None:
-        wn = norm(witness, dual_space)
-        if abs(wn - 1.0) > 1e-6:
-            raise ValueError(f"witness is not normalized in the dual space (norm {wn})")
-    res = rubio_de_francia(SampledField(witness.grid, np.abs(witness.values)),
-                           dual_space, opnorm_bound, depth=depth)
-    fv = restrict_values(f, omega)
-    pairing = float(np.sum(np.abs(fv) ** p * res.weight.samples) * f.grid.cell_volume) ** (1.0 / p)
-    return pairing, norm(f, space, omega)

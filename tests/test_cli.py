@@ -297,6 +297,10 @@ def test_cli_closed_stdout_pipe_ends_quietly():
      "bbmorrey:p=2.0,q=1e-300,r=3.0,tau=inf: q=1e-300 is out of range: the arithmetic overflows\n"),
     (["norm", "--fn", "gaussian", "--space", "weighted:r=1e-300,a=1"],
      "weighted:a=1.0,center=0.0,r=1e-300: r=1e-300 is out of range: the arithmetic overflows\n"),
+    (["--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian", "--space", "herzglobal:p=2,q=2,a=1e300"],
+     "herzglobal:a=1e+300,p=2.0,q=2.0: a=1e+300 is out of range: the arithmetic overflows\n"),
+    (["--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian", "--space", "herzlocal:p=2,q=3,a=-1e300"],
+     "herzlocal:a=-1e+300,p=2.0,q=3.0,xi=0.0: a=-1e+300 is out of range: the arithmetic overflows\n"),
     (["weak-holder", "--instances", "1", "--gamma", "1e308"], "non-finite left-hand side"),
     # command-line errors, epsilon-check without a domain and an unknown criterion
     (["norm", "--bogus"], "unrecognized arguments: --bogus"),
@@ -317,6 +321,18 @@ def test_cli_bad_input_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert captured.err.startswith("normlab: error: ") and message in captured.err
     assert captured.err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_herz_norm_past_the_float_range_of_its_terms(tmp_path, capsys):
+    # the Herz terms' squares pass 1e308 at a = +-400, but the norms are finite
+    import csv
+
+    argv = ["--out", str(tmp_path), "--grid", "n=1,L=2,N=16", "norm", "--fn", "gaussian",
+            "--space", "herzglobal:p=2,q=2,a=-400", "--space", "herzglobal:p=2,q=2,a=400"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    values = [float(row["value"]) for row in csv.DictReader((tmp_path / "norms.csv").open())]
+    assert values == pytest.approx([4.6419e240, 5.2784e240], rel=1e-4)
 
 
 # a value for every per-run option, and the options each subcommand reads

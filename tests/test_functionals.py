@@ -8,7 +8,6 @@ import pytest
 from normlab import (
     BsvyParams,
     DomainMask,
-    GagliardoParams,
     KernelPolicy,
     Lebesgue,
     SampledField,
@@ -23,7 +22,6 @@ from normlab import (
     sample,
     sobolev_norm,
     weak_holder_check,
-    weak_product_quasinorm,
     weighted_mu_measure,
 )
 from normlab import oracles
@@ -72,13 +70,23 @@ def test_sphere_quantities():
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        GagliardoParams(1.0, 2.0)
-    with pytest.raises(ValueError):
         BsvyParams(0.0, 2.0)
     with pytest.raises(ValueError):
         KernelPolicy(diagonal="nope")
     assert BsvyParams(-0.5, 1.0).theorem_conditional
     assert not BsvyParams(-0.5, 2.0).theorem_conditional
+
+
+@pytest.mark.parametrize("kernel", [gagliardo_seminorm_sweep, fractional_inner_field])
+def test_gagliardo_kernels_check_s_and_p(kernel):
+    g = make_grid(1, -1.0, 1.0, 8)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    with pytest.raises(ValueError, match=r"^s must lie in \(0, 1\)$"):
+        kernel(f, [1.0], 0.5)  # s is checked first
+    with pytest.raises(ValueError, match=r"^s must lie in \(0, 1\)$"):
+        kernel(f, [0.5, 1.0], 2.0)
+    with pytest.raises(ValueError, match=r"^p must lie in \[1, inf\)$"):
+        kernel(f, [0.5], 0.5)
 
 
 @pytest.mark.parametrize("k", [2.5, 0, -1, math.nan, math.inf])
@@ -442,29 +450,18 @@ def test_translation_invariance_whole_cells():
 # --------------------------------------------------------------------------
 
 
-def test_weak_product_consistency_identity():
-    g = make_grid(1, -1.0, 1.0, 32)
-    f = sample(TestFunctionSpec("gaussian", sigma=0.6), g)
-    params = BsvyParams(1.0, 1.0)
-    lam = np.geomspace(0.5, 50.0, 9)
-    prof = bsvy_inner_profile(f, lam, params, None, EXCLUDE_POLICY)
-    sums = np.sum(prof, axis=tuple(range(1, prof.ndim))) * g.cell_volume
-    sup_direct = float(np.max(lam * sums ** (1.0 / params.p)))
-    assert weak_product_quasinorm(f, params, lam_grid=lam) == pytest.approx(
-        sup_direct, rel=1e-12)
-
-
 def test_weak_product_desk_sup():
     g = make_grid(1, 0.0, 1.0, 4096)
     f = sample(TestFunctionSpec("coordinate", axis=0), g)
-    val = weak_product_quasinorm(f, BsvyParams(1.0, 1.0))
+    val = bsvy_sup(f, BsvyParams(1.0, 1.0), Lebesgue(1.0), policy=EXCLUDE_POLICY).sup
     assert val == pytest.approx(2.0, rel=0.04)
 
 
 def test_weak_product_constant_zero():
     g = make_grid(1, 0.0, 1.0, 32)
     f = SampledField(g, np.ones(g.shape), np.zeros((1,) + g.shape))
-    assert weak_product_quasinorm(f, BsvyParams(1.0, 1.0)) == 0.0
+    lams = default_lambda_grid(f)
+    assert not np.any(bsvy_values(f, lams, BsvyParams(1.0, 1.0), Lebesgue(1.0), None, EXCLUDE_POLICY))
 
 
 def test_weighted_mu_unit_square():
@@ -1103,7 +1100,7 @@ def test_multi_block_weighted_mu_measure_against_oracle(multi_block):
 def test_multi_block_pair_measure_against_oracle(multi_block):
     g, f, omega, v, x, _ = multi_block
     lams = np.geomspace(0.05, 5.0, 5)
-    mine = weak_product_quasinorm(f, BsvyParams(1.0, 2.0), omega, lam_grid=lams)
+    mine = max(bsvy_values(f, lams, BsvyParams(1.0, 2.0), Lebesgue(2.0), omega, EXCLUDE_POLICY))
     ref = max(lam * oracles.pair_measure(v, x, g.cell_volume, lam, 1.0, 2.0) ** 0.5 for lam in lams)
     assert mine == pytest.approx(ref, rel=1e-12)
 
@@ -1349,6 +1346,12 @@ def _cold(fn, *args):
     return fn(*args)
 
 
+def _store_bytes():
+    import normlab.functionals as F
+
+    return sum(entry[1] for entry in F._GEOMETRIES.values())
+
+
 def _arrays(obj, path="geo", seen=None):
     """Every array reachable from obj through attributes (slots too), tuples and lists, by path."""
     seen = set() if seen is None else seen
@@ -1534,10 +1537,12 @@ def test_warm_walks_give_cold_bits(dim, domain, monkeypatch):
         a, b = (F._gagliardo_geometry(g, DEFAULT_POLICY, 2.0, s, cells, PAIR_BLOCK_CELLS, inner)
                 for s in ((0.3, 0.9), (0.3, 0.6)))
         assert a is not b and a.walk is b.walk and not np.array_equal(a.weights[-1], b.weights[-1])
-    monkeypatch.setattr(F, "GEOMETRY_BYTES", 0)  # each build evicts every other entry
+    monkeypatch.setattr(F, "GEOMETRY_BYTES", 0)  # each build evicts all but itself and its walk
     _cold(lambda: None)
     for call, ref in zip(calls, cold):
-        assert np.array_equal(call[0](*call[1:]), ref) and len(F._GEOMETRIES) == 1
+        assert np.array_equal(call[0](*call[1:]), ref)
+        # the store keeps only the last entry built and the walk it was built on
+        assert any(set(F._GEOMETRIES) == {key, *uses} for key, (_, _, uses) in F._GEOMETRIES.items())
 
 
 def test_shell_table_peak_memory_3d():
@@ -1567,9 +1572,9 @@ def test_blocks_with_zero_increment_pairs_share_rows(fn, level_set_adds):
     g = make_grid(1, -2.0, 2.0, 1024)
     f = sample(parse_function(fn), g)
     params = BsvyParams(1.0, 2.0)
-    value = weak_product_quasinorm(f, params)
-    assert sum(1 for _, n in level_set_adds if n) == {"tent:width=1.5": 10, "gaussian:sigma=0.5": 3}[fn]
     lams = default_lambda_grid(f)
+    value = float(np.max(bsvy_values(f, lams, params, Lebesgue(2.0), None, EXCLUDE_POLICY)))
+    assert sum(1 for _, n in level_set_adds if n) == {"tent:width=1.5": 10, "gaussian:sigma=0.5": 3}[fn]
     rows = bsvy_inner_profile(f, lams, params, None, EXCLUDE_POLICY)
     assert value == float(np.max(lams * (np.sum(rows, axis=1) * g.cell_volume) ** 0.5))
     for i in (0, 9, 19):
@@ -1779,7 +1784,7 @@ def test_geometry_cache_counts_what_it_keeps(case):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    counted = sum(n for _, n in F._GEOMETRIES.values())
+    counted = _store_bytes()
     assert kept is not None and abs(counted - held) <= 0.25 * held
 
 
@@ -1796,11 +1801,11 @@ def test_geometry_cache_evicts_by_bytes(monkeypatch):
     _cold(lambda: None)
     first = F._LevelSetKernel(f, params[0], None, CRIT12_POLICY)
     cold = np.add(*first.profile(lams))
-    size = sum(n for _, n in F._GEOMETRIES.values())  # the geometry and its walk
+    size = _store_bytes()  # the geometry and its walk
     monkeypatch.setattr(F, "GEOMETRY_BYTES", int(1.5 * size))
     for par in params[1:]:
         F._LevelSetKernel(f, par, None, CRIT12_POLICY).profile(lams)
-        assert sum(n for _, n in F._GEOMETRIES.values()) <= F.GEOMETRY_BYTES
+        assert _store_bytes() <= F.GEOMETRY_BYTES
     again = F._LevelSetKernel(f, params[0], None, CRIT12_POLICY)
     assert again.geo is not first.geo
     assert np.array_equal(np.add(*again.profile(lams)), cold)
@@ -1811,14 +1816,59 @@ def test_geometry_cache_evicts_by_bytes(monkeypatch):
     f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=0.2), g)
     monkeypatch.setattr(F, "GEOMETRY_BYTES", 16 << 20)
     cold = _cold(fractional_inner_field, f, [0.3], 2.0)
-    (_, walk), (first, size) = F._GEOMETRIES.values()
+    (_, walk, _), (first, size, _) = F._GEOMETRIES.values()
     monkeypatch.setattr(F, "GEOMETRY_BYTES", walk + int(1.5 * size))
     for s in (0.6, 0.9):
         fractional_inner_field(f, [s], 2.0)
-        assert sum(n for _, n in F._GEOMETRIES.values()) <= F.GEOMETRY_BYTES
+        assert _store_bytes() <= F.GEOMETRY_BYTES
     assert np.array_equal(fractional_inner_field(f, [0.3], 2.0), cold)
     again = F._gagliardo_geometry(g, DEFAULT_POLICY, 2.0, (0.3,), None, PAIR_BLOCK_CELLS, True)
     assert again is not first and again.fft.km is not None
+
+
+def _held_walks_are_stored():
+    # every walk a stored geometry holds is a stored, counted walk entry
+    import normlab.functionals as F
+
+    stored = [entry[0][2] for key, entry in F._GEOMETRIES.items() if key[0] is F._walk_geometry.__wrapped__]
+    held = [entry[0].walk for entry in F._GEOMETRIES.values() if hasattr(entry[0], "walk")]
+    assert all(any(walk is w for w in stored) for walk in held)
+    return held
+
+
+def test_store_evicts_the_entries_built_on_an_entry(monkeypatch):
+    # an entry goes with the entries built on it (each holds its walk), so
+    # the store counts every walk it keeps: under 1.5 MB the 2D 128^2 p = 2
+    # seminorm's entry stays with its walk, and the inner field after it
+    # walks no second time
+    import normlab.functionals as F
+
+    g = make_grid(2, -2.0, 2.0, 128)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.8, center=(0.2, -0.1)), g)
+    walks = []
+    pair_walk = F._pair_walk
+    monkeypatch.setattr(F, "_pair_walk", lambda *args: walks.append(args) or pair_walk(*args))
+    monkeypatch.setattr(F, "GEOMETRY_BYTES", 1_500_000)
+    _cold(lambda: None)
+    gagliardo_seminorm_sweep(f, [0.5, 0.9], 2.0)
+    assert len(_held_walks_are_stored()) == 1
+    fractional_inner_field(f, [0.5, 0.9], 2.0)
+    _held_walks_are_stored()
+    assert len(walks) == 1
+    # any call sequence under tiny budgets, on a masked non-square grid
+    g, omega, f, _ = _cache_case(*FAR_CASES[1].values)
+    calls = [lambda: bsvy_inner_profile(f, [0.5, 2.0], BsvyParams(1.0, 2.0), omega, CRIT12_POLICY),
+             lambda: gagliardo_seminorm_sweep(f, [0.3], 1.0, omega),
+             lambda: fractional_inner_field(f, [0.3, 0.9], 2.0, omega),
+             lambda: bsvy_inner_profile(f, [1.0], BsvyParams(-1.0, 2.0), None, EXCLUDE_POLICY),
+             lambda: weighted_mu_measure(lambda xa, xb: xa[:, 0] < xb[:, 0], 1.0, np.ones(g.shape), omega, g),
+             lambda: gagliardo_seminorm_sweep(f, [0.3, 0.6], 2.0)]
+    for budget in (0, 20_000, 200_000):
+        monkeypatch.setattr(F, "GEOMETRY_BYTES", budget)
+        _cold(lambda: None)
+        for call in calls + calls[::-2]:
+            call()
+            _held_walks_are_stored()
 
 
 def test_every_cached_geometry_is_read_only_and_counted():
@@ -1842,7 +1892,7 @@ def test_every_cached_geometry_is_read_only_and_counted():
     bsvy_inner_profile(f, [0.5, 1.0, 2.0], BsvyParams(1.0, 2.0), omega, CRIT12_POLICY)
     weighted_mu_measure(lambda xa, xb: xa[:, 0] < xb[:, 0], 1.0, np.ones(g.shape), omega, g)
     kinds = []
-    for key, (geo, counted) in list(F._GEOMETRIES.items()):
+    for key, (geo, counted, _) in list(F._GEOMETRIES.items()):
         build = key[0]
         kinds.append(build)
         for path, arr in _arrays(geo).items():

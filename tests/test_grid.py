@@ -7,12 +7,10 @@ import pytest
 from normlab import (
     SampledField,
     TestFunctionSpec,
-    auto_box,
     gradient_fd,
     make_grid,
     parse_function,
     sample,
-    truncate,
 )
 from normlab.grid import format_params, parse_params
 
@@ -63,35 +61,6 @@ def test_sample_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_truncate_saturation_and_idempotence():
-    g = make_grid(1, 0.0, 1.0, 8)
-    f = SampledField(g, np.full(g.shape, 3.0))
-    t = truncate(f, 1.0)
-    assert np.all(t.values == 1.0)
-    assert np.array_equal(truncate(t, 1.0).values, t.values)
-
-
-def test_truncate_clamps_signed():
-    g = make_grid(1, -2.0, 2.0, 16)
-    f = sample(TestFunctionSpec("coordinate", axis=0), g)
-    t = truncate(f, 1.0)
-    assert t.values.min() == -1.0 and t.values.max() == 1.0
-    inner = np.abs(f.values) <= 1.0
-    assert np.array_equal(t.values[inner], f.values[inner])
-
-
-def test_truncate_noop_above_max():
-    g = make_grid(1, -2.0, 2.0, 16)
-    f = sample(TestFunctionSpec("gaussian"), g)
-    assert np.array_equal(truncate(f, 2.0).values, f.values)
-
-
-def test_truncate_rejects_nonpositive():
-    g = make_grid(1, 0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        truncate(SampledField(g, np.ones(g.shape)), 0.0)
-
-
 def test_gradient_fd_exact_on_linear_and_quadratic():
     g = make_grid(1, -2.0, 2.0, 16)
     x = g.axis_centers(0)
@@ -138,16 +107,6 @@ def test_vector_center_parse():
     g = make_grid(2, 0.0, 1.0, 4)
     f = sample(spec, g)
     assert f.values.shape == (4, 4)
-
-
-def test_auto_box_gaussian_tail():
-    lo, hi = auto_box(TestFunctionSpec("gaussian", sigma=1.0, center=0.0), 1)
-    assert hi[0] >= 4.0  # 1e-8 tail needs > 4 sigma
-
-
-def test_auto_box_rejects_coordinate():
-    with pytest.raises(ValueError):
-        auto_box(TestFunctionSpec("coordinate", axis=0), 1)
 
 
 def test_bump_and_polygauss_gradients_match_fd():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from scipy.optimize import brentq
 from normlab import (
     BesovBourgainMorrey,
     DomainMask,
-    DyadicSystem,
     HerzLocal,
     HerzWeight,
     Lebesgue,
@@ -20,30 +20,26 @@ from normlab import (
     TestFunctionSpec,
     VariableLebesgue,
     WeightedLebesgue,
-    associate_norm_empirical,
     convexify,
-    decreasing_rearrangement,
-    dyadic_cubes,
     herz_global_norm,
     herz_local_norm,
     lorentz_norm,
     luxemburg_norm,
     make_grid,
     mixed_norm,
-    mo_indices,
     morrey_norm,
     norm,
     norm_many,
     orlicz_slice_norm,
     parse_space,
-    restriction_norm,
     sample,
     variable_lebesgue_norm,
     weighted_lebesgue_norm,
     zero_extend,
 )
+from normlab import oracles
 from normlab.domains import mask, parse_domain
-from normlab.spaces import bbm_morrey_norm, herz_exponent_admissible
+from normlab.spaces import _dyadic_boxes, bbm_morrey_norm, default_xi_grid
 
 
 def indicator_field(grid, pred):
@@ -218,31 +214,8 @@ def test_weighted_negative_weight_rejected():
 
 
 # --------------------------------------------------------------------------
-# rearrangement and Lorentz
+# Lorentz
 # --------------------------------------------------------------------------
-
-
-def test_rearrangement_indicator():
-    g = make_grid(1, 0.0, 1.0, 64)
-    f = indicator_field(g, lambda x: x[:, 0] < 0.25)
-    t, v = decreasing_rearrangement(f)
-    k = int(round(0.25 / g.cell_volume))
-    assert np.all(v[:k] == 1.0) and np.all(v[k:] == 0.0)
-
-
-def test_rearrangement_tent_profile():
-    g = make_grid(1, -2.0, 2.0, 512)
-    f = sample(TestFunctionSpec("tent", width=2.0, center=0.0), g)
-    t, v = decreasing_rearrangement(f)
-    ref = np.maximum(0.0, 1.0 - t / 2.0)
-    assert np.max(np.abs(v - ref)) <= 2.0 * g.cell_size[0]
-
-
-def test_rearrangement_constant():
-    g = make_grid(1, 0.0, 2.0, 16)
-    f = SampledField(g, np.full(g.shape, 0.7))
-    t, v = decreasing_rearrangement(f)
-    assert np.all(v == 0.7) and t[-1] == pytest.approx(2.0)
 
 
 def test_lorentz_indicator_closed_form():
@@ -419,23 +392,60 @@ def test_herz_local_rejects_non_finite_centre(xi):
 
 
 def test_dyadic_unit_tiling():
-    cubes = dyadic_cubes(DyadicSystem((0.0,), 0, 0), [0.0], [2.0])
-    corners = sorted((c.lo[0], c.hi[0]) for c in cubes)
+    cubes = oracles.dyadic_cubes((0.0,), 0, 0, [0.0], [2.0])
+    corners = sorted((lo[0], hi[0]) for _, _, lo, hi in cubes)
     assert corners == [(0.0, 1.0), (1.0, 2.0)]
 
 
 def test_dyadic_shifted_formula():
-    cubes = dyadic_cubes(DyadicSystem((1.0 / 3.0,), 0, 0), [0.0], [1.0])
+    cubes = oracles.dyadic_cubes((1.0 / 3.0,), 0, 0, [0.0], [1.0])
     # (-1)^0 * 1/3 shift: cubes (m + 1/3, m + 4/3]
-    assert any(abs(c.lo[0] - 1.0 / 3.0) < 1e-12 for c in cubes)
+    assert any(abs(lo[0] - 1.0 / 3.0) < 1e-12 for _, _, lo, _ in cubes)
 
 
 def test_dyadic_levels_tile_box():
     for nu in (-1, 0, 1):
-        cubes = dyadic_cubes(DyadicSystem((2.0 / 3.0, 1.0 / 3.0), nu, nu), [0.0, 0.0], [2.0, 2.0])
-        area = sum(c.volume for c in cubes)
+        cubes = oracles.dyadic_cubes((2.0 / 3.0, 1.0 / 3.0), nu, nu, [0.0, 0.0], [2.0, 2.0])
+        area = sum(np.prod(np.subtract(hi, lo)) for _, _, lo, hi in cubes)
         # tiles cover the box (with overhang at the rim)
         assert area >= 4.0
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, -1.3, 2.2, 11), make_grid(2, (-1.0, -0.4), (1.5, 2.0), (10, 7))],
+                         ids=["1d", "2d"])
+def test_dyadic_boxes_hold_the_reference_cubes_cells(grid):
+    # per level, the index boxes of the Besov-Bourgain-Morrey cubes are the
+    # cells (by centre) of each reference cube over the grid box that holds one
+    levels = _dyadic_boxes(grid, None)
+    nu_min = math.floor(math.log2(min(grid.cell_size))) - 1
+    centres = [grid.axis_centers(i) for i in range(grid.dim)]
+    cubes = oracles.dyadic_cubes((0.0,) * grid.dim, nu_min, nu_min + len(levels) - 1, grid.lo, grid.hi)
+    for nu, (side, a, b) in enumerate(levels, nu_min):
+        assert side == 2.0 ** nu
+        ref = set()
+        for _, _, lo, hi in (c for c in cubes if c[0] == nu):
+            held = [np.flatnonzero((lo[i] < c) & (c <= hi[i])) for i, c in enumerate(centres)]
+            if all(h.size for h in held):
+                ref.add(tuple((int(h[0]), int(h[-1]) + 1) for h in held))
+        ranges = [list(zip(a[i].ravel().tolist(), b[i].ravel().tolist())) for i in range(grid.dim)]
+        assert set(itertools.product(*ranges)) == ref and ref
+
+
+def test_dyadic_cover_is_a_reference_cube():
+    # the covering cube is one of its shifted system's cubes, and it holds the closed ball
+    from normlab import dyadic_cover
+
+    rng = np.random.default_rng(5)
+    for n in (1, 2):
+        for _ in range(20):
+            c = rng.uniform(-3.0, 3.0, size=n)
+            r = float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))
+            shift, cube = dyadic_cover(c, r)
+            ref = oracles.dyadic_cubes(shift, cube.nu, cube.nu, c - r, c + r)
+            assert [(nu, m) for nu, m, _, _ in ref] == [(cube.nu, cube.m)]
+            assert np.allclose(ref[0][2], cube.lo, rtol=0.0, atol=1e-12)
+            assert np.allclose(ref[0][3], cube.hi, rtol=0.0, atol=1e-12)
+            assert np.all(np.asarray(cube.lo) < c - r) and np.all(c + r <= np.asarray(cube.hi))
 
 
 # --------------------------------------------------------------------------
@@ -494,23 +504,48 @@ def test_herz_global_radial_maximizer_near_origin():
     assert abs(best[0]) <= 4.0 / 64 * 4 + 1e-12  # at or near the origin
 
 
+def _herz_log2(values, coords, vol, p, q, a, xi):
+    """log2 of the local Herz norm, each annulus term w(2^k) r_k taken in log2
+    and summed as a log-sum-exp, so that nothing overflows."""
+    d = np.linalg.norm(coords - np.asarray(xi, dtype=float), axis=1)
+    on = d > 0
+    k = np.floor(np.log2(d[on])).astype(int) + 1
+    logs = [k_ * a + math.log2(math.fsum(np.abs(values[on][k == k_]) ** p * vol)) / p
+            for k_ in np.unique(k) if np.any(values[on][k == k_])]
+    top = max(logs)
+    return top + math.log2(math.fsum(2.0 ** (q * (x - top)) for x in logs)) / q
+
+
+@pytest.mark.parametrize("a", [-400.0, 400.0])
+@pytest.mark.parametrize("q", [2.0, 2.5])
+def test_herz_terms_past_the_float_range(a, q):
+    # at a = +-400 the terms' q-th powers leave the float range, the norms do not
+    g = make_grid(1, -2.0, 2.0, 16)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    v = f.values.ravel()
+    ref = [2.0 ** _herz_log2(v, g.coords(), g.cell_volume, 2.0, q, a, xi) for xi in default_xi_grid(g)]
+    assert max(ref) > 1e240
+    local = norm(f, HerzLocal(2.0, q, a, 0.0))
+    assert local == pytest.approx(2.0 ** _herz_log2(v, g.coords(), g.cell_volume, 2.0, q, a, (0.0,)), rel=1e-12)
+    glob, best = herz_global_norm(f, 2.0, q, HerzWeight(a))
+    assert glob == pytest.approx(max(ref), rel=1e-12)
+    assert glob == pytest.approx(2.0 ** _herz_log2(v, g.coords(), g.cell_volume, 2.0, q, a, best), rel=1e-12)
+
+
+def test_herz_weight_past_the_float_range_raises():
+    g = make_grid(1, -2.0, 2.0, 16)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    for a in (1e300, -1e300, 1100.0):
+        with pytest.raises(OverflowError, match="Herz weight"):
+            norm(f, HerzLocal(2.0, 2.0, a, 0.0))
+    assert HerzLocal(2.0, 2.0, 1e300).extreme_exponent() == "a=1e+300"
+
+
 def test_herz_global_empty_grid_rejected():
     g = make_grid(1, -2.0, 2.0, 16)
     f = sample(TestFunctionSpec("gaussian"), g)
     with pytest.raises(ValueError):
         herz_global_norm(f, 2.0, 2.0, HerzWeight(0.0), xi_grid=np.empty((0, 1)))
-
-
-def test_mo_indices_power():
-    assert mo_indices(HerzWeight(0.0)) == (0.0, 0.0, 0.0, 0.0)
-    assert mo_indices(HerzWeight(-0.3)) == (-0.3, -0.3, -0.3, -0.3)
-
-
-def test_herz_hypothesis_predicate():
-    # -n/p < a < n(1/s - 1/p)
-    assert herz_exponent_admissible(-0.2, 1, 2.5, 2.0)
-    assert not herz_exponent_admissible(0.2, 1, 2.5, 2.0)
-    assert not herz_exponent_admissible(-0.5, 1, 2.0, 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -607,34 +642,37 @@ def test_convexify_range_violation():
 
 
 # --------------------------------------------------------------------------
-# restriction and associate norms
+# restriction and zero extension
 # --------------------------------------------------------------------------
 
 
-def test_restriction_norm_unit_indicator():
+def test_zero_extend_unit_indicator():
     g = make_grid(1, -2.0, 2.0, 64)
     inside = (np.abs(g.coords()[:, 0] - 0.5) < 0.5).reshape(g.shape)
     omega = DomainMask(g, inside)
-    vals = np.ones(int(inside.sum()))
-    assert restriction_norm(vals, Lebesgue(2.0), omega) == pytest.approx(1.0, rel=1e-12)
+    ext = zero_extend(np.ones(int(inside.sum())), omega)
+    assert norm(ext, Lebesgue(2.0)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_restriction_equals_zero_extension_exactly():
+    # the norm on a domain ignores the values outside it: it is the norm of
+    # the zero extension of the values inside
     g = make_grid(1, -1.0, 1.0, 32)
     rng = np.random.default_rng(3)
     inside = (g.coords()[:, 0] > 0).reshape(g.shape)
     omega = DomainMask(g, inside)
-    vals = rng.standard_normal(int(inside.sum()))
-    ext = zero_extend(vals, omega)
+    f = SampledField(g, rng.standard_normal(g.shape))
+    ext = zero_extend(f.values[inside], omega)
+    assert np.array_equal(ext.values[inside], f.values[inside]) and not np.any(ext.values[~inside])
     for space in (Lebesgue(2.0), Lorentz(2.0, 3.0), Morrey(2.0, 4.0)):
-        assert restriction_norm(vals, space, omega) == norm(ext, space)
+        assert norm(f, space, omega) == norm(ext, space)
 
 
 def test_restriction_full_box_is_plain_norm():
     g = make_grid(1, -1.0, 1.0, 16)
     f = sample(TestFunctionSpec("gaussian"), g)
     omega = DomainMask(g, np.ones(g.shape, dtype=bool))
-    assert restriction_norm(f.values.ravel(), Lebesgue(2.0), omega) == norm(f, Lebesgue(2.0))
+    assert norm(zero_extend(f.values.ravel(), omega), Lebesgue(2.0)) == norm(f, Lebesgue(2.0))
 
 
 def test_zero_extend_count_mismatch():
@@ -642,34 +680,6 @@ def test_zero_extend_count_mismatch():
     omega = DomainMask(g, (g.coords()[:, 0] > 0).reshape(g.shape))
     with pytest.raises(ValueError):
         zero_extend(np.ones(3), omega)
-
-
-def test_associate_l2_self_duality():
-    g = make_grid(1, -2.0, 2.0, 32)
-    f = sample(TestFunctionSpec("gaussian"), g)
-    est = associate_norm_empirical(f, Lebesgue(2.0), witness_count=8, seed=1)
-    l2 = norm(f, Lebesgue(2.0))
-    assert est.lower <= l2 * (1 + 1e-12)
-    assert est.lower == pytest.approx(l2, rel=1e-12)  # f/||f|| witness included
-    assert est.exact == pytest.approx(l2, rel=1e-12)
-
-
-def test_associate_weighted_exact_dual():
-    g = make_grid(1, 0.0, 1.0, 32)
-    f = sample(TestFunctionSpec("gaussian", sigma=0.5, center=0.5), g)
-    w = WeightedLebesgue(2.0, a=0.5, center=0.0)
-    est = associate_norm_empirical(f, w, witness_count=4, seed=2)
-    wts = w.weight_on(g)
-    ref = float(np.sum(np.abs(f.values) ** 2 * wts ** (-1.0)) * g.cell_volume) ** 0.5
-    assert est.exact == pytest.approx(ref, rel=1e-12)
-    assert est.lower <= est.exact * (1 + 1e-9)
-
-
-def test_associate_zero_function():
-    g = make_grid(1, 0.0, 1.0, 8)
-    est = associate_norm_empirical(SampledField(g, np.zeros(g.shape)), Lebesgue(2.0),
-                                   witness_count=3, seed=0)
-    assert est.lower == 0.0
 
 
 def test_traced_benchmark_finds_every_per_kind_entry_point(monkeypatch):

@@ -7,7 +7,6 @@ from normlab import (
     Lebesgue,
     SampledField,
     TestFunctionSpec,
-    dual_weight,
     estimate_maximal_opnorm,
     explicit_weight,
     hl_maximal,
@@ -17,7 +16,6 @@ from normlab import (
     power_weight,
     rubio_de_francia,
     sample,
-    weighted_norm_duality_bound,
 )
 from normlab.weights import CubeFamily, anchored_cube_family, default_radii, parse_weight
 
@@ -182,33 +180,14 @@ def test_ap_zero_cell_reports_inf():
     assert muckenhoupt_constant(w, 2.0) == math.inf
 
 
-def test_dual_weight_involution():
-    g = make_grid(1, -1.0, 1.0, 32)
-    w = power_weight(g, 0.5, center=0.3)
-    p = 2.5
-    pp = p / (p - 1.0)
-    back = dual_weight(dual_weight(w, p), pp)
-    assert np.allclose(back.samples, w.samples, rtol=1e-12)
-    w2 = dual_weight(w, 2.0)
-    assert np.allclose(w2.samples, 1.0 / w.samples, rtol=1e-13)
-
-
-def test_dual_weight_source_keeps_the_center():
+def test_power_weight_source_keeps_the_center():
     g = make_grid(1, -1.0, 1.0, 16)
     for center in (0.3, (0.3,)):
-        dual = dual_weight(power_weight(g, -0.5, center=center), 2.0)
-        assert dual.source == "power:a=0.5,center=0.3"
-        again = parse_weight(dual.source, g)
-        assert np.allclose(again.samples, dual.samples, rtol=1e-12, atol=0.0)
-        assert again.power == dual.power == (0.5, (0.3,))
-
-
-def test_dual_weight_rejects_zeros():
-    g = make_grid(1, 0.0, 1.0, 8)
-    samples = np.ones(g.shape)
-    samples.ravel()[0] = 0.0
-    with pytest.raises(ValueError):
-        dual_weight(explicit_weight(g, samples), 2.0)
+        w = power_weight(g, 0.5, center=center)
+        assert w.source == "power:a=0.5,center=0.3"
+        again = parse_weight(w.source, g)
+        assert np.array_equal(again.samples, w.samples)
+        assert again.power == w.power == (0.5, (0.3,))
 
 
 # --------------------------------------------------------------------------
@@ -268,62 +247,22 @@ def test_rubio_a1_bound_with_estimated_opnorm():
     assert a1 <= 2.0 * opnorm * 1.5
 
 
+def test_rubio_depth_zero_is_the_input():
+    # R_0 g = |g|: its norm ratio is exactly 1, its tail is M g, and every
+    # deeper iterate only adds nonnegative mass
+    g = make_grid(1, -2.0, 2.0, 128)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    res = rubio_de_francia(f, Lebesgue(2.0), 2.0, depth=0)
+    assert np.array_equal(res.weight.samples, f.values)
+    assert res.eps_tail == float(np.max(hl_maximal(f))) and res.running_norm == 2.0 * res.eps_tail
+    assert res.norm_ratio == 1.0 and res.norm_bound_ok
+    deeper = rubio_de_francia(f, Lebesgue(2.0), 2.0, depth=4)
+    assert np.all(deeper.weight.samples >= res.weight.samples) and deeper.eps_tail < res.eps_tail
+
+
 def test_rubio_rejects_bad_input():
     g = make_grid(1, 0.0, 1.0, 8)
     with pytest.raises(ValueError):
         rubio_de_francia(SampledField(g, np.zeros(g.shape)), None, 2.0)
     with pytest.raises(ValueError):
         rubio_de_francia(SampledField(g, np.ones(g.shape)), None, -1.0)
-
-
-# --------------------------------------------------------------------------
-# duality bound
-# --------------------------------------------------------------------------
-
-
-def test_duality_bound_upper_sandwich():
-    g = make_grid(1, -2.0, 2.0, 128)
-    f = sample(TestFunctionSpec("gaussian"), g)
-    p = 2.0
-    space = Lebesgue(2.0 * p)  # X = L^(p q0) with q0 = 2
-    # [X^(1/p)]' = [L^2]' = L^2; normalized witness there
-    dual = Lebesgue(2.0)
-    wit = sample(TestFunctionSpec("gaussian", sigma=0.7), g)
-    wit = SampledField(g, wit.values / norm(wit, dual))
-    opnorm = max(estimate_maximal_opnorm(dual, g).value, 1.0)
-    lower, base = weighted_norm_duality_bound(f, space, p, None, wit, opnorm,
-                                              dual_space=dual)
-    assert lower <= 2.0 ** (1.0 / p) * base * (1.0 + 1e-9)
-
-
-def test_duality_bound_holder_equality_at_depth_zero():
-    g = make_grid(1, -2.0, 2.0, 128)
-    f = sample(TestFunctionSpec("gaussian"), g)
-    # X = L^2, p = 1: the dual of X^(1/1) is L^2; the conjugate witness is
-    # f / ||f||, and the depth-0 pairing realizes Hoelder equality
-    space = Lebesgue(2.0)
-    wit = SampledField(g, np.abs(f.values) / norm(f, space))
-    lower, base = weighted_norm_duality_bound(f, space, 1.0, None, wit, 2.0,
-                                              depth=0, dual_space=space)
-    assert lower == pytest.approx(base, rel=1e-6)
-    # any maximal terms only add nonnegative mass
-    deeper, _ = weighted_norm_duality_bound(f, space, 1.0, None, wit, 2.0,
-                                            depth=4, dual_space=space)
-    assert deeper >= lower - 1e-12
-
-
-def test_duality_bound_zero_function():
-    g = make_grid(1, -1.0, 1.0, 32)
-    z = SampledField(g, np.zeros(g.shape))
-    wit = sample(TestFunctionSpec("gaussian"), g)
-    wit = SampledField(g, wit.values / norm(wit, Lebesgue(2.0)))
-    lower, base = weighted_norm_duality_bound(z, Lebesgue(2.0), 1.0, None, wit, 2.0)
-    assert lower == 0.0 and base == 0.0
-
-
-def test_duality_bound_rejects_unnormalized_witness():
-    g = make_grid(1, -1.0, 1.0, 32)
-    f = sample(TestFunctionSpec("gaussian"), g)
-    with pytest.raises(ValueError):
-        weighted_norm_duality_bound(f, Lebesgue(2.0), 1.0, None, f, 2.0,
-                                    dual_space=Lebesgue(2.0))
