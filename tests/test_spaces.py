@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import beta
 
 from normlab import (
     BesovBourgainMorrey,
@@ -206,6 +207,20 @@ def test_weighted_zero_function():
     assert weighted_lebesgue_norm(f, 2.0, np.ones(g.shape)) == 0.0
 
 
+def test_weighted_holder_equality_with_the_dual_weight():
+    # g = |f|^(p-1) w attains Hoelder's inequality between L^p_w and its
+    # associate L^p'_sigma, sigma = w^(1-p'): int |f g| = ||f||_{p,w} ||g||_{p',sigma}
+    g = make_grid(1, -2.0, 2.0, 128)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.7, center=0.2), g)
+    w = np.abs(g.coords()[:, 0] - 0.05).reshape(g.shape) ** 0.6
+    for p in (1.5, 3.0):
+        pp = p / (p - 1.0)
+        dual = SampledField(g, np.abs(f.values) ** (p - 1.0) * w)
+        pairing = float(np.sum(np.abs(f.values * dual.values)) * g.cell_volume)
+        product = weighted_lebesgue_norm(f, p, w) * weighted_lebesgue_norm(dual, pp, w ** (1.0 - pp))
+        assert product == pytest.approx(pairing, rel=1e-13)
+
+
 def test_weighted_negative_weight_rejected():
     g = make_grid(1, 0.0, 1.0, 8)
     f = SampledField(g, np.ones(g.shape))
@@ -230,6 +245,39 @@ def test_lorentz_diagonal_is_lp_on_steps():
     vals = np.repeat([3.0, 1.0, 2.0, 0.0], 8)
     f = SampledField(g, vals.reshape(g.shape))
     assert lorentz_norm(f, 2.5, 2.5) == pytest.approx(norm(f, Lebesgue(2.5)), rel=1e-13)
+
+
+def test_lorentz_is_rearrangement_invariant():
+    # the norm sees only the distribution of |f|: permuting the cells or
+    # flipping signs keeps its bits, on any grid of the same cell volume
+    g = make_grid(1, -2.0, 2.0, 96)
+    f = sample(TestFunctionSpec("gaussian", sigma=0.6, center=0.4), g)
+    rng = np.random.default_rng(7)
+    moved = rng.permutation(f.values.ravel()) * rng.choice([-1.0, 1.0], size=f.values.size)
+    g2 = make_grid(2, (0.0, 0.0), (4.0, 1.0), (8, 12))
+    assert g2.cell_volume == pytest.approx(g.cell_volume, rel=1e-15)
+    for r, tau in ((2.0, 3.0), (1.5, 1.2)):
+        ref = lorentz_norm(f, r, tau)
+        assert lorentz_norm(SampledField(g, moved.reshape(g.shape)), r, tau) == ref
+        assert lorentz_norm(SampledField(g2, moved.reshape(g2.shape)), r, tau) == pytest.approx(ref, rel=1e-14)
+
+
+def test_lorentz_tent_closed_form():
+    # the unit tent of width 2 has f*(t) = (1 - t/2)_+, so
+    # ||f||_{r,tau}^tau = int_0^2 t^(tau/r - 1) (1 - t/2)^tau dt = 2^(tau/r) B(tau/r, tau + 1);
+    # the sampled rearrangement is within 2h of f*, which bounds the error
+    errs = []
+    for n in (256, 1024):
+        g = make_grid(1, -2.0, 2.0, n)
+        f = sample(TestFunctionSpec("tent", width=2.0, center=0.0), g)
+        for r, tau in ((2.0, 3.0), (1.5, 1.2), (4.0, 2.0)):
+            e = tau / r
+            ref = (2.0 ** e * beta(e, tau + 1.0)) ** (1.0 / tau)
+            err = abs(lorentz_norm(f, r, tau) - ref)
+            assert err <= 2.0 * g.cell_size[0] * (2.0 ** e / e) ** (1.0 / tau)
+            errs.append(err)
+    # and it shrinks with the cell size
+    assert all(fine <= coarse / 4.0 for coarse, fine in zip(errs[:3], errs[3:]))
 
 
 def test_lorentz_zero():
@@ -481,6 +529,21 @@ def test_herz_collapse():
     f = sample(TestFunctionSpec("gaussian"), g)
     assert herz_local_norm(f, 2.0, 2.0, HerzWeight(0.0), 0.0) == pytest.approx(
         norm(f, Lebesgue(2.0)), rel=1e-12)
+
+
+def test_herz_local_p_eq_q_is_the_weighted_norm_of_its_annulus_weight():
+    # with p = q the annulus sums merge into one: the local Herz norm is the
+    # L^p norm with weight 2^(k a p) on annulus k, 1 < |x - xi| / 2^(k-1) <= 2,
+    # and 0 at xi itself
+    g = make_grid(1, -2.0, 2.0, 64)
+    f = sample(TestFunctionSpec("gaussian"), g)
+    for a in (-0.3, 0.7):
+        for xi in (0.0, 0.37):
+            d = np.abs(g.coords()[:, 0] - xi)
+            k = np.floor(np.log2(np.where(d > 0, d, 1.0))) + 1.0
+            w = np.where(d > 0, 2.0 ** (2.0 * a * k), 0.0).reshape(g.shape)
+            assert herz_local_norm(f, 2.0, 2.0, HerzWeight(a), xi) == pytest.approx(
+                weighted_lebesgue_norm(f, 2.0, w), rel=1e-14)
 
 
 def test_herz_zero():

@@ -17,7 +17,7 @@ from normlab import (
     rubio_de_francia,
     sample,
 )
-from normlab.weights import CubeFamily, anchored_cube_family, default_radii, parse_weight
+from normlab.weights import CubeFamily, anchored_cube_family, default_cube_family, default_radii, parse_weight
 
 
 # --------------------------------------------------------------------------
@@ -178,6 +178,23 @@ def test_ap_zero_cell_reports_inf():
     w = explicit_weight(g, samples)
     assert muckenhoupt_constant(w, 1.0) == math.inf
     assert muckenhoupt_constant(w, 2.0) == math.inf
+
+
+@pytest.mark.parametrize("g", [make_grid(1, -2.0, 2.0, 256), make_grid(2, (-1.0, -1.5), (1.5, 1.0), (24, 20))],
+                         ids=["1d", "2d"])
+def test_ap_constant_of_the_dual_weight(g):
+    # sigma = w^(1-p') has, cube by cube, [sigma]_{A_p'} = [w]_{A_p}^(p'-1), so
+    # over one cube family the two sups agree and sit on the same cube
+    w = power_weight(g, -0.4, center=0.1)
+    fam = default_cube_family(g, anchor=(0.1,) * g.dim)
+    for p in (1.5, 3.0):
+        pp = p / (p - 1.0)
+        a = muckenhoupt_constant(explicit_weight(g, w.samples), p, family=fam, return_witness=True)
+        b = muckenhoupt_constant(explicit_weight(g, w.samples ** (1.0 - pp)), pp, family=fam,
+                                 return_witness=True)
+        assert a.value > 1.0
+        assert b.value == pytest.approx(a.value ** (pp - 1.0), rel=1e-12)
+        assert (b.cube_lo, b.cube_hi) == (a.cube_lo, a.cube_hi)
 
 
 def test_power_weight_source_keeps_the_center():
